@@ -6,11 +6,10 @@ from .bridge import (VerificationReport, reduce_isometry, reduce_root,
                      reports_for, root_preimage, verify_corollary,
                      verify_lemma, verify_prop1, verify_prop2, verify_remarks)
 from .f2 import (F2Isometry, F2QuadraticSpace, SymplecticBasis, arf,
-                 eval_q, exception_check_n4, f2_reflection,
-                 orthogonal_generators, quotient_by_radical, radical, reduce,
-                 sp_model, symplectic_basis, value_census)
-from .groups import (PermGroup, closure, contains, group_order, image_order,
-                     perm_from_action)
+                 exception_check_n4, f2_reflection, orthogonal_generators,
+                 quotient_by_radical, radical, reduce, sp_model,
+                 symplectic_basis, value_census)
+from .groups import PermGroup, closure
 from .lattice import (Lattice, LatticeIsometry, automorphism_group,
                       automorphism_order, build_del_pezzo,
                       build_plain_root_lattice, enumerate_roots,
@@ -26,13 +25,12 @@ __all__ = [
     "inner_product", "enumerate_roots", "is_root", "root_reflection",
     "simple_roots", "weyl_generators", "automorphism_group", "automorphism_order",
     # f2
-    "F2QuadraticSpace", "F2Isometry", "SymplecticBasis", "reduce", "eval_q",
-    "radical", "value_census", "symplectic_basis", "arf", "f2_reflection",
+    "F2QuadraticSpace", "F2Isometry", "SymplecticBasis", "reduce", "radical",
+    "value_census", "symplectic_basis", "arf", "f2_reflection",
     "orthogonal_generators", "exception_check_n4", "sp_model",
     "quotient_by_radical",
     # groups
-    "PermGroup", "perm_from_action", "group_order", "contains", "image_order",
-    "closure",
+    "PermGroup", "closure",
     # bridge
     "VerificationReport", "reduce_root", "root_preimage", "reduce_isometry",
     "verify_lemma", "verify_prop1", "verify_prop2", "verify_corollary",

@@ -149,56 +149,46 @@ class _Checks:
 
 # -- cached heavy computations -----------------------------------------------------
 
-def _apply_iso(g, p):
-    return g.apply_ambient(p)
-
-
-def _apply_f2(g, p):
-    return g.apply(p)
-
-
 @lru_cache(maxsize=None)
 def weyl_group(L):
     """Stabilizer chain for the Weyl group acting on the roots."""
-    return groups.perm_from_action(lat.weyl_generators(L),
-                                   lat.enumerate_roots(L), _apply_iso)
+    return groups.PermGroup([g.root_permutation() for g in lat.weyl_generators(L)],
+                            len(lat.enumerate_roots(L)))
 
 
-@lru_cache(maxsize=None)
 def aut_group(L):
     """Stabilizer chain for the full isometry group acting on the roots."""
-    return groups.perm_from_action(lat.automorphism_group(L),
-                                   lat.enumerate_roots(L), _apply_iso)
+    return lat.automorphism_chain(L)[0]
+
+
+def _f2_chain(S, maps):
+    """Stabilizer chain of the given maps acting on the nonzero vectors of S."""
+    # one permutation list at a time: the chain keeps only those that grow it
+    return groups.PermGroup((m.vector_permutation() for m in maps), 2 ** S.dim - 1)
 
 
 @lru_cache(maxsize=None)
 def oL2_group(L):
     """Stabilizer chain for the reflection group of the mod-2 space."""
     S = f2.reduce(L)
-    return groups.perm_from_action(f2.orthogonal_generators(S),
-                                   S.nonzero_vectors(), _apply_f2)
+    return _f2_chain(S, f2.orthogonal_generators(S))
 
 
 @lru_cache(maxsize=None)
 def rho_image_order_aut(L):
     """Order of the image of the full isometry group in the mod-2 space."""
-    S = f2.reduce(L)
-    gens = lat.automorphism_group(L)
-    return groups.image_order(gens, [reduce_isometry(L, u) for u in gens],
-                              S.nonzero_vectors(), _apply_f2)
+    return _f2_chain(f2.reduce(L), [reduce_isometry(L, u)
+                                    for u in lat.automorphism_group(L)]).order()
 
 
 @lru_cache(maxsize=None)
 def rho_image_order_weyl(L):
-    S = f2.reduce(L)
-    gens = lat.weyl_generators(L)
-    return groups.image_order(gens, [reduce_isometry(L, u) for u in gens],
-                              S.nonzero_vectors(), _apply_f2)
+    return _f2_chain(f2.reduce(L), [reduce_isometry(L, u)
+                                    for u in lat.weyl_generators(L)]).order()
 
 
 def minus_one_in_weyl(L):
-    neg = groups.action_perm(lat.LatticeIsometry.minus_identity(L),
-                             lat.enumerate_roots(L), _apply_iso)
+    neg = lat.LatticeIsometry.minus_identity(L).root_permutation()
     return weyl_group(L).contains(neg)
 
 
@@ -340,8 +330,7 @@ def verify_prop2(L):
         model = f2.sp_model(S)
         H = model.hyperplane
         tgens = [model.transvection(v) for v in H.nonzero_vectors()]
-        sp_order = groups.perm_from_action(
-            tgens, H.nonzero_vectors(), _apply_f2).order()
+        sp_order = _f2_chain(H, tgens).order()
         c.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
         corr = all(model.forward(model.reflection_for_transvection(v))
                    == model.transvection(v) for v in H.nonzero_vectors())
@@ -350,8 +339,7 @@ def verify_prop2(L):
     if L.n == 5:
         quo = f2.quotient_by_radical(S)
         qgens = [quo.project(g) for g in f2.orthogonal_generators(S)]
-        image_q = groups.perm_from_action(
-            qgens, quo.section.nonzero_vectors(), _apply_f2).order()
+        image_q = _f2_chain(quo.section, qgens).order()
         kernel = quo.kernel_maps()
         c.check(len(kernel) == 16, "kernel of the quotient map has order 16")
         c.check(all(quo.project(u).is_identity() for u in kernel),

@@ -55,3 +55,7 @@ class DegreeMismatch(Error):
 
 class WrongRange(Error):
     """The statement being verified does not apply to this n."""
+
+
+class CrossCheckFailed(Error):
+    """Two independent derivations of the same number disagree."""

@@ -39,7 +39,8 @@ class F2QuadraticSpace:
     """A subspace of F2^width with an alternating pairing and a form q."""
 
     __slots__ = ("width", "basis", "qdiag", "pair_rows", "basis_lifts",
-                 "ambient_k", "gram2", "_coords", "_q")
+                 "ambient_k", "gram2", "_coords", "_q", "_point_coords",
+                 "_point_index")
 
     def __init__(self, width, basis, qdiag, pair_rows, basis_lifts=None,
                  ambient_k=None):
@@ -68,6 +69,10 @@ class F2QuadraticSpace:
                 qtab[nm] = qtab[m] ^ qb ^ self.pair(m, b)
         self._coords = coords
         self._q = qtab
+        # coordinate bits and positions of the sorted nonzero vectors
+        points = sorted(qtab)[1:]
+        self._point_coords = tuple(coords[v] for v in points)
+        self._point_index = {v: i for i, v in enumerate(points)}
 
     @property
     def dim(self):
@@ -162,11 +167,6 @@ def space_from_gram(gram):
     return F2QuadraticSpace(n, basis, qdiag, pair_rows)
 
 
-def eval_q(S, v):
-    """q(v) for a space vector; NotInSpace otherwise."""
-    return S.q(v)
-
-
 def radical(S):
     """All vectors pairing to zero with the whole space (includes 0)."""
     return [v for v in S.vectors()
@@ -255,6 +255,18 @@ class _F2Linear:
             m ^= self.images[i]
         return m
 
+    def vector_permutation(self):
+        """Position in space.nonzero_vectors() of the image of each of them.
+
+        The images of the whole span are built by doubling over the basis
+        images: entry c is the image of the vector with coordinate bits c.
+        """
+        span = [0]
+        for m in self.images:
+            span += [a ^ m for a in span]
+        index = self.space._point_index
+        return [index[span[c]] for c in self.space._point_coords]
+
     def __mul__(self, other):
         """Composition: (self * other) applies other first."""
         if self.space is not other.space:
@@ -283,10 +295,6 @@ class _F2Linear:
 
     def is_identity(self):
         return self.images == self.space.basis
-
-    def matrix_rows(self):
-        """Basis-coordinate bit rows (row i = coords of the image of b_i)."""
-        return tuple(self.space.coords(m) for m in self.images)
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.space is other.space

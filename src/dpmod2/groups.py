@@ -1,6 +1,8 @@
 """Exact finite-group computation for permutation groups.
 
-Groups are given by generators acting on {0..degree-1}.  A deterministic
+Groups are given by generators acting on {0..degree-1}: each element is the
+index map it induces on a fixed, sorted point set (root_permutation of a
+lattice isometry, vector_permutation of a mod-2 map).  A deterministic
 Schreier-Sims stabilizer chain provides exact order (arbitrary-precision,
 never floating point) and membership tests.  Base points are always the
 smallest moved point available, so the chain -- and hence every reported
@@ -59,11 +61,14 @@ class PermGroup:
         return g
 
     def extend(self, g):
-        """Add a generator; returns True iff the group grew."""
+        """Add a generator; returns True iff the group grew.
+
+        Only generators that grow the group are recorded in `generators`.
+        """
         g = self._check_perm(g)
-        self.generators.append(g)
         if self._sift(g, 0)[0] is None:
             return False
+        self.generators.append(g)
         if not self._levels:
             beta = int(np.nonzero(g != self._identity)[0][0])
             self._levels.append(_Level(beta, self._identity))
@@ -155,65 +160,6 @@ class PermGroup:
                     self._complete_level(idx + 1)
             if not pending:
                 return
-
-
-def perm_from_action(generators, points, apply):
-    """Permutation group induced by generators acting on a finite point set.
-
-    `apply(g, p)` must return a point of `points` for every generator g and
-    point p; otherwise NotClosed is raised.  Faithfulness is the caller's
-    responsibility.
-    """
-    points = list(points)
-    index = {p: i for i, p in enumerate(points)}
-    if len(index) != len(points):
-        raise ValueError("duplicate points")
-    perms = []
-    for g in generators:
-        row = np.empty(len(points), dtype=np.int32)
-        for i, p in enumerate(points):
-            q = apply(g, p)
-            j = index.get(q)
-            if j is None:
-                raise errors.NotClosed(f"generator maps {p!r} outside the point set")
-            row[i] = j
-        if len(set(row.tolist())) != len(points):
-            raise errors.NotClosed("generator does not act injectively")
-        perms.append(row)
-    return PermGroup(perms, len(points))
-
-
-def action_perm(g, points, apply):
-    """The permutation array a single element induces on `points`."""
-    index = {p: i for i, p in enumerate(points)}
-    row = np.empty(len(points), dtype=np.int32)
-    for i, p in enumerate(points):
-        j = index.get(apply(g, p))
-        if j is None:
-            raise errors.NotClosed(f"element maps {p!r} outside the point set")
-        row[i] = j
-    return row
-
-
-def group_order(G):
-    """Exact order of a PermGroup."""
-    return G.order()
-
-
-def contains(G, g):
-    """Exact membership of a permutation in a PermGroup."""
-    return G.contains(g)
-
-
-def image_order(domain_generators, image_generators, points, apply):
-    """Order of the image group of a homomorphism given on generators.
-
-    image_generators[i] must be the image of domain_generators[i]; the pairing
-    is the caller's contract (the homomorphism itself is not re-verified here).
-    """
-    if len(domain_generators) != len(image_generators):
-        raise ValueError("generator lists must pair up")
-    return perm_from_action(image_generators, points, apply).order()
 
 
 def closure(generators, multiply, identity, limit=2_000_000):

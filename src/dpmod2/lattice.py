@@ -21,7 +21,7 @@ from math import isqrt
 
 import numpy as np
 
-from . import errors, intlinalg
+from . import errors, groups, intlinalg
 
 DEL_PEZZO_TYPES = {3: "A1xA2", 4: "A4", 5: "D5", 6: "E6", 7: "E7", 8: "E8"}
 
@@ -203,6 +203,16 @@ def from_coords(L, x):
     return tuple(v)
 
 
+@lru_cache(maxsize=None)
+def _root_table(L):
+    """Basis coordinates of the roots (one row each), row -> root index, and
+    the largest l1-norm of a row."""
+    coords = [lattice_coords(L, r) for r in enumerate_roots(L)]
+    index = {x: i for i, x in enumerate(coords)}
+    bound = max(sum(abs(c) for c in x) for x in coords)
+    return np.array(coords, dtype=np.int64), index, bound
+
+
 # -- isometries ----------------------------------------------------------------
 
 class LatticeIsometry:
@@ -258,6 +268,22 @@ class LatticeIsometry:
     def apply_ambient(self, v):
         """Image of an ambient lattice vector."""
         return from_coords(self.lattice, self.apply_coords(lattice_coords(self.lattice, v)))
+
+    def root_permutation(self):
+        """Index in enumerate_roots(L) of the image of each root, in order.
+
+        Raises NotClosed if a root maps outside the root set, which only a
+        matrix built with check=False can do.
+        """
+        coords, index, bound = _root_table(self.lattice)
+        big = max(abs(a) for row in self.matrix for a in row)
+        # int64 is exact while no image coordinate can reach 2**63
+        dtype = np.int64 if big * bound < 2 ** 63 else object
+        images = (coords.astype(dtype) @ np.array(self.matrix, dtype=dtype)).tolist()
+        perm = [index.get(tuple(row)) for row in images]
+        if None in perm:
+            raise errors.NotClosed("the matrix maps a root outside the root set")
+        return perm
 
     def __mul__(self, other):
         """Composition: (self * other) applies other first."""
@@ -451,61 +477,41 @@ def _basis_on_simple(L):
     return tuple(rows)
 
 
-def _iso_from_root_images(L, image_indices):
-    """Isometry determined by the images of the simple roots."""
-    roots = enumerate_roots(L)
-    images = []
-    for coeffs in _basis_on_simple(L):
-        img = [0] * L.width
-        for c, ri in zip(coeffs, image_indices):
-            if c:
-                img = [a + c * x for a, x in zip(img, roots[ri])]
-        images.append(tuple(img))
-    return LatticeIsometry.from_ambient_images(L, images)
-
-
 def automorphism_order(L):
     """|O(L)| by exhaustive backtracking, independent of the chain engine."""
     return _aut_search(L)[0]
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(L):
-    """Generators of the full isometry group O(L); always includes -1.
+def automorphism_chain(L):
+    """The stabilizer chain of O(L) on the roots, and the isometries behind it.
 
     The backtracking search yields one isometry per stabilizer-orbit element,
-    which together generate O(L); the list is then pruned to the generators
-    that actually grow the stabilizer chain, and the chain order is checked
-    against the backtracking count.
+    which together generate O(L); only those that grow the chain are kept,
+    with -1 first, so the chain's generators are the kept isometries' root
+    permutations in order.  The chain order is checked against the
+    backtracking count.
     """
-    from . import groups
-
     order, solutions = _aut_search(L)
-    roots = enumerate_roots(L)
-    idx = {r: i for i, r in enumerate(roots)}
-    coords = np.array([lattice_coords(L, r) for r in roots], dtype=np.int64)
-    on_simple = coords @ np.array(_basis_on_simple(L), dtype=np.int64)
-    rmat = np.array(roots, dtype=np.int64)
-
-    def perm_of(sol):
-        imgs = on_simple @ rmat[list(sol)]
-        return np.array([idx[tuple(int(x) for x in row)] for row in imgs],
-                        dtype=np.int32)
-
-    # -1 goes first so the pruner always keeps it
+    coords = _root_table(L)[0]
+    on_simple = np.array(_basis_on_simple(L), dtype=np.int64)
     minus = LatticeIsometry.minus_identity(L)
-    neg_perm = np.array([idx[tuple(-c for c in r)] for r in roots], dtype=np.int32)
-    pg = groups.PermGroup([], len(roots))
-    kept = []
-    if pg.extend(neg_perm):
-        kept.append(minus)
+    chain = groups.PermGroup([minus.root_permutation()], len(enumerate_roots(L)))
+    kept = [minus]
     for sol in solutions:
-        if pg.extend(perm_of(sol)):
-            kept.append(_iso_from_root_images(L, sol))
-    assert pg.order() == order
-    if minus not in kept:
-        kept.append(minus)
-    return tuple(kept)
+        u = LatticeIsometry(L, (on_simple @ coords[list(sol)]).tolist(), check=False)
+        if chain.extend(u.root_permutation()):
+            kept.append(LatticeIsometry(L, u.matrix))
+    if chain.order() != order:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: stabilizer chain order {chain.order()} differs "
+            f"from the backtracking count {order}")
+    return chain, tuple(kept)
+
+
+def automorphism_group(L):
+    """Generators of the full isometry group O(L); the first one is -1."""
+    return automorphism_chain(L)[1]
 
 
 # -- decomposition helpers (used for the n=3 analysis) ---------------------------
@@ -536,28 +542,6 @@ def sublattice_gram(L, vectors):
     """Gram matrix of the sublattice spanned by the given ambient vectors."""
     rows = intlinalg.hermite_normal_form(vectors)
     return tuple(tuple(L.dot(u, v) for v in rows) for u in rows)
-
-
-def gram_root_vectors(gram):
-    """Coordinate vectors of square 2 for a positive-definite even Gram matrix."""
-    n = len(gram)
-    out = []
-    bound = 4  # coordinates of square-2 vectors in these small lattices are tiny
-
-    def rec(i, vec):
-        if i == n:
-            v = tuple(vec)
-            s = sum(v[a] * gram[a][b] * v[b] for a in range(n) for b in range(n))
-            if s == 2:
-                out.append(v)
-            return
-        for x in range(-bound, bound + 1):
-            vec.append(x)
-            rec(i + 1, vec)
-            vec.pop()
-
-    rec(0, [])
-    return tuple(sorted(out))
 
 
 def gram_isometry_count(gram):

@@ -142,8 +142,8 @@ def test_c08_prop2_structure():
         model = f2.sp_model(S7)
         H = model.hyperplane
         tgens = [model.transvection(v) for v in H.nonzero_vectors()]
-        sp_order = groups.perm_from_action(tgens, H.nonzero_vectors(),
-                                           lambda g, p: g.apply(p)).order()
+        sp_order = groups.PermGroup([t.vector_permutation() for t in tgens],
+                                    len(H.nonzero_vectors())).order()
         assert sp_order == bridge.oL2_group(L7).order() == 1451520
         for v in H.nonzero_vectors():
             assert (model.forward(model.reflection_for_transvection(v))

@@ -10,6 +10,35 @@ from dpmod2.lattice import (LatticeIsometry, automorphism_group,
                             enumerate_roots, root_reflection, weyl_generators)
 
 
+def _pointwise(points, image):
+    """Reference permutation: the index of image(p) for each point, one by one."""
+    index = {p: i for i, p in enumerate(points)}
+    return [index[image(p)] for p in points]
+
+
+@pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
+                         + [build_plain_root_lattice(8)],
+                         ids=lambda L: L.root_type)
+def test_batched_permutations_match_pointwise(L):
+    """Every generator kind's batched permutation equals the per-point one."""
+    R = enumerate_roots(L)
+    isometries = weyl_generators(L) + automorphism_group(L)
+    for g in isometries:
+        assert g.root_permutation() == _pointwise(R, g.apply_ambient)
+    S = f2.reduce(L)
+    maps = [(S, g) for g in f2.orthogonal_generators(S)]
+    maps += [(S, bridge.reduce_isometry(L, u)) for u in isometries]
+    rad = f2.radical(S)
+    if len(rad) == 2 and S.q(rad[1]) == 1:       # Sp(H) transvections
+        H = f2.sp_model(S).hyperplane
+        maps += [(H, f2.transvection(H, v)) for v in H.nonzero_vectors()]
+    if len(rad) == 2 and S.q(rad[1]) == 0:       # quotient projections
+        quo = f2.quotient_by_radical(S)
+        maps += [(quo.section, quo.project(g)) for g in f2.orthogonal_generators(S)]
+    for space, m in maps:
+        assert m.vector_permutation() == _pointwise(space.nonzero_vectors(), m.apply)
+
+
 def test_reduce_root_examples():
     L = build_del_pezzo(4)
     # E1 - E2 reduces to e1 + e2

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,3 +124,25 @@ def test_subprocess_determinism_small_n():
     r2 = subprocess.run(cmd, capture_output=True, text=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["verify", "--n", "all", "--format", "json"],
+     "bc1831c7e81cc660f641691cd7f04bfefadd4ef49fecdb2dd927ec7421c39bb2"),
+    (["table", "--format", "csv"],
+     "d128ba90a4f8cbda8180a302f1247f24656fb3301d4f0d9c5c0216bbc9ff4699"),
+])
+def test_output_bytes_pinned(argv, sha256, tmp_path):
+    """A change to any reported number or byte of these reports fails here."""
+    out = tmp_path / "report"
+    assert cli.run(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_optimized_interpreter_gives_identical_output():
+    """No check that decides a reported number is stripped by python -O."""
+    argv = ["-m", "dpmod2.cli", "verify", "--n", "4", "--format", "json"]
+    plain = subprocess.run([sys.executable] + argv, capture_output=True)
+    optimized = subprocess.run([sys.executable, "-O"] + argv, capture_output=True)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout

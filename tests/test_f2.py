@@ -14,8 +14,9 @@ OL2_ORDERS = {3: 6, 4: 120, 5: 1920, 6: 51840, 7: 1451520, 8: 348364800}
 ARF = {4: 1, 6: 1, 8: 0}
 
 
-def _apply(g, p):
-    return g.apply(p)
+def _f2_group(maps, space):
+    return groups.PermGroup([m.vector_permutation() for m in maps],
+                            len(space.nonzero_vectors()))
 
 
 def _space(n):
@@ -43,21 +44,21 @@ def test_radicals(n):
         assert S.q(S.ambient_k) == {3: 1, 5: 0, 7: 1}[n]
 
 
-def test_eval_q_on_coordinate_pairs():
+def test_q_on_coordinate_pairs():
     """q(e0+ei) = 0 and q(ei+ej) = 1 for 0 < i < j, in every rank."""
     for n in range(3, 9):
         S = _space(n)
         for i in range(1, n + 1):
-            assert f2.eval_q(S, 1 | (1 << i)) == 0
+            assert S.q(1 | (1 << i)) == 0
             for j in range(i + 1, n + 1):
-                assert f2.eval_q(S, (1 << i) | (1 << j)) == 1
-        assert f2.eval_q(S, 0) == 0
+                assert S.q((1 << i) | (1 << j)) == 1
+        assert S.q(0) == 0
 
 
-def test_eval_q_not_in_space():
+def test_q_not_in_space():
     S = _space(4)
     with pytest.raises(errors.NotInSpace):
-        f2.eval_q(S, 1)  # odd popcount
+        S.q(1)  # odd popcount
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -217,7 +218,7 @@ def test_reflection_in_k_is_identity(n):
 def test_orthogonal_generator_orders(n):
     S = _space(n)
     gens = f2.orthogonal_generators(S)
-    G = groups.perm_from_action(gens, S.nonzero_vectors(), _apply)
+    G = _f2_group(gens, S)
     assert G.degree == 2 ** n - 1
     assert G.order() == OL2_ORDERS[n]
 
@@ -258,7 +259,7 @@ def test_reflection_group_is_full_isometry_group(n):
     """Brute-force isometry count (independent oracle) for dim <= 5."""
     S = _space(n)
     gens = f2.orthogonal_generators(S)
-    G = groups.perm_from_action(gens, S.nonzero_vectors(), _apply)
+    G = _f2_group(gens, S)
     assert G.order() == f2.isometry_count_bruteforce(S) == OL2_ORDERS[n]
 
 
@@ -291,7 +292,7 @@ def test_sp_model_n7():
     assert not H.contains(M.k)
     assert f2.radical(H) == [0]
     tgens = [M.transvection(v) for v in H.nonzero_vectors()]
-    SpG = groups.perm_from_action(tgens, H.nonzero_vectors(), _apply)
+    SpG = _f2_group(tgens, H)
     assert SpG.order() == 1451520  # |Sp6(F2)|, matches the classical formula
     # the classical order formula: 2^(m^2) * prod (4^i - 1)
     m = 3
@@ -318,7 +319,7 @@ def test_sp_model_n3():
     S = _space(3)
     M = f2.sp_model(S)
     tgens = [M.transvection(v) for v in M.hyperplane.nonzero_vectors()]
-    SpG = groups.perm_from_action(tgens, M.hyperplane.nonzero_vectors(), _apply)
+    SpG = _f2_group(tgens, M.hyperplane)
     assert SpG.order() == 6  # Sp2(F2) = S3
 
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dpmod2 import errors
-from dpmod2.groups import (PermGroup, closure, contains, group_order,
-                           image_order, perm_from_action)
+from dpmod2.groups import PermGroup, closure
 
 
 def _tuple_mult(a, b):
@@ -90,27 +89,15 @@ def test_degree_mismatch():
         G.contains(np.array([1, 0]))
 
 
-def test_perm_from_action_and_not_closed():
-    points = ["a", "b", "c"]
-    rot = {"a": "b", "b": "c", "c": "a"}
-    G = perm_from_action([rot], points, lambda g, p: g[p])
-    assert group_order(G) == 3
-    bad = {"a": "b", "b": "c", "c": "d"}
-    with pytest.raises(errors.NotClosed):
-        perm_from_action([bad], points, lambda g, p: g[p])
-
-
-def test_image_order_trivial_and_pairing():
-    points = [0, 1, 2]
-    ident = {0: 0, 1: 1, 2: 2}
-    assert image_order([object()], [ident], points, lambda g, p: g[p]) == 1
+def test_rejects_non_permutations():
     with pytest.raises(ValueError):
-        image_order([object()], [], points, lambda g, p: g[p])
+        PermGroup([[1, 1, 2]], 3)
 
 
-def test_contains_via_module_function():
+def test_contains_single_transposition():
     G = PermGroup([np.array([1, 0, 2, 3, 4])], 5)
-    assert contains(G, np.array([1, 0, 2, 3, 4]))
+    assert G.order() == 2
+    assert G.contains(np.array([1, 0, 2, 3, 4]))
 
 
 def test_every_generator_is_a_member():
@@ -127,3 +114,5 @@ def test_extend_reports_growth():
     assert not G.extend(np.array([1, 0, 2, 3]))
     assert G.extend(np.array([0, 1, 3, 2]))
     assert G.order() == 4
+    # only the generators that grew the group are recorded
+    assert [g.tolist() for g in G.generators] == [[1, 0, 2, 3], [0, 1, 3, 2]]

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from dpmod2 import errors, groups, intlinalg
-from dpmod2.lattice import (LatticeIsometry, automorphism_group,
-                            automorphism_order, build_del_pezzo,
+from dpmod2 import errors, groups, intlinalg, lattice
+from dpmod2.lattice import (LatticeIsometry, automorphism_chain,
+                            automorphism_group, automorphism_order,
+                            build_del_pezzo,
                             build_plain_root_lattice, enumerate_roots,
                             gram_isometry_count, inner_product, is_root,
                             lattice_coords, root_components, root_reflection,
@@ -18,8 +19,8 @@ AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
 ROOTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
 
 
-def _apply(g, p):
-    return g.apply_ambient(p)
+def _root_group(gens, roots):
+    return groups.PermGroup([g.root_permutation() for g in gens], len(roots))
 
 
 def test_inner_product_examples():
@@ -138,7 +139,7 @@ def test_weyl_generator_count_and_order(n):
     L = build_del_pezzo(n)
     gens = weyl_generators(L)
     assert len(gens) == n
-    G = groups.perm_from_action(gens, enumerate_roots(L), _apply)
+    G = _root_group(gens, enumerate_roots(L))
     assert G.degree == ROOTS[n]
     assert G.order() == WEYL_ORDERS[n]
 
@@ -147,18 +148,17 @@ def test_weyl_generator_count_and_order(n):
 def test_weyl_equals_all_root_reflections(n):
     L = build_del_pezzo(n)
     R = enumerate_roots(L)
-    simple_group = groups.perm_from_action(weyl_generators(L), R, _apply)
+    simple_group = _root_group(weyl_generators(L), R)
     all_refl = [root_reflection(L, a) for a in R]
-    full_group = groups.perm_from_action(all_refl, R, _apply)
+    full_group = _root_group(all_refl, R)
     assert simple_group.order() == full_group.order()
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_minus_one_in_weyl_iff_7_or_8(n):
     L = build_del_pezzo(n)
-    G = groups.perm_from_action(weyl_generators(L), enumerate_roots(L), _apply)
-    neg = groups.action_perm(LatticeIsometry.minus_identity(L),
-                             enumerate_roots(L), _apply)
+    G = _root_group(weyl_generators(L), enumerate_roots(L))
+    neg = LatticeIsometry.minus_identity(L).root_permutation()
     assert G.contains(neg) == (n in (7, 8))
 
 
@@ -167,9 +167,38 @@ def test_automorphism_group_orders(n):
     L = build_del_pezzo(n)
     gens = automorphism_group(L)
     assert LatticeIsometry.minus_identity(L) in gens
-    G = groups.perm_from_action(gens, enumerate_roots(L), _apply)
+    G = _root_group(gens, enumerate_roots(L))
     # chain order equals the independent backtracking count
     assert G.order() == automorphism_order(L) == AUT_ORDERS[n]
+    # the pruning chain is generated by exactly the kept isometries, in order
+    chain = automorphism_chain(L)[0]
+    assert chain.order() == AUT_ORDERS[n]
+    assert [g.tolist() for g in chain.generators] == [
+        u.root_permutation() for u in gens]
+
+
+def test_chain_order_mismatch_raises(monkeypatch):
+    """The chain-vs-backtracking cross-check is a raise, not an assert."""
+    L = build_del_pezzo(4)
+    order, solutions = lattice._aut_search(L)
+    monkeypatch.setattr(lattice, "_aut_search", lambda L: (order + 1, solutions))
+    automorphism_chain.cache_clear()
+    try:
+        with pytest.raises(errors.CrossCheckFailed):
+            automorphism_chain(L)
+    finally:
+        automorphism_chain.cache_clear()
+
+
+def test_root_permutation_not_closed():
+    """A non-isometry built with check=False is caught, even with huge entries."""
+    L = build_del_pezzo(4)
+    double = tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4))
+    with pytest.raises(errors.NotClosed):
+        LatticeIsometry(L, double, check=False).root_permutation()
+    huge = ((2 ** 70, 0, 0, 0),) + double[1:]
+    with pytest.raises(errors.NotClosed):
+        LatticeIsometry(L, huge, check=False).root_permutation()
 
 
 @pytest.mark.parametrize("n", range(3, 9))
