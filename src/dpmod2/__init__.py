@@ -5,16 +5,14 @@ from . import errors
 from .bridge import (VerificationReport, reduce_isometry, reduce_root,
                      reports_for, root_preimage, verify_corollary,
                      verify_lemma, verify_prop1, verify_prop2, verify_remarks)
-from .f2 import (F2Isometry, F2QuadraticSpace, SymplecticBasis, arf,
-                 exception_check_n4, f2_reflection, orthogonal_generators,
-                 quotient_by_radical, radical, reduce, sp_model,
-                 symplectic_basis, value_census)
+from .f2 import (F2Isometry, F2QuadraticSpace, arf, exception_check_n4,
+                 f2_reflection, orthogonal_generators, quotient_by_radical,
+                 radical, reduce, sp_model, symplectic_basis, value_census)
 from .groups import PermGroup, closure
 from .lattice import (Lattice, LatticeIsometry, automorphism_group,
                       automorphism_order, build_del_pezzo,
-                      build_plain_root_lattice, enumerate_roots,
-                      inner_product, is_root, root_reflection, simple_roots,
-                      weyl_generators)
+                      build_plain_root_lattice, enumerate_roots, is_root,
+                      root_reflection, simple_roots, weyl_generators)
 
 __version__ = "0.1.0"
 
@@ -22,10 +20,10 @@ __all__ = [
     "errors", "__version__",
     # lattice
     "Lattice", "LatticeIsometry", "build_del_pezzo", "build_plain_root_lattice",
-    "inner_product", "enumerate_roots", "is_root", "root_reflection",
-    "simple_roots", "weyl_generators", "automorphism_group", "automorphism_order",
+    "enumerate_roots", "is_root", "root_reflection", "simple_roots",
+    "weyl_generators", "automorphism_group", "automorphism_order",
     # f2
-    "F2QuadraticSpace", "F2Isometry", "SymplecticBasis", "reduce", "radical",
+    "F2QuadraticSpace", "F2Isometry", "reduce", "radical",
     "value_census", "symplectic_basis", "arf", "f2_reflection",
     "orthogonal_generators", "exception_check_n4", "sp_model",
     "quotient_by_radical",

@@ -74,15 +74,17 @@ def root_preimage(L, v):
         root = combine(e(0, 2), *(e(i, -1) for i in support))
     elif 0 in support and m == 8 and L.n == 8:
         missing = [i for i in range(width) if i not in support]
-        assert len(missing) == 1
+        if len(missing) != 1:
+            raise errors.CrossCheckFailed(f"support misses {len(missing)} indices")
         root = combine(e(0, 4), *(e(i, -1) for i in support),
                        e(missing[0], -2))
     elif 0 in support and m == 8 and L.n == 7:
         raise errors.NoPreimage(
             "the all-ones vector has no root preimage (square 6 mod 8)")
     else:
-        raise AssertionError(f"q=1 vector with unhandled support size {m}")
-    assert lat.is_root(L, root) and reduce_root(L, root) == v
+        raise errors.CrossCheckFailed(f"q=1 vector with unhandled support size {m}")
+    if not (lat.is_root(L, root) and reduce_root(L, root) == v):
+        raise errors.CrossCheckFailed(f"case table gives {root}, not a root over {v:#x}")
     return root
 
 
@@ -329,11 +331,11 @@ def verify_prop2(L):
     if L.n == 7:
         model = f2.sp_model(S)
         H = model.hyperplane
-        tgens = [model.transvection(v) for v in H.nonzero_vectors()]
+        tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = _f2_chain(H, tgens).order()
         c.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
         corr = all(model.forward(model.reflection_for_transvection(v))
-                   == model.transvection(v) for v in H.nonzero_vectors())
+                   == f2.transvection(H, v) for v in H.nonzero_vectors())
         c.check(corr, "transvections correspond to reflections at v+(1+q(v))k")
         witnesses.append(f"|Sp(H)| = {sp_order}")
     if L.n == 5:

@@ -6,8 +6,9 @@ Subcommands:
   table    one summary row per lattice (censuses and group orders)
   remark2  run the plain-A_n failure check
 
-Exit code 0 iff every executed check passes, 1 on any failed check, 2 on
-usage errors.  Output is deterministic: repeated runs are byte-identical.
+Exit code 0 iff every executed check passes, 1 on any failed check or
+internal error, 2 on usage errors.  Output is deterministic: repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from . import bridge, f2, lattice as lat
+from . import bridge, errors, f2, lattice as lat
 
 TABLE_COLUMNS = ("n", "type", "roots", "q1", "q0", "radical_dim", "arf",
                  "weyl_order", "autL_order", "oL2_order", "rho_image_order")
@@ -187,8 +189,12 @@ def run(argv):
                "table": _run_table, "remark2": _run_remark2}[args.command]
     try:
         return handler(args)
-    except Exception as exc:  # computational failures become failed checks
+    except errors.Error as exc:
         sys.stderr.write(f"check failed with {type(exc).__name__}: {exc}\n")
+        return 1
+    except Exception as exc:  # a bug, which must not pass for a failed check
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
         return 1
 
 

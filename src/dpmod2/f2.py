@@ -38,17 +38,14 @@ def _bit_indices(mask):
 class F2QuadraticSpace:
     """A subspace of F2^width with an alternating pairing and a form q."""
 
-    __slots__ = ("width", "basis", "qdiag", "pair_rows", "basis_lifts",
-                 "ambient_k", "gram2", "_coords", "_q", "_point_coords",
-                 "_point_index")
+    __slots__ = ("width", "basis", "qdiag", "pair_rows", "ambient_k", "gram2",
+                 "_coords", "_q", "_point_coords", "_point_index")
 
-    def __init__(self, width, basis, qdiag, pair_rows, basis_lifts=None,
-                 ambient_k=None):
+    def __init__(self, width, basis, qdiag, pair_rows, ambient_k=None):
         self.width = int(width)
         self.basis = tuple(int(b) for b in basis)
         self.qdiag = tuple(int(q) & 1 for q in qdiag)
         self.pair_rows = tuple(int(r) for r in pair_rows)
-        self.basis_lifts = basis_lifts
         self.ambient_k = ambient_k
         if len(self.pair_rows) != self.width:
             raise ValueError("need one pairing row per ambient coordinate")
@@ -139,12 +136,13 @@ def reduce(L):
     qdiag = tuple((L.gram[i][i] // 2) & 1 for i in range(L.n))
     pair_rows = tuple(1 << i for i in range(width))
     k = (1 << width) - 1  # K has all coordinates odd in both families
-    assert _mask(L.K) == k
-    S = F2QuadraticSpace(width, basis, qdiag, pair_rows,
-                         basis_lifts=L.basis, ambient_k=k)
-    # the ambient pairing must agree with the Gram matrix mod 2
-    assert all(S.gram2[i][j] == L.gram[i][j] & 1
-               for i in range(L.n) for j in range(L.n))
+    if _mask(L.K) != k:
+        raise errors.CrossCheckFailed("K mod 2 is not the all-ones mask")
+    S = F2QuadraticSpace(width, basis, qdiag, pair_rows, ambient_k=k)
+    if any(S.gram2[i][j] != L.gram[i][j] & 1
+           for i in range(L.n) for j in range(L.n)):
+        raise errors.CrossCheckFailed(
+            "the ambient pairing disagrees with the Gram matrix mod 2")
     return S
 
 
@@ -179,18 +177,12 @@ def value_census(S):
     return (len(S._q) - ones, ones)
 
 
-@dataclass(frozen=True)
-class SymplecticBasis:
-    """Hyperbolic pairs (x_i, y_i): (x_i|y_j) = [i==j], all other pairings 0."""
-
-    pairs: tuple
-
-    def vectors(self):
-        return [v for xy in self.pairs for v in xy]
-
-
 def symplectic_basis(S):
-    """A symplectic basis by greedy hyperbolic-pair extraction (deterministic)."""
+    """A symplectic basis by greedy hyperbolic-pair extraction (deterministic).
+
+    Returns the tuple of hyperbolic pairs (x_i, y_i): (x_i|y_j) = [i==j], all
+    other pairings 0.
+    """
     if radical(S) != [0]:
         raise errors.DegenerateForm("the pairing has a nontrivial radical")
     work = list(S.basis)
@@ -208,7 +200,7 @@ def symplectic_basis(S):
             fixed.append(w)
         work = fixed
         pairs.append((x, y))
-    return SymplecticBasis(tuple(pairs))
+    return tuple(pairs)
 
 
 def arf(S):
@@ -217,36 +209,49 @@ def arf(S):
     Equals the value q takes on the majority of vectors; the census identity
     count_q1 = 2^(m-1) * (2^m - (-1)^arf) is checked in the test suite.
     """
-    sb = symplectic_basis(S)
-    return sum(S.q(x) & S.q(y) for x, y in sb.pairs) & 1
+    return sum(S.q(x) & S.q(y) for x, y in symplectic_basis(S)) & 1
 
 
 # -- linear maps ----------------------------------------------------------------
 
-class _F2Linear:
-    """Invertible linear self-map of a space, stored by images of the basis."""
+class SymplecticMap:
+    """Invertible linear self-map of a space, stored by images of the basis.
+
+    With check=True it must preserve the pairing (an element of Sp).
+    """
 
     __slots__ = ("space", "images")
 
-    def __init__(self, space, images):
+    def __init__(self, space, images, check=True):
         images = tuple(int(m) for m in images)
         if len(images) != space.dim:
             raise errors.NotIsometry("need one image per basis vector")
-        seen = {0}
-        acc = [0]
+        # independence by elimination on the images' coordinate bits
+        rows = {}  # leading bit -> reduced row
         for m in images:
-            if m not in space._q:
+            if m not in space._coords:
                 raise errors.NotIsometry("image outside the space")
-            if m in seen:
+            c = space._coords[m]
+            while c.bit_length() in rows:
+                c ^= rows[c.bit_length()]
+            if not c:
                 raise errors.NotIsometry("images are linearly dependent")
-            for a in list(acc):
-                seen.add(a ^ m)
-                acc.append(a ^ m)
+            rows[c.bit_length()] = c
+        if check:
+            n = space.dim
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if space.pair(images[i], images[j]) != space.gram2[i][j]:
+                        raise errors.NotIsometry("the pairing is not preserved")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "images", images)
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
+
+    @classmethod
+    def identity(cls, space):
+        return cls(space, space.basis, check=False)
 
     def apply(self, v):
         bits = self.space.coords(v)
@@ -273,26 +278,6 @@ class _F2Linear:
             raise errors.NotIsometry("maps on different spaces")
         return type(self)(self.space, tuple(self.apply(m) for m in other.images))
 
-    def inverse(self):
-        # invert the coordinate bit-matrix by Gaussian elimination
-        n = self.space.dim
-        rows = [self.space.coords(m) | (1 << (n + i))
-                for i, m in enumerate(self.images)]
-        for c in range(n):
-            piv = next(i for i in range(c, n) if rows[i] >> c & 1)
-            rows[c], rows[piv] = rows[piv], rows[c]
-            for i in range(n):
-                if i != c and rows[i] >> c & 1:
-                    rows[i] ^= rows[c]
-        inv_images = []
-        for c in range(n):
-            bits = rows[c] >> n
-            m = 0
-            for i in _bit_indices(bits):
-                m ^= self.space.basis[i]
-            inv_images.append(m)
-        return type(self)(self.space, tuple(inv_images))
-
     def is_identity(self):
         return self.images == self.space.basis
 
@@ -307,40 +292,28 @@ class _F2Linear:
         return f"{type(self).__name__}({self.images})"
 
 
-class F2Isometry(_F2Linear):
-    """A linear map preserving both the pairing and the quadratic form."""
+class F2Isometry(SymplecticMap):
+    """A symplectic map that also preserves the quadratic form.
+
+    In characteristic 2 the polar form of q is alternating, so O(q) lies
+    inside Sp(b) and only the q check is added.
+    """
+
+    __slots__ = ()
 
     def __init__(self, space, images, check=True):
-        super().__init__(space, images)
-        if check:
-            n = space.dim
-            for i in range(n):
-                if space.q(self.images[i]) != space.qdiag[i]:
-                    raise errors.NotIsometry("q is not preserved")
-                for j in range(i + 1, n):
-                    if space.pair(self.images[i], self.images[j]) != space.gram2[i][j]:
-                        raise errors.NotIsometry("the pairing is not preserved")
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space.basis, check=False)
+        super().__init__(space, images, check)
+        if check and any(space.q(m) != qb
+                         for m, qb in zip(self.images, space.qdiag)):
+            raise errors.NotIsometry("q is not preserved")
 
 
-class SymplecticMap(_F2Linear):
-    """A linear map preserving the pairing only (an element of Sp)."""
-
-    def __init__(self, space, images, check=True):
-        super().__init__(space, images)
-        if check:
-            n = space.dim
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if space.pair(self.images[i], self.images[j]) != space.gram2[i][j]:
-                        raise errors.NotIsometry("the pairing is not preserved")
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space.basis, check=False)
+def transvection(S, v):
+    """The symplectic transvection x -> x + (x|v)v (no q constraint)."""
+    if not S.contains(v) or v == 0:
+        raise errors.BadVector("transvection vector must be a nonzero space vector")
+    images = tuple(b ^ (v if S.pair(b, v) else 0) for b in S.basis)
+    return SymplecticMap(S, images, check=False)
 
 
 def f2_reflection(S, v):
@@ -351,16 +324,7 @@ def f2_reflection(S, v):
     """
     if S.q(v) != 1:
         raise errors.BadVector(f"q(v) must be 1, got {S.q(v)}")
-    images = tuple(b ^ (v if S.pair(b, v) else 0) for b in S.basis)
-    return F2Isometry(S, images, check=False)
-
-
-def transvection(S, v):
-    """The symplectic transvection x -> x + (x|v)v (no q constraint)."""
-    if not S.contains(v) or v == 0:
-        raise errors.BadVector("transvection vector must be a nonzero space vector")
-    images = tuple(b ^ (v if S.pair(b, v) else 0) for b in S.basis)
-    return SymplecticMap(S, images, check=False)
+    return F2Isometry(S, transvection(S, v).images, check=False)
 
 
 def orthogonal_generators(S):
@@ -462,9 +426,6 @@ class SpModel:
         """The symplectic map p_H o u|_H of an isometry of the space."""
         images = tuple(self.project(u.apply(h)) for h in self.hyperplane.basis)
         return SymplecticMap(self.hyperplane, images)
-
-    def transvection(self, v):
-        return transvection(self.hyperplane, v)
 
     def reflection_for_transvection(self, v):
         """The space reflection corresponding to the transvection at v in H."""

@@ -15,7 +15,6 @@ elements such as -1 that do not extend to the ambient lattice fixing K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -27,13 +26,6 @@ DEL_PEZZO_TYPES = {3: "A1xA2", 4: "A4", 5: "D5", 6: "E6", 7: "E7", 8: "E8"}
 
 # Known root counts per type, used for sanity checks downstream.
 ROOT_COUNTS = {"A1xA2": 8, "A4": 20, "D5": 40, "E6": 72, "E7": 126, "E8": 240}
-
-
-def inner_product(v, w):
-    """Lorentzian product -v0*w0 + sum_{i>=1} vi*wi, exactly."""
-    if len(v) != len(w):
-        raise errors.LengthMismatch(f"lengths {len(v)} and {len(w)}")
-    return -v[0] * w[0] + sum(a * b for a, b in zip(v[1:], w[1:]))
 
 
 @dataclass(frozen=True)
@@ -58,10 +50,6 @@ class Lattice:
             raise errors.LengthMismatch("ambient vectors must have width n+1")
         return sum(s * a * b for s, a, b in zip(self.signs, v, w))
 
-    def contains(self, v):
-        """Whether the ambient vector lies in the lattice (K^perp over Z)."""
-        return len(v) == self.width and self.dot(v, self.K) == 0
-
     def to_json_dict(self):
         return {
             "kind": self.kind,
@@ -81,10 +69,14 @@ def _build(kind, n, signs, K, expected_disc, root_type):
         for u in basis)
     lat = Lattice(kind, n, signs, K, basis, gram, root_type)
     # construction invariants: orthogonal to K, even, right discriminant
-    assert all(lat.dot(b, K) == 0 for b in basis)
-    assert all(gram[i][i] % 2 == 0 for i in range(n))
-    assert abs(intlinalg.det(gram)) == expected_disc
-    assert intlinalg.is_positive_definite(gram)
+    if any(lat.dot(b, K) != 0 for b in basis):
+        raise errors.CrossCheckFailed(f"{root_type}: a basis vector is not orthogonal to K")
+    if any(gram[i][i] % 2 for i in range(n)):
+        raise errors.CrossCheckFailed(f"{root_type}: the lattice is not even")
+    if abs(intlinalg.det(gram)) != expected_disc:
+        raise errors.CrossCheckFailed(f"{root_type}: discriminant is not {expected_disc}")
+    if not intlinalg.is_positive_definite(gram):
+        raise errors.CrossCheckFailed(f"{root_type}: the form is not positive definite")
     return lat
 
 
@@ -153,7 +145,8 @@ def enumerate_roots(L):
     else:
         roots = _bounded_vectors(n + 1, 0, 2)
     roots = tuple(sorted(roots))
-    assert all(L.dot(v, v) == 2 and L.dot(v, L.K) == 0 for v in roots)
+    if not all(L.dot(v, v) == 2 and L.dot(v, L.K) == 0 for v in roots):
+        raise errors.CrossCheckFailed(f"{L.root_type}: an enumerated vector is not a root")
     return roots
 
 
@@ -295,25 +288,6 @@ class LatticeIsometry:
                            for j in range(n)) for i in range(n))
         return LatticeIsometry(self.lattice, prod, check=False)
 
-    def inverse(self):
-        n = self.lattice.n
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        M = [[Fraction(a) for a in row] for row in self.matrix]
-        for c in range(n):
-            piv = next(i for i in range(c, n) if M[i][c])
-            M[c], M[piv] = M[piv], M[c]
-            ident[c], ident[piv] = ident[piv], ident[c]
-            f = 1 / M[c][c]
-            M[c] = [x * f for x in M[c]]
-            ident[c] = [x * f for x in ident[c]]
-            for i in range(n):
-                if i != c and M[i][c]:
-                    g = M[i][c]
-                    M[i] = [a - g * b for a, b in zip(M[i], M[c])]
-                    ident[i] = [a - g * b for a, b in zip(ident[i], ident[c])]
-        inv = tuple(tuple(int(x) for x in row) for row in ident)
-        return LatticeIsometry(self.lattice, inv, check=False)
-
     def is_identity(self):
         return all(self.matrix[i][j] == (1 if i == j else 0)
                    for i in range(len(self.matrix)) for j in range(len(self.matrix)))
@@ -327,31 +301,6 @@ class LatticeIsometry:
 
     def __repr__(self):
         return f"LatticeIsometry({self.lattice.root_type}, {self.matrix})"
-
-    def ambient_matrix(self):
-        """The (n+1) x (n+1) integer matrix on ambient coordinates fixing K.
-
-        Exists only for isometries extending to the ambient lattice (all Weyl
-        elements do; -1 does not for n <= 6).  Raises ValueError otherwise.
-        """
-        L = self.lattice
-        span = L.basis + (L.K,)
-        cols = []
-        for j in range(L.width):
-            e = tuple(int(i == j) for i in range(L.width))
-            coeffs = intlinalg.solve_rational(span, e)
-            # image of e_j under (u on L) + (identity on K), over Q
-            img = [Fraction(0)] * L.width
-            for c, b in zip(coeffs[:-1], L.basis):
-                if c:
-                    w = self.apply_ambient(b)
-                    img = [a + c * x for a, x in zip(img, w)]
-            img = [a + coeffs[-1] * k for a, k in zip(img, L.K)]
-            if any(f.denominator != 1 for f in img):
-                raise ValueError("isometry does not extend to the ambient lattice fixing K")
-            cols.append(tuple(int(f) for f in img))
-        # column j = image of E_j; return rows for the action v -> M @ v
-        return tuple(tuple(cols[j][i] for j in range(L.width)) for i in range(L.width))
 
 
 def root_reflection(L, alpha):
@@ -385,7 +334,9 @@ def simple_roots(L):
         if not any(b != a and tuple(x - y for x, y in zip(a, b)) in posset
                    for b in pos):
             simple.append(a)
-    assert len(simple) == L.n
+    if len(simple) != L.n:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: {len(simple)} simple roots for rank {L.n}")
     return tuple(simple)
 
 
@@ -459,7 +410,9 @@ def _aut_search(L):
             if complete(im):
                 count += 1
                 solutions.append(tuple(im))
-        assert count > 0
+        if count == 0:
+            raise errors.CrossCheckFailed(
+                f"{L.root_type}: simple root {level} has no realizable image")
         order *= count
         prefix[level] = simple[level]
     return order, tuple(solutions)
@@ -472,7 +425,9 @@ def _basis_on_simple(L):
     rows = []
     for b in L.basis:
         coeffs = intlinalg.solve_integer(simple, b)
-        assert coeffs is not None
+        if coeffs is None:
+            raise errors.CrossCheckFailed(
+                f"{L.root_type}: the simple roots do not span the lattice")
         rows.append(coeffs)
     return tuple(rows)
 
@@ -549,12 +504,17 @@ def gram_isometry_count(gram):
 
     Exhaustive backtracking over images of the basis among all lattice vectors
     of the relevant squared lengths; intended for rank <= 3 component checks.
+    The coordinate box is the exact Fincke-Pohst bound: a vector x of square
+    at most s has x_i^2 <= s * (G^-1)_ii.
     """
     n = len(gram)
     # candidate images must have the same square as the basis vector
     squares = sorted({gram[i][i] for i in range(n)})
     vecs = {}
-    bound = 5
+    bounds = []
+    for i in range(n):
+        ginv_ii = intlinalg.solve_rational(gram, [int(j == i) for j in range(n)])[i]
+        bounds.append(isqrt(int(squares[-1] * ginv_ii)))
 
     def rec(i, vec):
         if i == n:
@@ -563,7 +523,7 @@ def gram_isometry_count(gram):
             if s in vecs:
                 vecs[s].append(v)
             return
-        for x in range(-bound, bound + 1):
+        for x in range(-bounds[i], bounds[i] + 1):
             vec.append(x)
             rec(i + 1, vec)
             vec.pop()

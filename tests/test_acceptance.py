@@ -141,13 +141,13 @@ def test_c08_prop2_structure():
         S7 = f2.reduce(L7)
         model = f2.sp_model(S7)
         H = model.hyperplane
-        tgens = [model.transvection(v) for v in H.nonzero_vectors()]
+        tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = groups.PermGroup([t.vector_permutation() for t in tgens],
                                     len(H.nonzero_vectors())).order()
         assert sp_order == bridge.oL2_group(L7).order() == 1451520
         for v in H.nonzero_vectors():
             assert (model.forward(model.reflection_for_transvection(v))
-                    == model.transvection(v))
+                    == f2.transvection(H, v))
         # n = 5: kernel of the quotient map has order 16 and the quotient
         # census equals the n = 4 census
         S5 = f2.reduce(build_del_pezzo(5))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dpmod2 import cli
+from dpmod2 import cli, errors
 
 
 def _run(argv, capsys):
@@ -33,6 +33,23 @@ def test_verify_n3_includes_remark1(capsys):
     assert code == 0
     statements = [r["statement"] for r in json.loads(out)["reports"]]
     assert statements == ["lemma1a", "lemma1b", "prop1", "remark1"]
+
+
+def test_internal_error_is_not_a_failed_check(monkeypatch, capsys):
+    def failed_check(n):
+        raise errors.CrossCheckFailed("orders differ")
+
+    def bug(n):
+        raise KeyError("oops")
+
+    monkeypatch.setattr(cli.bridge, "reports_for", failed_check)
+    assert cli.run(["verify", "--n", "4"]) == 1
+    assert capsys.readouterr().err == "check failed with CrossCheckFailed: orders differ\n"
+    monkeypatch.setattr(cli.bridge, "reports_for", bug)
+    assert cli.run(["verify", "--n", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError: 'oops'\n")
+    assert "Traceback (most recent call last)" in err
 
 
 def test_verify_bad_n_exits_2(capsys):

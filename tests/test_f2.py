@@ -111,11 +111,11 @@ def test_symplectic_basis_and_arf(n):
     S = _space(n)
     sb = f2.symplectic_basis(S)
     m = n // 2
-    assert len(sb.pairs) == m
-    vecs = sb.vectors()
-    for i, (x, y) in enumerate(sb.pairs):
+    assert len(sb) == m
+    vecs = [v for xy in sb for v in xy]
+    for i, (x, y) in enumerate(sb):
         assert S.pair(x, y) == 1
-        for j, (x2, y2) in enumerate(sb.pairs):
+        for j, (x2, y2) in enumerate(sb):
             if i != j:
                 assert S.pair(x, x2) == S.pair(x, y2) == S.pair(y, y2) == 0
     assert len({v for v in vecs}) == n
@@ -170,7 +170,7 @@ def test_arf_basis_independence(n):
         g = f2.F2Isometry.identity(S)
         for _ in range(rng.randint(1, 6)):
             g = g * rng.choice(gens)
-        moved = [(g.apply(x), g.apply(y)) for x, y in sb.pairs]
+        moved = [(g.apply(x), g.apply(y)) for x, y in sb]
         # isometry images form another symplectic basis
         for i, (x, y) in enumerate(moved):
             assert S.pair(x, y) == 1
@@ -291,7 +291,7 @@ def test_sp_model_n7():
     # L2 = H + F2 k: k outside H, together they span
     assert not H.contains(M.k)
     assert f2.radical(H) == [0]
-    tgens = [M.transvection(v) for v in H.nonzero_vectors()]
+    tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
     SpG = _f2_group(tgens, H)
     assert SpG.order() == 1451520  # |Sp6(F2)|, matches the classical formula
     # the classical order formula: 2^(m^2) * prod (4^i - 1)
@@ -307,7 +307,7 @@ def test_sp_model_n7():
             assert M.forward(u * v) == M.forward(u) * M.forward(v)
     # transvection at v corresponds to the reflection at v + (1+q(v))k
     for v in H.nonzero_vectors():
-        assert M.forward(M.reflection_for_transvection(v)) == M.transvection(v)
+        assert M.forward(M.reflection_for_transvection(v)) == f2.transvection(H, v)
     # q(v) = 1 vectors map to their own reflection; q(v) = 0 to v + k
     one = next(v for v in H.nonzero_vectors() if S.q(v) == 1)
     zero = next(v for v in H.nonzero_vectors() if S.q(v) == 0)
@@ -318,7 +318,8 @@ def test_sp_model_n7():
 def test_sp_model_n3():
     S = _space(3)
     M = f2.sp_model(S)
-    tgens = [M.transvection(v) for v in M.hyperplane.nonzero_vectors()]
+    tgens = [f2.transvection(M.hyperplane, v)
+             for v in M.hyperplane.nonzero_vectors()]
     SpG = _f2_group(tgens, M.hyperplane)
     assert SpG.order() == 6  # Sp2(F2) = S3
 
@@ -363,8 +364,7 @@ def test_hyperbolic_plane_arf_zero():
     """A hyperbolic plane with q = 0 on both basis vectors has arf 0."""
     S = f2.space_from_gram(((4, 1), (1, 4)))  # q(b0) = q(b1) = 0, (b0|b1) = 1
     assert S.qdiag == (0, 0)
-    sb = f2.symplectic_basis(S)
-    assert len(sb.pairs) == 1
+    assert len(f2.symplectic_basis(S)) == 1
     assert f2.arf(S) == 0
     assert f2.value_census(S) == (3, 1)
 
@@ -416,16 +416,27 @@ def test_isometry_validation_rejects_bad_maps():
         images = (S.basis[1], S.basis[0]) + S.basis[2:]
         with pytest.raises(errors.NotIsometry):
             f2.F2Isometry(S, images)
-    # dependent images are rejected
+    # dependent images are rejected, repeated or not
     with pytest.raises(errors.NotIsometry):
         f2.F2Isometry(S, (S.basis[0], S.basis[0]) + S.basis[2:])
+    b = S.basis
+    with pytest.raises(errors.NotIsometry):
+        f2.SymplecticMap(S, (b[0], b[1], b[0] ^ b[1]) + b[3:], check=False)
+    with pytest.raises(errors.NotIsometry):
+        f2.SymplecticMap(S, (b[0] ^ b[1], b[1] ^ b[2], b[0] ^ b[2]) + b[3:],
+                         check=False)
 
 
-def test_isometry_inverse_and_compose():
-    S = _space(5)
-    gens = f2.orthogonal_generators(S)
-    rng = random.Random(2)
-    for _ in range(10):
-        g = rng.choice(gens) * rng.choice(gens) * rng.choice(gens)
-        assert (g * g.inverse()).is_identity()
-        assert (g.inverse() * g).is_identity()
+def test_isometry_is_symplectic_map_with_q_check():
+    """A transvection at a q = 0 vector keeps the pairing but not q."""
+    S = _space(4)
+    v = next(v for v in S.nonzero_vectors() if S.q(v) == 0)
+    t = f2.transvection(S, v)
+    assert f2.SymplecticMap(S, t.images) == t
+    with pytest.raises(errors.NotIsometry):
+        f2.F2Isometry(S, t.images)
+    w = next(v for v in S.nonzero_vectors() if S.q(v) == 1)
+    r = f2.f2_reflection(S, w)
+    assert isinstance(r, f2.SymplecticMap)
+    assert r.images == f2.transvection(S, w).images
+    assert f2.F2Isometry(S, r.images) == r

@@ -10,7 +10,7 @@ from dpmod2.lattice import (LatticeIsometry, automorphism_chain,
                             automorphism_group, automorphism_order,
                             build_del_pezzo,
                             build_plain_root_lattice, enumerate_roots,
-                            gram_isometry_count, inner_product, is_root,
+                            gram_isometry_count, is_root,
                             lattice_coords, root_components, root_reflection,
                             simple_roots, sublattice_gram, weyl_generators)
 
@@ -23,17 +23,19 @@ def _root_group(gens, roots):
     return groups.PermGroup([g.root_permutation() for g in gens], len(roots))
 
 
-def test_inner_product_examples():
+def test_dot_examples():
+    """The del Pezzo model's form is Lorentzian: E0^2 = -1, Ei^2 = 1."""
+    L = build_del_pezzo(3)
     e0 = (1, 0, 0, 0)
     e1 = (0, 1, 0, 0)
     e2 = (0, 0, 1, 0)
-    assert inner_product(e0, e0) == -1
-    assert inner_product(e1, e1) == 1
-    assert inner_product(e1, e2) == 0
-    K8 = (3,) + (-1,) * 8
-    assert inner_product(K8, K8) == -1  # -9 + n at n = 8
+    assert L.dot(e0, e0) == -1
+    assert L.dot(e1, e1) == 1
+    assert L.dot(e1, e2) == 0
+    L8 = build_del_pezzo(8)
+    assert L8.dot(L8.K, L8.K) == -1  # -9 + n at n = 8
     with pytest.raises(errors.LengthMismatch):
-        inner_product((1, 0), (1, 0, 0))
+        L.dot((1, 0), (1, 0, 0, 0))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -228,33 +230,6 @@ def test_root_action_is_faithful(n):
             assert u == ident
 
 
-def test_isometry_compose_inverse_roundtrip():
-    L = build_del_pezzo(5)
-    gens = weyl_generators(L)
-    random.seed(1)
-    for _ in range(10):
-        u = random.choice(gens) * random.choice(gens) * random.choice(gens)
-        assert (u * u.inverse()).is_identity()
-        assert (u.inverse() * u).is_identity()
-
-
-def test_ambient_matrix_for_reflections():
-    """Reflections extend to the ambient lattice fixing K; -1 does not (n<=6)."""
-    import numpy as np
-    L = build_del_pezzo(4)
-    s = root_reflection(L, enumerate_roots(L)[0])
-    M = np.array(s.ambient_matrix())
-    J = np.diag(np.array(L.signs))
-    assert np.array_equal(M.T @ J @ M, J)
-    assert tuple(M @ np.array(L.K)) == L.K
-    with pytest.raises(ValueError):
-        LatticeIsometry.minus_identity(L).ambient_matrix()
-    # -1 does extend when the discriminant is 1 (n = 8)
-    L8 = build_del_pezzo(8)
-    M8 = np.array(LatticeIsometry.minus_identity(L8).ambient_matrix())
-    assert tuple(M8 @ np.array(L8.K)) == L8.K
-
-
 def test_lattice_coords_roundtrip():
     L = build_del_pezzo(6)
     random.seed(4)
@@ -273,6 +248,25 @@ def test_root_components_and_component_isometries():
     assert tuple(len(c) for c in comps) == (2, 6)
     orders = [gram_isometry_count(sublattice_gram(L, c)) for c in comps]
     assert orders == [2, 12]
+
+
+@pytest.mark.parametrize("gram, order", [
+    (((2,),), 2),
+    (((2, -1), (-1, 2)), 12),
+    (((2, 11), (11, 62)), 12),   # A2 on the basis a, 6a + b
+])
+def test_gram_isometry_count(gram, order):
+    """The Fincke-Pohst box holds every vector, however skewed the basis."""
+    assert gram_isometry_count(gram) == order
+
+
+def test_build_checks_the_discriminant():
+    """Construction invariants raise, so python -O cannot strip them."""
+    signs = (-1,) + (1,) * 4
+    K = (3,) + (-1,) * 4
+    assert lattice._build("delpezzo", 4, signs, K, 5, "A4").n == 4
+    with pytest.raises(errors.CrossCheckFailed):
+        lattice._build("delpezzo", 4, signs, K, 6, "A4")
 
 
 def test_plain_automorphism_orders():
