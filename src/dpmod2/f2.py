@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import errors
 
 
@@ -39,7 +41,7 @@ class F2QuadraticSpace:
     """A subspace of F2^width with an alternating pairing and a form q."""
 
     __slots__ = ("width", "basis", "qdiag", "pair_rows", "ambient_k", "gram2",
-                 "_coords", "_q", "_point_coords", "_point_index")
+                 "_coords", "_q", "_point_coords", "_position")
 
     def __init__(self, width, basis, qdiag, pair_rows, ambient_k=None):
         self.width = int(width)
@@ -66,10 +68,12 @@ class F2QuadraticSpace:
                 qtab[nm] = qtab[m] ^ qb ^ self.pair(m, b)
         self._coords = coords
         self._q = qtab
-        # coordinate bits and positions of the sorted nonzero vectors
+        # coordinate bits of the sorted nonzero vectors, and a dense
+        # mask -> position table over all 2^width masks (-1 off the space)
         points = sorted(qtab)[1:]
-        self._point_coords = tuple(coords[v] for v in points)
-        self._point_index = {v: i for i, v in enumerate(points)}
+        self._point_coords = np.array([coords[v] for v in points], dtype=np.int64)
+        self._position = np.full(1 << self.width, -1, dtype=np.int32)
+        self._position[points] = np.arange(len(points), dtype=np.int32)
 
     @property
     def dim(self):
@@ -265,12 +269,12 @@ class SymplecticMap:
 
         The images of the whole span are built by doubling over the basis
         images: entry c is the image of the vector with coordinate bits c.
+        Returns an int32 array.
         """
-        span = [0]
-        for m in self.images:
-            span += [a ^ m for a in span]
-        index = self.space._point_index
-        return [index[span[c]] for c in self.space._point_coords]
+        span = np.zeros(1 << len(self.images), dtype=np.int64)
+        for i, m in enumerate(self.images):
+            span[1 << i:2 << i] = span[:1 << i] ^ m
+        return self.space._position[span[self.space._point_coords]]
 
     def __mul__(self, other):
         """Composition: (self * other) applies other first."""

@@ -7,24 +7,23 @@ Schreier-Sims stabilizer chain provides exact order (arbitrary-precision,
 never floating point) and membership tests.  Base points are always the
 smallest moved point available, so the chain -- and hence every reported
 number -- is reproducible across runs.
+
+Permutations are int32 arrays, and p[q] applies q first, then p.  Sifting
+uses only inverse coset representatives, so each level's orbit table stores
+u_p^-1 in place of u_p (one array per orbit point, no second copy): a sift
+step is one gather, and a Schreier generator u_{g(p)}^-1 g u_p is one gather
+and one scatter.  The Schreier generators on the orbit's spanning-tree edges,
+the pairs (p, g) that defined u_{g(p)} = g u_p, are the identity and are not
+sifted (Seress, Permutation Group Algorithms, 2003, sec. 4.2).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import errors
-
-
-def _compose(p, q):
-    """Permutation applying q first, then p."""
-    return p[q]
-
-
-def _inverse(p):
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=p.dtype)
-    return inv
 
 
 class _Level:
@@ -33,7 +32,7 @@ class _Level:
     def __init__(self, beta, identity):
         self.beta = beta
         self.gens = []
-        self.orbit = {beta: identity}       # point -> u with u[beta] == point
+        self.orbit = {beta: identity}       # point -> u^-1 with u[beta] == point
         self.orbit_order = [beta]
         self.gen_done = []                  # per-gen count of processed orbit points
 
@@ -60,6 +59,11 @@ class PermGroup:
             raise ValueError("not a permutation")
         return g
 
+    def _inverse(self, p):
+        inv = np.empty_like(p)
+        inv[p] = self._identity
+        return inv
+
     def extend(self, g):
         """Add a generator; returns True iff the group grew.
 
@@ -78,12 +82,13 @@ class PermGroup:
         self._complete_level(0)
         return True
 
+    def basic_orbit_lengths(self):
+        """Length of the orbit of each base point under its stabilizer."""
+        return tuple(len(lv.orbit) for lv in self._levels)
+
     def order(self):
         """Exact group order (product of the basic orbit lengths)."""
-        n = 1
-        for lv in self._levels:
-            n *= len(lv.orbit)
-        return n
+        return math.prod(self.basic_orbit_lengths())
 
     def contains(self, g):
         """Exact membership by sifting through the chain."""
@@ -108,13 +113,13 @@ class PermGroup:
             img = int(cur[lv.beta])
             if img == lv.beta:
                 continue
-            u = lv.orbit.get(img)
-            if u is None:
+            u_inv = lv.orbit.get(img)
+            if u_inv is None:
                 return cur, idx
-            cur = _compose(_inverse(u), cur)
-        if np.array_equal(cur, self._identity):
-            return None, len(self._levels)
-        return cur, len(self._levels)
+            cur = u_inv[cur]
+        if (cur != self._identity).any():
+            return cur, len(self._levels)
+        return None, len(self._levels)
 
     def _complete_level(self, idx):
         """Close the orbit at level idx and verify all its Schreier generators.
@@ -123,18 +128,28 @@ class PermGroup:
         sifting through them is an exact membership test; a Schreier generator
         that does not sift to the identity is genuinely new and its residue is
         added to level idx+1, which is then re-completed before continuing.
+        Schreier generators on spanning-tree edges are the identity and are
+        skipped.
         """
         lv = self._levels[idx]
+        n = self.degree
+        # gi * n + p for each u_{g(p)} = g u_p defined in this call; every
+        # Schreier generator on such an edge is reached before the call returns
+        tree = set()
         while True:
+            gen_inv = {}                    # generator inverses for this pass
             i = 0
             while i < len(lv.orbit_order):
                 p = lv.orbit_order[i]
-                up = lv.orbit[p]
-                for gen in lv.gens:
+                for gi, gen in enumerate(lv.gens):
                     q = int(gen[p])
                     if q not in lv.orbit:
-                        lv.orbit[q] = _compose(gen, up)
+                        if gi not in gen_inv:
+                            gen_inv[gi] = self._inverse(gen)
+                        # u_q^-1 = u_p^-1 g^-1
+                        lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
                         lv.orbit_order.append(q)
+                        tree.add(gi * n + p)
                 i += 1
             pending = False
             for gi in range(len(lv.gens)):
@@ -146,8 +161,11 @@ class PermGroup:
                 pending = True
                 for pi in range(start, end):
                     p = lv.orbit_order[pi]
-                    s = _compose(_inverse(lv.orbit[int(gen[p])]),
-                                 _compose(gen, lv.orbit[p]))
+                    if gi * n + p in tree:
+                        continue
+                    # s = u_{g(p)}^-1 g u_p, i.e. s[u_p^-1] = u_{g(p)}^-1 g
+                    s = np.empty_like(gen)
+                    s[lv.orbit[p]] = lv.orbit[int(gen[p])][gen]
                     residue, _ = self._sift(s, idx + 1)
                     if residue is None:
                         continue

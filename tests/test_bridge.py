@@ -36,7 +36,8 @@ def test_batched_permutations_match_pointwise(L):
         quo = f2.quotient_by_radical(S)
         maps += [(quo.section, quo.project(g)) for g in f2.orthogonal_generators(S)]
     for space, m in maps:
-        assert m.vector_permutation() == _pointwise(space.nonzero_vectors(), m.apply)
+        assert m.vector_permutation().tolist() == _pointwise(space.nonzero_vectors(),
+                                                             m.apply)
 
 
 def test_reduce_root_examples():

@@ -143,6 +143,16 @@ def test_subprocess_determinism_small_n():
     assert r1.stdout == r2.stdout
 
 
+def test_python_m_dpmod2_runs_the_cli(capsys):
+    """`python -m dpmod2` prints what `cli.run` prints."""
+    argv = ["verify", "--n", "4", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "dpmod2"] + argv,
+                          capture_output=True, text=True)
+    code, out = _run(argv, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+
+
 @pytest.mark.parametrize("argv, sha256", [
     (["verify", "--n", "all", "--format", "json"],
      "bc1831c7e81cc660f641691cd7f04bfefadd4ef49fecdb2dd927ec7421c39bb2"),

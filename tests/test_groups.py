@@ -5,9 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpmod2 import errors
+from dpmod2 import bridge, errors
 from dpmod2.groups import PermGroup, closure
+from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
 
 
 def _tuple_mult(a, b):
@@ -116,3 +119,52 @@ def test_extend_reports_growth():
     assert G.order() == 4
     # only the generators that grew the group are recorded
     assert [g.tolist() for g in G.generators] == [[1, 0, 2, 3], [0, 1, 3, 2]]
+
+
+@st.composite
+def _group_and_elements(draw):
+    """A generating set of degree <= 7, words in it, and random permutations."""
+    k = draw(st.integers(1, 7))
+    perm = st.permutations(range(k))
+    gens = draw(st.lists(perm, max_size=3))
+    words = draw(st.lists(st.lists(st.sampled_from(gens), min_size=1, max_size=4),
+                          max_size=3)) if gens else []
+    members = []
+    for word in words:
+        x = tuple(range(k))
+        for g in word:
+            x = _tuple_mult(g, x)
+        members.append(x)
+    others = draw(st.lists(perm.map(tuple), max_size=4))
+    return k, gens, members + others
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_group_and_elements())
+def test_sift_matches_closure(case):
+    """Membership by sifting equals membership in the brute-force closure."""
+    k, gens, elements = case
+    G = PermGroup([np.array(g) for g in gens], k)
+    elems = closure([tuple(g) for g in gens], _tuple_mult, tuple(range(k)))
+    assert math.prod(G.basic_orbit_lengths()) == len(elems) == G.order()
+    for x in elements:
+        assert G.contains(np.array(x)) == (x in elems)
+
+
+@pytest.mark.parametrize("chain, base, orbits", [
+    (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
+     (1, 0, 3, 7, 31, 15, 63, 127, 511, 255),
+     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2)),
+    (lambda: bridge.weyl_group(build_del_pezzo(8)),
+     (5, 6, 4, 3, 2, 1, 0), (240, 56, 27, 16, 10, 6, 2)),
+    (lambda: bridge.aut_group(build_del_pezzo(8)),
+     (0, 4, 1, 5, 3, 6, 2), (240, 56, 27, 16, 10, 6, 2)),
+    (lambda: bridge.oL2_group(build_del_pezzo(8)),
+     (0, 1, 7, 3, 15, 31, 127, 63), (135, 64, 28, 12, 5, 4, 3, 2)),
+], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2"])
+def test_chain_shape_pinned(chain, base, orbits):
+    """The chains themselves, not only their orders, stay as they were."""
+    G = chain()
+    assert G.base() == base
+    assert G.basic_orbit_lengths() == orbits
+    assert G.order() == math.prod(orbits)
