@@ -4,11 +4,13 @@ The reduction L/2L of an even lattice carries the bilinear form (x|y) =
 <x,y> mod 2 and the quadratic form q(x) = <x,x>/2 mod 2, linked by the
 polarization rule q(x+y) = q(x) + q(y) + (x|y).
 
-Vectors are int bitmasks.  In the canonical *ambient* model the bits index
-the ambient coordinates e_0..e_n and the pairing is the parity of the AND
-popcount; a lattice of rank n reduces to the n-dimensional subspace of
-even-popcount masks.  The *intrinsic* model (space_from_gram) uses basis
-coordinates with the Gram matrix mod 2 as pairing; coords()/from_coords()
+Vectors are int bitmasks.  A space is its basis masks, q on the basis and
+the Gram matrix mod 2 of the basis; the pairing of two vectors is read from
+their basis coordinates.  In the canonical *ambient* model the bits index
+the ambient coordinates e_0..e_n, where the pairing is also the parity of
+the AND popcount (reduce() checks this); a lattice of rank n reduces to the
+n-dimensional subspace of even-popcount masks.  The *intrinsic* model
+(space_from_gram) uses the basis coordinates as masks; coords()/from_coords()
 convert between a mask and its basis coordinates in either model.
 """
 
@@ -38,36 +40,39 @@ def _bit_indices(mask):
 
 
 class F2QuadraticSpace:
-    """A subspace of F2^width with an alternating pairing and a form q."""
+    """A subspace of F2^width given by its basis masks, q on the basis and
+    the pairing on the basis (gram2, entries taken mod 2)."""
 
-    __slots__ = ("width", "basis", "qdiag", "pair_rows", "ambient_k", "gram2",
-                 "_coords", "_q", "_point_coords", "_position")
+    __slots__ = ("width", "basis", "qdiag", "ambient_k", "gram2",
+                 "_coords", "_q", "_polar", "_point_coords", "_position")
 
-    def __init__(self, width, basis, qdiag, pair_rows, ambient_k=None):
+    def __init__(self, width, basis, qdiag, gram2, ambient_k=None):
         self.width = int(width)
         self.basis = tuple(int(b) for b in basis)
         self.qdiag = tuple(int(q) & 1 for q in qdiag)
-        self.pair_rows = tuple(int(r) for r in pair_rows)
+        self.gram2 = tuple(tuple(int(x) & 1 for x in row) for row in gram2)
         self.ambient_k = ambient_k
-        if len(self.pair_rows) != self.width:
-            raise ValueError("need one pairing row per ambient coordinate")
-        gram2 = tuple(tuple(self.pair(a, b) for b in self.basis)
-                      for a in self.basis)
-        self.gram2 = gram2
-        if any(gram2[i][i] for i in range(len(self.basis))):
-            raise ValueError("pairing must be alternating on the basis")
-        # span tables: mask -> basis coordinates, mask -> q value
+        g, n = self.gram2, len(self.basis)
+        if (len(g) != n or any(len(row) != n or row[i] for i, row in enumerate(g))
+                or any(g[i][j] != g[j][i] for i in range(n) for j in range(i))):
+            raise ValueError("gram2 must be an alternating dim x dim matrix")
+        # span tables: mask -> basis coordinates, mask -> q value, and
+        # mask -> polar bits (the basis vectors it pairs to 1 with)
         coords = {0: 0}
         qtab = {0: 0}
-        for i, (b, qb) in enumerate(zip(self.basis, self.qdiag)):
+        polar = {0: 0}
+        for i, (b, qb, row) in enumerate(zip(self.basis, self.qdiag, self.gram2)):
             if b in coords:
                 raise ValueError("basis masks are linearly dependent")
-            for m, cm in list(coords.items()):
+            rbits = sum(x << j for j, x in enumerate(row))
+            for m in list(coords):
                 nm = m ^ b
-                coords[nm] = cm | (1 << i)
-                qtab[nm] = qtab[m] ^ qb ^ self.pair(m, b)
+                coords[nm] = coords[m] | (1 << i)
+                qtab[nm] = qtab[m] ^ qb ^ (polar[m] >> i & 1)
+                polar[nm] = polar[m] ^ rbits
         self._coords = coords
         self._q = qtab
+        self._polar = polar
         # coordinate bits of the sorted nonzero vectors, and a dense
         # mask -> position table over all 2^width masks (-1 off the space)
         points = sorted(qtab)[1:]
@@ -79,29 +84,26 @@ class F2QuadraticSpace:
     def dim(self):
         return len(self.basis)
 
+    def _lookup(self, table, v):
+        try:
+            return table[v]
+        except KeyError:
+            raise errors.NotInSpace(f"mask {v:#x} is not in the space") from None
+
     def pair(self, u, v):
-        """The bilinear form of two masks."""
-        t = 0
-        for i in _bit_indices(u):
-            t ^= _parity(self.pair_rows[i] & v)
-        return t
+        """The bilinear form of two space vectors."""
+        return _parity(self._lookup(self._polar, u) & self._lookup(self._coords, v))
 
     def contains(self, v):
         return v in self._q
 
     def q(self, v):
         """q(v); raises NotInSpace for masks outside the space."""
-        try:
-            return self._q[v]
-        except KeyError:
-            raise errors.NotInSpace(f"mask {v:#x} is not in the space") from None
+        return self._lookup(self._q, v)
 
     def coords(self, v):
         """Basis coordinate bits of a space vector."""
-        try:
-            return self._coords[v]
-        except KeyError:
-            raise errors.NotInSpace(f"mask {v:#x} is not in the space") from None
+        return self._lookup(self._coords, v)
 
     def from_coords(self, bits):
         m = 0
@@ -138,13 +140,12 @@ def reduce(L):
     width = L.width
     basis = tuple(_mask(row) for row in L.basis)
     qdiag = tuple((L.gram[i][i] // 2) & 1 for i in range(L.n))
-    pair_rows = tuple(1 << i for i in range(width))
     k = (1 << width) - 1  # K has all coordinates odd in both families
     if _mask(L.K) != k:
         raise errors.CrossCheckFailed("K mod 2 is not the all-ones mask")
-    S = F2QuadraticSpace(width, basis, qdiag, pair_rows, ambient_k=k)
-    if any(S.gram2[i][j] != L.gram[i][j] & 1
-           for i in range(L.n) for j in range(L.n)):
+    S = F2QuadraticSpace(width, basis, qdiag, L.gram, ambient_k=k)
+    if any(_parity(a & b) != g for a, row in zip(basis, S.gram2)
+           for b, g in zip(basis, row)):
         raise errors.CrossCheckFailed(
             "the ambient pairing disagrees with the Gram matrix mod 2")
     return S
@@ -163,16 +164,14 @@ def space_from_gram(gram):
     n = len(gram)
     if any(gram[i][i] % 2 for i in range(n)):
         raise ValueError("the lattice must be even")
-    pair_rows = tuple(_mask(row) for row in gram)
     basis = tuple(1 << i for i in range(n))
     qdiag = tuple((gram[i][i] // 2) & 1 for i in range(n))
-    return F2QuadraticSpace(n, basis, qdiag, pair_rows)
+    return F2QuadraticSpace(n, basis, qdiag, gram)
 
 
 def radical(S):
     """All vectors pairing to zero with the whole space (includes 0)."""
-    return [v for v in S.vectors()
-            if all(S.pair(v, b) == 0 for b in S.basis)]
+    return [v for v in S.vectors() if not S._polar[v]]
 
 
 def value_census(S):
@@ -316,7 +315,8 @@ def transvection(S, v):
     """The symplectic transvection x -> x + (x|v)v (no q constraint)."""
     if not S.contains(v) or v == 0:
         raise errors.BadVector("transvection vector must be a nonzero space vector")
-    images = tuple(b ^ (v if S.pair(b, v) else 0) for b in S.basis)
+    pv = S._polar[v]
+    images = tuple(b ^ (v if pv >> i & 1 else 0) for i, b in enumerate(S.basis))
     return SymplecticMap(S, images, check=False)
 
 
@@ -437,20 +437,28 @@ class SpModel:
         return f2_reflection(self.space, w)
 
 
-def sp_model(S):
-    """Build the Sp(H) model; WrongShape unless radical = {0,k} with q(k)=1."""
+def _split_radical(S, qk, purpose, top_bit):
+    """The radical vector k and the hyperplane of vectors with bit j clear,
+    where j is k's top or lowest bit; WrongShape unless the radical is {0, k}
+    with q(k) = qk."""
     rad = radical(S)
     if len(rad) != 2:
         raise errors.WrongShape(f"radical has {len(rad)} elements, need 2")
     k = rad[1]
-    if S.q(k) != 1:
-        raise errors.WrongShape("q(k) must be 1 for the Sp model")
-    j = (k & -k).bit_length() - 1  # lowest coordinate not vanishing on k
+    if S.q(k) != qk:
+        raise errors.WrongShape(f"q(k) must be {qk} for the {purpose}")
+    j = k.bit_length() - 1 if top_bit else (k & -k).bit_length() - 1
     pivot = next(b for b in S.basis if b >> j & 1)
     hbasis = tuple((b if not (b >> j & 1) else b ^ pivot)
                    for b in S.basis if b != pivot)
-    H = F2QuadraticSpace(S.width, hbasis, tuple(S.q(h) for h in hbasis),
-                         S.pair_rows)
+    gram2 = tuple(tuple(S.pair(a, b) for b in hbasis) for a in hbasis)
+    return k, F2QuadraticSpace(S.width, hbasis, tuple(S.q(h) for h in hbasis),
+                               gram2)
+
+
+def sp_model(S):
+    """Build the Sp(H) model; WrongShape unless radical = {0,k} with q(k)=1."""
+    k, H = _split_radical(S, 1, "Sp model", top_bit=False)
     return SpModel(S, k, H)
 
 
@@ -493,16 +501,5 @@ class QuotientModel:
 
 def quotient_by_radical(S):
     """Build the radical quotient; WrongShape unless radical = {0,k}, q(k)=0."""
-    rad = radical(S)
-    if len(rad) != 2:
-        raise errors.WrongShape(f"radical has {len(rad)} elements, need 2")
-    k = rad[1]
-    if S.q(k) != 0:
-        raise errors.WrongShape("q(k) must be 0 for the radical quotient")
-    t = k.bit_length() - 1  # representatives have k's top bit clear
-    pivot = next(b for b in S.basis if b >> t & 1)
-    nbasis = tuple((b if not (b >> t & 1) else b ^ pivot)
-                   for b in S.basis if b != pivot)
-    N = F2QuadraticSpace(S.width, nbasis, tuple(S.q(b) for b in nbasis),
-                         S.pair_rows)
+    k, N = _split_radical(S, 0, "radical quotient", top_bit=True)
     return QuotientModel(S, k, N)

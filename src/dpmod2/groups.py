@@ -133,51 +133,52 @@ class PermGroup:
         """
         lv = self._levels[idx]
         n = self.degree
-        # gi * n + p for each u_{g(p)} = g u_p defined in this call; every
-        # Schreier generator on such an edge is reached before the call returns
+        # Generator gi has visited the first gen_done[gi] orbit points: all of
+        # them, or none if it was added since the last call.  The orbit is
+        # closed under the visitors, so only the fresh generators on old
+        # points and every generator on new points can add points, in the
+        # same point-major order as a full rescan.
+        old = len(lv.orbit_order)
+        every = list(enumerate(lv.gens))
+        fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
+        # gi * n + p for each u_{g(p)} = g u_p defined in this call
         tree = set()
-        while True:
-            gen_inv = {}                    # generator inverses for this pass
-            i = 0
-            while i < len(lv.orbit_order):
-                p = lv.orbit_order[i]
-                for gi, gen in enumerate(lv.gens):
-                    q = int(gen[p])
-                    if q not in lv.orbit:
-                        if gi not in gen_inv:
-                            gen_inv[gi] = self._inverse(gen)
-                        # u_q^-1 = u_p^-1 g^-1
-                        lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
-                        lv.orbit_order.append(q)
-                        tree.add(gi * n + p)
-                i += 1
-            pending = False
-            for gi in range(len(lv.gens)):
-                gen = lv.gens[gi]
-                start, end = lv.gen_done[gi], len(lv.orbit_order)
-                if start == end:
+        gen_inv = {}
+        i = 0
+        while i < len(lv.orbit_order):
+            p = lv.orbit_order[i]
+            for gi, gen in (fresh if i < old else every):
+                q = int(gen[p])
+                if q not in lv.orbit:
+                    if gi not in gen_inv:
+                        gen_inv[gi] = self._inverse(gen)
+                    # u_q^-1 = u_p^-1 g^-1
+                    lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
+                    lv.orbit_order.append(q)
+                    tree.add(gi * n + p)
+            i += 1
+        # Deeper levels never change this one, so one pass over the Schreier
+        # generators of the closed orbit completes it.
+        end = len(lv.orbit_order)
+        for gi, gen in every:
+            start, lv.gen_done[gi] = lv.gen_done[gi], end
+            for pi in range(start, end):
+                p = lv.orbit_order[pi]
+                if gi * n + p in tree:
                     continue
-                lv.gen_done[gi] = end
-                pending = True
-                for pi in range(start, end):
-                    p = lv.orbit_order[pi]
-                    if gi * n + p in tree:
-                        continue
-                    # s = u_{g(p)}^-1 g u_p, i.e. s[u_p^-1] = u_{g(p)}^-1 g
-                    s = np.empty_like(gen)
-                    s[lv.orbit[p]] = lv.orbit[int(gen[p])][gen]
-                    residue, _ = self._sift(s, idx + 1)
-                    if residue is None:
-                        continue
-                    if idx + 1 == len(self._levels):
-                        beta = int(np.nonzero(residue != self._identity)[0][0])
-                        self._levels.append(_Level(beta, self._identity))
-                    nxt = self._levels[idx + 1]
-                    nxt.gens.append(residue)
-                    nxt.gen_done.append(0)
-                    self._complete_level(idx + 1)
-            if not pending:
-                return
+                # s = u_{g(p)}^-1 g u_p, i.e. s[u_p^-1] = u_{g(p)}^-1 g
+                s = np.empty_like(gen)
+                s[lv.orbit[p]] = lv.orbit[int(gen[p])][gen]
+                residue, _ = self._sift(s, idx + 1)
+                if residue is None:
+                    continue
+                if idx + 1 == len(self._levels):
+                    beta = int(np.nonzero(residue != self._identity)[0][0])
+                    self._levels.append(_Level(beta, self._identity))
+                nxt = self._levels[idx + 1]
+                nxt.gens.append(residue)
+                nxt.gen_done.append(0)
+                self._complete_level(idx + 1)
 
 
 def closure(generators, multiply, identity, limit=2_000_000):

@@ -6,8 +6,6 @@ floating-point rounding anywhere in the lattice constructions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def hermite_normal_form(rows):
     """Row-style Hermite normal form of an integer matrix.
@@ -91,40 +89,3 @@ def is_positive_definite(gram):
     return all(det([row[: k + 1] for row in gram[: k + 1]]) > 0
                for k in range(n))
 
-
-def solve_rational(rows, target):
-    """Solve x * rows == target over the rationals.
-
-    `rows` must be linearly independent vectors of equal width.  Returns a
-    tuple of Fractions, or None if the target is outside the span.
-    """
-    m, w = len(rows), len(rows[0])
-    if len(target) != w:
-        raise ValueError("width mismatch")
-    # Augmented system rows^T | target, eliminated over Fraction.
-    M = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])]
-         for j in range(w)]
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, w) if M[i][c]), None)
-        if piv is None:
-            raise ValueError("rows are linearly dependent")
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(w):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-    if any(M[i][m] for i in range(r, w)):
-        return None
-    return tuple(M[c][m] for c in range(m))
-
-
-def solve_integer(rows, target):
-    """Integer solution x of x * rows == target, or None."""
-    sol = solve_rational(rows, target)
-    if sol is None or any(f.denominator != 1 for f in sol):
-        return None
-    return tuple(int(f) for f in sol)

@@ -420,16 +420,20 @@ def _aut_search(L):
 
 @lru_cache(maxsize=None)
 def _basis_on_simple(L):
-    """Integer coordinates of the canonical basis on the simple roots."""
-    simple = simple_roots(L)
-    rows = []
-    for b in L.basis:
-        coeffs = intlinalg.solve_integer(simple, b)
-        if coeffs is None:
-            raise errors.CrossCheckFailed(
-                f"{L.root_type}: the simple roots do not span the lattice")
-        rows.append(coeffs)
-    return tuple(rows)
+    """Integer coordinates of the canonical basis on the simple roots.
+
+    With S the simple roots' coordinates on the basis, these are the rows of
+    S^-1.  The HNF of [S | I] is [I | S^-1] exactly when S is unimodular, i.e.
+    when the simple roots span the lattice.
+    """
+    n = L.n
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    hnf = intlinalg.hermite_normal_form(
+        [lattice_coords(L, s) + e for s, e in zip(simple_roots(L), eye)])
+    if [row[:n] for row in hnf] != eye:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: the simple roots do not span the lattice")
+    return tuple(row[n:] for row in hnf)
 
 
 def automorphism_order(L):
@@ -505,16 +509,19 @@ def gram_isometry_count(gram):
     Exhaustive backtracking over images of the basis among all lattice vectors
     of the relevant squared lengths; intended for rank <= 3 component checks.
     The coordinate box is the exact Fincke-Pohst bound: a vector x of square
-    at most s has x_i^2 <= s * (G^-1)_ii.
+    at most s has x_i^2 <= s * (G^-1)_ii, where (G^-1)_ii is the minor of
+    G without row and column i over det G.
     """
     n = len(gram)
     # candidate images must have the same square as the basis vector
     squares = sorted({gram[i][i] for i in range(n)})
     vecs = {}
+    d = intlinalg.det(gram)
     bounds = []
     for i in range(n):
-        ginv_ii = intlinalg.solve_rational(gram, [int(j == i) for j in range(n)])[i]
-        bounds.append(isqrt(int(squares[-1] * ginv_ii)))
+        minor = intlinalg.det([row[:i] + row[i + 1:]
+                               for j, row in enumerate(gram) if j != i])
+        bounds.append(isqrt(squares[-1] * minor // d))
 
     def rec(i, vec):
         if i == n:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmod2 import errors, f2, groups
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
@@ -59,6 +61,10 @@ def test_q_not_in_space():
     S = _space(4)
     with pytest.raises(errors.NotInSpace):
         S.q(1)  # odd popcount
+    with pytest.raises(errors.NotInSpace):
+        S.pair(1, 0)
+    with pytest.raises(errors.NotInSpace):
+        S.pair(0, 1)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -378,6 +384,47 @@ def test_space_from_gram_intrinsic_model():
     # A1: one-dimensional, only the identity preserves q
     S1 = f2.space_from_gram(((2,),))
     assert f2.isometry_count_bruteforce(S1) == 1
+
+
+@st.composite
+def _even_gram(draw):
+    """A symmetric integer matrix of size <= 6 with an even diagonal."""
+    n = draw(st.integers(1, 6))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-2, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    return gram
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_even_gram())
+def test_space_from_gram_forms(gram):
+    """q, the pairing and the radical against the integer Gram matrix."""
+    S = f2.space_from_gram(gram)
+    n = len(gram)
+    vecs = S.vectors()
+    assert vecs == list(range(1 << n))
+
+    def form(x, y):  # x^T G y on coordinate bits, over the integers
+        return sum(gram[i][j] for i in range(n) for j in range(n)
+                   if x >> i & 1 and y >> j & 1)
+
+    for x in vecs:
+        assert S.q(x) == form(x, x) // 2 % 2
+        assert S.pair(x, x) == 0
+        for y in vecs:
+            assert S.pair(x, y) == S.pair(y, x) == form(x, y) % 2
+            assert S.q(x ^ y) == S.q(x) ^ S.q(y) ^ S.pair(x, y)
+    rad = [x for x in vecs if all(form(x, y) % 2 == 0 for y in vecs)]
+    assert f2.radical(S) == rad
+    if rad == [0]:
+        m = n // 2
+        a = f2.arf(S)
+        q0, q1 = f2.value_census(S)
+        assert q1 == 2 ** (m - 1) * (2 ** m - (-1) ** a)
+        assert a == (1 if q1 > q0 else 0)
 
 
 def test_intrinsic_and_ambient_models_agree():

@@ -101,10 +101,3 @@ def test_positive_definite():
     assert intlinalg.is_positive_definite([[2, -1], [-1, 2]])
     assert not intlinalg.is_positive_definite([[1, 2], [2, 1]])
 
-
-def test_solve_integer():
-    rows = ((1, 2, 0), (0, 1, 1))
-    assert intlinalg.solve_integer(rows, (2, 5, 1)) == (2, 1)
-    assert intlinalg.solve_integer(rows, (1, 1, 1)) is None  # not in span
-    # rational but non-integer solution
-    assert intlinalg.solve_integer(((2, 0), (0, 1)), (1, 0)) is None

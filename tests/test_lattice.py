@@ -242,6 +242,28 @@ def test_lattice_coords_roundtrip():
         lattice_coords(L, (1, 0, 0, 0, 0, 0, 0))  # not orthogonal to K
 
 
+@pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
+                         + [build_plain_root_lattice(r) for r in range(2, 11)],
+                         ids=lambda L: f"{L.kind}-{L.root_type}")
+def test_basis_on_simple_recombines_the_basis(L):
+    """Row i holds the simple-root coefficients of basis vector i."""
+    simple = simple_roots(L)
+    for row, b in zip(lattice._basis_on_simple(L), L.basis, strict=True):
+        assert tuple(sum(c * s[j] for c, s in zip(row, simple, strict=True))
+                     for j in range(L.width)) == b
+
+
+@pytest.mark.parametrize("L", [build_plain_root_lattice(2), build_del_pezzo(8)],
+                         ids=lambda L: L.root_type)
+def test_basis_on_simple_rejects_a_sublattice(L, monkeypatch):
+    """Simple roots spanning an index-2 sublattice fail the HNF check."""
+    *rest, last = simple_roots(L)
+    doubled = tuple(a + 2 * b for a, b in zip(rest[0], last))
+    monkeypatch.setattr(lattice, "simple_roots", lambda L: (*rest, doubled))
+    with pytest.raises(errors.CrossCheckFailed, match="do not span"):
+        lattice._basis_on_simple.__wrapped__(L)
+
+
 def test_root_components_and_component_isometries():
     L = build_del_pezzo(3)
     comps = root_components(L)
