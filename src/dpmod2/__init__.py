@@ -8,7 +8,7 @@ from .bridge import (VerificationReport, reduce_isometry, reduce_root,
 from .f2 import (F2Isometry, F2QuadraticSpace, arf, exception_check_n4,
                  f2_reflection, orthogonal_generators, quotient_by_radical,
                  radical, reduce, sp_model, symplectic_basis, value_census)
-from .groups import PermGroup, closure
+from .groups import PermGroup
 from .lattice import (Lattice, LatticeIsometry, automorphism_group,
                       automorphism_order, build_del_pezzo,
                       build_plain_root_lattice, enumerate_roots, is_root,
@@ -28,7 +28,7 @@ __all__ = [
     "orthogonal_generators", "exception_check_n4", "sp_model",
     "quotient_by_radical",
     # groups
-    "PermGroup", "closure",
+    "PermGroup",
     # bridge
     "VerificationReport", "reduce_root", "root_preimage", "reduce_isometry",
     "verify_lemma", "verify_prop1", "verify_prop2", "verify_corollary",

@@ -45,7 +45,7 @@ def root_preimage(L, v):
         raise errors.BadInput(f"mask {v:#x} is not in the mod-2 space") from None
     if qv != 1:
         raise errors.BadInput("root preimages exist only for q(v) = 1")
-    support = f2._bit_indices(v)
+    support = groups.bit_indices(v)
     m = len(support)
     width = L.width
 
@@ -237,7 +237,9 @@ def verify_lemma_isometries(L):
 
     Verified by order counting: |image| = |O(L)| / |kernel|.  For n = 3 the
     root system is reducible and the kernel is {+-1}x{+-1} of order 4 (see
-    remark1); for n <= 4 the kernel is also enumerated element by element.
+    remark1).  The kernel is also enumerated element by element, by
+    backtracking and independently of the chains, for every n; its size is
+    listed as a witness for n <= 4.
     """
     c = _Checks()
     gens = lat.automorphism_group(L)
@@ -253,12 +255,11 @@ def verify_lemma_isometries(L):
     numbers = _census_numbers(L)
     numbers.update(autL_order=aut_order, rho_image_order=image,
                    kernel_order=aut_order // image)
+    kernel = _kernel_elements(L)
+    c.check(len(kernel) == expected_kernel,
+            "explicit kernel enumeration matches the order count")
     witnesses = c.witnesses()
     if L.n <= 4:
-        kernel = _kernel_elements(L)
-        c.check(len(kernel) == expected_kernel,
-                "explicit kernel enumeration matches the order count")
-        witnesses = c.witnesses()
         witnesses.append(f"kernel enumerated: {len(kernel)} elements")
     if expected_kernel == 4:
         witnesses.append("n=3 kernel is {+-1}x{+-1}; decomposition checked in remark1")
@@ -266,11 +267,19 @@ def verify_lemma_isometries(L):
 
 
 def _kernel_elements(L):
-    """All isometries reducing to the identity mod 2 (closure enumeration)."""
-    gens = lat.automorphism_group(L)
-    ident = lat.LatticeIsometry.identity(L)
-    elems = groups.closure(gens, lambda a, b: a * b, ident)
-    return [u for u in elems if reduce_isometry(L, u).is_identity()]
+    """Root permutations of all isometries reducing to the identity mod 2.
+
+    An isometry is fixed by its images of the simple roots, which span L, and
+    reduces to the identity exactly when each image has its simple root's
+    mod-2 class: the root itself or its negative.  Every choice among these
+    that keeps the simple roots' pairings is listed by groups.completions.
+    """
+    rows, simple, gram = lat._root_pairings(L)
+    masks = [f2._mask(r) for r in lat.enumerate_roots(L)]
+    allowed = [sum(1 << i for i, m in enumerate(masks) if m == masks[s])
+               for s in simple]
+    sols = groups.completions(rows, allowed, gram, [-1] * len(simple))
+    return [lat._from_simple_images(L, sol).root_permutation() for sol in sols]
 
 
 def verify_prop1(L):
@@ -405,15 +414,17 @@ def _verify_remark1():
     comps = lat.root_components(L)
     c.check(tuple(len(comp) for comp in comps) == (2, 6),
             "root components have sizes 2 and 6")
+    index = {r: i for i, r in enumerate(lat.enumerate_roots(L))}
+    neg = lat.LatticeIsometry.minus_identity(L).root_permutation()
     signs = set()
     ok = True
-    for u in kernel:
+    for perm in kernel:
         sig = []
         for comp in comps:
-            imgs = {r: u.apply_ambient(r) for r in comp}
-            if all(v == r for r, v in imgs.items()):
+            points = [index[r] for r in comp]
+            if all(perm[i] == i for i in points):
                 sig.append(1)
-            elif all(v == tuple(-x for x in r) for r, v in imgs.items()):
+            elif all(perm[i] == neg[i] for i in points):
                 sig.append(-1)
             else:
                 ok = False
@@ -426,7 +437,7 @@ def _verify_remark1():
     for comp in comps:
         gram = lat.sublattice_gram(L, comp)
         comp_orders.append(lat.gram_isometry_count(gram))
-        comp_f2_orders.append(f2.isometry_count_bruteforce(f2.space_from_gram(gram)))
+        comp_f2_orders.append(f2.isometry_order(f2.space_from_gram(gram)))
     c.check(comp_orders == [2, 12], "component isometry groups have orders 2, 12")
     c.check(2 * 12 == aut_order, "O(L) = O(A1) x O(A2)")
     c.check(comp_f2_orders == [1, 6], "mod-2 component groups have orders 1, 6")

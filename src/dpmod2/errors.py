@@ -41,7 +41,7 @@ class NoPreimage(Error):
     """The quadric vector has no root preimage under mod-2 reduction."""
 
 
-class BadInput(Error):
+class BadInput(Error, ValueError):
     """The input is outside the operation's domain."""
 
 

@@ -18,25 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
-from . import errors
+from . import errors, groups
 
 
 def _parity(x):
     return x.bit_count() & 1
-
-
-def _bit_indices(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 class F2QuadraticSpace:
@@ -55,7 +45,7 @@ class F2QuadraticSpace:
         g, n = self.gram2, len(self.basis)
         if (len(g) != n or any(len(row) != n or row[i] for i, row in enumerate(g))
                 or any(g[i][j] != g[j][i] for i in range(n) for j in range(i))):
-            raise ValueError("gram2 must be an alternating dim x dim matrix")
+            raise errors.BadInput("gram2 must be an alternating dim x dim matrix")
         # span tables: mask -> basis coordinates, mask -> q value, and
         # mask -> polar bits (the basis vectors it pairs to 1 with)
         coords = {0: 0}
@@ -63,7 +53,7 @@ class F2QuadraticSpace:
         polar = {0: 0}
         for i, (b, qb, row) in enumerate(zip(self.basis, self.qdiag, self.gram2)):
             if b in coords:
-                raise ValueError("basis masks are linearly dependent")
+                raise errors.BadInput("basis masks are linearly dependent")
             rbits = sum(x << j for j, x in enumerate(row))
             for m in list(coords):
                 nm = m ^ b
@@ -107,7 +97,7 @@ class F2QuadraticSpace:
 
     def from_coords(self, bits):
         m = 0
-        for i in _bit_indices(bits):
+        for i in groups.bit_indices(bits):
             m ^= self.basis[i]
         return m
 
@@ -163,7 +153,7 @@ def space_from_gram(gram):
     """Intrinsic model: masks are coordinate vectors over the lattice basis."""
     n = len(gram)
     if any(gram[i][i] % 2 for i in range(n)):
-        raise ValueError("the lattice must be even")
+        raise errors.BadInput("the lattice must be even")
     basis = tuple(1 << i for i in range(n))
     qdiag = tuple((gram[i][i] // 2) & 1 for i in range(n))
     return F2QuadraticSpace(n, basis, qdiag, gram)
@@ -217,6 +207,19 @@ def arf(S):
 
 # -- linear maps ----------------------------------------------------------------
 
+def _independent(bits):
+    """Whether the coordinate bit vectors are linearly independent, by
+    elimination."""
+    rows = {}  # leading bit -> reduced row
+    for c in bits:
+        while c.bit_length() in rows:
+            c ^= rows[c.bit_length()]
+        if not c:
+            return False
+        rows[c.bit_length()] = c
+    return True
+
+
 class SymplecticMap:
     """Invertible linear self-map of a space, stored by images of the basis.
 
@@ -229,17 +232,10 @@ class SymplecticMap:
         images = tuple(int(m) for m in images)
         if len(images) != space.dim:
             raise errors.NotIsometry("need one image per basis vector")
-        # independence by elimination on the images' coordinate bits
-        rows = {}  # leading bit -> reduced row
-        for m in images:
-            if m not in space._coords:
-                raise errors.NotIsometry("image outside the space")
-            c = space._coords[m]
-            while c.bit_length() in rows:
-                c ^= rows[c.bit_length()]
-            if not c:
-                raise errors.NotIsometry("images are linearly dependent")
-            rows[c.bit_length()] = c
+        if any(m not in space._coords for m in images):
+            raise errors.NotIsometry("image outside the space")
+        if not _independent(space._coords[m] for m in images):
+            raise errors.NotIsometry("images are linearly dependent")
         if check:
             n = space.dim
             for i in range(n):
@@ -259,7 +255,7 @@ class SymplecticMap:
     def apply(self, v):
         bits = self.space.coords(v)
         m = 0
-        for i in _bit_indices(bits):
+        for i in groups.bit_indices(bits):
             m ^= self.images[i]
         return m
 
@@ -336,33 +332,27 @@ def orthogonal_generators(S):
     return tuple(f2_reflection(S, v) for v in S.vectors() if S.q(v) == 1)
 
 
-def isometry_count_bruteforce(S):
-    """|O(S, q)| by exhaustive backtracking over basis images.
+def isometry_order(S):
+    """|O(S, q)| by groups.orbit_search over the basis images, independent
+    of the reflections and the chains.
 
-    Independent of the reflection generators and of the stabilizer-chain
-    engine; exponential, intended for dim <= 5.
+    Basis vector i goes to a vector with q = qdiag[i] and gram2's pairings
+    with the other images; independent such images are exactly the
+    isometries (polarization gives q everywhere).  A degenerate pairing does
+    not force independence, so every step tests it.
     """
-    vecs = S.vectors()
-    n = S.dim
-
-    count = 0
-
-    def assign(i, images, span):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        for v in vecs:
-            if v in span:
-                continue
-            if S.q(v) != S.qdiag[i]:
-                continue
-            if any(S.pair(v, images[j]) != S.gram2[i][j] for j in range(i)):
-                continue
-            assign(i + 1, images + [v], span | {s ^ v for s in span})
-
-    assign(0, [], frozenset({0}))
-    return count
+    points = S.nonzero_vectors()
+    dims = np.arange(S.dim)
+    coord_bits = S._point_coords[:, None] >> dims & 1
+    polar_bits = np.array([S._polar[v] for v in points])[:, None] >> dims & 1
+    allowed = [sum(1 << p for p, v in enumerate(points) if S._q[v] == qb)
+               for qb in S.qdiag]
+    base = S._position[list(S.basis)].tolist()
+    coords = S._point_coords.tolist()
+    counts, _ = groups.orbit_search(
+        groups.pairing_rows(polar_bits @ coord_bits.T & 1), allowed, S.gram2,
+        base, keep=lambda images: _independent(coords[p] for p in images if p >= 0))
+    return prod(counts)
 
 
 # -- structure reports and models -------------------------------------------------

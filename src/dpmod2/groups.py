@@ -15,6 +15,10 @@ step is one gather, and a Schreier generator u_{g(p)}^-1 g u_p is one gather
 and one scatter.  The Schreier generators on the orbit's spanning-tree edges,
 the pairs (p, g) that defined u_{g(p)} = g u_p, are the identity and are not
 sifted (Seress, Permutation Group Algorithms, 2003, sec. 4.2).
+
+orbit_search is the one isometry search: it backtracks over the images of a
+base among points given by their pairing table, as bitsets, and counts the
+group as the product of the basic orbit lengths it finds.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class PermGroup:
     def __init__(self, generators, degree):
         self.degree = int(degree)
         if self.degree < 1:
-            raise ValueError("degree must be positive")
+            raise errors.BadInput("degree must be positive")
         self._identity = np.arange(self.degree, dtype=np.int32)
         self.generators = []
         self._levels = []
@@ -56,7 +60,7 @@ class PermGroup:
             raise errors.DegreeMismatch(
                 f"permutation of degree {g.shape} in group of degree {self.degree}")
         if not np.array_equal(np.sort(g), self._identity):
-            raise ValueError("not a permutation")
+            raise errors.BadInput("not a permutation")
         return g
 
     def _inverse(self, p):
@@ -181,23 +185,76 @@ class PermGroup:
                 self._complete_level(idx + 1)
 
 
-def closure(generators, multiply, identity, limit=2_000_000):
-    """All elements of the generated group, by breadth-first closure.
+# -- isometry search -----------------------------------------------------------
 
-    Elements must be hashable.  Intended as an independent brute-force oracle
-    for small groups; raises if the closure exceeds `limit`.
+def bit_indices(mask):
+    """Indices of the set bits of an int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def pairing_rows(table):
+    """rows[p][value]: the bitset (a Python int) of the points q with
+    table[p, q] == value, for a square table of pairing values."""
+    table = np.asarray(table)
+    flat = np.sort(table, axis=None)    # np.unique would import numpy.ma
+    rows = [{} for _ in table]
+    for value in flat[np.append(True, flat[1:] != flat[:-1])].tolist():
+        packed = np.packbits(table == value, axis=1, bitorder="little")
+        for row, bits in zip(rows, packed):
+            row[value] = int.from_bytes(bits.tobytes(), "little")
+    return rows
+
+
+def completions(rows, masks, target, images, keep=None):
+    """Every full assignment extending `images`, depth first.
+
+    images[t] is the point at position t, or -1 while t is open; masks[t]
+    holds the candidates of an open t, whose pairing with the point at each
+    fixed s is target[t][s].  The open t with the fewest candidates (the
+    first, on a tie) is filled next, in ascending order; each choice narrows
+    the masks by one AND, and is dropped if keep(images) is false.
     """
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = multiply(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > limit:
-                        raise RuntimeError("closure exceeded limit")
-        frontier = new
-    return seen
+    open_pos = [t for t, p in enumerate(images) if p < 0]
+    if not open_pos:
+        yield tuple(images)
+        return
+    t = min(open_pos, key=lambda s: masks[s].bit_count())
+    for r in bit_indices(masks[t]):
+        row = rows[r]
+        narrowed = [m & row.get(target[t][s], 0) for s, m in enumerate(masks)]
+        images[t] = r
+        if all(narrowed[s] for s in open_pos) and (keep is None or keep(images)):
+            yield from completions(rows, narrowed, target, images, keep)
+        images[t] = -1
+
+
+def orbit_search(rows, allowed, target, base, keep=None):
+    """Stabilizer-orbit backtracking over the images of a base (Plesken and
+    Souvignier, J. Symbolic Comput. 24, 1997).
+
+    Position t takes a point of allowed[t]; the identity puts base[t] there.
+    With the positions before l at their base points, the candidates at l
+    that complete form the orbit of base[l] under the stabilizer of the
+    earlier ones, so when the full assignments are a group, the product of
+    the level counts is its order.  Returns (level_counts, solutions), the
+    first completion found for each such candidate, level by level.
+    """
+    images, masks = [-1] * len(base), list(allowed)
+    counts, solutions = [], []
+    for level, b in enumerate(base):
+        before = len(solutions)
+        for r in bit_indices(masks[level]):
+            trial = list(masks)
+            trial[level] = 1 << r
+            sol = next(completions(rows, trial, target, list(images), keep), None)
+            if sol is not None:
+                solutions.append(sol)
+        counts.append(len(solutions) - before)
+        images[level] = b
+        masks = [m & rows[b].get(target[level][s], 0) for s, m in enumerate(masks)]
+    return tuple(counts), tuple(solutions)

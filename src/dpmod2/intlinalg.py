@@ -6,6 +6,8 @@ floating-point rounding anywhere in the lattice constructions.
 
 from __future__ import annotations
 
+from . import errors
+
 
 def hermite_normal_form(rows):
     """Row-style Hermite normal form of an integer matrix.
@@ -51,7 +53,7 @@ def kernel_basis(coeffs):
     """
     n = len(coeffs)
     if not any(coeffs):
-        raise ValueError("zero functional has no canonical kernel basis")
+        raise errors.BadInput("zero functional has no canonical kernel basis")
     # Row-reduce [coeffs_i | e_i]; unimodular row operations keep the row span
     # equal to {(f(a), a) : a in Z^n}, so rows whose first entry reaches 0
     # carry a basis of the kernel in their tail.

@@ -14,9 +14,10 @@ elements such as -1 that do not extend to the ambient lattice fixing K.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -171,19 +172,19 @@ def _pivot_plan(L):
 def lattice_coords(L, v):
     """Integer coordinates of an ambient lattice vector on L.basis.
 
-    Raises ValueError if v is not in the lattice.
+    Raises BadInput if v is not in the lattice.
     """
     rem = list(v)
     x = [0] * L.n
     for c, i, row in _pivot_plan(L):
         q, r = divmod(rem[c], row[c])
         if r:
-            raise ValueError("vector is not in the lattice")
+            raise errors.BadInput("vector is not in the lattice")
         x[i] = q
         if q:
             rem = [a - q * b for a, b in zip(rem, row)]
     if any(rem):
-        raise ValueError("vector is not in the lattice")
+        raise errors.BadInput("vector is not in the lattice")
     return tuple(x)
 
 
@@ -248,19 +249,12 @@ class LatticeIsometry:
         return cls(L, tuple(tuple(-1 if i == j else 0 for j in range(L.n))
                             for i in range(L.n)), check=False)
 
-    @classmethod
-    def from_ambient_images(cls, L, images):
-        """Isometry sending basis vector i to the given ambient vector."""
-        return cls(L, tuple(lattice_coords(L, im) for im in images))
-
-    def apply_coords(self, x):
-        M = self.matrix
-        return tuple(sum(x[i] * M[i][j] for i in range(len(x)))
-                     for j in range(len(x)))
-
     def apply_ambient(self, v):
         """Image of an ambient lattice vector."""
-        return from_coords(self.lattice, self.apply_coords(lattice_coords(self.lattice, v)))
+        L, M = self.lattice, self.matrix
+        x = lattice_coords(L, v)
+        return from_coords(L, [sum(a * row[j] for a, row in zip(x, M))
+                               for j in range(L.n)])
 
     def root_permutation(self):
         """Index in enumerate_roots(L) of the image of each root, in order.
@@ -307,11 +301,9 @@ def root_reflection(L, alpha):
     """The reflection x -> x - <x, alpha> alpha in a root alpha."""
     if not is_root(L, alpha):
         raise errors.NotARoot(f"{alpha} is not a root")
-    images = []
-    for b in L.basis:
-        t = L.dot(b, alpha)
-        images.append(tuple(a - t * c for a, c in zip(b, alpha)))
-    return LatticeIsometry.from_ambient_images(L, images)
+    return LatticeIsometry(L, [lattice_coords(L, [a - L.dot(b, alpha) * c
+                                                  for a, c in zip(b, alpha)])
+                               for b in L.basis])
 
 
 # -- simple roots and generators ----------------------------------------------
@@ -349,6 +341,19 @@ def weyl_generators(L):
 # -- full isometry group --------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _root_pairings(L):
+    """The search data of the roots: groups.pairing_rows of their pairing
+    table, the simple roots' indices in enumerate_roots(L), and the simple
+    roots' Gram matrix."""
+    rmat = np.array(enumerate_roots(L), dtype=np.int64)
+    table = rmat * np.array(L.signs, dtype=np.int64) @ rmat.T
+    index = {r: i for i, r in enumerate(enumerate_roots(L))}
+    simple = [index[s] for s in simple_roots(L)]
+    return (groups.pairing_rows(table), simple,
+            table[np.ix_(simple, simple)].tolist())
+
+
+@lru_cache(maxsize=None)
 def _aut_search(L):
     """Backtracking over root images of the simple roots.
 
@@ -361,61 +366,14 @@ def _aut_search(L):
     Returns (order, solutions); each solution is a tuple of root indices, one
     isometry per realizable candidate that fixes the earlier simple roots.
     """
-    roots = enumerate_roots(L)
-    idx = {r: i for i, r in enumerate(roots)}
-    nroots = len(roots)
-    rmat = np.array(roots, dtype=np.int64)
-    jmat = np.diag(np.array(L.signs, dtype=np.int64))
-    pair = rmat @ jmat @ rmat.T                   # all pairwise products
-    simple = [idx[s] for s in simple_roots(L)]
-    k = len(simple)
-    sgram = pair[np.ix_(simple, simple)]
-
-    def complete(im):
-        """Depth-first completion; fills `im` in place and returns success."""
-        open_pos = [t for t in range(k) if im[t] < 0]
-        if not open_pos:
-            return True
-        best_t, best_cands = None, None
-        for t in open_pos:
-            m = np.ones(nroots, dtype=bool)
-            for s in range(k):
-                if im[s] >= 0:
-                    m &= pair[im[s]] == sgram[s, t]
-            c = int(m.sum())
-            if c == 0:
-                return False
-            if best_cands is None or c < len(best_cands):
-                best_t, best_cands = t, np.nonzero(m)[0]
-                if c == 1:
-                    break
-        for r in best_cands:
-            im[best_t] = int(r)
-            if complete(im):
-                return True
-            im[best_t] = -1
-        return False
-
-    order = 1
-    solutions = []
-    prefix = [-1] * k
-    for level in range(k):
-        m = np.ones(nroots, dtype=bool)
-        for s in range(level):
-            m &= pair[prefix[s]] == sgram[s, level]
-        count = 0
-        for r in np.nonzero(m)[0]:
-            im = list(prefix)
-            im[level] = int(r)
-            if complete(im):
-                count += 1
-                solutions.append(tuple(im))
-        if count == 0:
-            raise errors.CrossCheckFailed(
-                f"{L.root_type}: simple root {level} has no realizable image")
-        order *= count
-        prefix[level] = simple[level]
-    return order, tuple(solutions)
+    rows, simple, gram = _root_pairings(L)
+    every = (1 << len(rows)) - 1
+    counts, solutions = groups.orbit_search(rows, [every] * len(simple), gram,
+                                            simple)
+    if 0 in counts:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: simple root {counts.index(0)} has no realizable image")
+    return prod(counts), solutions
 
 
 @lru_cache(maxsize=None)
@@ -436,6 +394,15 @@ def _basis_on_simple(L):
     return tuple(row[n:] for row in hnf)
 
 
+def _from_simple_images(L, images):
+    """The map sending simple root t to root images[t] (indices into
+    enumerate_roots(L)), unchecked: an isometry when the images keep the
+    simple roots' pairings."""
+    on_simple = np.array(_basis_on_simple(L), dtype=np.int64)
+    coords = _root_table(L)[0]
+    return LatticeIsometry(L, (on_simple @ coords[list(images)]).tolist(), check=False)
+
+
 def automorphism_order(L):
     """|O(L)| by exhaustive backtracking, independent of the chain engine."""
     return _aut_search(L)[0]
@@ -452,13 +419,11 @@ def automorphism_chain(L):
     backtracking count.
     """
     order, solutions = _aut_search(L)
-    coords = _root_table(L)[0]
-    on_simple = np.array(_basis_on_simple(L), dtype=np.int64)
     minus = LatticeIsometry.minus_identity(L)
     chain = groups.PermGroup([minus.root_permutation()], len(enumerate_roots(L)))
     kept = [minus]
     for sol in solutions:
-        u = LatticeIsometry(L, (on_simple @ coords[list(sol)]).tolist(), check=False)
+        u = _from_simple_images(L, sol)
         if chain.extend(u.root_permutation()):
             kept.append(LatticeIsometry(L, u.matrix))
     if chain.order() != order:
@@ -504,56 +469,29 @@ def sublattice_gram(L, vectors):
 
 
 def gram_isometry_count(gram):
-    """|O| of a small positive-definite even lattice given by its Gram matrix.
+    """|O| of a small positive-definite lattice given by its Gram matrix G.
 
-    Exhaustive backtracking over images of the basis among all lattice vectors
-    of the relevant squared lengths; intended for rank <= 3 component checks.
-    The coordinate box is the exact Fincke-Pohst bound: a vector x of square
-    at most s has x_i^2 <= s * (G^-1)_ii, where (G^-1)_ii is the minor of
-    G without row and column i over det G.
+    An isometry is fixed by its basis images: lattice vectors with the basis
+    vectors' squares and pairings.  Conversely, images with Gram matrix G
+    have det(M)^2 = 1, so they define an isometry; groups.orbit_search counts
+    them.  The coordinate box is the exact Fincke-Pohst bound: a vector x of
+    square at most s has x_i^2 <= s * (G^-1)_ii, where (G^-1)_ii is the minor
+    of G without row and column i over det G.  Intended for rank <= 3.
     """
     n = len(gram)
-    # candidate images must have the same square as the basis vector
-    squares = sorted({gram[i][i] for i in range(n)})
-    vecs = {}
+    squares = [gram[i][i] for i in range(n)]
     d = intlinalg.det(gram)
-    bounds = []
-    for i in range(n):
-        minor = intlinalg.det([row[:i] + row[i + 1:]
-                               for j, row in enumerate(gram) if j != i])
-        bounds.append(isqrt(squares[-1] * minor // d))
+    bounds = [isqrt(max(squares) * intlinalg.det(
+        [row[:i] + row[i + 1:] for j, row in enumerate(gram) if j != i]) // d)
+        for i in range(n)]
 
-    def rec(i, vec):
-        if i == n:
-            v = tuple(vec)
-            s = sum(v[a] * gram[a][b] * v[b] for a in range(n) for b in range(n))
-            if s in vecs:
-                vecs[s].append(v)
-            return
-        for x in range(-bounds[i], bounds[i] + 1):
-            vec.append(x)
-            rec(i + 1, vec)
-            vec.pop()
+    def form(x, y):
+        return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
 
-    for s in squares:
-        vecs[s] = []
-    rec(0, [])
-
-    def pairing(u, v):
-        return sum(u[a] * gram[a][b] * v[b] for a in range(n) for b in range(n))
-
-    count = 0
-
-    def assign(i, images):
-        nonlocal count
-        if i == n:
-            M = images
-            if abs(intlinalg.det(M)) == 1:
-                count += 1
-            return
-        for v in vecs[gram[i][i]]:
-            if all(pairing(v, images[j]) == gram[i][j] for j in range(i)):
-                assign(i + 1, images + [v])
-
-    assign(0, [])
-    return count
+    vecs = [x for x in itertools.product(*(range(-b, b + 1) for b in bounds))
+            if form(x, x) in squares]
+    allowed = [sum(1 << p for p, x in enumerate(vecs) if form(x, x) == s)
+               for s in squares]
+    base = [vecs.index(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    rows = groups.pairing_rows([[form(x, y) for y in vecs] for x in vecs])
+    return prod(groups.orbit_search(rows, allowed, gram, base)[0])

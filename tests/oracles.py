@@ -1,0 +1,44 @@
+"""Brute-force oracles, independent of the package's searches and chains."""
+
+
+def closure(generators, multiply, identity, limit=2_000_000):
+    """All elements of the generated group, by breadth-first closure.
+
+    Elements must be hashable.  Raises if the closure exceeds `limit`.
+    """
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = multiply(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if len(seen) > limit:
+                        raise RuntimeError("closure exceeded limit")
+        frontier = new
+    return seen
+
+
+def isometry_count_bruteforce(S):
+    """|O(S, q)| by trying every basis image, keeping the whole span of the
+    images fixed so far to test independence; exponential, for dim <= 5."""
+    vecs = S.vectors()
+    count = 0
+
+    def assign(i, images, span):
+        nonlocal count
+        if i == S.dim:
+            count += 1
+            return
+        for v in vecs:
+            if v in span or S.q(v) != S.qdiag[i]:
+                continue
+            if any(S.pair(v, images[j]) != S.gram2[i][j] for j in range(i)):
+                continue
+            assign(i + 1, images + [v], span | {s ^ v for s in span})
+
+    assign(0, [], frozenset({0}))
+    return count

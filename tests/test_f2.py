@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmod2 import errors, f2, groups
+from dpmod2 import bridge, errors, f2, groups
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
+from oracles import isometry_count_bruteforce
 
 # (q0, q1) for n = 3..8; the q1 column is 4, 10, 20, 36, 64, 120
 CENSUS = {3: (4, 4), 4: (6, 10), 5: (12, 20), 6: (28, 36), 7: (64, 64),
@@ -266,7 +267,8 @@ def test_reflection_group_is_full_isometry_group(n):
     S = _space(n)
     gens = f2.orthogonal_generators(S)
     G = _f2_group(gens, S)
-    assert G.order() == f2.isometry_count_bruteforce(S) == OL2_ORDERS[n]
+    assert (G.order() == f2.isometry_order(S) == isometry_count_bruteforce(S)
+            == OL2_ORDERS[n])
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -380,16 +382,16 @@ def test_space_from_gram_intrinsic_model():
     A2 = ((2, -1), (-1, 2))
     S = f2.space_from_gram(A2)
     assert f2.value_census(S) == (1, 3)
-    assert f2.isometry_count_bruteforce(S) == 6
+    assert isometry_count_bruteforce(S) == 6
     # A1: one-dimensional, only the identity preserves q
     S1 = f2.space_from_gram(((2,),))
-    assert f2.isometry_count_bruteforce(S1) == 1
+    assert isometry_count_bruteforce(S1) == 1
 
 
 @st.composite
-def _even_gram(draw):
-    """A symmetric integer matrix of size <= 6 with an even diagonal."""
-    n = draw(st.integers(1, 6))
+def _even_gram(draw, max_dim=6):
+    """A symmetric integer matrix of size <= max_dim with an even diagonal."""
+    n = draw(st.integers(1, max_dim))
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         gram[i][i] = 2 * draw(st.integers(-2, 3))
@@ -425,6 +427,37 @@ def test_space_from_gram_forms(gram):
         q0, q1 = f2.value_census(S)
         assert q1 == 2 ** (m - 1) * (2 ** m - (-1) ** a)
         assert a == (1 if q1 > q0 else 0)
+
+
+@pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
+                         + [build_plain_root_lattice(r) for r in range(5, 11)],
+                         ids=lambda L: L.root_type)
+def test_isometry_order_equals_reflection_group_order(L):
+    """The q = 1 reflections generate all of O(L2): the chain's order equals
+    the backtracking count over basis images."""
+    assert f2.isometry_order(f2.reduce(L)) == bridge.oL2_group(L).order()
+
+
+@pytest.mark.parametrize("rank", (4, 5))
+def test_isometry_order_equals_bruteforce(rank):
+    """Plain A4 is nondegenerate mod 2, A5 has a radical."""
+    S = f2.reduce(build_plain_root_lattice(rank))
+    assert f2.isometry_order(S) == isometry_count_bruteforce(S)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_even_gram(max_dim=4))
+def test_isometry_order_equals_bruteforce_on_random_forms(gram):
+    """Degenerate forms included: their pairings do not force independence."""
+    S = f2.space_from_gram(gram)
+    assert f2.isometry_order(S) == isometry_count_bruteforce(S)
+
+
+def test_isometry_order_tests_independence():
+    """With q = 1 on both basis vectors and the zero pairing, only the
+    identity and the swap are isometries; b0 -> b1, b1 -> b1 keeps every
+    pairing and q on the basis but is not invertible."""
+    assert f2.isometry_order(f2.space_from_gram([[2, 0], [0, 2]])) == 2
 
 
 def test_intrinsic_and_ambient_models_agree():

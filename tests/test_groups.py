@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmod2 import bridge, errors
-from dpmod2.groups import PermGroup, closure
+from dpmod2.groups import PermGroup
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
+from oracles import closure
 
 
 def _tuple_mult(a, b):

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpmod2 import intlinalg
+from dpmod2 import errors, f2, groups, intlinalg, lattice
 
 
 def _row_span_member(rows, v, bound=6):
@@ -101,3 +103,103 @@ def test_positive_definite():
     assert intlinalg.is_positive_definite([[2, -1], [-1, 2]])
     assert not intlinalg.is_positive_definite([[1, 2], [2, 1]])
 
+
+
+def _matrix(rows, cols, bound=4):
+    entry = st.integers(-bound, bound)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _matrix_and_row_operations(draw):
+    """An integer matrix and a word in the unimodular row operations."""
+    m = draw(st.integers(1, 4))
+    rows = draw(_matrix(m, draw(st.integers(1, 5))))
+    index = st.integers(0, m - 1)
+    ops = draw(st.lists(st.tuples(st.sampled_from(("swap", "negate", "add")),
+                                  index, index, st.integers(-3, 3)),
+                        max_size=10))
+    return rows, ops
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_matrix_and_row_operations())
+def test_hnf_is_canonical_under_unimodular_row_operations(case):
+    """The HNF depends only on the row lattice."""
+    rows, ops = case
+    mixed = [list(r) for r in rows]
+    for op, i, j, c in ops:
+        if op == "swap":
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        elif op == "negate":
+            mixed[i] = [-x for x in mixed[i]]
+        elif i != j:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+    assert intlinalg.hermite_normal_form(mixed) == intlinalg.hermite_normal_form(rows)
+
+
+@st.composite
+def _square_pair(draw):
+    n = draw(st.integers(1, 5))
+    return draw(_matrix(n, n, 6)), draw(_matrix(n, n, 6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_square_pair())
+def test_det_is_multiplicative(pair):
+    A, B = pair
+    AB = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+    assert intlinalg.det(AB) == intlinalg.det(A) * intlinalg.det(B)
+
+
+_LATTICES = ([lattice.build_del_pezzo(n) for n in range(3, 9)]
+             + [lattice.build_plain_root_lattice(r) for r in (2, 5, 10)])
+
+
+@st.composite
+def _lattice_point_and_offset(draw):
+    """A lattice, a lattice vector and a small ambient offset."""
+    L = draw(st.sampled_from(_LATTICES))
+    x = draw(st.lists(st.integers(-5, 5), min_size=L.n, max_size=L.n))
+    e = draw(st.lists(st.integers(-2, 2), min_size=L.width, max_size=L.width))
+    return L, lattice.from_coords(L, x), tuple(e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_lattice_point_and_offset())
+def test_lattice_coords_accepts_exactly_the_lattice(case):
+    """L is all integer vectors orthogonal to K: those get coordinates that
+    recombine to them, every other vector raises BadInput."""
+    L, v, e = case
+    w = tuple(a + b for a, b in zip(v, e))
+    if L.dot(e, L.K) == 0:
+        assert lattice.from_coords(L, lattice.lattice_coords(L, w)) == w
+    else:
+        with pytest.raises(errors.BadInput):
+            lattice.lattice_coords(L, w)
+
+
+# a rank-1 lattice whose basis vector (3, -2) has pivot 3, so a vector can
+# fail the pivot division before any remainder is left over
+_PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X")
+
+
+@pytest.mark.parametrize("bad_call", [
+    lambda: f2.F2QuadraticSpace(2, (1, 2), (0, 0), ((0, 1), (0, 0))),
+    lambda: f2.F2QuadraticSpace(2, (1, 1), (0, 0), ((0, 0), (0, 0))),
+    lambda: f2.space_from_gram(((1,),)),
+    lambda: groups.PermGroup([], 0),
+    lambda: groups.PermGroup([[1, 1, 2]], 3),
+    lambda: lattice.lattice_coords(_PIVOT_3, (1, 0)),
+    lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (1, 0, 0, 0)),
+    lambda: intlinalg.kernel_basis((0, 0, 0)),
+], ids=["f2-gram2", "f2-dependent-basis", "f2-odd-gram", "groups-degree",
+        "groups-not-a-permutation", "lattice-pivot", "lattice-remainder",
+        "intlinalg-zero-functional"])
+def test_bad_input_is_a_typed_error(bad_call):
+    """Rejected input raises a package error that is still a ValueError."""
+    with pytest.raises(errors.BadInput) as info:
+        bad_call()
+    assert isinstance(info.value, errors.Error)
+    assert isinstance(info.value, ValueError)

@@ -1,5 +1,6 @@
 """Lattice constructions: brute-force scans are the oracles for enumeration."""
 
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from dpmod2.lattice import (LatticeIsometry, automorphism_chain,
                             gram_isometry_count, is_root,
                             lattice_coords, root_components, root_reflection,
                             simple_roots, sublattice_gram, weyl_generators)
+from oracles import closure
 
 WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
 AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
@@ -192,6 +194,19 @@ def test_chain_order_mismatch_raises(monkeypatch):
         automorphism_chain.cache_clear()
 
 
+@pytest.mark.parametrize("L, count, digest", [
+    (build_del_pezzo(8), 418,
+     "bbc7e68e8c97d9b1a89fefa93c0ee9c4bde9ec2db41d7f39258e321cf68ca891"),
+    (build_plain_root_lattice(10), 164,
+     "89c20ce9a368a23a600ed1283464afac01b8c480284eebb8d5386aab274b6d85"),
+], ids=["E8", "A10"])
+def test_aut_search_solutions_pinned(L, count, digest):
+    """The backtracking's solutions, in order, feed the O(L) chain: pinned."""
+    solutions = lattice._aut_search(L)[1]
+    assert len(solutions) == count
+    assert hashlib.sha256(repr(solutions).encode()).hexdigest() == digest
+
+
 def test_root_permutation_not_closed():
     """A non-isometry built with check=False is caught, even with huge entries."""
     L = build_del_pezzo(4)
@@ -223,7 +238,7 @@ def test_root_action_is_faithful(n):
     L = build_del_pezzo(n)
     R = enumerate_roots(L)
     ident = LatticeIsometry.identity(L)
-    elems = groups.closure(automorphism_group(L), lambda a, b: a * b, ident)
+    elems = closure(automorphism_group(L), lambda a, b: a * b, ident)
     assert len(elems) == AUT_ORDERS[n]
     for u in elems:
         if all(u.apply_ambient(r) == r for r in R):
@@ -276,6 +291,7 @@ def test_root_components_and_component_isometries():
     (((2,),), 2),
     (((2, -1), (-1, 2)), 12),
     (((2, 11), (11, 62)), 12),   # A2 on the basis a, 6a + b
+    (((2, 0), (0, 2)), 8),       # A1 x A1: signs and the swap
 ])
 def test_gram_isometry_count(gram, order):
     """The Fincke-Pohst box holds every vector, however skewed the basis."""
