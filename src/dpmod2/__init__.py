@@ -9,17 +9,17 @@ from .f2 import (F2Isometry, F2QuadraticSpace, arf, exception_check_n4,
                  f2_reflection, orthogonal_generators, quotient_by_radical,
                  radical, reduce, sp_model, symplectic_basis, value_census)
 from .groups import PermGroup
-from .lattice import (Lattice, LatticeIsometry, automorphism_group,
-                      automorphism_order, build_del_pezzo,
-                      build_plain_root_lattice, enumerate_roots, is_root,
-                      root_reflection, simple_roots, weyl_generators)
+from .lattice import (Lattice, automorphism_group, automorphism_order,
+                      build_del_pezzo, build_plain_root_lattice,
+                      enumerate_roots, is_root, root_reflection,
+                      simple_roots, weyl_generators)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors", "__version__",
     # lattice
-    "Lattice", "LatticeIsometry", "build_del_pezzo", "build_plain_root_lattice",
+    "Lattice", "build_del_pezzo", "build_plain_root_lattice",
     "enumerate_roots", "is_root", "root_reflection", "simple_roots",
     "weyl_generators", "automorphism_group", "automorphism_order",
     # f2

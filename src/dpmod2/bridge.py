@@ -1,17 +1,20 @@
 """Reduction maps between a lattice and its mod-2 space, and the verifiers.
 
 reduce_root sends a root to its mod-2 class; root_preimage inverts it by an
-explicit case table on the support; reduce_isometry sends a lattice isometry
-to the induced map of the mod-2 space.  The verify_* functions check, by
-exhaustive finite computation, the statements that the root classes biject
-with the q=1 vectors and that lattice isometries match the isometries of the
-mod-2 space, and return serializable reports.
+explicit case table on the support; reduce_isometry sends the root
+permutation of a lattice isometry to the induced map of the mod-2 space.
+The verify_* functions check, by exhaustive finite computation, the
+statements that the root classes biject with the q=1 vectors and that
+lattice isometries match the isometries of the mod-2 space, and return
+serializable reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from . import errors, f2, groups, lattice as lat
 
@@ -88,19 +91,17 @@ def root_preimage(L, v):
     return root
 
 
-def reduce_isometry(L, u):
-    """The induced isometry of the mod-2 space (basis matrix mod 2)."""
-    if not isinstance(u, lat.LatticeIsometry) or u.lattice != L:
-        raise errors.NotIsometry("expected an isometry of this lattice")
-    S = f2.reduce(L)
-    images = []
-    for row in u.matrix:
-        m = 0
-        for c, b in zip(row, S.basis):
-            if c & 1:
-                m ^= b
-        images.append(m)
-    return f2.F2Isometry(S, images)
+def reduce_isometry(L, p):
+    """The induced isometry of the mod-2 space, for the root permutation p of
+    an isometry of L (raises NotIsometry for anything else).
+
+    Basis vector i is the sum over t of lat._basis_on_simple(L)[i][t] times
+    simple root s_t, so its image is the same sum of the roots p[s_t].
+    """
+    lat.check_isometry(L, p)
+    moved = np.array([lat.enumerate_roots(L)[p[s]] for s in lat._simple_indices(L)])
+    images = np.array(lat._basis_on_simple(L)) @ moved
+    return f2.F2Isometry(f2.reduce(L), [f2._mask(v) for v in images.tolist()])
 
 
 # -- reports ----------------------------------------------------------------------
@@ -154,13 +155,12 @@ class _Checks:
 @lru_cache(maxsize=None)
 def weyl_group(L):
     """Stabilizer chain for the Weyl group acting on the roots."""
-    return groups.PermGroup([g.root_permutation() for g in lat.weyl_generators(L)],
-                            len(lat.enumerate_roots(L)))
+    return groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)))
 
 
 def aut_group(L):
     """Stabilizer chain for the full isometry group acting on the roots."""
-    return lat.automorphism_chain(L)[0]
+    return lat.automorphism_chain(L)
 
 
 def _f2_chain(S, maps):
@@ -190,8 +190,7 @@ def rho_image_order_weyl(L):
 
 
 def minus_one_in_weyl(L):
-    neg = lat.LatticeIsometry.minus_identity(L).root_permutation()
-    return weyl_group(L).contains(neg)
+    return weyl_group(L).contains(lat.minus_one(L))
 
 
 def _census_numbers(L):
@@ -249,7 +248,7 @@ def verify_lemma_isometries(L):
     c.check(aut_order == expected_kernel * image,
             f"|O(L)| = {expected_kernel} * |rho(O(L))|")
     # rho is a homomorphism on all generator pairs
-    hom = all(reduce_isometry(L, u * v) == reduce_isometry(L, u) * reduce_isometry(L, v)
+    hom = all(reduce_isometry(L, u[v]) == reduce_isometry(L, u) * reduce_isometry(L, v)
               for u in gens for v in gens)
     c.check(hom, "reduction is multiplicative on generator pairs")
     numbers = _census_numbers(L)
@@ -279,7 +278,7 @@ def _kernel_elements(L):
     allowed = [sum(1 << i for i, m in enumerate(masks) if m == masks[s])
                for s in simple]
     sols = groups.completions(rows, allowed, gram, [-1] * len(simple))
-    return [lat._from_simple_images(L, sol).root_permutation() for sol in sols]
+    return list(lat._solution_perms(L, list(sols)))
 
 
 def verify_prop1(L):
@@ -325,6 +324,8 @@ def verify_prop2(L):
     image = rho_image_order_aut(L)
     c.check(image * 2 == aut_order, "|rho(O(L))| = |O(L)| / 2")
     c.check(image == oL2, "|rho(O(L))| = |O(L2)|")
+    c.check(f2.isometry_order(S) == oL2,
+            "the reflections generate O(L2): its basis-image count agrees")
     numbers = _census_numbers(L)
     numbers.update(autL_order=aut_order, oL2_order=oL2,
                    rho_image_order=image, kernel_order=2)
@@ -414,22 +415,12 @@ def _verify_remark1():
     comps = lat.root_components(L)
     c.check(tuple(len(comp) for comp in comps) == (2, 6),
             "root components have sizes 2 and 6")
-    index = {r: i for i, r in enumerate(lat.enumerate_roots(L))}
-    neg = lat.LatticeIsometry.minus_identity(L).root_permutation()
-    signs = set()
-    ok = True
-    for perm in kernel:
-        sig = []
-        for comp in comps:
-            points = [index[r] for r in comp]
-            if all(perm[i] == i for i in points):
-                sig.append(1)
-            elif all(perm[i] == neg[i] for i in points):
-                sig.append(-1)
-            else:
-                ok = False
-        signs.add(tuple(sig))
-    c.check(ok and signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)},
+    points = [[lat.enumerate_roots(L).index(r) for r in comp] for comp in comps]
+    neg = lat.minus_one(L)
+    # 1 or -1 per component, 0 where an element is neither
+    signs = {tuple(1 if (perm[p] == p).all() else -1 if (perm[p] == neg[p]).all()
+                   else 0 for p in points) for perm in kernel}
+    c.check(signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)},
             "kernel is {+-1} x {+-1} on the two components")
     # component lattices: A1 and A2, with isometry groups of orders 2 and 12
     comp_orders = []

@@ -7,8 +7,8 @@ Subcommands:
   remark2  run the plain-A_n failure check
 
 Exit code 0 iff every executed check passes, 1 on any failed check or
-internal error, 2 on usage errors.  Output is deterministic: repeated runs
-are byte-identical.
+internal error, 2 on usage errors, such as an unwritable --output path.
+Output is deterministic: repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -60,8 +60,12 @@ def build_parser():
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:      # a usage error, like a bad flag, not a bug
+            sys.stderr.write(f"cannot write {output}: {exc.strerror or exc}\n")
+            raise SystemExit(2)
     else:
         sys.stdout.write(text)
 

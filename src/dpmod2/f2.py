@@ -343,8 +343,10 @@ def isometry_order(S):
     """
     points = S.nonzero_vectors()
     dims = np.arange(S.dim)
-    coord_bits = S._point_coords[:, None] >> dims & 1
-    polar_bits = np.array([S._polar[v] for v in points])[:, None] >> dims & 1
+    # int8: the pairing table has (2^dim - 1)^2 entries, each at most dim
+    coord_bits = (S._point_coords[:, None] >> dims & 1).astype(np.int8)
+    polar_bits = (np.array([S._polar[v] for v in points])[:, None] >> dims
+                  & 1).astype(np.int8)
     allowed = [sum(1 << p for p, v in enumerate(points) if S._q[v] == qb)
                for qb in S.qdiag]
     base = S._position[list(S.basis)].tolist()

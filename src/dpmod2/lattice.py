@@ -7,8 +7,9 @@ vectors of square 2 form a root system of type A1xA2, A4, D5, E6, E7, E8.
 The plain A_n lattice is the sum-zero sublattice of Euclidean Z^(n+1); it goes
 through the same machinery and serves as the counterexample family.
 
-Ambient vectors are plain tuples of ints.  Isometries are stored by their
-integer matrix on the lattice basis; this represents all of O(L), including
+Ambient vectors are plain tuples of ints.  An isometry is stored only by the
+permutation p it induces on enumerate_roots(L), an int32 array in which p[q]
+applies q first; the roots span L, so this represents all of O(L), including
 elements such as -1 that do not extend to the ambient lattice fixing K.
 """
 
@@ -188,125 +189,14 @@ def lattice_coords(L, v):
     return tuple(x)
 
 
-def from_coords(L, x):
-    """Ambient vector with the given basis coordinates."""
-    v = [0] * L.width
-    for xi, row in zip(x, L.basis):
-        if xi:
-            v = [a + xi * b for a, b in zip(v, row)]
-    return tuple(v)
-
+# -- roots as points: the pairing table and the simple roots --------------------
 
 @lru_cache(maxsize=None)
-def _root_table(L):
-    """Basis coordinates of the roots (one row each), row -> root index, and
-    the largest l1-norm of a row."""
-    coords = [lattice_coords(L, r) for r in enumerate_roots(L)]
-    index = {x: i for i, x in enumerate(coords)}
-    bound = max(sum(abs(c) for c in x) for x in coords)
-    return np.array(coords, dtype=np.int64), index, bound
+def _pairing_table(L):
+    """The pairings of all roots, in the order of enumerate_roots(L)."""
+    rmat = np.array(enumerate_roots(L), dtype=np.int64)
+    return (rmat * np.array(L.signs, dtype=np.int64) @ rmat.T).astype(np.int8)
 
-
-# -- isometries ----------------------------------------------------------------
-
-class LatticeIsometry:
-    """Isometry of a lattice, as its integer matrix on the lattice basis.
-
-    Row i holds the basis coordinates of the image of basis vector i, so the
-    map acts on coordinate rows by x -> x @ matrix.
-    """
-
-    __slots__ = ("lattice", "matrix")
-
-    def __init__(self, lattice, matrix, check=True):
-        matrix = tuple(tuple(int(a) for a in row) for row in matrix)
-        if check:
-            n = lattice.n
-            if len(matrix) != n or any(len(r) != n for r in matrix):
-                raise errors.NotIsometry("matrix must be n x n")
-            G = lattice.gram
-            for i in range(n):
-                for j in range(i, n):
-                    v = sum(matrix[i][a] * G[a][b] * matrix[j][b]
-                            for a in range(n) for b in range(n))
-                    if v != G[i][j]:
-                        raise errors.NotIsometry("matrix does not preserve the Gram form")
-            if abs(intlinalg.det(matrix)) != 1:
-                raise errors.NotIsometry("matrix is not invertible over Z")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LatticeIsometry is immutable")
-
-    @classmethod
-    def identity(cls, L):
-        return cls(L, tuple(tuple(1 if i == j else 0 for j in range(L.n))
-                            for i in range(L.n)), check=False)
-
-    @classmethod
-    def minus_identity(cls, L):
-        return cls(L, tuple(tuple(-1 if i == j else 0 for j in range(L.n))
-                            for i in range(L.n)), check=False)
-
-    def apply_ambient(self, v):
-        """Image of an ambient lattice vector."""
-        L, M = self.lattice, self.matrix
-        x = lattice_coords(L, v)
-        return from_coords(L, [sum(a * row[j] for a, row in zip(x, M))
-                               for j in range(L.n)])
-
-    def root_permutation(self):
-        """Index in enumerate_roots(L) of the image of each root, in order.
-
-        Raises NotClosed if a root maps outside the root set, which only a
-        matrix built with check=False can do.
-        """
-        coords, index, bound = _root_table(self.lattice)
-        big = max(abs(a) for row in self.matrix for a in row)
-        # int64 is exact while no image coordinate can reach 2**63
-        dtype = np.int64 if big * bound < 2 ** 63 else object
-        images = (coords.astype(dtype) @ np.array(self.matrix, dtype=dtype)).tolist()
-        perm = [index.get(tuple(row)) for row in images]
-        if None in perm:
-            raise errors.NotClosed("the matrix maps a root outside the root set")
-        return perm
-
-    def __mul__(self, other):
-        """Composition: (self * other) applies other first."""
-        if self.lattice != other.lattice:
-            raise errors.NotIsometry("isometries of different lattices")
-        A, B = other.matrix, self.matrix
-        n = len(A)
-        prod = tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n))
-                           for j in range(n)) for i in range(n))
-        return LatticeIsometry(self.lattice, prod, check=False)
-
-    def is_identity(self):
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(len(self.matrix)) for j in range(len(self.matrix)))
-
-    def __eq__(self, other):
-        return (isinstance(other, LatticeIsometry)
-                and self.lattice == other.lattice and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.lattice, self.matrix))
-
-    def __repr__(self):
-        return f"LatticeIsometry({self.lattice.root_type}, {self.matrix})"
-
-
-def root_reflection(L, alpha):
-    """The reflection x -> x - <x, alpha> alpha in a root alpha."""
-    if not is_root(L, alpha):
-        raise errors.NotARoot(f"{alpha} is not a root")
-    return LatticeIsometry(L, [lattice_coords(L, [a - L.dot(b, alpha) * c
-                                                  for a, c in zip(b, alpha)])
-                               for b in L.basis])
-
-
-# -- simple roots and generators ----------------------------------------------
 
 _WEIGHT_BASE = 101  # exceeds twice any root coordinate, so heights are injective
 
@@ -316,20 +206,106 @@ def _height(v):
 
 
 @lru_cache(maxsize=None)
-def simple_roots(L):
-    """Indecomposable positive roots for a fixed generic height functional."""
-    roots = enumerate_roots(L)
-    pos = [r for r in roots if _height(r) > 0]
-    posset = set(pos)
-    simple = []
-    for a in pos:
-        if not any(b != a and tuple(x - y for x, y in zip(a, b)) in posset
-                   for b in pos):
-            simple.append(a)
+def _simple_indices(L):
+    """Indices in enumerate_roots(L) of the indecomposable positive roots for
+    a fixed generic height functional.
+
+    A positive root a is a sum of two positive roots iff some positive root b
+    of lower height has <a, b> = 1: a - b is a root iff <a, b> = 1, and it is
+    positive iff b is lower, since the height is linear.  Heights are Python
+    ints: 101**10 exceeds int64.
+    """
+    heights = [_height(r) for r in enumerate_roots(L)]
+    pos = sorted((i for i, h in enumerate(heights) if h > 0), key=heights.__getitem__)
+    # row a, column b < a of the positive block in ascending height
+    lower = np.tril(_pairing_table(L)[np.ix_(pos, pos)] == 1, -1).any(axis=1)
+    simple = sorted(i for i, low in zip(pos, lower.tolist()) if not low)
     if len(simple) != L.n:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: {len(simple)} simple roots for rank {L.n}")
     return tuple(simple)
+
+
+def simple_roots(L):
+    """Indecomposable positive roots for a fixed generic height functional."""
+    roots = enumerate_roots(L)
+    return tuple(roots[i] for i in _simple_indices(L))
+
+
+# -- isometries, as root permutations --------------------------------------------
+#
+# Maps are computed on C, the roots' coordinates on the simple roots, and
+# read back by _to_roots.
+
+@lru_cache(maxsize=None)
+def _root_coords(L):
+    """(C, m, weights, the sorted keys of C's rows, the root of each).  A
+    row's key is its base-(2m+1) number after clipping to C's range [-m, m],
+    so rows in range have distinct keys."""
+    coords = np.array([lattice_coords(L, r) for r in enumerate_roots(L)],
+                      dtype=np.int64)
+    C = coords @ np.array(_basis_on_simple(L), dtype=np.int64)
+    m = int(abs(C).max())
+    weights = (2 * m + 1) ** np.arange(L.n, dtype=np.int64)
+    keys = (C + m) @ weights
+    order = np.argsort(keys).astype(np.int32)
+    return C, m, weights, keys[order], order
+
+
+def _to_roots(L, rows):
+    """Root indices of coordinate rows on the simple roots, of any leading
+    shape, as a read-only int32 array; raises NotClosed unless every row is a
+    root's."""
+    C, m, weights, keys, order = _root_coords(L)
+    at = np.searchsorted(keys, (np.clip(rows, -m, m) + m) @ weights)
+    found = order[np.minimum(at, len(keys) - 1)]
+    if not np.array_equal(C[found], rows):
+        raise errors.NotClosed("a root maps outside the root set")
+    found.flags.writeable = False
+    return found
+
+
+def _solution_perms(L, solutions):
+    """Root permutations of the maps sending simple root t to root sol[t],
+    one per solution, in order: root r goes to the row C[r] @ C[sol].  The
+    rows are built for 16 solutions at a time: all 418 E8 solutions at once
+    would take about 13 MB of temporary arrays."""
+    C = _root_coords(L)[0]
+    sols = np.array(solutions, dtype=np.intp).reshape(-1, L.n)
+    for i in range(0, len(sols), 16):
+        yield from _to_roots(L, C @ C[sols[i:i + 16]])
+
+
+def minus_one(L):
+    """The root permutation of -1."""
+    return _to_roots(L, -_root_coords(L)[0])
+
+
+def root_reflection(L, alpha):
+    """The root permutation of the reflection x -> x - <x, alpha> alpha in a
+    root alpha."""
+    if not is_root(L, alpha):
+        raise errors.NotARoot(f"{alpha} is not a root")
+    a = enumerate_roots(L).index(tuple(alpha))
+    C = _root_coords(L)[0]
+    return _to_roots(L, C - _pairing_table(L)[:, a, None] * C[a])
+
+
+def check_isometry(L, p):
+    """Raise NotIsometry unless p is the root permutation of an isometry of L.
+
+    It is one iff it keeps the pairing of every simple root with every root:
+    the simple roots' images then keep their Gram matrix, so they define an
+    isometry g, and as the simple roots span L and the form is nondegenerate,
+    every p[r] is g(r).
+    """
+    table, simple = _pairing_table(L), list(_simple_indices(L))
+    p = np.asarray(p)
+    if (p.shape != (len(table),) or not np.issubdtype(p.dtype, np.integer)
+            or ((p < 0) | (p >= len(table))).any()
+            or not np.array_equal(table[np.ix_(p[simple], p)], table[simple])):
+        raise errors.NotIsometry(
+            f"not the root permutation of an isometry of {L.root_type}")
 
 
 @lru_cache(maxsize=None)
@@ -345,10 +321,7 @@ def _root_pairings(L):
     """The search data of the roots: groups.pairing_rows of their pairing
     table, the simple roots' indices in enumerate_roots(L), and the simple
     roots' Gram matrix."""
-    rmat = np.array(enumerate_roots(L), dtype=np.int64)
-    table = rmat * np.array(L.signs, dtype=np.int64) @ rmat.T
-    index = {r: i for i, r in enumerate(enumerate_roots(L))}
-    simple = [index[s] for s in simple_roots(L)]
+    table, simple = _pairing_table(L), list(_simple_indices(L))
     return (groups.pairing_rows(table), simple,
             table[np.ix_(simple, simple)].tolist())
 
@@ -394,15 +367,6 @@ def _basis_on_simple(L):
     return tuple(row[n:] for row in hnf)
 
 
-def _from_simple_images(L, images):
-    """The map sending simple root t to root images[t] (indices into
-    enumerate_roots(L)), unchecked: an isometry when the images keep the
-    simple roots' pairings."""
-    on_simple = np.array(_basis_on_simple(L), dtype=np.int64)
-    coords = _root_table(L)[0]
-    return LatticeIsometry(L, (on_simple @ coords[list(images)]).tolist(), check=False)
-
-
 def automorphism_order(L):
     """|O(L)| by exhaustive backtracking, independent of the chain engine."""
     return _aut_search(L)[0]
@@ -410,32 +374,29 @@ def automorphism_order(L):
 
 @lru_cache(maxsize=None)
 def automorphism_chain(L):
-    """The stabilizer chain of O(L) on the roots, and the isometries behind it.
+    """The stabilizer chain of O(L) on the roots.
 
     The backtracking search yields one isometry per stabilizer-orbit element,
-    which together generate O(L); only those that grow the chain are kept,
-    with -1 first, so the chain's generators are the kept isometries' root
-    permutations in order.  The chain order is checked against the
-    backtracking count.
+    which together generate O(L); the chain starts from -1 and records, as
+    its generators, only those that grow it, each checked to be an isometry.
+    Its order is checked against the backtracking count.
     """
     order, solutions = _aut_search(L)
-    minus = LatticeIsometry.minus_identity(L)
-    chain = groups.PermGroup([minus.root_permutation()], len(enumerate_roots(L)))
-    kept = [minus]
-    for sol in solutions:
-        u = _from_simple_images(L, sol)
-        if chain.extend(u.root_permutation()):
-            kept.append(LatticeIsometry(L, u.matrix))
+    chain = groups.PermGroup([minus_one(L)], len(enumerate_roots(L)))
+    for p in _solution_perms(L, solutions):
+        if chain.extend(p):
+            check_isometry(L, p)
     if chain.order() != order:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "
             f"from the backtracking count {order}")
-    return chain, tuple(kept)
+    return chain
 
 
 def automorphism_group(L):
-    """Generators of the full isometry group O(L); the first one is -1."""
-    return automorphism_chain(L)[1]
+    """Root permutations generating the full isometry group O(L); the first
+    one is -1."""
+    return tuple(automorphism_chain(L).generators)
 
 
 # -- decomposition helpers (used for the n=3 analysis) ---------------------------
@@ -443,22 +404,11 @@ def automorphism_group(L):
 def root_components(L):
     """Connected components of the root set under nonzero pairing, sorted."""
     roots = enumerate_roots(L)
-    parent = list(range(len(roots)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if L.dot(roots[i], roots[j]) != 0:
-                parent[find(i)] = find(j)
-    comps = {}
-    for i, r in enumerate(roots):
-        comps.setdefault(find(i), []).append(r)
-    return tuple(sorted((tuple(sorted(c)) for c in comps.values()),
+    linked = _pairing_table(L) != 0     # reflexive: <r, r> = 2
+    while not np.array_equal(linked, grown := linked @ linked):
+        linked = grown
+    comps = {tuple(np.nonzero(row)[0].tolist()) for row in linked}
+    return tuple(sorted((tuple(roots[i] for i in c) for c in comps),
                         key=lambda c: (len(c), c)))
 
 

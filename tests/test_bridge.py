@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dpmod2 import bridge, errors, f2
-from dpmod2.lattice import (LatticeIsometry, automorphism_group,
-                            build_del_pezzo, build_plain_root_lattice,
-                            enumerate_roots, root_reflection, weyl_generators)
+from dpmod2.lattice import (automorphism_group, build_del_pezzo,
+                            build_plain_root_lattice, enumerate_roots,
+                            root_reflection, simple_roots, weyl_generators)
 
 
 def _pointwise(points, image):
@@ -20,11 +21,23 @@ def _pointwise(points, image):
                          + [build_plain_root_lattice(8)],
                          ids=lambda L: L.root_type)
 def test_batched_permutations_match_pointwise(L):
-    """Every generator kind's batched permutation equals the per-point one."""
+    """Every generator kind's batched permutation equals the per-point one.
+
+    On the roots the references are the reflection formula on ambient tuples
+    and negation; the other kept automorphisms have no formula and are
+    checked against the full table of root pairings.
+    """
     R = enumerate_roots(L)
+    for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
+        assert g.tolist() == _pointwise(R, lambda r: tuple(
+            x - L.dot(r, alpha) * a for x, a in zip(r, alpha)))
+    minus, *kept = automorphism_group(L)
+    assert minus.tolist() == _pointwise(R, lambda r: tuple(-x for x in r))
+    table = np.array(R) * np.array(L.signs) @ np.array(R).T
+    for g in kept:
+        assert sorted(g.tolist()) == list(range(len(R)))
+        assert (table[np.ix_(g, g)] == table).all()
     isometries = weyl_generators(L) + automorphism_group(L)
-    for g in isometries:
-        assert g.root_permutation() == _pointwise(R, g.apply_ambient)
     S = f2.reduce(L)
     maps = [(S, g) for g in f2.orthogonal_generators(S)]
     maps += [(S, bridge.reduce_isometry(L, u)) for u in isometries]
@@ -109,8 +122,10 @@ def test_root_preimage_plain_lattice():
 def test_reduce_isometry_properties(n):
     L = build_del_pezzo(n)
     S = f2.reduce(L)
-    assert bridge.reduce_isometry(L, LatticeIsometry.identity(L)).is_identity()
-    assert bridge.reduce_isometry(L, LatticeIsometry.minus_identity(L)).is_identity()
+    R = enumerate_roots(L)
+    assert bridge.reduce_isometry(L, range(len(R))).is_identity()
+    assert bridge.reduce_isometry(
+        L, [R.index(tuple(-c for c in r)) for r in R]).is_identity()
     # compatibility: reducing the reflection in alpha gives the reflection
     # in the reduction of alpha
     for alpha in enumerate_roots(L):
@@ -124,16 +139,52 @@ def test_reduce_isometry_is_homomorphism(n):
     gens = automorphism_group(L)
     for u in gens:
         for v in gens:
-            assert (bridge.reduce_isometry(L, u * v)
+            # u[v] applies v first, like the mod-2 product
+            assert (bridge.reduce_isometry(L, u[v])
                     == bridge.reduce_isometry(L, u) * bridge.reduce_isometry(L, v))
 
 
 def test_reduce_isometry_rejects_foreign_input():
     L = build_del_pezzo(4)
     with pytest.raises(errors.NotIsometry):
-        bridge.reduce_isometry(L, LatticeIsometry.identity(build_del_pezzo(5)))
+        bridge.reduce_isometry(L, np.arange(40))     # the identity of rank 5
     with pytest.raises(errors.NotIsometry):
         bridge.reduce_isometry(L, "not an isometry")
+
+
+def _transposition(L):
+    p = list(range(len(enumerate_roots(L))))
+    p[0], p[1] = p[1], p[0]
+    return p
+
+
+def _out_of_range(L):
+    p = list(range(len(enumerate_roots(L))))
+    p[-1] = len(p)
+    return p
+
+
+def _negative_entry(L):
+    p = list(range(len(enumerate_roots(L))))
+    p[0] = -len(p)          # numpy would wrap it to root 0
+    return p
+
+
+@pytest.mark.parametrize("bad", [
+    _transposition,
+    lambda L: list(range(len(enumerate_roots(L)) - 1)),                 # too short
+    _out_of_range,
+    _negative_entry,
+    lambda L: weyl_generators(build_plain_root_lattice(4))[0],          # also 20 roots
+    lambda L: "0123456789",
+    lambda L: [float(i) for i in range(len(enumerate_roots(L)))],
+], ids=["transposition", "wrong-length", "out-of-range", "negative",
+        "A4-reflection", "string", "floats"])
+def test_reduce_isometry_rejects_non_isometries(bad):
+    """Only root permutations of isometries of this lattice get through."""
+    L = build_del_pezzo(4)
+    with pytest.raises(errors.NotIsometry):
+        bridge.reduce_isometry(L, bad(L))
 
 
 @pytest.mark.parametrize("n", range(3, 9))

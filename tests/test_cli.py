@@ -116,6 +116,20 @@ def test_output_file(tmp_path, capsys):
     assert payload["all_pass"] is True
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.txt", "."])
+def test_unwritable_output_is_a_usage_error(where, tmp_path, capsys):
+    """A missing directory or a directory as --output exits 2, no traceback."""
+    path = tmp_path / where
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--n", "3", "--output", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_json_roundtrip_through_reports(capsys):
     from dpmod2.bridge import VerificationReport
     _, out = _run(["verify", "--n", "5", "--format", "json"], capsys)

@@ -4,12 +4,12 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from dpmod2 import errors, groups, intlinalg, lattice
-from dpmod2.lattice import (LatticeIsometry, automorphism_chain,
-                            automorphism_group, automorphism_order,
-                            build_del_pezzo,
+from dpmod2.lattice import (automorphism_chain, automorphism_group,
+                            automorphism_order, build_del_pezzo,
                             build_plain_root_lattice, enumerate_roots,
                             gram_isometry_count, is_root,
                             lattice_coords, root_components, root_reflection,
@@ -21,8 +21,39 @@ AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
 ROOTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
 
 
-def _root_group(gens, roots):
-    return groups.PermGroup([g.root_permutation() for g in gens], len(roots))
+def _root_group(perms, roots):
+    return groups.PermGroup(perms, len(roots))
+
+
+def _pointwise(L, image):
+    """Reference root permutation: the index of image(r) for each root r,
+    computed on ambient tuples one root at a time."""
+    R = enumerate_roots(L)
+    index = {r: i for i, r in enumerate(R)}
+    return [index[image(r)] for r in R]
+
+
+def _reflection_reference(L, alpha):
+    return _pointwise(L, lambda r: tuple(
+        x - L.dot(r, alpha) * a for x, a in zip(r, alpha)))
+
+
+def _negation_reference(L):
+    return _pointwise(L, lambda r: tuple(-x for x in r))
+
+
+def _pairing_table(L):
+    """The full N x N table of root pairings, built here from the ambient form."""
+    R = np.array(enumerate_roots(L))
+    return R * np.array(L.signs) @ R.T
+
+
+def _preserves_all_pairings(L, p):
+    """p is a permutation of the roots keeping every pairing: the root
+    action of an isometry (the roots span L)."""
+    table = _pairing_table(L)
+    return (sorted(p) == list(range(len(table)))
+            and (table[np.ix_(p, p)] == table).all())
 
 
 def test_dot_examples():
@@ -111,14 +142,14 @@ def test_root_reflection_properties(n):
     random.seed(n)
     for alpha in random.sample(R, 5):
         s = root_reflection(L, alpha)
-        assert s.apply_ambient(alpha) == tuple(-c for c in alpha)
-        assert (s * s).is_identity()
+        a = R.index(alpha)
+        assert s.tolist() == _reflection_reference(L, alpha)
+        assert s[a] == R.index(tuple(-c for c in alpha))
+        assert s[s].tolist() == list(range(len(R)))
         # fixes the orthogonal hyperplane
-        for x in R:
+        for i, x in enumerate(R):
             if L.dot(x, alpha) == 0:
-                assert s.apply_ambient(x) == x
-        # permutes the root set
-        assert {s.apply_ambient(r) for r in R} == set(R)
+                assert s[i] == i
 
 
 def test_root_reflection_rejects_non_roots():
@@ -162,7 +193,8 @@ def test_weyl_equals_all_root_reflections(n):
 def test_minus_one_in_weyl_iff_7_or_8(n):
     L = build_del_pezzo(n)
     G = _root_group(weyl_generators(L), enumerate_roots(L))
-    neg = LatticeIsometry.minus_identity(L).root_permutation()
+    neg = _negation_reference(L)
+    assert lattice.minus_one(L).tolist() == neg
     assert G.contains(neg) == (n in (7, 8))
 
 
@@ -170,15 +202,15 @@ def test_minus_one_in_weyl_iff_7_or_8(n):
 def test_automorphism_group_orders(n):
     L = build_del_pezzo(n)
     gens = automorphism_group(L)
-    assert LatticeIsometry.minus_identity(L) in gens
+    assert gens[0].tolist() == _negation_reference(L)
     G = _root_group(gens, enumerate_roots(L))
     # chain order equals the independent backtracking count
     assert G.order() == automorphism_order(L) == AUT_ORDERS[n]
-    # the pruning chain is generated by exactly the kept isometries, in order
-    chain = automorphism_chain(L)[0]
+    # the pruning chain is generated by exactly the kept permutations, in order
+    chain = automorphism_chain(L)
     assert chain.order() == AUT_ORDERS[n]
-    assert [g.tolist() for g in chain.generators] == [
-        u.root_permutation() for u in gens]
+    assert [g.tolist() for g in chain.generators] == [u.tolist() for u in gens]
+    assert all(_preserves_all_pairings(L, u) for u in gens)
 
 
 def test_chain_order_mismatch_raises(monkeypatch):
@@ -208,41 +240,42 @@ def test_aut_search_solutions_pinned(L, count, digest):
 
 
 def test_root_permutation_not_closed():
-    """A non-isometry built with check=False is caught, even with huge entries."""
+    """Coordinate rows off the root set are caught, even with huge entries,
+    and so is a map sending every simple root to the same root."""
     L = build_del_pezzo(4)
-    double = tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4))
+    C = lattice._root_coords(L)[0]
+    assert lattice._to_roots(L, C).tolist() == list(range(len(C)))
     with pytest.raises(errors.NotClosed):
-        LatticeIsometry(L, double, check=False).root_permutation()
-    huge = ((2 ** 70, 0, 0, 0),) + double[1:]
+        lattice._to_roots(L, 2 * C)
+    huge = C.copy()
+    huge[3, 0] += 2 ** 60
     with pytest.raises(errors.NotClosed):
-        LatticeIsometry(L, huge, check=False).root_permutation()
+        lattice._to_roots(L, huge)
+    s0 = lattice._simple_indices(L)[0]
+    with pytest.raises(errors.NotClosed):
+        list(lattice._solution_perms(L, [(s0,) * L.n]))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_generators_preserve_gram_and_permute_roots(n):
     L = build_del_pezzo(n)
-    R = set(enumerate_roots(L))
     for g in weyl_generators(L) + automorphism_group(L):
-        M, G = g.matrix, L.gram
-        for i in range(n):
-            for j in range(n):
-                v = sum(M[i][a] * G[a][b] * M[j][b]
-                        for a in range(n) for b in range(n))
-                assert v == G[i][j]
-        assert {g.apply_ambient(r) for r in R} == R
+        assert _preserves_all_pairings(L, g.tolist())
+    for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
+        assert g.tolist() == _reflection_reference(L, alpha)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_root_action_is_faithful(n):
-    """Only the identity isometry fixes every root (exhaustive closure)."""
+    """The kept root permutations generate AUT_ORDERS[n] distinct ones, the
+    independent count of O(L), so only the identity fixes every root
+    (exhaustive closure)."""
     L = build_del_pezzo(n)
-    R = enumerate_roots(L)
-    ident = LatticeIsometry.identity(L)
-    elems = closure(automorphism_group(L), lambda a, b: a * b, ident)
+    gens = [tuple(g.tolist()) for g in automorphism_group(L)]
+    ident = tuple(range(len(enumerate_roots(L))))
+    elems = closure(gens, lambda a, b: tuple(a[i] for i in b), ident)
     assert len(elems) == AUT_ORDERS[n]
-    for u in elems:
-        if all(u.apply_ambient(r) == r for r in R):
-            assert u == ident
+    assert all(_preserves_all_pairings(L, list(u)) for u in elems)
 
 
 def test_lattice_coords_roundtrip():
