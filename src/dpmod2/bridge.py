@@ -248,8 +248,9 @@ def verify_lemma_isometries(L):
     c.check(aut_order == expected_kernel * image,
             f"|O(L)| = {expected_kernel} * |rho(O(L))|")
     # rho is a homomorphism on all generator pairs
-    hom = all(reduce_isometry(L, u[v]) == reduce_isometry(L, u) * reduce_isometry(L, v)
-              for u in gens for v in gens)
+    reduced = [reduce_isometry(L, u) for u in gens]
+    hom = all(reduce_isometry(L, u[v]) == ru * rv
+              for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
     c.check(hom, "reduction is multiplicative on generator pairs")
     numbers = _census_numbers(L)
     numbers.update(autL_order=aut_order, rho_image_order=image,

@@ -12,9 +12,15 @@ Permutations are int32 arrays, and p[q] applies q first, then p.  Sifting
 uses only inverse coset representatives, so each level's orbit table stores
 u_p^-1 in place of u_p (one array per orbit point, no second copy): a sift
 step is one gather, and a Schreier generator u_{g(p)}^-1 g u_p is one gather
-and one scatter.  The Schreier generators on the orbit's spanning-tree edges,
-the pairs (p, g) that defined u_{g(p)} = g u_p, are the identity and are not
-sifted (Seress, Permutation Group Algorithms, 2003, sec. 4.2).
+and one scatter.  The gathers are `take` calls, which use the int32 index
+as it is where fancy indexing would convert it to intp on every call;
+entries are read with `item`, and a sift's identity test compares bytes
+with the identity's, cached once.  The Schreier generators on the orbit's
+spanning-tree edges, the pairs (p, g) that defined u_{g(p)} = g u_p, are
+the identity and are not sifted (Seress, Permutation Group Algorithms,
+2003, sec. 4.2).  When g is an involution, the reverse edge (g(p), g) is
+skipped too: its Schreier generator is u_p^-1 g g u_p = 1.  Every level-0
+generator of the reflection chains is an involution.
 
 orbit_search is the one isometry search: it backtracks over the images of a
 base among points given by their pairing table, as bitsets, and counts the
@@ -49,16 +55,24 @@ class PermGroup:
         if self.degree < 1:
             raise errors.BadInput("degree must be positive")
         self._identity = np.arange(self.degree, dtype=np.int32)
+        self._identity_bytes = self._identity.tobytes()
         self.generators = []
         self._levels = []
         for g in generators:
             self.extend(g)
 
     def _check_perm(self, g):
-        g = np.asarray(g, dtype=np.int32)
+        g = np.asarray(g)
         if g.shape != (self.degree,):
             raise errors.DegreeMismatch(
                 f"permutation of degree {g.shape} in group of degree {self.degree}")
+        # checked before the int32 cast, which would truncate floats and
+        # wrap or overflow on entries out of range
+        if g.dtype.kind not in "iu":
+            raise errors.BadInput(f"permutation entries of type {g.dtype}")
+        if g.min() < 0 or g.max() >= self.degree:
+            raise errors.BadInput("permutation entry out of range")
+        g = g.astype(np.int32, copy=False)
         if not np.array_equal(np.sort(g), self._identity):
             raise errors.BadInput("not a permutation")
         return g
@@ -114,14 +128,14 @@ class PermGroup:
         cur = g
         for idx in range(start, len(self._levels)):
             lv = self._levels[idx]
-            img = int(cur[lv.beta])
+            img = cur.item(lv.beta)
             if img == lv.beta:
                 continue
             u_inv = lv.orbit.get(img)
             if u_inv is None:
                 return cur, idx
-            cur = u_inv[cur]
-        if (cur != self._identity).any():
+            cur = u_inv.take(cur)
+        if cur.tobytes() != self._identity_bytes:
             return cur, len(self._levels)
         return None, len(self._levels)
 
@@ -132,8 +146,8 @@ class PermGroup:
         sifting through them is an exact membership test; a Schreier generator
         that does not sift to the identity is genuinely new and its residue is
         added to level idx+1, which is then re-completed before continuing.
-        Schreier generators on spanning-tree edges are the identity and are
-        skipped.
+        Schreier generators on spanning-tree edges, and on their reverse
+        edges for involutions, are the identity and are skipped.
         """
         lv = self._levels[idx]
         n = self.degree
@@ -145,21 +159,27 @@ class PermGroup:
         old = len(lv.orbit_order)
         every = list(enumerate(lv.gens))
         fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
-        # gi * n + p for each u_{g(p)} = g u_p defined in this call
+        # gi * n + p for each u_{g(p)} = g u_p defined in this call, and
+        # gi * n + g(p) when g is an involution
         tree = set()
         gen_inv = {}
+        involution = {}
         i = 0
         while i < len(lv.orbit_order):
             p = lv.orbit_order[i]
             for gi, gen in (fresh if i < old else every):
-                q = int(gen[p])
+                q = gen.item(p)
                 if q not in lv.orbit:
                     if gi not in gen_inv:
                         gen_inv[gi] = self._inverse(gen)
+                        involution[gi] = (gen.take(gen).tobytes()
+                                          == self._identity_bytes)
                     # u_q^-1 = u_p^-1 g^-1
                     lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
                     lv.orbit_order.append(q)
                     tree.add(gi * n + p)
+                    if involution[gi]:
+                        tree.add(gi * n + q)
             i += 1
         # Deeper levels never change this one, so one pass over the Schreier
         # generators of the closed orbit completes it.
@@ -172,7 +192,7 @@ class PermGroup:
                     continue
                 # s = u_{g(p)}^-1 g u_p, i.e. s[u_p^-1] = u_{g(p)}^-1 g
                 s = np.empty_like(gen)
-                s[lv.orbit[p]] = lv.orbit[int(gen[p])][gen]
+                s[lv.orbit[p]] = lv.orbit[gen.item(p)].take(gen)
                 residue, _ = self._sift(s, idx + 1)
                 if residue is None:
                     continue

@@ -1,5 +1,6 @@
 """Stabilizer-chain engine: brute-force closure is the independent oracle."""
 
+import hashlib
 import math
 import random
 
@@ -98,6 +99,36 @@ def test_rejects_non_permutations():
         PermGroup([[1, 1, 2]], 3)
 
 
+@pytest.mark.parametrize("bad", [
+    [1.7, 0.2, 2.9],            # an int32 cast would truncate it to (0 1)
+    [1.0, 0.0, 2.0],
+    ["1", "0", "2"],
+    [True, False, True],
+    [2**40, 0, 1],              # an int32 cast would overflow
+    [2**70, 0, 1],
+    [-1, 0, 1],
+    [3, 0, 1],
+    [None, 0, 1],
+], ids=["fractional", "float", "str", "bool", "2**40", "2**70", "negative",
+        "degree", "None"])
+def test_rejects_malformed_entries(bad):
+    with pytest.raises(errors.BadInput):
+        PermGroup([bad], 3)
+    G = PermGroup([[1, 0, 2]], 3)
+    with pytest.raises(errors.BadInput):
+        G.contains(bad)
+    with pytest.raises(errors.BadInput):
+        G.extend(bad)
+    assert G.order() == 2
+
+
+def test_accepts_any_integer_dtype():
+    for dtype in (np.int8, np.uint16, np.int64, np.uint64):
+        G = PermGroup([np.array([1, 2, 0], dtype=dtype)], 3)
+        assert G.order() == 3
+        assert G.contains(np.array([2, 0, 1], dtype=dtype))
+
+
 def test_contains_single_transposition():
     G = PermGroup([np.array([1, 0, 2, 3, 4])], 5)
     assert G.order() == 2
@@ -140,16 +171,50 @@ def _group_and_elements(draw):
     return k, gens, members + others
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(_group_and_elements())
-def test_sift_matches_closure(case):
-    """Membership by sifting equals membership in the brute-force closure."""
-    k, gens, elements = case
+def _check_against_closure(k, gens, elements):
     G = PermGroup([np.array(g) for g in gens], k)
     elems = closure([tuple(g) for g in gens], _tuple_mult, tuple(range(k)))
     assert math.prod(G.basic_orbit_lengths()) == len(elems) == G.order()
     for x in elements:
         assert G.contains(np.array(x)) == (x in elems)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_group_and_elements())
+def test_sift_matches_closure(case):
+    """Membership by sifting equals membership in the brute-force closure."""
+    _check_against_closure(*case)
+
+
+@st.composite
+def _involutions_and_elements(draw):
+    """Products of disjoint transpositions of degree <= 7, one other
+    permutation among them, and elements to test for membership."""
+    k = draw(st.integers(2, 7))
+    involutions = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(k)))
+        g = list(range(k))
+        for a, b in zip(order[0::2], order[1::2]):
+            if draw(st.booleans()):
+                g[a], g[b] = b, a
+        involutions.append(tuple(g))
+    other = tuple(draw(st.permutations(range(k))))
+    gens = involutions[:]
+    gens.insert(draw(st.integers(0, len(gens))), other)
+    x = tuple(range(k))
+    for g in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=5)):
+        x = _tuple_mult(g, x)
+    elements = [x] + draw(st.lists(st.permutations(range(k)).map(tuple),
+                                   max_size=4))
+    return k, gens, elements
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_involutions_and_elements())
+def test_involution_edges_match_closure(case):
+    """Skipping the reverse tree edges of involutions keeps the chain exact."""
+    _check_against_closure(*case)
 
 
 @pytest.mark.parametrize("chain, base, orbits", [
@@ -169,3 +234,30 @@ def test_chain_shape_pinned(chain, base, orbits):
     assert G.base() == base
     assert G.basic_orbit_lengths() == orbits
     assert G.order() == math.prod(orbits)
+
+
+def _chain_digest(G):
+    """sha256 over each level's base point, orbit order, generators and
+    stored inverse coset representatives."""
+    h = hashlib.sha256()
+    for lv in G._levels:
+        h.update(np.array([lv.beta, len(lv.orbit_order), len(lv.gens),
+                           *lv.orbit_order], dtype=np.int32).tobytes())
+        for g in lv.gens + [lv.orbit[p] for p in lv.orbit_order]:
+            h.update(np.asarray(g, dtype=np.int32).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("chain, digest", [
+    (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
+     "8e351a853c38d2ac7b51c16a704ecdd751a0a46685678c6b56ceefbe0e37f0d5"),
+    (lambda: bridge.weyl_group(build_del_pezzo(8)),
+     "2a884d35a6220d3dee03f32a783b832005d69f1214c1ee4e57d26f3b071e962a"),
+    (lambda: bridge.aut_group(build_del_pezzo(8)),
+     "14b7a160b9e2f8b3f241bce723a88f66ec69ce3c007a1133b8ab7a1c1ec2747d"),
+    (lambda: bridge.oL2_group(build_del_pezzo(8)),
+     "2a79a632928521f2bdfab020208147e8a18e1791ff59edd67b2c16abd0854786"),
+], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2"])
+def test_chain_pinned(chain, digest):
+    """Every level of the chains is bit-identical to the pinned one."""
+    assert _chain_digest(chain()) == digest
