@@ -5,9 +5,9 @@ from . import errors
 from .bridge import (VerificationReport, reduce_isometry, reduce_root,
                      reports_for, root_preimage, verify_corollary,
                      verify_lemma, verify_prop1, verify_prop2, verify_remarks)
-from .f2 import (F2Isometry, F2QuadraticSpace, arf, exception_check_n4,
-                 f2_reflection, orthogonal_generators, quotient_by_radical,
-                 radical, reduce, sp_model, symplectic_basis, value_census)
+from .f2 import (F2QuadraticSpace, arf, exception_check_n4, f2_reflection,
+                 orthogonal_generators, quotient_by_radical, radical, reduce,
+                 sp_model, symplectic_basis, value_census)
 from .groups import PermGroup
 from .lattice import (Lattice, automorphism_group, automorphism_order,
                       build_del_pezzo, build_plain_root_lattice,
@@ -23,7 +23,7 @@ __all__ = [
     "enumerate_roots", "is_root", "root_reflection", "simple_roots",
     "weyl_generators", "automorphism_group", "automorphism_order",
     # f2
-    "F2QuadraticSpace", "F2Isometry", "reduce", "radical",
+    "F2QuadraticSpace", "reduce", "radical",
     "value_census", "symplectic_basis", "arf", "f2_reflection",
     "orthogonal_generators", "exception_check_n4", "sp_model",
     "quotient_by_radical",

@@ -2,11 +2,11 @@
 
 reduce_root sends a root to its mod-2 class; root_preimage inverts it by an
 explicit case table on the support; reduce_isometry sends the root
-permutation of a lattice isometry to the induced map of the mod-2 space.
-The verify_* functions check, by exhaustive finite computation, the
-statements that the root classes biject with the q=1 vectors and that
-lattice isometries match the isometries of the mod-2 space, and return
-serializable reports.
+permutation of a lattice isometry to the basis images of the induced map
+of the mod-2 space.  The verify_* functions check, by exhaustive finite
+computation, the statements that the root classes biject with the q=1
+vectors and that lattice isometries match the isometries of the mod-2
+space, and return serializable reports.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ def root_preimage(L, v):
 
 
 def reduce_isometry(L, p):
-    """The induced isometry of the mod-2 space, for the root permutation p of
-    an isometry of L (raises NotIsometry for anything else).
+    """The basis images of the induced isometry of the mod-2 space, for the
+    root permutation p of an isometry of L (raises NotIsometry for anything
+    else).
 
     Basis vector i is the sum over t of lat._basis_on_simple(L)[i][t] times
     simple root s_t, so its image is the same sum of the roots p[s_t].
@@ -101,7 +102,7 @@ def reduce_isometry(L, p):
     lat.check_isometry(L, p)
     moved = np.array([lat.enumerate_roots(L)[p[s]] for s in lat._simple_indices(L)])
     images = np.array(lat._basis_on_simple(L)) @ moved
-    return f2.F2Isometry(f2.reduce(L), [f2._mask(v) for v in images.tolist()])
+    return f2.check_isometry(f2.reduce(L), [f2._mask(v) for v in images.tolist()])
 
 
 # -- reports ----------------------------------------------------------------------
@@ -166,7 +167,7 @@ def aut_group(L):
 def _f2_chain(S, maps):
     """Stabilizer chain of the given maps acting on the nonzero vectors of S."""
     # one permutation list at a time: the chain keeps only those that grow it
-    return groups.PermGroup((m.vector_permutation() for m in maps), 2 ** S.dim - 1)
+    return groups.PermGroup((f2.permutation(S, m) for m in maps), 2 ** S.dim - 1)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +249,9 @@ def verify_lemma_isometries(L):
     c.check(aut_order == expected_kernel * image,
             f"|O(L)| = {expected_kernel} * |rho(O(L))|")
     # rho is a homomorphism on all generator pairs
+    S = f2.reduce(L)
     reduced = [reduce_isometry(L, u) for u in gens]
-    hom = all(reduce_isometry(L, u[v]) == ru * rv
+    hom = all(reduce_isometry(L, u[v]) == f2.compose(S, ru, rv)
               for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
     c.check(hom, "reduction is multiplicative on generator pairs")
     numbers = _census_numbers(L)
@@ -355,7 +357,7 @@ def verify_prop2(L):
         image_q = _f2_chain(quo.section, qgens).order()
         kernel = quo.kernel_maps()
         c.check(len(kernel) == 16, "kernel of the quotient map has order 16")
-        c.check(all(quo.project(u).is_identity() for u in kernel),
+        c.check(all(quo.project(u) == quo.section.basis for u in kernel),
                 "kernel maps project to the identity")
         c.check(oL2 == 16 * image_q, "|O(L2)| = 16 * |O(quotient)|")
         L4 = lat.build_del_pezzo(4)
@@ -383,6 +385,8 @@ def verify_corollary(L):
         c.check(not minus1, "-1 is outside the Weyl group")
         c.check(weyl == oL2, "|W| = |O(L2)|")
     c.check(image == oL2, "the Weyl group surjects onto O(L2)")
+    c.check(f2.isometry_order(f2.reduce(L)) == oL2,
+            "the reflections generate O(L2): its basis-image count agrees")
     numbers = _census_numbers(L)
     numbers.update(weyl_order=weyl, oL2_order=oL2, rho_image_order=image)
     witnesses = c.witnesses()

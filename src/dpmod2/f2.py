@@ -12,6 +12,11 @@ the AND popcount (reduce() checks this); a lattice of rank n reduces to the
 n-dimensional subspace of even-popcount masks.  The *intrinsic* model
 (space_from_gram) uses the basis coordinates as masks; coords()/from_coords()
 convert between a mask and its basis coordinates in either model.
+
+A linear self-map of a space is the tuple of its basis images.
+check_symplectic/check_isometry validate one and return it, apply and
+compose evaluate it, and permutation gives the index map it induces on
+nonzero_vectors(), the form the stabilizer chains take.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ class F2QuadraticSpace:
         self.qdiag = tuple(int(q) & 1 for q in qdiag)
         self.gram2 = tuple(tuple(int(x) & 1 for x in row) for row in gram2)
         self.ambient_k = ambient_k
+        if self.width < 0 or any(not 0 < b < 1 << self.width for b in self.basis):
+            raise errors.BadInput("basis masks must lie in [1, 2**width)")
         g, n = self.gram2, len(self.basis)
         if (len(g) != n or any(len(row) != n or row[i] for i, row in enumerate(g))
                 or any(g[i][j] != g[j][i] for i in range(n) for j in range(i))):
@@ -220,100 +227,65 @@ def _independent(bits):
     return True
 
 
-class SymplecticMap:
-    """Invertible linear self-map of a space, stored by images of the basis.
+def check_symplectic(S, images):
+    """The images of S's basis under an invertible linear self-map that
+    keeps the pairing, as a tuple; raises NotIsometry for anything else."""
+    images = tuple(int(m) for m in images)
+    if len(images) != S.dim:
+        raise errors.NotIsometry("need one image per basis vector")
+    if any(m not in S._coords for m in images):
+        raise errors.NotIsometry("image outside the space")
+    if not _independent(S._coords[m] for m in images):
+        raise errors.NotIsometry("images are linearly dependent")
+    if any(S.pair(images[i], images[j]) != S.gram2[i][j]
+           for i in range(S.dim) for j in range(i + 1, S.dim)):
+        raise errors.NotIsometry("the pairing is not preserved")
+    return images
 
-    With check=True it must preserve the pairing (an element of Sp).
+
+def check_isometry(S, images):
+    """check_symplectic plus q on the basis images, which gives q everywhere
+    by polarization (in characteristic 2 the polar form of q is alternating,
+    so O(q) lies inside Sp)."""
+    images = check_symplectic(S, images)
+    if any(S.q(m) != qb for m, qb in zip(images, S.qdiag)):
+        raise errors.NotIsometry("q is not preserved")
+    return images
+
+
+def apply(S, images, v):
+    """The image of a space vector under the map with these basis images."""
+    m = 0
+    for i in groups.bit_indices(S.coords(v)):
+        m ^= images[i]
+    return m
+
+
+def compose(S, a, b):
+    """The basis images of a after b."""
+    return tuple(apply(S, a, m) for m in b)
+
+
+def permutation(S, images):
+    """Position in S.nonzero_vectors() of the image of each of them.
+
+    The images of the whole span are built by doubling over the basis
+    images: entry c is the image of the vector with coordinate bits c.
+    Returns an int32 array.
     """
-
-    __slots__ = ("space", "images")
-
-    def __init__(self, space, images, check=True):
-        images = tuple(int(m) for m in images)
-        if len(images) != space.dim:
-            raise errors.NotIsometry("need one image per basis vector")
-        if any(m not in space._coords for m in images):
-            raise errors.NotIsometry("image outside the space")
-        if not _independent(space._coords[m] for m in images):
-            raise errors.NotIsometry("images are linearly dependent")
-        if check:
-            n = space.dim
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if space.pair(images[i], images[j]) != space.gram2[i][j]:
-                        raise errors.NotIsometry("the pairing is not preserved")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space.basis, check=False)
-
-    def apply(self, v):
-        bits = self.space.coords(v)
-        m = 0
-        for i in groups.bit_indices(bits):
-            m ^= self.images[i]
-        return m
-
-    def vector_permutation(self):
-        """Position in space.nonzero_vectors() of the image of each of them.
-
-        The images of the whole span are built by doubling over the basis
-        images: entry c is the image of the vector with coordinate bits c.
-        Returns an int32 array.
-        """
-        span = np.zeros(1 << len(self.images), dtype=np.int64)
-        for i, m in enumerate(self.images):
-            span[1 << i:2 << i] = span[:1 << i] ^ m
-        return self.space._position[span[self.space._point_coords]]
-
-    def __mul__(self, other):
-        """Composition: (self * other) applies other first."""
-        if self.space is not other.space:
-            raise errors.NotIsometry("maps on different spaces")
-        return type(self)(self.space, tuple(self.apply(m) for m in other.images))
-
-    def is_identity(self):
-        return self.images == self.space.basis
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.space is other.space
-                and self.images == other.images)
-
-    def __hash__(self):
-        return hash((id(self.space), self.images))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.images})"
-
-
-class F2Isometry(SymplecticMap):
-    """A symplectic map that also preserves the quadratic form.
-
-    In characteristic 2 the polar form of q is alternating, so O(q) lies
-    inside Sp(b) and only the q check is added.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, space, images, check=True):
-        super().__init__(space, images, check)
-        if check and any(space.q(m) != qb
-                         for m, qb in zip(self.images, space.qdiag)):
-            raise errors.NotIsometry("q is not preserved")
+    span = np.zeros(1 << len(images), dtype=np.int64)
+    for i, m in enumerate(images):
+        span[1 << i:2 << i] = span[:1 << i] ^ m
+    return S._position[span[S._point_coords]]
 
 
 def transvection(S, v):
-    """The symplectic transvection x -> x + (x|v)v (no q constraint)."""
+    """The basis images of the symplectic transvection x -> x + (x|v)v (no
+    q constraint)."""
     if not S.contains(v) or v == 0:
         raise errors.BadVector("transvection vector must be a nonzero space vector")
     pv = S._polar[v]
-    images = tuple(b ^ (v if pv >> i & 1 else 0) for i, b in enumerate(S.basis))
-    return SymplecticMap(S, images, check=False)
+    return tuple(b ^ (v if pv >> i & 1 else 0) for i, b in enumerate(S.basis))
 
 
 def f2_reflection(S, v):
@@ -324,7 +296,7 @@ def f2_reflection(S, v):
     """
     if S.q(v) != 1:
         raise errors.BadVector(f"q(v) must be 1, got {S.q(v)}")
-    return F2Isometry(S, transvection(S, v).images, check=False)
+    return transvection(S, v)
 
 
 def orthogonal_generators(S):
@@ -332,6 +304,7 @@ def orthogonal_generators(S):
     return tuple(f2_reflection(S, v) for v in S.vectors() if S.q(v) == 1)
 
 
+@lru_cache(maxsize=None)
 def isometry_order(S):
     """|O(S, q)| by groups.orbit_search over the basis images, independent
     of the reflections and the chains.
@@ -420,8 +393,8 @@ class SpModel:
 
     def forward(self, u):
         """The symplectic map p_H o u|_H of an isometry of the space."""
-        images = tuple(self.project(u.apply(h)) for h in self.hyperplane.basis)
-        return SymplecticMap(self.hyperplane, images)
+        return check_symplectic(self.hyperplane, (
+            self.project(apply(self.space, u, h)) for h in self.hyperplane.basis))
 
     def reflection_for_transvection(self, v):
         """The space reflection corresponding to the transvection at v in H."""
@@ -472,23 +445,16 @@ class QuotientModel:
 
     def project(self, u):
         """The induced isometry of the quotient (a homomorphism in u)."""
-        images = tuple(self.project_vector(u.apply(b))
-                       for b in self.section.basis)
-        return F2Isometry(self.section, images)
+        return check_isometry(self.section, (
+            self.project_vector(apply(self.space, u, b)) for b in self.section.basis))
 
     def kernel_maps(self):
         """All maps x -> x + l(x)k with l(k) = 0: the kernel of project()."""
         S = self.space
         kc = S.coords(self.k)
-        n = S.dim
-        out = []
-        for lam in range(1 << n):
-            if _parity(lam & kc):
-                continue
-            images = tuple(b ^ (self.k if lam >> i & 1 else 0)
-                           for i, b in enumerate(S.basis))
-            out.append(F2Isometry(S, images))
-        return tuple(out)
+        return tuple(check_isometry(S, (b ^ (self.k if lam >> i & 1 else 0)
+                                        for i, b in enumerate(S.basis)))
+                     for lam in range(1 << S.dim) if not _parity(lam & kc))
 
 
 def quotient_by_radical(S):

@@ -2,7 +2,7 @@
 
 Groups are given by generators acting on {0..degree-1}: each element is the
 index map it induces on a fixed, sorted point set (a lattice isometry's
-permutation of the roots, or vector_permutation of a mod-2 map).  A deterministic
+permutation of the roots, or f2.permutation of a mod-2 map).  A deterministic
 Schreier-Sims stabilizer chain provides exact order (arbitrary-precision,
 never floating point) and membership tests.  Base points are always the
 smallest moved point available, so the chain -- and hence every reported

@@ -49,8 +49,8 @@ def test_batched_permutations_match_pointwise(L):
         quo = f2.quotient_by_radical(S)
         maps += [(quo.section, quo.project(g)) for g in f2.orthogonal_generators(S)]
     for space, m in maps:
-        assert m.vector_permutation().tolist() == _pointwise(space.nonzero_vectors(),
-                                                             m.apply)
+        assert f2.permutation(space, m).tolist() == _pointwise(
+            space.nonzero_vectors(), lambda v: f2.apply(space, m, v))
 
 
 def test_reduce_root_examples():
@@ -123,9 +123,9 @@ def test_reduce_isometry_properties(n):
     L = build_del_pezzo(n)
     S = f2.reduce(L)
     R = enumerate_roots(L)
-    assert bridge.reduce_isometry(L, range(len(R))).is_identity()
+    assert bridge.reduce_isometry(L, range(len(R))) == S.basis
     assert bridge.reduce_isometry(
-        L, [R.index(tuple(-c for c in r)) for r in R]).is_identity()
+        L, [R.index(tuple(-c for c in r)) for r in R]) == S.basis
     # compatibility: reducing the reflection in alpha gives the reflection
     # in the reduction of alpha
     for alpha in enumerate_roots(L):
@@ -136,12 +136,13 @@ def test_reduce_isometry_properties(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_reduce_isometry_is_homomorphism(n):
     L = build_del_pezzo(n)
+    S = f2.reduce(L)
     gens = automorphism_group(L)
     for u in gens:
         for v in gens:
-            # u[v] applies v first, like the mod-2 product
-            assert (bridge.reduce_isometry(L, u[v])
-                    == bridge.reduce_isometry(L, u) * bridge.reduce_isometry(L, v))
+            # u[v] applies v first, like f2.compose
+            assert bridge.reduce_isometry(L, u[v]) == f2.compose(
+                S, bridge.reduce_isometry(L, u), bridge.reduce_isometry(L, v))
 
 
 def test_reduce_isometry_rejects_foreign_input():
@@ -194,7 +195,7 @@ def test_emitted_rho_images_preserve_q(n):
     for u in automorphism_group(L) + weyl_generators(L):
         g = bridge.reduce_isometry(L, u)
         for v in S.vectors():
-            assert S.q(g.apply(v)) == S.q(v)
+            assert S.q(f2.apply(S, g, v)) == S.q(v)
 
 
 # -- statement reports ---------------------------------------------------------
@@ -241,6 +242,16 @@ def test_verify_corollary(n):
     assert rep.passed
     w, o = rep.numbers["weyl_order"], rep.numbers["oL2_order"]
     assert (w == 2 * o) if n in (7, 8) else (w == o)
+
+
+@pytest.mark.parametrize("verify", [bridge.verify_prop2, bridge.verify_corollary])
+def test_wrong_isometry_count_fails_the_report(verify, monkeypatch):
+    """prop2 and the corollary compare O(L2) with its basis-image count."""
+    monkeypatch.setattr(f2, "isometry_order", lambda S: 1)
+    rep = verify(build_del_pezzo(4))
+    assert not rep.passed
+    assert ("FAIL: the reflections generate O(L2): its basis-image count agrees"
+            in rep.witnesses)
 
 
 def test_verify_corollary_wrong_range():

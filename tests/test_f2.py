@@ -18,7 +18,7 @@ ARF = {4: 1, 6: 1, 8: 0}
 
 
 def _f2_group(maps, space):
-    return groups.PermGroup([m.vector_permutation() for m in maps],
+    return groups.PermGroup([f2.permutation(space, m) for m in maps],
                             len(space.nonzero_vectors()))
 
 
@@ -174,10 +174,10 @@ def test_arf_basis_independence(n):
     gens = f2.orthogonal_generators(S)
     rng = random.Random(n)
     for _ in range(10):
-        g = f2.F2Isometry.identity(S)
+        g = S.basis
         for _ in range(rng.randint(1, 6)):
-            g = g * rng.choice(gens)
-        moved = [(g.apply(x), g.apply(y)) for x, y in sb]
+            g = f2.compose(S, g, rng.choice(gens))
+        moved = [(f2.apply(S, g, x), f2.apply(S, g, y)) for x, y in sb]
         # isometry images form another symplectic basis
         for i, (x, y) in enumerate(moved):
             assert S.pair(x, y) == 1
@@ -204,9 +204,9 @@ def test_reflections(n):
     ones = [v for v in S.vectors() if S.q(v) == 1]
     for v in rng.sample(ones, 3):
         r = f2.f2_reflection(S, v)
-        assert (r * r).is_identity()
+        assert f2.compose(S, r, r) == S.basis
         for x in S.vectors():
-            y = r.apply(x)
+            y = f2.apply(S, r, x)
             assert S.q(y) == S.q(x)
             if S.pair(x, v) == 0:
                 assert y == x
@@ -218,7 +218,7 @@ def test_reflections(n):
 @pytest.mark.parametrize("n", (3, 7))
 def test_reflection_in_k_is_identity(n):
     S = _space(n)
-    assert f2.f2_reflection(S, S.ambient_k).is_identity()
+    assert f2.f2_reflection(S, S.ambient_k) == S.basis
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -276,7 +276,7 @@ def test_emitted_isometries_preserve_q_exhaustively(n):
     S = _space(n)
     for g in f2.orthogonal_generators(S):
         for v in S.vectors():
-            assert S.q(g.apply(v)) == S.q(v)
+            assert S.q(f2.apply(S, g, v)) == S.q(v)
 
 
 def test_exception_check_n4():
@@ -312,7 +312,8 @@ def test_sp_model_n7():
     gens = f2.orthogonal_generators(S)[:6]
     for u in gens:
         for v in gens:
-            assert M.forward(u * v) == M.forward(u) * M.forward(v)
+            assert M.forward(f2.compose(S, u, v)) == f2.compose(
+                H, M.forward(u), M.forward(v))
     # transvection at v corresponds to the reflection at v + (1+q(v))k
     for v in H.nonzero_vectors():
         assert M.forward(M.reflection_for_transvection(v)) == f2.transvection(H, v)
@@ -352,14 +353,15 @@ def test_quotient_model_n5():
     kernel = Q.kernel_maps()
     assert len(kernel) == 16
     for u in kernel:
-        assert Q.project(u).is_identity()
+        assert Q.project(u) == N.basis
         for v in S.vectors():
-            assert u.apply(v) in (v, v ^ Q.k)
+            assert f2.apply(S, u, v) in (v, v ^ Q.k)
     # project is a homomorphism on reflection generator pairs
     gens = f2.orthogonal_generators(S)[:6]
     for u in gens:
         for v in gens:
-            assert Q.project(u * v) == Q.project(u) * Q.project(v)
+            assert Q.project(f2.compose(S, u, v)) == f2.compose(
+                N, Q.project(u), Q.project(v))
 
 
 @pytest.mark.parametrize("n", (4, 7))
@@ -490,21 +492,29 @@ def test_space_json_dict():
 
 def test_isometry_validation_rejects_bad_maps():
     S = _space(4)
-    # swapping two basis vectors with different q values breaks q
-    qd = S.qdiag
-    if qd[0] != qd[1]:
-        images = (S.basis[1], S.basis[0]) + S.basis[2:]
-        with pytest.raises(errors.NotIsometry):
-            f2.F2Isometry(S, images)
-    # dependent images are rejected, repeated or not
-    with pytest.raises(errors.NotIsometry):
-        f2.F2Isometry(S, (S.basis[0], S.basis[0]) + S.basis[2:])
     b = S.basis
-    with pytest.raises(errors.NotIsometry):
-        f2.SymplecticMap(S, (b[0], b[1], b[0] ^ b[1]) + b[3:], check=False)
-    with pytest.raises(errors.NotIsometry):
-        f2.SymplecticMap(S, (b[0] ^ b[1], b[1] ^ b[2], b[0] ^ b[2]) + b[3:],
-                         check=False)
+    # swapping two basis vectors with different q values breaks q (every
+    # basis permutation keeps this pairing: gram2 is all ones off the diagonal)
+    assert S.qdiag[0] != S.qdiag[3]
+    swapped = (b[3], b[1], b[2], b[0])
+    assert f2.check_symplectic(S, swapped) == swapped
+    with pytest.raises(errors.NotIsometry, match="q is not preserved"):
+        f2.check_isometry(S, swapped)
+    # dependent images are rejected, repeated or not
+    with pytest.raises(errors.NotIsometry, match="dependent"):
+        f2.check_isometry(S, (b[0], b[0]) + b[2:])
+    with pytest.raises(errors.NotIsometry, match="dependent"):
+        f2.check_symplectic(S, (b[0], b[1], b[0] ^ b[1]) + b[3:])
+    with pytest.raises(errors.NotIsometry, match="dependent"):
+        f2.check_symplectic(S, (b[0] ^ b[1], b[1] ^ b[2], b[0] ^ b[2]) + b[3:])
+    # one image per basis vector
+    for images in (b[:-1], b + b[:1]):
+        with pytest.raises(errors.NotIsometry, match="one image"):
+            f2.check_symplectic(S, images)
+    # image masks off the space: odd popcount, and at or beyond 2**width
+    for m in (1, 1 << S.width, b[0] | 1 << S.width):
+        with pytest.raises(errors.NotIsometry, match="outside"):
+            f2.check_symplectic(S, (m,) + b[1:])
 
 
 def test_isometry_is_symplectic_map_with_q_check():
@@ -512,11 +522,14 @@ def test_isometry_is_symplectic_map_with_q_check():
     S = _space(4)
     v = next(v for v in S.nonzero_vectors() if S.q(v) == 0)
     t = f2.transvection(S, v)
-    assert f2.SymplecticMap(S, t.images) == t
-    with pytest.raises(errors.NotIsometry):
-        f2.F2Isometry(S, t.images)
+    assert f2.check_symplectic(S, t) == t
+    with pytest.raises(errors.NotIsometry, match="q is not preserved"):
+        f2.check_isometry(S, t)
     w = next(v for v in S.nonzero_vectors() if S.q(v) == 1)
     r = f2.f2_reflection(S, w)
-    assert isinstance(r, f2.SymplecticMap)
-    assert r.images == f2.transvection(S, w).images
-    assert f2.F2Isometry(S, r.images) == r
+    assert r == f2.transvection(S, w)
+    assert f2.check_isometry(S, r) == r
+    # independent images that break the pairing: (b1 | b3 + b0) = 0, not 1
+    b = S.basis
+    with pytest.raises(errors.NotIsometry, match="pairing"):
+        f2.check_symplectic(S, b[:3] + (b[3] ^ b[0],))

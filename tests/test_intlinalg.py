@@ -193,15 +193,20 @@ _PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X"
 @pytest.mark.parametrize("bad_call", [
     lambda: f2.F2QuadraticSpace(2, (1, 2), (0, 0), ((0, 1), (0, 0))),
     lambda: f2.F2QuadraticSpace(2, (1, 1), (0, 0), ((0, 0), (0, 0))),
+    lambda: f2.F2QuadraticSpace(2, (4,), (0,), ((0,),)),
+    lambda: f2.F2QuadraticSpace(2, (-1,), (0,), ((0,),)),
+    lambda: f2.F2QuadraticSpace(2, (0,), (0,), ((0,),)),
+    lambda: f2.F2QuadraticSpace(-1, (), (), ()),
     lambda: f2.space_from_gram(((1,),)),
     lambda: groups.PermGroup([], 0),
     lambda: groups.PermGroup([[1, 1, 2]], 3),
     lambda: lattice.lattice_coords(_PIVOT_3, (1, 0)),
     lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (1, 0, 0, 0)),
     lambda: intlinalg.kernel_basis((0, 0, 0)),
-], ids=["f2-gram2", "f2-dependent-basis", "f2-odd-gram", "groups-degree",
-        "groups-not-a-permutation", "lattice-pivot", "lattice-remainder",
-        "intlinalg-zero-functional"])
+], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
+        "f2-negative-mask", "f2-zero-mask", "f2-negative-width", "f2-odd-gram",
+        "groups-degree", "groups-not-a-permutation", "lattice-pivot",
+        "lattice-remainder", "intlinalg-zero-functional"])
 def test_bad_input_is_a_typed_error(bad_call):
     """Rejected input raises a package error that is still a ValueError."""
     with pytest.raises(errors.BadInput) as info:
