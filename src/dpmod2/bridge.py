@@ -156,7 +156,8 @@ class _Checks:
 @lru_cache(maxsize=None)
 def weyl_group(L):
     """Stabilizer chain for the Weyl group acting on the roots."""
-    return groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)))
+    return groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)),
+                            known_base=lat._simple_indices(L))
 
 
 def aut_group(L):
@@ -165,9 +166,12 @@ def aut_group(L):
 
 
 def _f2_chain(S, maps):
-    """Stabilizer chain of the given maps acting on the nonzero vectors of S."""
+    """Stabilizer chain of the given maps acting on the nonzero vectors of S.
+
+    The maps are linear, so the basis vectors are a known base."""
     # one permutation list at a time: the chain keeps only those that grow it
-    return groups.PermGroup((f2.permutation(S, m) for m in maps), 2 ** S.dim - 1)
+    return groups.PermGroup((f2.permutation(S, m) for m in maps), 2 ** S.dim - 1,
+                            known_base=S._position[list(S.basis)].tolist())
 
 
 @lru_cache(maxsize=None)

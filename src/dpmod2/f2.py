@@ -82,10 +82,12 @@ class F2QuadraticSpace:
         return len(self.basis)
 
     def _lookup(self, table, v):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise errors.BadInput(f"mask {v!r} is not an int")
         try:
             return table[v]
         except KeyError:
-            raise errors.NotInSpace(f"mask {v:#x} is not in the space") from None
+            raise errors.NotInSpace(f"mask {v!r} is not in the space") from None
 
     def pair(self, u, v):
         """The bilinear form of two space vectors."""
@@ -227,14 +229,20 @@ def _independent(bits):
     return True
 
 
-def check_symplectic(S, images):
-    """The images of S's basis under an invertible linear self-map that
-    keeps the pairing, as a tuple; raises NotIsometry for anything else."""
+def _basis_images(S, images):
+    """One space vector per basis vector, as a tuple; NotIsometry otherwise."""
     images = tuple(int(m) for m in images)
     if len(images) != S.dim:
         raise errors.NotIsometry("need one image per basis vector")
     if any(m not in S._coords for m in images):
         raise errors.NotIsometry("image outside the space")
+    return images
+
+
+def check_symplectic(S, images):
+    """The images of S's basis under an invertible linear self-map that
+    keeps the pairing, as a tuple; raises NotIsometry for anything else."""
+    images = _basis_images(S, images)
     if not _independent(S._coords[m] for m in images):
         raise errors.NotIsometry("images are linearly dependent")
     if any(S.pair(images[i], images[j]) != S.gram2[i][j]
@@ -271,8 +279,11 @@ def permutation(S, images):
 
     The images of the whole span are built by doubling over the basis
     images: entry c is the image of the vector with coordinate bits c.
-    Returns an int32 array.
+    Returns an int32 array.  Raises NotIsometry unless there is one image
+    per basis vector, each in S; dependent images send some nonzero vector
+    to 0, an entry of -1, which PermGroup refuses.
     """
+    images = _basis_images(S, images)
     span = np.zeros(1 << len(images), dtype=np.int64)
     for i, m in enumerate(images):
         span[1 << i:2 << i] = span[:1 << i] ^ m

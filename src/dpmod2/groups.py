@@ -11,16 +11,27 @@ number -- is reproducible across runs.
 Permutations are int32 arrays, and p[q] applies q first, then p.  Sifting
 uses only inverse coset representatives, so each level's orbit table stores
 u_p^-1 in place of u_p (one array per orbit point, no second copy): a sift
-step is one gather, and a Schreier generator u_{g(p)}^-1 g u_p is one gather
-and one scatter.  The gathers are `take` calls, which use the int32 index
+step is one gather.  The gathers are `take` calls, which use the int32 index
 as it is where fancy indexing would convert it to intp on every call;
 entries are read with `item`, and a sift's identity test compares bytes
-with the identity's, cached once.  The Schreier generators on the orbit's
-spanning-tree edges, the pairs (p, g) that defined u_{g(p)} = g u_p, are
-the identity and are not sifted (Seress, Permutation Group Algorithms,
-2003, sec. 4.2).  When g is an involution, the reverse edge (g(p), g) is
-skipped too: its Schreier generator is u_p^-1 g g u_p = 1.  Every level-0
-generator of the reflection chains is an involution.
+with the identity's, cached once.
+
+Schreier generators are tested on a known base (Seress, Permutation Group
+Algorithms, 2003, ch. 4): points on which every element of the group is
+determined, such as the basis vectors or the simple roots of the linear
+maps the chains hold; without one, every point serves.  Each orbit point
+also keeps u_p on the tracked points (the known base and the chain's base
+points), so a Schreier generator u_{g(p)}^-1 g u_p is sifted on about as
+many entries as there are tracked points, and it lies in the stabilizer
+chain iff that sift ends fixing the known base.  Only one that does not is
+formed in full and sifted by the full sift, so residues, levels and chains
+are those of a full sift of every Schreier generator.  Two kinds are not
+tested at all: those on the orbit's spanning-tree edges, the pairs (p, g)
+that defined u_{g(p)} = g u_p, are the identity (sec. 4.2); and for an
+involution g the generators at (p, g) and (g(p), g) are inverse, so the
+one at the later orbit position is in the group once the earlier one is
+handled.  Every level-0 generator of the reflection chains is an
+involution.
 
 orbit_search is the one isometry search: it backtracks over the images of a
 base among points given by their pairing table, as bitsets, and counts the
@@ -37,27 +48,56 @@ from . import errors
 
 
 class _Level:
-    __slots__ = ("beta", "gens", "orbit", "orbit_order", "gen_done")
+    __slots__ = ("beta", "slot", "gens", "involution", "orbit", "orbit_order",
+                 "tracked", "gen_done")
 
-    def __init__(self, beta, identity):
+    def __init__(self, beta, slot, identity, tracked_identity):
         self.beta = beta
+        self.slot = slot                    # index of beta among the tracked points
         self.gens = []
+        self.involution = []                # per gen: whether g g == 1
         self.orbit = {beta: identity}       # point -> u^-1 with u[beta] == point
         self.orbit_order = [beta]
+        self.tracked = tracked_identity[None]   # row i: u on the tracked points,
+                                                # for u[beta] == orbit_order[i]
         self.gen_done = []                  # per-gen count of processed orbit points
+
+    def add_gen(self, g, identity_bytes):
+        self.gens.append(g)
+        self.involution.append(g.take(g).tobytes() == identity_bytes)
+        self.gen_done.append(0)
 
 
 class PermGroup:
-    """Permutation group with a deterministic stabilizer chain."""
+    """Permutation group with a deterministic stabilizer chain.
 
-    def __init__(self, generators, degree):
+    known_base, if given, lists points on which every element of the group
+    is determined: an element that fixes each of them is the identity.  It
+    changes only how the chain is built, never the chain.
+    """
+
+    def __init__(self, generators, degree, known_base=None):
         self.degree = int(degree)
         if self.degree < 1:
             raise errors.BadInput("degree must be positive")
         self._identity = np.arange(self.degree, dtype=np.int32)
         self._identity_bytes = self._identity.tobytes()
+        known = list(range(self.degree) if known_base is None else known_base)
+        if any(isinstance(b, bool) or not isinstance(b, (int, np.integer))
+               for b in known):
+            raise errors.BadInput("known base points must be integers")
+        known = [int(b) for b in known]
+        if any(not 0 <= b < self.degree for b in known):
+            raise errors.BadInput("known base point out of range")
+        if len(set(known)) != len(known):
+            raise errors.BadInput("repeated known base point")
+        # the known base, then each base point outside it
+        self._tracked = known
+        self._known_bytes = np.array(known, dtype=np.int32).tobytes()
         self.generators = []
         self._levels = []
+        self.schreier_tested = 0    # Schreier generators sifted on the tracked points
+        self.full_sifts = 0         # permutations sifted in full
         for g in generators:
             self.extend(g)
 
@@ -92,11 +132,8 @@ class PermGroup:
             return False
         self.generators.append(g)
         if not self._levels:
-            beta = int(np.nonzero(g != self._identity)[0][0])
-            self._levels.append(_Level(beta, self._identity))
-        lv = self._levels[0]
-        lv.gens.append(g)
-        lv.gen_done.append(0)
+            self._add_level(g)
+        self._levels[0].add_gen(g, self._identity_bytes)
         self._complete_level(0)
         return True
 
@@ -119,12 +156,26 @@ class PermGroup:
 
     # -- chain construction -------------------------------------------------
 
+    def _add_level(self, residue):
+        """Append a level whose base point is the first point residue moves,
+        tracking that point on every level if it is not tracked yet."""
+        beta = int(np.nonzero(residue != self._identity)[0][0])
+        if beta not in self._tracked:
+            self._tracked.append(beta)
+            for lv in self._levels:
+                # u(beta) is where u^-1 takes the value beta
+                images = [(lv.orbit[p] == beta).argmax() for p in lv.orbit_order]
+                lv.tracked = np.column_stack([lv.tracked, images]).astype(np.int32)
+        self._levels.append(_Level(beta, self._tracked.index(beta), self._identity,
+                                   np.array(self._tracked, dtype=np.int32)))
+
     def _sift(self, g, start):
         """Strip g through levels >= start.
 
         Returns (None, len) if g reduces to the identity, otherwise the
         nontrivial residue and the level index where it belongs.
         """
+        self.full_sifts += 1
         cur = g
         for idx in range(start, len(self._levels)):
             lv = self._levels[idx]
@@ -139,6 +190,24 @@ class PermGroup:
             return cur, len(self._levels)
         return None, len(self._levels)
 
+    def _sifts_on_tracked(self, cur, start):
+        """Whether a group element, given by its images cur of the tracked
+        points, sifts to the identity through levels >= start.
+
+        The same steps as _sift on a few entries; the final test is exact
+        because an element of the group that fixes the known base is 1.
+        """
+        for idx in range(start, len(self._levels)):
+            lv = self._levels[idx]
+            img = cur.item(lv.slot)
+            if img == lv.beta:
+                continue
+            u_inv = lv.orbit.get(img)
+            if u_inv is None:
+                return False
+            cur = u_inv.take(cur)
+        return cur.tobytes().startswith(self._known_bytes)
+
     def _complete_level(self, idx):
         """Close the orbit at level idx and verify all its Schreier generators.
 
@@ -146,8 +215,9 @@ class PermGroup:
         sifting through them is an exact membership test; a Schreier generator
         that does not sift to the identity is genuinely new and its residue is
         added to level idx+1, which is then re-completed before continuing.
-        Schreier generators on spanning-tree edges, and on their reverse
-        edges for involutions, are the identity and are skipped.
+        Schreier generators on spanning-tree edges are the identity, and of
+        an involution's inverse pair the later one is in the group once the
+        earlier one is; both are skipped.
         """
         lv = self._levels[idx]
         n = self.degree
@@ -159,11 +229,9 @@ class PermGroup:
         old = len(lv.orbit_order)
         every = list(enumerate(lv.gens))
         fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
-        # gi * n + p for each u_{g(p)} = g u_p defined in this call, and
-        # gi * n + g(p) when g is an involution
-        tree = set()
+        tree = set()        # gi * n + p for each u_{g(p)} = g u_p defined here
         gen_inv = {}
-        involution = {}
+        tracked = lv.tracked
         i = 0
         while i < len(lv.orbit_order):
             p = lv.orbit_order[i]
@@ -172,36 +240,49 @@ class PermGroup:
                 if q not in lv.orbit:
                     if gi not in gen_inv:
                         gen_inv[gi] = self._inverse(gen)
-                        involution[gi] = (gen.take(gen).tobytes()
-                                          == self._identity_bytes)
-                    # u_q^-1 = u_p^-1 g^-1
+                    # u_q^-1 = u_p^-1 g^-1, and u_q = g u_p on the tracked points
                     lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
+                    k = len(lv.orbit_order)
+                    if k == len(tracked):
+                        tracked = np.concatenate([tracked, tracked])
+                    gen.take(tracked[i], out=tracked[k])
                     lv.orbit_order.append(q)
                     tree.add(gi * n + p)
-                    if involution[gi]:
-                        tree.add(gi * n + q)
             i += 1
-        # Deeper levels never change this one, so one pass over the Schreier
-        # generators of the closed orbit completes it.
         end = len(lv.orbit_order)
+        lv.tracked = tracked[:end].copy()     # without the spare rows
+        del tracked
+        # Deeper levels never change this one, so one pass over the Schreier
+        # generators of the closed orbit completes it.  For an involution g
+        # the Schreier generators at (p, g) and (g(p), g) are inverse, and
+        # both lie in the same pass: the orbit visited so far is closed
+        # under g.
         for gi, gen in every:
+            involution = lv.involution[gi]
+            visited = bytearray(n)
             start, lv.gen_done[gi] = lv.gen_done[gi], end
             for pi in range(start, end):
                 p = lv.orbit_order[pi]
+                q = gen.item(p)
+                if involution:
+                    if visited[q]:
+                        continue
+                    visited[p] = 1
                 if gi * n + p in tree:
                     continue
-                # s = u_{g(p)}^-1 g u_p, i.e. s[u_p^-1] = u_{g(p)}^-1 g
-                s = np.empty_like(gen)
-                s[lv.orbit[p]] = lv.orbit[gen.item(p)].take(gen)
-                residue, _ = self._sift(s, idx + 1)
-                if residue is None:
+                self.schreier_tested += 1
+                # s = u_q^-1 g u_p, i.e. s[u_p^-1] = u_q^-1 g; formed in
+                # full only when it is not in the group
+                u_q_inv = lv.orbit[q]
+                if self._sifts_on_tracked(u_q_inv.take(gen.take(lv.tracked[pi])),
+                                          idx + 1):
                     continue
+                s = np.empty_like(gen)
+                s[lv.orbit[p]] = u_q_inv.take(gen)
+                residue, _ = self._sift(s, idx + 1)
                 if idx + 1 == len(self._levels):
-                    beta = int(np.nonzero(residue != self._identity)[0][0])
-                    self._levels.append(_Level(beta, self._identity))
-                nxt = self._levels[idx + 1]
-                nxt.gens.append(residue)
-                nxt.gen_done.append(0)
+                    self._add_level(residue)
+                self._levels[idx + 1].add_gen(residue, self._identity_bytes)
                 self._complete_level(idx + 1)
 
 

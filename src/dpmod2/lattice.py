@@ -382,7 +382,8 @@ def automorphism_chain(L):
     Its order is checked against the backtracking count.
     """
     order, solutions = _aut_search(L)
-    chain = groups.PermGroup([minus_one(L)], len(enumerate_roots(L)))
+    chain = groups.PermGroup([minus_one(L)], len(enumerate_roots(L)),
+                             known_base=_simple_indices(L))
     for p in _solution_perms(L, solutions):
         if chain.extend(p):
             check_isometry(L, p)

@@ -1,6 +1,7 @@
 """Mod-2 quadratic spaces: censuses are exhaustive, counts are the oracle."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,23 @@ def test_q_not_in_space():
         S.pair(1, 0)
     with pytest.raises(errors.NotInSpace):
         S.pair(0, 1)
+
+
+@pytest.mark.parametrize("mask", [2.5, 3.0, [3], "3", None, True],
+                         ids=["fractional", "float", "list", "str", "None", "bool"])
+def test_lookup_rejects_non_int_masks(mask):
+    S = _space(4)
+    for lookup in (S.q, S.coords, lambda v: S.pair(v, 0), lambda v: S.pair(0, v)):
+        with pytest.raises(errors.BadInput, match=re.escape(f"mask {mask!r} is not")):
+            lookup(mask)
+
+
+def test_not_in_space_message_names_the_mask():
+    S = _space(4)
+    for mask in (1, -3, 1 << 40):
+        for lookup in (S.q, S.coords):
+            with pytest.raises(errors.NotInSpace, match=f"mask {mask} is not in"):
+                lookup(mask)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -515,6 +533,24 @@ def test_isometry_validation_rejects_bad_maps():
     for m in (1, 1 << S.width, b[0] | 1 << S.width):
         with pytest.raises(errors.NotIsometry, match="outside"):
             f2.check_symplectic(S, (m,) + b[1:])
+
+
+def test_permutation_rejects_bad_images():
+    """permutation checks the count and membership of the images; dependent
+    images give a non-permutation, which PermGroup refuses."""
+    S = _space(4)
+    b = S.basis
+    assert f2.permutation(S, b).tolist() == list(range(2 ** S.dim - 1))
+    for images in (b + b[:1], b[:-1]):
+        with pytest.raises(errors.NotIsometry, match="one image per basis vector"):
+            f2.permutation(S, images)
+    for m in (1, 1 << S.width, b[0] | 1 << S.width):
+        with pytest.raises(errors.NotIsometry, match="image outside the space"):
+            f2.permutation(S, (m,) + b[1:])
+    # b[0] + b[0] = 0 is no nonzero vector, so its entry is out of range
+    dependent = f2.permutation(S, (b[0], b[0]) + b[2:])
+    with pytest.raises(errors.BadInput, match="out of range"):
+        groups.PermGroup([dependent], len(dependent))
 
 
 def test_isometry_is_symplectic_map_with_q_check():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmod2 import bridge, errors
+from dpmod2 import bridge, errors, f2, lattice
 from dpmod2.groups import PermGroup
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
 from oracles import closure
@@ -213,27 +213,142 @@ def _involutions_and_elements(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_involutions_and_elements())
 def test_involution_edges_match_closure(case):
-    """Skipping the reverse tree edges of involutions keeps the chain exact."""
+    """Skipping the later Schreier generator of each inverse pair (p, g),
+    (g(p), g) of an involution g keeps the chain exact."""
     _check_against_closure(*case)
 
 
-@pytest.mark.parametrize("chain, base, orbits", [
-    (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
+@pytest.mark.parametrize("known_base, message", [
+    ([0, 4], "out of range"),
+    ([-1], "out of range"),
+    ([1, 2, 1], "repeated"),
+    ([1.0], "integers"),
+    (["1"], "integers"),
+    ([True], "integers"),
+    ([None], "integers"),
+], ids=["degree", "negative", "repeated", "float", "str", "bool", "None"])
+def test_known_base_rejects_bad_points(known_base, message):
+    with pytest.raises(errors.BadInput, match=message):
+        PermGroup([[1, 0, 2, 3]], 4, known_base=known_base)
+
+
+def _gl2_permutation(images):
+    """The permutation of the nonzero vectors 1..2**n-1 of F2^n, at positions
+    v - 1, of the linear map with these basis images."""
+    def apply(v):
+        m = 0
+        for i, image in enumerate(images):
+            if v >> i & 1:
+                m ^= image
+        return m
+    return [apply(v) - 1 for v in range(1, 1 << len(images))]
+
+
+@st.composite
+def _linear_groups(draw):
+    """Generators of a random subgroup of GL(n, 2), n <= 4, on the nonzero
+    vectors, or of a reflection subgroup of the Weyl group A2..A5 on the
+    roots, with a known base: the basis vectors or the simple roots.  The
+    points are relabelled at random, so that the chain's base points are
+    not always the first basis vectors."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            images, span = [], {0}
+            for _ in range(n):      # each image outside the span of the others
+                m = draw(st.sampled_from([v for v in range(1 << n) if v not in span]))
+                images.append(m)
+                span |= {v ^ m for v in span}
+            gens.append(_gl2_permutation(images))
+        degree, known_base = (1 << n) - 1, [(1 << i) - 1 for i in range(n)]
+    else:
+        L = build_plain_root_lattice(draw(st.integers(2, 5)))
+        roots = lattice.enumerate_roots(L)
+        chosen = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=4))
+        gens = [lattice.root_reflection(L, r).tolist() for r in chosen]
+        degree, known_base = len(roots), list(lattice._simple_indices(L))
+    label = draw(st.permutations(range(degree)))
+    relabelled = []
+    for g in gens:
+        h = [0] * degree
+        for x, y in enumerate(g):
+            h[label[x]] = label[y]
+        relabelled.append(h)
+    return relabelled, degree, [label[b] for b in known_base]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_linear_groups())
+def test_known_base_keeps_the_chain(case):
+    """Sifting Schreier generators on the known base's images builds the
+    same chain, with the same counts, as sifting them in full."""
+    gens, degree, known_base = case
+    fast = PermGroup(gens, degree, known_base=known_base)
+    full = PermGroup(gens, degree)
+    assert _chain_digest(fast) == _chain_digest(full)
+    assert (fast.schreier_tested, fast.full_sifts) == (
+        full.schreier_tested, full.full_sifts)
+
+
+def _sp7_chain():
+    H = f2.sp_model(f2.reduce(build_del_pezzo(7))).hyperplane
+    return bridge._f2_chain(H, [f2.transvection(H, v) for v in H.nonzero_vectors()])
+
+
+def _quotient5_chain():
+    S = f2.reduce(build_del_pezzo(5))
+    quo = f2.quotient_by_radical(S)
+    return bridge._f2_chain(quo.section,
+                            [quo.project(g) for g in f2.orthogonal_generators(S)])
+
+
+def _rho_chain(n, isometries):
+    L = build_del_pezzo(n)
+    return bridge._f2_chain(f2.reduce(L), [bridge.reduce_isometry(L, u)
+                                           for u in isometries(L)])
+
+
+# built afresh, so its counts are not shared with other tests
+def _a10_ol2_chain():
+    return bridge.oL2_group.__wrapped__(build_plain_root_lattice(10))
+
+
+@pytest.mark.parametrize("chain, base, orbits, counts", [
+    # 6,729 Schreier generators sifted on 19 tracked points, 577 permutations
+    # (528 generators and 49 Schreier generators) in full
+    (_a10_ol2_chain,
      (1, 0, 3, 7, 31, 15, 63, 127, 511, 255),
-     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2)),
+     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6729, 577)),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
-     (5, 6, 4, 3, 2, 1, 0), (240, 56, 27, 16, 10, 6, 2)),
+     (5, 6, 4, 3, 2, 1, 0), (240, 56, 27, 16, 10, 6, 2), None),
     (lambda: bridge.aut_group(build_del_pezzo(8)),
-     (0, 4, 1, 5, 3, 6, 2), (240, 56, 27, 16, 10, 6, 2)),
+     (0, 4, 1, 5, 3, 6, 2), (240, 56, 27, 16, 10, 6, 2), None),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     (0, 1, 7, 3, 15, 31, 127, 63), (135, 64, 28, 12, 5, 4, 3, 2)),
-], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2"])
-def test_chain_shape_pinned(chain, base, orbits):
-    """The chains themselves, not only their orders, stay as they were."""
+     (0, 1, 7, 3, 15, 31, 127, 63), (135, 64, 28, 12, 5, 4, 3, 2), None),
+    (_sp7_chain, (1, 0, 7, 3, 31, 15), (63, 32, 15, 8, 3, 2), None),
+    (_quotient5_chain, (0, 1, 7, 3), (5, 4, 3, 2), None),
+    (lambda: _rho_chain(8, lattice.automorphism_group),
+     (0, 3, 63, 1, 127, 7, 31, 15), (135, 64, 28, 12, 5, 4, 3, 2), None),
+    (lambda: _rho_chain(8, lattice.weyl_generators),
+     (7, 0, 1, 3, 15, 31, 127, 63), (135, 64, 28, 12, 5, 4, 3, 2), None),
+    (lambda: _rho_chain(6, lattice.automorphism_group),
+     (0, 1, 3, 7, 15), (27, 16, 10, 6, 2), None),
+    (lambda: _rho_chain(6, lattice.weyl_generators),
+     (7, 0, 1, 3, 15), (27, 16, 10, 6, 2), None),
+    (lambda: bridge.aut_group(build_plain_root_lattice(10)),
+     (0, 8, 1, 7, 2, 6, 3, 5, 4), (110, 18, 8, 7, 6, 5, 4, 3, 2), None),
+], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
+        "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
+def test_chain_shape_pinned(chain, base, orbits, counts):
+    """The chains themselves, not only their orders, stay as they were;
+    counts pins the Schreier generators tested and the full sifts."""
     G = chain()
     assert G.base() == base
     assert G.basic_orbit_lengths() == orbits
     assert G.order() == math.prod(orbits)
+    if counts is not None:
+        assert (G.schreier_tested, G.full_sifts) == counts
 
 
 def _chain_digest(G):
@@ -257,7 +372,22 @@ def _chain_digest(G):
      "14b7a160b9e2f8b3f241bce723a88f66ec69ce3c007a1133b8ab7a1c1ec2747d"),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
      "2a79a632928521f2bdfab020208147e8a18e1791ff59edd67b2c16abd0854786"),
-], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2"])
+    (_sp7_chain,
+     "f080d2d38553d686cbf41f7bbfd1fac2bd69241739dced11c3ccd4904ab036ee"),
+    (_quotient5_chain,
+     "7c9e80f0d1db3da616025a632693598c02fc339a7e595327be5510cf622a4526"),
+    (lambda: _rho_chain(8, lattice.automorphism_group),
+     "941d0cde8a5370b00a6b351668e415dee343ee735f6da8b1c454ec12b74d8eb8"),
+    (lambda: _rho_chain(8, lattice.weyl_generators),
+     "561965caaad180f061424330a30b1483faac26379972d0da8065f6a0471b744b"),
+    (lambda: _rho_chain(6, lattice.automorphism_group),
+     "7385beac352835b0c8dab45b20912dcca7d8351d796e805d86fe84fd3b000459"),
+    (lambda: _rho_chain(6, lattice.weyl_generators),
+     "f33177628a3212874af5e4c3b8a5c005f2945ee69af0272b61dba1a08d1bec91"),
+    (lambda: bridge.aut_group(build_plain_root_lattice(10)),
+     "a16ab3aa2c16f124e04e0929c9ee624ddf90b538dc59f5705d3209f00ee582b0"),
+], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
+        "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_pinned(chain, digest):
     """Every level of the chains is bit-identical to the pinned one."""
     assert _chain_digest(chain()) == digest
