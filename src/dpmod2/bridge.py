@@ -126,12 +126,6 @@ class VerificationReport:
             "witnesses": list(self.witnesses),
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        numbers = {k: v for k, v in d["numbers"].items() if v is not None}
-        return cls(d["statement"], d["n"], d["pass"], numbers,
-                   list(d["witnesses"]))
-
 
 class _Checks:
     """Collects named pass/fail sub-checks for one report."""

@@ -81,11 +81,15 @@ class F2QuadraticSpace:
     def dim(self):
         return len(self.basis)
 
-    def _lookup(self, table, v):
+    @staticmethod
+    def _int(v, what):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise errors.BadInput(f"mask {v!r} is not an int")
+            raise errors.BadInput(f"{what} {v!r} is not an int")
+        return int(v)
+
+    def _lookup(self, table, v):
         try:
-            return table[v]
+            return table[self._int(v, "mask")]
         except KeyError:
             raise errors.NotInSpace(f"mask {v!r} is not in the space") from None
 
@@ -94,7 +98,7 @@ class F2QuadraticSpace:
         return _parity(self._lookup(self._polar, u) & self._lookup(self._coords, v))
 
     def contains(self, v):
-        return v in self._q
+        return self._int(v, "mask") in self._q
 
     def q(self, v):
         """q(v); raises NotInSpace for masks outside the space."""
@@ -105,6 +109,10 @@ class F2QuadraticSpace:
         return self._lookup(self._coords, v)
 
     def from_coords(self, bits):
+        bits = self._int(bits, "coordinate bits")
+        if not 0 <= bits < 1 << self.dim:
+            raise errors.BadInput(f"coordinate bits {bits} out of range "
+                                  f"for dimension {self.dim}")
         m = 0
         for i in groups.bit_indices(bits):
             m ^= self.basis[i]

@@ -4,9 +4,9 @@ Groups are given by generators acting on {0..degree-1}: each element is the
 index map it induces on a fixed, sorted point set (a lattice isometry's
 permutation of the roots, or f2.permutation of a mod-2 map).  A deterministic
 Schreier-Sims stabilizer chain provides exact order (arbitrary-precision,
-never floating point) and membership tests.  Base points are always the
-smallest moved point available, so the chain -- and hence every reported
-number -- is reproducible across runs.
+never floating point) and membership tests.  Base points are taken from a
+known base (below) in its given order, so the chain -- and hence every
+reported number -- is reproducible across runs.
 
 Permutations are int32 arrays, and p[q] applies q first, then p.  Sifting
 uses only inverse coset representatives, so each level's orbit table stores
@@ -19,14 +19,14 @@ with the identity's, cached once.
 Schreier generators are tested on a known base (Seress, Permutation Group
 Algorithms, 2003, ch. 4): points on which every element of the group is
 determined, such as the basis vectors or the simple roots of the linear
-maps the chains hold; without one, every point serves.  Each orbit point
-also keeps u_p on the tracked points (the known base and the chain's base
-points), so a Schreier generator u_{g(p)}^-1 g u_p is sifted on about as
-many entries as there are tracked points, and it lies in the stabilizer
-chain iff that sift ends fixing the known base.  Only one that does not is
-formed in full and sifted by the full sift, so residues, levels and chains
-are those of a full sift of every Schreier generator.  Two kinds are not
-tested at all: those on the orbit's spanning-tree edges, the pairs (p, g)
+maps the chains hold; without one, every point serves, in ascending order.
+The base points lie in the known base, so each orbit point keeps u_p on the
+known base alone: a Schreier generator u_{g(p)}^-1 g u_p is sifted on as
+many entries as the known base has, and it lies in the stabilizer chain iff
+that sift ends fixing the known base.  Only one that does not is formed in
+full and sifted by the full sift, so residues, levels and chains are those
+of a full sift of every Schreier generator.  Two kinds are not tested at
+all: those on the orbit's spanning-tree edges, the pairs (p, g)
 that defined u_{g(p)} = g u_p, are the identity (sec. 4.2); and for an
 involution g the generators at (p, g) and (g(p), g) are inverse, so the
 one at the later orbit position is in the group once the earlier one is
@@ -49,17 +49,18 @@ from . import errors
 
 class _Level:
     __slots__ = ("beta", "slot", "gens", "involution", "orbit", "orbit_order",
-                 "tracked", "gen_done")
+                 "known", "gen_done")
 
-    def __init__(self, beta, slot, identity, tracked_identity):
-        self.beta = beta
-        self.slot = slot                    # index of beta among the tracked points
+    def __init__(self, known, slot, identity):
+        self.beta = beta = int(known[slot])
+        self.slot = slot                    # index of beta in the known base
         self.gens = []
         self.involution = []                # per gen: whether g g == 1
         self.orbit = {beta: identity}       # point -> u^-1 with u[beta] == point
         self.orbit_order = [beta]
-        self.tracked = tracked_identity[None]   # row i: u on the tracked points,
-                                                # for u[beta] == orbit_order[i]
+        self.known = known[None]            # row i: u on the known base, for
+                                            # u[beta] == orbit_order[i]; rows
+                                            # past the orbit are spare
         self.gen_done = []                  # per-gen count of processed orbit points
 
     def add_gen(self, g, identity_bytes):
@@ -71,9 +72,12 @@ class _Level:
 class PermGroup:
     """Permutation group with a deterministic stabilizer chain.
 
-    known_base, if given, lists points on which every element of the group
-    is determined: an element that fixes each of them is the identity.  It
-    changes only how the chain is built, never the chain.
+    known_base lists points on which every element of the group is
+    determined (an element fixing each of them is 1); by default every
+    point, ascending.  Each base point is the first of them, in that order,
+    that its level's first generator moves.  extend raises BadInput for a
+    generator whose residue is not 1 but fixes the known base, which proves
+    the known base wrong; passing that check does not prove it valid.
     """
 
     def __init__(self, generators, degree, known_base=None):
@@ -91,12 +95,11 @@ class PermGroup:
             raise errors.BadInput("known base point out of range")
         if len(set(known)) != len(known):
             raise errors.BadInput("repeated known base point")
-        # the known base, then each base point outside it
-        self._tracked = known
-        self._known_bytes = np.array(known, dtype=np.int32).tobytes()
+        self._known = np.array(known, dtype=np.int32)
+        self._known_bytes = self._known.tobytes()
         self.generators = []
         self._levels = []
-        self.schreier_tested = 0    # Schreier generators sifted on the tracked points
+        self.schreier_tested = 0    # Schreier generators sifted on the known base
         self.full_sifts = 0         # permutations sifted in full
         for g in generators:
             self.extend(g)
@@ -128,8 +131,11 @@ class PermGroup:
         Only generators that grow the group are recorded in `generators`.
         """
         g = self._check_perm(g)
-        if self._sift(g, 0)[0] is None:
+        residue, _ = self._sift(g, 0)
+        if residue is None:
             return False
+        if residue.take(self._known).tobytes() == self._known_bytes:
+            raise errors.BadInput("the known base does not determine the group")
         self.generators.append(g)
         if not self._levels:
             self._add_level(g)
@@ -157,17 +163,10 @@ class PermGroup:
     # -- chain construction -------------------------------------------------
 
     def _add_level(self, residue):
-        """Append a level whose base point is the first point residue moves,
-        tracking that point on every level if it is not tracked yet."""
-        beta = int(np.nonzero(residue != self._identity)[0][0])
-        if beta not in self._tracked:
-            self._tracked.append(beta)
-            for lv in self._levels:
-                # u(beta) is where u^-1 takes the value beta
-                images = [(lv.orbit[p] == beta).argmax() for p in lv.orbit_order]
-                lv.tracked = np.column_stack([lv.tracked, images]).astype(np.int32)
-        self._levels.append(_Level(beta, self._tracked.index(beta), self._identity,
-                                   np.array(self._tracked, dtype=np.int32)))
+        """Append a level whose base point is the first known-base point
+        that residue moves."""
+        slot = int((residue.take(self._known) != self._known).argmax())
+        self._levels.append(_Level(self._known, slot, self._identity))
 
     def _sift(self, g, start):
         """Strip g through levels >= start.
@@ -190,9 +189,9 @@ class PermGroup:
             return cur, len(self._levels)
         return None, len(self._levels)
 
-    def _sifts_on_tracked(self, cur, start):
-        """Whether a group element, given by its images cur of the tracked
-        points, sifts to the identity through levels >= start.
+    def _sifts_on_known_base(self, cur, start):
+        """Whether a group element, given by its images cur of the known
+        base, sifts to the identity through levels >= start.
 
         The same steps as _sift on a few entries; the final test is exact
         because an element of the group that fixes the known base is 1.
@@ -206,7 +205,7 @@ class PermGroup:
             if u_inv is None:
                 return False
             cur = u_inv.take(cur)
-        return cur.tobytes().startswith(self._known_bytes)
+        return cur.tobytes() == self._known_bytes
 
     def _complete_level(self, idx):
         """Close the orbit at level idx and verify all its Schreier generators.
@@ -231,7 +230,6 @@ class PermGroup:
         fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
         tree = set()        # gi * n + p for each u_{g(p)} = g u_p defined here
         gen_inv = {}
-        tracked = lv.tracked
         i = 0
         while i < len(lv.orbit_order):
             p = lv.orbit_order[i]
@@ -240,18 +238,16 @@ class PermGroup:
                 if q not in lv.orbit:
                     if gi not in gen_inv:
                         gen_inv[gi] = self._inverse(gen)
-                    # u_q^-1 = u_p^-1 g^-1, and u_q = g u_p on the tracked points
+                    # u_q^-1 = u_p^-1 g^-1, and u_q = g u_p on the known base
                     lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
                     k = len(lv.orbit_order)
-                    if k == len(tracked):
-                        tracked = np.concatenate([tracked, tracked])
-                    gen.take(tracked[i], out=tracked[k])
+                    if k == len(lv.known):
+                        lv.known = np.concatenate([lv.known, lv.known])
+                    gen.take(lv.known[i], out=lv.known[k])
                     lv.orbit_order.append(q)
                     tree.add(gi * n + p)
             i += 1
         end = len(lv.orbit_order)
-        lv.tracked = tracked[:end].copy()     # without the spare rows
-        del tracked
         # Deeper levels never change this one, so one pass over the Schreier
         # generators of the closed orbit completes it.  For an involution g
         # the Schreier generators at (p, g) and (g(p), g) are inverse, and
@@ -274,8 +270,8 @@ class PermGroup:
                 # s = u_q^-1 g u_p, i.e. s[u_p^-1] = u_q^-1 g; formed in
                 # full only when it is not in the group
                 u_q_inv = lv.orbit[q]
-                if self._sifts_on_tracked(u_q_inv.take(gen.take(lv.tracked[pi])),
-                                          idx + 1):
+                if self._sifts_on_known_base(u_q_inv.take(gen.take(lv.known[pi])),
+                                             idx + 1):
                     continue
                 s = np.empty_like(gen)
                 s[lv.orbit[p]] = u_q_inv.take(gen)

@@ -1,4 +1,14 @@
-"""Brute-force oracles, independent of the package's searches and chains."""
+"""Brute-force oracles, independent of the package's searches and chains,
+and a reader for the reports' JSON form."""
+
+from dpmod2.bridge import VerificationReport
+
+
+def report_from_json_dict(d):
+    """The report that VerificationReport.to_json_dict turned into d."""
+    numbers = {k: v for k, v in d["numbers"].items() if v is not None}
+    return VerificationReport(d["statement"], d["n"], d["pass"], numbers,
+                              list(d["witnesses"]))
 
 
 def closure(generators, multiply, identity, limit=2_000_000):

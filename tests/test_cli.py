@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from dpmod2 import cli, errors
+from oracles import report_from_json_dict
 
 
 def _run(argv, capsys):
@@ -131,11 +132,10 @@ def test_unwritable_output_is_a_usage_error(where, tmp_path, capsys):
 
 
 def test_json_roundtrip_through_reports(capsys):
-    from dpmod2.bridge import VerificationReport
     _, out = _run(["verify", "--n", "5", "--format", "json"], capsys)
     payload = json.loads(out)
     for rd in payload["reports"]:
-        assert VerificationReport.from_json_dict(rd).to_json_dict() == rd
+        assert report_from_json_dict(rd).to_json_dict() == rd
 
 
 def test_repeated_runs_byte_identical(capsys):

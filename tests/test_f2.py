@@ -78,6 +78,24 @@ def test_lookup_rejects_non_int_masks(mask):
             lookup(mask)
 
 
+@pytest.mark.parametrize("call", [
+    lambda S: S.contains([3]),
+    lambda S: S.contains(3.0),
+    lambda S: f2.transvection(S, [3]),
+    lambda S: S.from_coords(2.5),
+    lambda S: S.from_coords(16),
+    lambda S: S.from_coords(-1),
+], ids=["contains-list", "contains-float", "transvection-list",
+        "from_coords-float", "from_coords-2**dim", "from_coords-negative"])
+def test_contains_and_from_coords_reject_bad_input(call):
+    """Non-int masks and coordinate bits outside [0, 2**dim) are BadInput,
+    not a bare TypeError, an IndexError, a float answer or an endless loop."""
+    S = _space(4)
+    assert S.dim == 4
+    with pytest.raises(errors.BadInput):
+        call(S)
+
+
 def test_not_in_space_message_names_the_mask():
     S = _space(4)
     for mask in (1, -3, 1 << 40):

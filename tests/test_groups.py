@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ def test_known_base_rejects_bad_points(known_base, message):
         PermGroup([[1, 0, 2, 3]], 4, known_base=known_base)
 
 
+@pytest.mark.parametrize("gens, known_base", [
+    ([[1, 2, 0, 3, 4], [0, 1, 2, 4, 3]], [0]),   # (3 4) fixes 0
+    ([[1, 2, 0, 3, 4], [1, 0, 2, 3, 4]], []),    # S3 on an empty known base
+], ids=["fixes-the-known-base", "empty"])
+def test_known_base_that_misses_an_element_is_refused(gens, known_base):
+    """A generator whose residue is not 1 but fixes the known base proves
+    the known base wrong, and a chain on it would give a wrong order (the
+    true orders here are 6)."""
+    with pytest.raises(errors.BadInput, match="does not determine the group"):
+        PermGroup(gens, 5, known_base=known_base)
+    assert PermGroup(gens, 5).order() == 6
+
+
 def _gl2_permutation(images):
     """The permutation of the nonzero vectors 1..2**n-1 of F2^n, at positions
     v - 1, of the linear map with these basis images."""
@@ -282,10 +296,13 @@ def _linear_groups(draw):
 @given(_linear_groups())
 def test_known_base_keeps_the_chain(case):
     """Sifting Schreier generators on the known base's images builds the
-    same chain, with the same counts, as sifting them in full."""
+    same chain, with the same counts, as sifting them in full: the
+    reference keeps every point after the known base, so its sifts are
+    full and its base points the same."""
     gens, degree, known_base = case
     fast = PermGroup(gens, degree, known_base=known_base)
-    full = PermGroup(gens, degree)
+    rest = [p for p in range(degree) if p not in known_base]
+    full = PermGroup(gens, degree, known_base=known_base + rest)
     assert _chain_digest(fast) == _chain_digest(full)
     assert (fast.schreier_tested, fast.full_sifts) == (
         full.schreier_tested, full.full_sifts)
@@ -315,29 +332,29 @@ def _a10_ol2_chain():
 
 
 @pytest.mark.parametrize("chain, base, orbits, counts", [
-    # 6,729 Schreier generators sifted on 19 tracked points, 577 permutations
-    # (528 generators and 49 Schreier generators) in full
+    # 6,920 Schreier generators sifted on the 10 known-base points, 579
+    # permutations (528 generators and 51 Schreier generators) in full
     (_a10_ol2_chain,
-     (1, 0, 3, 7, 31, 15, 63, 127, 511, 255),
-     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6729, 577)),
+     (512, 513, 515, 519, 527, 543, 575, 639, 767, 511),
+     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 579)),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
-     (5, 6, 4, 3, 2, 1, 0), (240, 56, 27, 16, 10, 6, 2), None),
+     (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None),
     (lambda: bridge.aut_group(build_del_pezzo(8)),
-     (0, 4, 1, 5, 3, 6, 2), (240, 56, 27, 16, 10, 6, 2), None),
+     (91, 118, 98, 109, 119, 104, 113), (240, 126, 60, 16, 4, 3, 2), None),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     (0, 1, 7, 3, 15, 31, 127, 63), (135, 64, 28, 12, 5, 4, 3, 2), None),
-    (_sp7_chain, (1, 0, 7, 3, 31, 15), (63, 32, 15, 8, 3, 2), None),
-    (_quotient5_chain, (0, 1, 7, 3), (5, 4, 3, 2), None),
+     (129, 131, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), None),
+    (_sp7_chain, (32, 33, 35, 39, 47, 31), (63, 32, 15, 8, 3, 2), None),
+    (_quotient5_chain, (9, 11, 8), (10, 6, 2), None),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     (0, 3, 63, 1, 127, 7, 31, 15), (135, 64, 28, 12, 5, 4, 3, 2), None),
+     (191, 159, 135, 131, 143, 128, 129), (120, 56, 27, 16, 10, 6, 2), None),
     (lambda: _rho_chain(8, lattice.weyl_generators),
-     (7, 0, 1, 3, 15, 31, 127, 63), (135, 64, 28, 12, 5, 4, 3, 2), None),
+     (131, 129, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), None),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     (0, 1, 3, 7, 15), (27, 16, 10, 6, 2), None),
+     (47, 39, 35, 33, 31), (36, 20, 9, 4, 2), None),
     (lambda: _rho_chain(6, lattice.weyl_generators),
-     (7, 0, 1, 3, 15), (27, 16, 10, 6, 2), None),
+     (35, 33, 39, 47, 31), (36, 20, 9, 4, 2), None),
     (lambda: bridge.aut_group(build_plain_root_lattice(10)),
-     (0, 8, 1, 7, 2, 6, 3, 5, 4), (110, 18, 8, 7, 6, 5, 4, 3, 2), None),
+     (9, 53, 18, 26, 48, 33, 39), (110, 72, 14, 6, 20, 3, 2), None),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_shape_pinned(chain, base, orbits, counts):
@@ -356,38 +373,78 @@ def _chain_digest(G):
     stored inverse coset representatives."""
     h = hashlib.sha256()
     for lv in G._levels:
-        h.update(np.array([lv.beta, len(lv.orbit_order), len(lv.gens),
-                           *lv.orbit_order], dtype=np.int32).tobytes())
+        h.update(array("i", [lv.beta, len(lv.orbit_order), len(lv.gens),
+                             *lv.orbit_order]).tobytes())
         for g in lv.gens + [lv.orbit[p] for p in lv.orbit_order]:
-            h.update(np.asarray(g, dtype=np.int32).tobytes())
+            h.update(array("i", g).tobytes())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("chain, digest", [
     (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
-     "8e351a853c38d2ac7b51c16a704ecdd751a0a46685678c6b56ceefbe0e37f0d5"),
+     "cb1683d23bd443eeb93e7f5652462abddb1d28752d5123d36d8d245e94d374a9"),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
-     "2a884d35a6220d3dee03f32a783b832005d69f1214c1ee4e57d26f3b071e962a"),
+     "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51"),
     (lambda: bridge.aut_group(build_del_pezzo(8)),
-     "14b7a160b9e2f8b3f241bce723a88f66ec69ce3c007a1133b8ab7a1c1ec2747d"),
+     "2464bdf2ca956acc39fc36c365641c0c773019b7a3f6c01e0f1b5e6aa0fa8a4d"),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     "2a79a632928521f2bdfab020208147e8a18e1791ff59edd67b2c16abd0854786"),
+     "6b91d11c2d6e168e66b7a6acbc20670726891e418562559cf48580f66dfafd5d"),
     (_sp7_chain,
-     "f080d2d38553d686cbf41f7bbfd1fac2bd69241739dced11c3ccd4904ab036ee"),
+     "ef4fbcd136e53dcdddb3e060681a2202532775ed95ade981d53ba3868d4bb153"),
     (_quotient5_chain,
-     "7c9e80f0d1db3da616025a632693598c02fc339a7e595327be5510cf622a4526"),
+     "706d1c7fe846311eb057fc39c551a2f9378f7ac98cf0904c1a305c01427ab088"),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     "941d0cde8a5370b00a6b351668e415dee343ee735f6da8b1c454ec12b74d8eb8"),
+     "d93c4069563891ef527237e50e0d17ed7fc9479a9a4aad19c06528ad64e54086"),
     (lambda: _rho_chain(8, lattice.weyl_generators),
-     "561965caaad180f061424330a30b1483faac26379972d0da8065f6a0471b744b"),
+     "1f80be868b50e8dfb280815137c3a5d6e5ce97e06854a2a8e159569389698058"),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     "7385beac352835b0c8dab45b20912dcca7d8351d796e805d86fe84fd3b000459"),
+     "dc6474727989402dadeeca1d9b336dbcd9f95f8f4f1552f03836bca8557f0384"),
     (lambda: _rho_chain(6, lattice.weyl_generators),
-     "f33177628a3212874af5e4c3b8a5c005f2945ee69af0272b61dba1a08d1bec91"),
+     "e6976dea5284b9fe6d3d1b0c921f0f414ad61a6f4174769acee24dfb67e368e3"),
     (lambda: bridge.aut_group(build_plain_root_lattice(10)),
-     "a16ab3aa2c16f124e04e0929c9ee624ddf90b538dc59f5705d3209f00ee582b0"),
+     "14646d29a78f1982c0dfc33d7f44e71ee953c9fa5e25b91a01f7f3d6cab6fa3b"),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_pinned(chain, digest):
     """Every level of the chains is bit-identical to the pinned one."""
     assert _chain_digest(chain()) == digest
+
+
+def _basis_positions(S):
+    return [S.nonzero_vectors().index(b) for b in S.basis]
+
+
+def _package_chains(name):
+    """Each chain the package builds for a case, with the known base its
+    caller means: the simple roots, or the basis vectors of the space."""
+    if name.startswith("rho"):
+        n = int(name[3:])
+        known = _basis_positions(f2.reduce(build_del_pezzo(n)))
+        return [(_rho_chain(n, isometries), known)
+                for isometries in (lattice.automorphism_group, lattice.weyl_generators)]
+    if name == "n7-SpH":
+        H = f2.sp_model(f2.reduce(build_del_pezzo(7))).hyperplane
+        return [(_sp7_chain(), _basis_positions(H))]
+    if name == "n5-quotient":
+        quo = f2.quotient_by_radical(f2.reduce(build_del_pezzo(5)))
+        return [(_quotient5_chain(), _basis_positions(quo.section))]
+    L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
+         else build_plain_root_lattice(int(name[1:])))
+    simple = list(lattice._simple_indices(L))
+    return [(bridge.weyl_group(L), simple), (bridge.aut_group(L), simple),
+            (bridge.oL2_group(L), _basis_positions(f2.reduce(L)))]
+
+
+@pytest.mark.parametrize("name", [f"dP{n}" for n in range(3, 9)]
+                         + [f"A{n}" for n in range(5, 11)]
+                         + ["rho6", "rho8", "n7-SpH", "n5-quotient"])
+def test_base_lies_in_the_known_base(name):
+    """Each base point is the first known-base point, in the order given,
+    that its level's first generator moves, and each level keeps u on the
+    known base alone."""
+    for G, known in _package_chains(name):
+        assert set(G.base()) <= set(known)
+        for lv in G._levels:
+            first = lv.gens[0]
+            assert lv.beta == next(b for b in known if first[b] != b)
+            assert lv.known.shape[1] == len(known)
