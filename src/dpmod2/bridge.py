@@ -12,9 +12,8 @@ space, and return serializable reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, reduce
+from operator import xor
 
 from . import errors, f2, groups, lattice as lat
 
@@ -97,12 +96,14 @@ def reduce_isometry(L, p):
     else).
 
     Basis vector i is the sum over t of lat._basis_on_simple(L)[i][t] times
-    simple root s_t, so its image is the same sum of the roots p[s_t].
+    simple root s_t, so its image is the same sum of the roots p[s_t], and
+    its class mod 2 the sum of their classes with odd coefficients.
     """
     lat.check_isometry(L, p)
-    moved = np.array([lat.enumerate_roots(L)[p[s]] for s in lat._simple_indices(L)])
-    images = np.array(lat._basis_on_simple(L)) @ moved
-    return f2.check_isometry(f2.reduce(L), [f2._mask(v) for v in images.tolist()])
+    moved = [f2._mask(lat.enumerate_roots(L)[p[s]]) for s in lat._simple_indices(L)]
+    return f2.check_isometry(f2.reduce(L), [
+        reduce(xor, (m for c, m in zip(row, moved) if c & 1), 0)
+        for row in lat._basis_on_simple(L)])
 
 
 # -- reports ----------------------------------------------------------------------
@@ -163,9 +164,9 @@ def _f2_chain(S, maps):
     """Stabilizer chain of the given maps acting on the nonzero vectors of S.
 
     The maps are linear, so the basis vectors are a known base."""
-    # one permutation list at a time: the chain keeps only those that grow it
+    # one permutation at a time: the chain keeps only those that grow it
     return groups.PermGroup((f2.permutation(S, m) for m in maps), 2 ** S.dim - 1,
-                            known_base=S._position[list(S.basis)].tolist())
+                            known_base=[S._position[1 << i] for i in range(S.dim)])
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +250,7 @@ def verify_lemma_isometries(L):
     # rho is a homomorphism on all generator pairs
     S = f2.reduce(L)
     reduced = [reduce_isometry(L, u) for u in gens]
-    hom = all(reduce_isometry(L, u[v]) == f2.compose(S, ru, rv)
+    hom = all(reduce_isometry(L, groups.gather(u, v)) == f2.compose(S, ru, rv)
               for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
     c.check(hom, "reduction is multiplicative on generator pairs")
     numbers = _census_numbers(L)
@@ -421,7 +422,8 @@ def _verify_remark1():
     points = [[lat.enumerate_roots(L).index(r) for r in comp] for comp in comps]
     neg = lat.minus_one(L)
     # 1 or -1 per component, 0 where an element is neither
-    signs = {tuple(1 if (perm[p] == p).all() else -1 if (perm[p] == neg[p]).all()
+    signs = {tuple(1 if all(perm[i] == i for i in p)
+                   else -1 if all(perm[i] == neg[i] for i in p)
                    else 0 for p in points) for perm in kernel}
     c.check(signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)},
             "kernel is {+-1} x {+-1} on the two components")

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-import numpy as np
-
 from . import errors, groups
 
 
@@ -70,12 +68,10 @@ class F2QuadraticSpace:
         self._coords = coords
         self._q = qtab
         self._polar = polar
-        # coordinate bits of the sorted nonzero vectors, and a dense
-        # mask -> position table over all 2^width masks (-1 off the space)
-        points = sorted(qtab)[1:]
-        self._point_coords = np.array([coords[v] for v in points], dtype=np.int64)
-        self._position = np.full(1 << self.width, -1, dtype=np.int32)
-        self._position[points] = np.arange(len(points), dtype=np.int32)
+        # coordinate bits of the sorted nonzero vectors, and the position
+        # among them of the vector with each coordinate bits (-1 for 0)
+        pc = self._point_coords = tuple(coords[v] for v in sorted(qtab)[1:])
+        self._position = [-1] + sorted(range(len(pc)), key=pc.__getitem__)
 
     @property
     def dim(self):
@@ -83,7 +79,7 @@ class F2QuadraticSpace:
 
     @staticmethod
     def _int(v, what):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise errors.BadInput(f"{what} {v!r} is not an int")
         return int(v)
 
@@ -216,10 +212,16 @@ def symplectic_basis(S):
 def arf(S):
     """The Arf invariant: sum of q(x)q(y) over a symplectic basis.
 
-    Equals the value q takes on the majority of vectors; the census identity
-    count_q1 = 2^(m-1) * (2^m - (-1)^arf) is checked in the test suite.
+    Equals the value q takes on the majority of vectors: CrossCheckFailed
+    is raised unless the census has count_q1 = 2^(m-1) * (2^m - (-1)^arf),
+    where dim = 2m.
     """
-    return sum(S.q(x) & S.q(y) for x, y in symplectic_basis(S)) & 1
+    value = sum(S.q(x) & S.q(y) for x, y in symplectic_basis(S)) & 1
+    m, census = S.dim // 2, value_census(S)
+    if 2 * census[1] != 2 ** m * (2 ** m - (-1) ** value):
+        raise errors.CrossCheckFailed(
+            f"Arf invariant {value} disagrees with the census {census}")
+    return value
 
 
 # -- linear maps ----------------------------------------------------------------
@@ -286,16 +288,17 @@ def permutation(S, images):
     """Position in S.nonzero_vectors() of the image of each of them.
 
     The images of the whole span are built by doubling over the basis
-    images: entry c is the image of the vector with coordinate bits c.
-    Returns an int32 array.  Raises NotIsometry unless there is one image
-    per basis vector, each in S; dependent images send some nonzero vector
-    to 0, an entry of -1, which PermGroup refuses.
+    images: entry c holds the coordinate bits of the image of the vector
+    with coordinate bits c.  Returns a tuple of ints, gathered from S's
+    position table.  Raises NotIsometry unless there is one image per basis
+    vector, each in S; dependent images send some nonzero vector to 0, an
+    entry of -1, which PermGroup refuses.
     """
-    images = _basis_images(S, images)
-    span = np.zeros(1 << len(images), dtype=np.int64)
-    for i, m in enumerate(images):
-        span[1 << i:2 << i] = span[:1 << i] ^ m
-    return S._position[span[S._point_coords]]
+    span = [0]
+    for m in _basis_images(S, images):
+        c = S._coords[m]
+        span += [x ^ c for x in span]
+    return groups.gather(S._position, groups.gather(span, S._point_coords))
 
 
 def transvection(S, v):
@@ -331,21 +334,20 @@ def isometry_order(S):
     Basis vector i goes to a vector with q = qdiag[i] and gram2's pairings
     with the other images; independent such images are exactly the
     isometries (polarization gives q everywhere).  A degenerate pairing does
-    not force independence, so every step tests it.
+    not force independence, so every step tests it.  The points pairing to 1
+    with v are the XOR, over v's polar bits, of the coordinate-bit bitsets.
     """
-    points = S.nonzero_vectors()
-    dims = np.arange(S.dim)
-    # int8: the pairing table has (2^dim - 1)^2 entries, each at most dim
-    coord_bits = (S._point_coords[:, None] >> dims & 1).astype(np.int8)
-    polar_bits = (np.array([S._polar[v] for v in points])[:, None] >> dims
-                  & 1).astype(np.int8)
+    points, coords = S.nonzero_vectors(), S._point_coords
+    every, ones = (1 << len(points)) - 1, [0]
+    for i in range(S.dim):      # the XOR for each set of polar bits, by doubling
+        column = sum(1 << p for p, c in enumerate(coords) if c >> i & 1)
+        ones += [x ^ column for x in ones]
+    rows = [{1: ones[S._polar[v]], 0: every ^ ones[S._polar[v]]} for v in points]
     allowed = [sum(1 << p for p, v in enumerate(points) if S._q[v] == qb)
                for qb in S.qdiag]
-    base = S._position[list(S.basis)].tolist()
-    coords = S._point_coords.tolist()
     counts, _ = groups.orbit_search(
-        groups.pairing_rows(polar_bits @ coord_bits.T & 1), allowed, S.gram2,
-        base, keep=lambda images: _independent(coords[p] for p in images if p >= 0))
+        rows, allowed, S.gram2, [S._position[1 << i] for i in range(S.dim)],
+        keep=lambda images: _independent(coords[p] for p in images if p >= 0))
     return prod(counts)
 
 

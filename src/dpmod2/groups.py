@@ -8,13 +8,12 @@ never floating point) and membership tests.  Base points are taken from a
 known base (below) in its given order, so the chain -- and hence every
 reported number -- is reproducible across runs.
 
-Permutations are int32 arrays, and p[q] applies q first, then p.  Sifting
-uses only inverse coset representatives, so each level's orbit table stores
-u_p^-1 in place of u_p (one array per orbit point, no second copy): a sift
-step is one gather.  The gathers are `take` calls, which use the int32 index
-as it is where fancy indexing would convert it to intp on every call;
-entries are read with `item`, and a sift's identity test compares bytes
-with the identity's, cached once.
+Permutations are tuples of ints.  The product of p after q is the gather
+of p at q, itemgetter(*q)(p), which reuses p's int objects rather than
+making new ones.  Sifting uses only inverse coset representatives, so each
+level's orbit table stores u_p^-1 in place of u_p (one tuple per orbit
+point, no second copy): a sift step is one gather, and the identity test
+is a tuple comparison.
 
 Schreier generators are tested on a known base (Seress, Permutation Group
 Algorithms, 2003, ch. 4): points on which every element of the group is
@@ -41,10 +40,14 @@ group as the product of the basic orbit lengths it finds.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from operator import itemgetter
 
 from . import errors
+
+
+def gather(a, idx):
+    """The tuple of a[i] for i in idx: for permutations, a after idx."""
+    return itemgetter(*idx)(a) if len(idx) > 1 else tuple(a[i] for i in idx)
 
 
 class _Level:
@@ -52,20 +55,19 @@ class _Level:
                  "known", "gen_done")
 
     def __init__(self, known, slot, identity):
-        self.beta = beta = int(known[slot])
+        self.beta = known[slot]
         self.slot = slot                    # index of beta in the known base
         self.gens = []
         self.involution = []                # per gen: whether g g == 1
-        self.orbit = {beta: identity}       # point -> u^-1 with u[beta] == point
-        self.orbit_order = [beta]
-        self.known = known[None]            # row i: u on the known base, for
-                                            # u[beta] == orbit_order[i]; rows
-                                            # past the orbit are spare
+        self.orbit = {self.beta: identity}  # point -> u^-1 with u[beta] == point
+        self.orbit_order = [self.beta]
+        self.known = [known]                # entry i: u on the known base, for
+                                            # u[beta] == orbit_order[i]
         self.gen_done = []                  # per-gen count of processed orbit points
 
-    def add_gen(self, g, identity_bytes):
+    def add_gen(self, g, identity):
         self.gens.append(g)
-        self.involution.append(g.take(g).tobytes() == identity_bytes)
+        self.involution.append(itemgetter(*g)(g) == identity)
         self.gen_done.append(0)
 
 
@@ -84,19 +86,15 @@ class PermGroup:
         self.degree = int(degree)
         if self.degree < 1:
             raise errors.BadInput("degree must be positive")
-        self._identity = np.arange(self.degree, dtype=np.int32)
-        self._identity_bytes = self._identity.tobytes()
-        known = list(range(self.degree) if known_base is None else known_base)
-        if any(isinstance(b, bool) or not isinstance(b, (int, np.integer))
-               for b in known):
+        self._identity = tuple(range(self.degree))
+        known = tuple(self._identity if known_base is None else known_base)
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in known):
             raise errors.BadInput("known base points must be integers")
-        known = [int(b) for b in known]
         if any(not 0 <= b < self.degree for b in known):
             raise errors.BadInput("known base point out of range")
         if len(set(known)) != len(known):
             raise errors.BadInput("repeated known base point")
-        self._known = np.array(known, dtype=np.int32)
-        self._known_bytes = self._known.tobytes()
+        self._known = known
         self.generators = []
         self._levels = []
         self.schreier_tested = 0    # Schreier generators sifted on the known base
@@ -105,25 +103,29 @@ class PermGroup:
             self.extend(g)
 
     def _check_perm(self, g):
-        g = np.asarray(g)
-        if g.shape != (self.degree,):
+        """g as a tuple of the identity's own ints, read as indices (so an
+        int-like entry such as True passes as its int)."""
+        g = tuple(g)
+        if len(g) != self.degree:
             raise errors.DegreeMismatch(
-                f"permutation of degree {g.shape} in group of degree {self.degree}")
-        # checked before the int32 cast, which would truncate floats and
-        # wrap or overflow on entries out of range
-        if g.dtype.kind not in "iu":
-            raise errors.BadInput(f"permutation entries of type {g.dtype}")
-        if g.min() < 0 or g.max() >= self.degree:
-            raise errors.BadInput("permutation entry out of range")
-        g = g.astype(np.int32, copy=False)
-        if not np.array_equal(np.sort(g), self._identity):
-            raise errors.BadInput("not a permutation")
-        return g
+                f"permutation of degree {len(g)} in group of degree {self.degree}")
+        try:
+            perm = gather(self._identity, g)
+        except (TypeError, IndexError):
+            raise errors.BadInput("permutation entries must be ints below "
+                                  f"{self.degree}") from None
+        # perm is g with negative entries wrapped around, so g is a
+        # permutation iff perm is one and the two sums agree
+        if len(set(perm)) != self.degree or sum(g) != sum(perm):
+            raise errors.BadInput("permutation entry out of range" if min(g) < 0
+                                  else "not a permutation")
+        return perm
 
     def _inverse(self, p):
-        inv = np.empty_like(p)
-        inv[p] = self._identity
-        return inv
+        inv = [0] * self.degree
+        for i, x in zip(self._identity, p):
+            inv[x] = i
+        return tuple(inv)
 
     def extend(self, g):
         """Add a generator; returns True iff the group grew.
@@ -134,12 +136,12 @@ class PermGroup:
         residue, _ = self._sift(g, 0)
         if residue is None:
             return False
-        if residue.take(self._known).tobytes() == self._known_bytes:
+        if gather(residue, self._known) == self._known:
             raise errors.BadInput("the known base does not determine the group")
         self.generators.append(g)
         if not self._levels:
             self._add_level(g)
-        self._levels[0].add_gen(g, self._identity_bytes)
+        self._levels[0].add_gen(g, self._identity)
         self._complete_level(0)
         return True
 
@@ -157,6 +159,21 @@ class PermGroup:
         residue, _ = self._sift(g, 0)
         return residue is None
 
+    def sifts_on_known_base(self, images, start=0):
+        """Whether the element with these images of the known base sifts to
+        the identity through the levels from start on: the full sift's steps
+        on a few entries, exact for an element of any group the known base
+        determines (a product of such elements fixing it is 1)."""
+        cur = tuple(images)
+        for lv in self._levels[start:]:
+            img = cur[lv.slot]
+            if img != lv.beta:
+                u_inv = lv.orbit.get(img)
+                if u_inv is None:
+                    return False
+                cur = gather(u_inv, cur)
+        return cur == self._known
+
     def base(self):
         return tuple(lv.beta for lv in self._levels)
 
@@ -165,7 +182,7 @@ class PermGroup:
     def _add_level(self, residue):
         """Append a level whose base point is the first known-base point
         that residue moves."""
-        slot = int((residue.take(self._known) != self._known).argmax())
+        slot = next(i for i, b in enumerate(self._known) if residue[b] != b)
         self._levels.append(_Level(self._known, slot, self._identity))
 
     def _sift(self, g, start):
@@ -176,36 +193,14 @@ class PermGroup:
         """
         self.full_sifts += 1
         cur = g
-        for idx in range(start, len(self._levels)):
-            lv = self._levels[idx]
-            img = cur.item(lv.beta)
-            if img == lv.beta:
-                continue
-            u_inv = lv.orbit.get(img)
-            if u_inv is None:
-                return cur, idx
-            cur = u_inv.take(cur)
-        if cur.tobytes() != self._identity_bytes:
-            return cur, len(self._levels)
-        return None, len(self._levels)
-
-    def _sifts_on_known_base(self, cur, start):
-        """Whether a group element, given by its images cur of the known
-        base, sifts to the identity through levels >= start.
-
-        The same steps as _sift on a few entries; the final test is exact
-        because an element of the group that fixes the known base is 1.
-        """
-        for idx in range(start, len(self._levels)):
-            lv = self._levels[idx]
-            img = cur.item(lv.slot)
-            if img == lv.beta:
-                continue
-            u_inv = lv.orbit.get(img)
-            if u_inv is None:
-                return False
-            cur = u_inv.take(cur)
-        return cur.tobytes() == self._known_bytes
+        for idx, lv in enumerate(self._levels[start:], start):
+            img = cur[lv.beta]
+            if img != lv.beta:
+                u_inv = lv.orbit.get(img)
+                if u_inv is None:
+                    return cur, idx
+                cur = itemgetter(*cur)(u_inv)   # a level exists: degree >= 2
+        return (None if cur == self._identity else cur), len(self._levels)
 
     def _complete_level(self, idx):
         """Close the orbit at level idx and verify all its Schreier generators.
@@ -229,21 +224,19 @@ class PermGroup:
         every = list(enumerate(lv.gens))
         fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
         tree = set()        # gi * n + p for each u_{g(p)} = g u_p defined here
-        gen_inv = {}
+        after_inv = {}      # gi -> the gather x -> x g^-1
         i = 0
         while i < len(lv.orbit_order):
             p = lv.orbit_order[i]
             for gi, gen in (fresh if i < old else every):
-                q = gen.item(p)
+                q = gen[p]
                 if q not in lv.orbit:
-                    if gi not in gen_inv:
-                        gen_inv[gi] = self._inverse(gen)
+                    if gi not in after_inv:
+                        after_inv[gi] = itemgetter(*(gen if lv.involution[gi]
+                                                     else self._inverse(gen)))
                     # u_q^-1 = u_p^-1 g^-1, and u_q = g u_p on the known base
-                    lv.orbit[q] = lv.orbit[p][gen_inv[gi]]
-                    k = len(lv.orbit_order)
-                    if k == len(lv.known):
-                        lv.known = np.concatenate([lv.known, lv.known])
-                    gen.take(lv.known[i], out=lv.known[k])
+                    lv.orbit[q] = after_inv[gi](lv.orbit[p])
+                    lv.known.append(gather(gen, lv.known[i]))
                     lv.orbit_order.append(q)
                     tree.add(gi * n + p)
             i += 1
@@ -259,7 +252,7 @@ class PermGroup:
             start, lv.gen_done[gi] = lv.gen_done[gi], end
             for pi in range(start, end):
                 p = lv.orbit_order[pi]
-                q = gen.item(p)
+                q = gen[p]
                 if involution:
                     if visited[q]:
                         continue
@@ -267,18 +260,18 @@ class PermGroup:
                 if gi * n + p in tree:
                     continue
                 self.schreier_tested += 1
-                # s = u_q^-1 g u_p, i.e. s[u_p^-1] = u_q^-1 g; formed in
-                # full only when it is not in the group
+                # s = u_q^-1 g u_p, formed in full only when it is not in
+                # the group
                 u_q_inv = lv.orbit[q]
-                if self._sifts_on_known_base(u_q_inv.take(gen.take(lv.known[pi])),
-                                             idx + 1):
+                if self.sifts_on_known_base(
+                        gather(u_q_inv, gather(gen, lv.known[pi])), idx + 1):
                     continue
-                s = np.empty_like(gen)
-                s[lv.orbit[p]] = u_q_inv.take(gen)
+                u_p = self._inverse(lv.orbit[p])
+                s = itemgetter(*u_p)(itemgetter(*gen)(u_q_inv))
                 residue, _ = self._sift(s, idx + 1)
                 if idx + 1 == len(self._levels):
                     self._add_level(residue)
-                self._levels[idx + 1].add_gen(residue, self._identity_bytes)
+                self._levels[idx + 1].add_gen(residue, self._identity)
                 self._complete_level(idx + 1)
 
 
@@ -286,6 +279,8 @@ class PermGroup:
 
 def bit_indices(mask):
     """Indices of the set bits of an int, ascending."""
+    if mask < 0:
+        raise errors.BadInput(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -294,22 +289,10 @@ def bit_indices(mask):
     return out
 
 
-def pairing_rows(table):
-    """rows[p][value]: the bitset (a Python int) of the points q with
-    table[p, q] == value, for a square table of pairing values."""
-    table = np.asarray(table)
-    flat = np.sort(table, axis=None)    # np.unique would import numpy.ma
-    rows = [{} for _ in table]
-    for value in flat[np.append(True, flat[1:] != flat[:-1])].tolist():
-        packed = np.packbits(table == value, axis=1, bitorder="little")
-        for row, bits in zip(rows, packed):
-            row[value] = int.from_bytes(bits.tobytes(), "little")
-    return rows
-
-
 def completions(rows, masks, target, images, keep=None):
     """Every full assignment extending `images`, depth first.
 
+    rows[p][v] is the bitset (an int) of the points pairing to v with p.
     images[t] is the point at position t, or -1 while t is open; masks[t]
     holds the candidates of an open t, whose pairing with the point at each
     fixed s is target[t][s].  The open t with the fewest candidates (the

@@ -8,9 +8,10 @@ The plain A_n lattice is the sum-zero sublattice of Euclidean Z^(n+1); it goes
 through the same machinery and serves as the counterexample family.
 
 Ambient vectors are plain tuples of ints.  An isometry is stored only by the
-permutation p it induces on enumerate_roots(L), an int32 array in which p[q]
-applies q first; the roots span L, so this represents all of O(L), including
-elements such as -1 that do not extend to the ambient lattice fixing K.
+permutation p it induces on enumerate_roots(L), a tuple of root indices, in
+which groups.gather(p, q) applies q first; the roots span L, so this
+represents all of O(L), including elements such as -1 that do not extend to
+the ambient lattice fixing K.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
-
-import numpy as np
+from operator import mul
 
 from . import errors, groups, intlinalg
 
@@ -189,14 +189,7 @@ def lattice_coords(L, v):
     return tuple(x)
 
 
-# -- roots as points: the pairing table and the simple roots --------------------
-
-@lru_cache(maxsize=None)
-def _pairing_table(L):
-    """The pairings of all roots, in the order of enumerate_roots(L)."""
-    rmat = np.array(enumerate_roots(L), dtype=np.int64)
-    return (rmat * np.array(L.signs, dtype=np.int64) @ rmat.T).astype(np.int8)
-
+# -- roots as points: heights, pairings and the simple roots --------------------
 
 _WEIGHT_BASE = 101  # exceeds twice any root coordinate, so heights are injective
 
@@ -206,20 +199,26 @@ def _height(v):
 
 
 @lru_cache(maxsize=None)
+def _heights(L):
+    """The height of each root, in the order of enumerate_roots(L), and the
+    index of the root of each height."""
+    heights = tuple(_height(r) for r in enumerate_roots(L))
+    return heights, dict(zip(heights, range(len(heights))))
+
+
+@lru_cache(maxsize=None)
 def _simple_indices(L):
     """Indices in enumerate_roots(L) of the indecomposable positive roots for
     a fixed generic height functional.
 
-    A positive root a is a sum of two positive roots iff some positive root b
-    of lower height has <a, b> = 1: a - b is a root iff <a, b> = 1, and it is
-    positive iff b is lower, since the height is linear.  Heights are Python
-    ints: 101**10 exceeds int64.
+    A positive root a is a sum of two positive roots iff h(a) - h(b) is the
+    height of a positive root for some positive root b, as the height is
+    linear and injective on the roots.
     """
-    heights = [_height(r) for r in enumerate_roots(L)]
-    pos = sorted((i for i, h in enumerate(heights) if h > 0), key=heights.__getitem__)
-    # row a, column b < a of the positive block in ascending height
-    lower = np.tril(_pairing_table(L)[np.ix_(pos, pos)] == 1, -1).any(axis=1)
-    simple = sorted(i for i, low in zip(pos, lower.tolist()) if not low)
+    heights = _heights(L)[0]
+    positive = {h for h in heights if h > 0}
+    simple = [i for i, h in enumerate(heights)
+              if h > 0 and positive.isdisjoint(map(h.__sub__, positive))]
     if len(simple) != L.n:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: {len(simple)} simple roots for rank {L.n}")
@@ -233,52 +232,36 @@ def simple_roots(L):
 
 
 # -- isometries, as root permutations --------------------------------------------
-#
-# Maps are computed on C, the roots' coordinates on the simple roots, and
-# read back by _to_roots.
 
 @lru_cache(maxsize=None)
-def _root_coords(L):
-    """(C, m, weights, the sorted keys of C's rows, the root of each).  A
-    row's key is its base-(2m+1) number after clipping to C's range [-m, m],
-    so rows in range have distinct keys."""
-    coords = np.array([lattice_coords(L, r) for r in enumerate_roots(L)],
-                      dtype=np.int64)
-    C = coords @ np.array(_basis_on_simple(L), dtype=np.int64)
-    m = int(abs(C).max())
-    weights = (2 * m + 1) ** np.arange(L.n, dtype=np.int64)
-    keys = (C + m) @ weights
-    order = np.argsort(keys).astype(np.int32)
-    return C, m, weights, keys[order], order
-
-
-def _to_roots(L, rows):
-    """Root indices of coordinate rows on the simple roots, of any leading
-    shape, as a read-only int32 array; raises NotClosed unless every row is a
-    root's."""
-    C, m, weights, keys, order = _root_coords(L)
-    at = np.searchsorted(keys, (np.clip(rows, -m, m) + m) @ weights)
-    found = order[np.minimum(at, len(keys) - 1)]
-    if not np.array_equal(C[found], rows):
-        raise errors.NotClosed("a root maps outside the root set")
-    found.flags.writeable = False
-    return found
+def _simple_coords(L):
+    """Each root's integer coordinates on the simple roots."""
+    columns = tuple(zip(*_basis_on_simple(L)))
+    return tuple(tuple(sum(map(mul, x, col)) for col in columns)
+                 for x in (lattice_coords(L, r) for r in enumerate_roots(L)))
 
 
 def _solution_perms(L, solutions):
     """Root permutations of the maps sending simple root t to root sol[t],
-    one per solution, in order: root r goes to the row C[r] @ C[sol].  The
-    rows are built for 16 solutions at a time: all 418 E8 solutions at once
-    would take about 13 MB of temporary arrays."""
-    C = _root_coords(L)[0]
-    sols = np.array(solutions, dtype=np.intp).reshape(-1, L.n)
-    for i in range(0, len(sols), 16):
-        yield from _to_roots(L, C @ C[sols[i:i + 16]])
+    one per solution, in order: root r goes to the root of height
+    sum_t C[r][t] h(sol[t]), C[r] its coordinates on the simple roots, and
+    NotClosed is raised where there is none.  Exact for a map that keeps the
+    simple roots' pairings, as each search solution does: its images are
+    roots."""
+    heights, index = _heights(L)
+    coords = _simple_coords(L)
+    for sol in solutions:
+        images = [heights[s] for s in sol]
+        try:
+            yield tuple(index[sum(map(mul, c, images))] for c in coords)
+        except KeyError:
+            raise errors.NotClosed("a root maps outside the root set") from None
 
 
 def minus_one(L):
     """The root permutation of -1."""
-    return _to_roots(L, -_root_coords(L)[0])
+    heights, index = _heights(L)
+    return tuple(index[-h] for h in heights)
 
 
 def root_reflection(L, alpha):
@@ -286,9 +269,9 @@ def root_reflection(L, alpha):
     root alpha."""
     if not is_root(L, alpha):
         raise errors.NotARoot(f"{alpha} is not a root")
-    a = enumerate_roots(L).index(tuple(alpha))
-    C = _root_coords(L)[0]
-    return _to_roots(L, C - _pairing_table(L)[:, a, None] * C[a])
+    (heights, index), ha = _heights(L), _height(alpha)
+    return tuple(index[h - L.dot(r, alpha) * ha]
+                 for r, h in zip(enumerate_roots(L), heights))
 
 
 def check_isometry(L, p):
@@ -297,13 +280,15 @@ def check_isometry(L, p):
     It is one iff it keeps the pairing of every simple root with every root:
     the simple roots' images then keep their Gram matrix, so they define an
     isometry g, and as the simple roots span L and the form is nondegenerate,
-    every p[r] is g(r).
+    every p[r] is g(r).  The pairings of a root s are kept iff p maps the
+    roots pairing to v with s onto those pairing to v with p[s], for each v.
     """
-    table, simple = _pairing_table(L), list(_simple_indices(L))
-    p = np.asarray(p)
-    if (p.shape != (len(table),) or not np.issubdtype(p.dtype, np.integer)
-            or ((p < 0) | (p >= len(table))).any()
-            or not np.array_equal(table[np.ix_(p[simple], p)], table[simple])):
+    rows = _root_pairings(L)[0]
+    p = tuple(p)
+    if (len(p) != len(rows) or set(map(type, p)) != {int}
+            or set(p) != set(range(len(rows)))
+            or any(sum(1 << p[r] for r in groups.bit_indices(bits)) != rows[p[s]][v]
+                   for s in _simple_indices(L) for v, bits in rows[s].items())):
         raise errors.NotIsometry(
             f"not the root permutation of an isometry of {L.root_type}")
 
@@ -318,12 +303,27 @@ def weyl_generators(L):
 
 @lru_cache(maxsize=None)
 def _root_pairings(L):
-    """The search data of the roots: groups.pairing_rows of their pairing
-    table, the simple roots' indices in enumerate_roots(L), and the simple
-    roots' Gram matrix."""
-    table, simple = _pairing_table(L), list(_simple_indices(L))
-    return (groups.pairing_rows(table), simple,
-            table[np.ix_(simple, simple)].tolist())
+    """The search data of the roots: rows[a][v], the bitset of the roots
+    pairing to v with root a, the simple roots' indices in
+    enumerate_roots(L), and the simple roots' Gram matrix.
+
+    For roots a != +-t, <a, t> = 1 iff a - t is a root and -1 iff a + t is
+    one, as every root has square 2.  The height is linear and injective on
+    these vectors, so <a, t> = 1 iff h(a) - h(t) is a root's height, and
+    the roots pairing to -1 with a pair to 1 with -a.
+    """
+    heights, index = _heights(L)
+    every = (1 << len(heights)) - 1
+    ones = [sum(1 << index[h] for h in index.keys() & map(ha.__sub__, heights))
+            for ha in heights]
+    rows = []
+    for a, ha in enumerate(heights):
+        neg = index[-ha]
+        row = {2: 1 << a, -2: 1 << neg, 1: ones[a], -1: ones[neg]}
+        row[0] = every ^ sum(row.values())
+        rows.append(row)
+    roots, simple = enumerate_roots(L), list(_simple_indices(L))
+    return rows, simple, [[L.dot(roots[a], roots[b]) for b in simple] for a in simple]
 
 
 @lru_cache(maxsize=None)
@@ -379,14 +379,19 @@ def automorphism_chain(L):
     The backtracking search yields one isometry per stabilizer-orbit element,
     which together generate O(L); the chain starts from -1 and records, as
     its generators, only those that grow it, each checked to be an isometry.
-    Its order is checked against the backtracking count.
+    A solution is the images of the simple roots, the chain's known base,
+    so it is sifted on them first; only one the chain does not contain is
+    turned into a root permutation.  The chain's order is checked against
+    the backtracking count.
     """
     order, solutions = _aut_search(L)
     chain = groups.PermGroup([minus_one(L)], len(enumerate_roots(L)),
                              known_base=_simple_indices(L))
-    for p in _solution_perms(L, solutions):
-        if chain.extend(p):
+    for sol in solutions:
+        if not chain.sifts_on_known_base(sol):
+            p, = _solution_perms(L, [sol])
             check_isometry(L, p)
+            chain.extend(p)
     if chain.order() != order:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "
@@ -404,13 +409,17 @@ def automorphism_group(L):
 
 def root_components(L):
     """Connected components of the root set under nonzero pairing, sorted."""
-    roots = enumerate_roots(L)
-    linked = _pairing_table(L) != 0     # reflexive: <r, r> = 2
-    while not np.array_equal(linked, grown := linked @ linked):
-        linked = grown
-    comps = {tuple(np.nonzero(row)[0].tolist()) for row in linked}
-    return tuple(sorted((tuple(roots[i] for i in c) for c in comps),
-                        key=lambda c: (len(c), c)))
+    roots, rows = enumerate_roots(L), _root_pairings(L)[0]
+    every = (1 << len(roots)) - 1
+    comps = set()
+    for a in range(len(roots)):
+        comp, grown = 0, 1 << a
+        while grown != comp:
+            comp = grown
+            for b in groups.bit_indices(comp):
+                grown |= every ^ rows[b][0]     # reflexive: <b, b> = 2
+        comps.add(tuple(roots[i] for i in groups.bit_indices(comp)))
+    return tuple(sorted(comps, key=lambda c: (len(c), c)))
 
 
 def sublattice_gram(L, vectors):
@@ -444,5 +453,9 @@ def gram_isometry_count(gram):
     allowed = [sum(1 << p for p, x in enumerate(vecs) if form(x, x) == s)
                for s in squares]
     base = [vecs.index(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    rows = groups.pairing_rows([[form(x, y) for y in vecs] for x in vecs])
+    rows = [{} for _ in vecs]
+    for row, x in zip(rows, vecs):
+        for p, y in enumerate(vecs):
+            v = form(x, y)
+            row[v] = row.get(v, 0) | 1 << p
     return prod(groups.orbit_search(rows, allowed, gram, base)[0])

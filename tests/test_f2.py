@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmod2 import bridge, errors, f2, groups
+from dpmod2 import bridge, cli, errors, f2, groups
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
 from oracles import isometry_count_bruteforce
 
@@ -169,6 +169,18 @@ def test_symplectic_basis_and_arf(n):
     assert q1 == 2 ** (m - 1) * (2 ** m - (-1) ** a)
     # arf equals the majority value
     assert a == (1 if q1 > q0 else 0)
+
+
+def test_arf_disagreeing_with_the_census_is_a_failed_check(monkeypatch, capsys):
+    """arf checks its symplectic-basis sum against the census identity, so
+    every report that prints it fails when the two disagree."""
+    census = f2.value_census
+    monkeypatch.setattr(f2, "value_census", lambda S: (census(S)[0] - 1,
+                                                       census(S)[1] + 1))
+    with pytest.raises(errors.CrossCheckFailed, match="census"):
+        f2.arf(_space(4))
+    assert cli.run(["table"]) == 1
+    assert "check failed with CrossCheckFailed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
@@ -558,7 +570,7 @@ def test_permutation_rejects_bad_images():
     images give a non-permutation, which PermGroup refuses."""
     S = _space(4)
     b = S.basis
-    assert f2.permutation(S, b).tolist() == list(range(2 ** S.dim - 1))
+    assert f2.permutation(S, b) == tuple(range(2 ** S.dim - 1))
     for images in (b + b[:1], b[:-1]):
         with pytest.raises(errors.NotIsometry, match="one image per basis vector"):
             f2.permutation(S, images)

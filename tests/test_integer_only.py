@@ -2,11 +2,15 @@
 
 Every reported number is exact, so the source may not divide with `/`, write
 a float literal, call float(), or import fractions or decimal.  The check
-reads the syntax tree of each module in src/dpmod2.
+reads the syntax tree of each module in src/dpmod2.  The package also needs
+nothing beyond the standard library: importing it loads no numpy.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +64,12 @@ def test_each_banned_construct_is_caught(snippet):
 
 def test_integer_constructs_pass():
     assert _violations("x = a // b\nx //= 2\ny = 2 ** 63\nimport math") == []
+
+
+def test_import_loads_no_numpy():
+    """A fresh interpreter imports the command line without numpy."""
+    code = "import sys, dpmod2.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

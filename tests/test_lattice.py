@@ -3,8 +3,8 @@
 import hashlib
 import itertools
 import random
+from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from dpmod2 import errors, groups, intlinalg, lattice
@@ -42,10 +42,11 @@ def _negation_reference(L):
     return _pointwise(L, lambda r: tuple(-x for x in r))
 
 
+@lru_cache(maxsize=None)
 def _pairing_table(L):
     """The full N x N table of root pairings, built here from the ambient form."""
-    R = np.array(enumerate_roots(L))
-    return R * np.array(L.signs) @ R.T
+    R = enumerate_roots(L)
+    return [[L.dot(a, b) for b in R] for a in R]
 
 
 def _preserves_all_pairings(L, p):
@@ -53,7 +54,7 @@ def _preserves_all_pairings(L, p):
     action of an isometry (the roots span L)."""
     table = _pairing_table(L)
     return (sorted(p) == list(range(len(table)))
-            and (table[np.ix_(p, p)] == table).all())
+            and all([table[p[i]][q] for q in p] == row for i, row in enumerate(table)))
 
 
 def test_dot_examples():
@@ -143,9 +144,9 @@ def test_root_reflection_properties(n):
     for alpha in random.sample(R, 5):
         s = root_reflection(L, alpha)
         a = R.index(alpha)
-        assert s.tolist() == _reflection_reference(L, alpha)
+        assert list(s) == _reflection_reference(L, alpha)
         assert s[a] == R.index(tuple(-c for c in alpha))
-        assert s[s].tolist() == list(range(len(R)))
+        assert [s[i] for i in s] == list(range(len(R)))
         # fixes the orthogonal hyperplane
         for i, x in enumerate(R):
             if L.dot(x, alpha) == 0:
@@ -194,7 +195,7 @@ def test_minus_one_in_weyl_iff_7_or_8(n):
     L = build_del_pezzo(n)
     G = _root_group(weyl_generators(L), enumerate_roots(L))
     neg = _negation_reference(L)
-    assert lattice.minus_one(L).tolist() == neg
+    assert list(lattice.minus_one(L)) == neg
     assert G.contains(neg) == (n in (7, 8))
 
 
@@ -202,14 +203,14 @@ def test_minus_one_in_weyl_iff_7_or_8(n):
 def test_automorphism_group_orders(n):
     L = build_del_pezzo(n)
     gens = automorphism_group(L)
-    assert gens[0].tolist() == _negation_reference(L)
+    assert list(gens[0]) == _negation_reference(L)
     G = _root_group(gens, enumerate_roots(L))
     # chain order equals the independent backtracking count
     assert G.order() == automorphism_order(L) == AUT_ORDERS[n]
     # the pruning chain is generated by exactly the kept permutations, in order
     chain = automorphism_chain(L)
     assert chain.order() == AUT_ORDERS[n]
-    assert [g.tolist() for g in chain.generators] == [u.tolist() for u in gens]
+    assert chain.generators == list(gens)
     assert all(_preserves_all_pairings(L, u) for u in gens)
 
 
@@ -240,29 +241,25 @@ def test_aut_search_solutions_pinned(L, count, digest):
 
 
 def test_root_permutation_not_closed():
-    """Coordinate rows off the root set are caught, even with huge entries,
-    and so is a map sending every simple root to the same root."""
+    """A linear map sending the simple roots to roots is refused when a root
+    image is no root: a map sending every simple root to the same root, or
+    one swapping two simple roots."""
     L = build_del_pezzo(4)
-    C = lattice._root_coords(L)[0]
-    assert lattice._to_roots(L, C).tolist() == list(range(len(C)))
-    with pytest.raises(errors.NotClosed):
-        lattice._to_roots(L, 2 * C)
-    huge = C.copy()
-    huge[3, 0] += 2 ** 60
-    with pytest.raises(errors.NotClosed):
-        lattice._to_roots(L, huge)
-    s0 = lattice._simple_indices(L)[0]
-    with pytest.raises(errors.NotClosed):
-        list(lattice._solution_perms(L, [(s0,) * L.n]))
+    simple = lattice._simple_indices(L)
+    assert list(lattice._solution_perms(L, [simple])) == [tuple(range(20))]
+    s0, s1, *rest = simple
+    for images in [(s0,) * L.n, (s1, s0, *rest)]:
+        with pytest.raises(errors.NotClosed):
+            list(lattice._solution_perms(L, [images]))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_generators_preserve_gram_and_permute_roots(n):
     L = build_del_pezzo(n)
     for g in weyl_generators(L) + automorphism_group(L):
-        assert _preserves_all_pairings(L, g.tolist())
+        assert _preserves_all_pairings(L, g)
     for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
-        assert g.tolist() == _reflection_reference(L, alpha)
+        assert list(g) == _reflection_reference(L, alpha)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -271,7 +268,7 @@ def test_root_action_is_faithful(n):
     independent count of O(L), so only the identity fixes every root
     (exhaustive closure)."""
     L = build_del_pezzo(n)
-    gens = [tuple(g.tolist()) for g in automorphism_group(L)]
+    gens = list(automorphism_group(L))
     ident = tuple(range(len(enumerate_roots(L))))
     elems = closure(gens, lambda a, b: tuple(a[i] for i in b), ident)
     assert len(elems) == AUT_ORDERS[n]
