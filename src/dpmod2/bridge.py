@@ -163,10 +163,19 @@ def aut_group(L):
 def _f2_chain(S, maps):
     """Stabilizer chain of the given maps acting on the nonzero vectors of S.
 
-    The maps are linear, so the basis vectors are a known base."""
-    # one permutation at a time: the chain keeps only those that grow it
-    return groups.PermGroup((f2.permutation(S, m) for m in maps), 2 ** S.dim - 1,
-                            known_base=[S._position[1 << i] for i in range(S.dim)])
+    The maps are linear, so the basis vectors are a known base.  Between
+    maps every level is complete, so a map whose basis images sift on it
+    agrees on the basis with a member and is that member.  Only the other
+    maps, and any map with an image of 0 (position -1, not a point, which
+    extend refuses), are made permutations and extend the chain."""
+    chain = groups.PermGroup([], 2 ** S.dim - 1,
+                             known_base=[S._position[1 << i] for i in range(S.dim)])
+    for m in maps:
+        m = f2._basis_images(S, m)
+        images = [S._position[S._coords[v]] for v in m]
+        if -1 in images or not chain.sifts_on_known_base(images):
+            chain.extend(f2.permutation(S, m))
+    return chain
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,10 @@
-"""Brute-force oracles, independent of the package's searches and chains,
-and a reader for the reports' JSON form."""
+"""Brute-force oracles, independent of the package's searches and chains;
+the mod-2 chain built the plain way, from every map's permutation; and a
+reader for the reports' JSON form."""
 
+from dpmod2 import f2
 from dpmod2.bridge import VerificationReport
+from dpmod2.groups import PermGroup
 
 
 def report_from_json_dict(d):
@@ -30,6 +33,14 @@ def closure(generators, multiply, identity, limit=2_000_000):
                         raise RuntimeError("closure exceeded limit")
         frontier = new
     return seen
+
+
+def f2_chain_of_permutations(S, maps):
+    """The stabilizer chain of linear maps of S on its nonzero vectors, built
+    by turning every map into its permutation and extending by each one:
+    every map is checked and sifted in full."""
+    return PermGroup([f2.permutation(S, m) for m in maps], 2 ** S.dim - 1,
+                     known_base=[S._position[1 << i] for i in range(S.dim)])
 
 
 def isometry_count_bruteforce(S):

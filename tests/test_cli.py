@@ -172,6 +172,8 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
      "bc1831c7e81cc660f641691cd7f04bfefadd4ef49fecdb2dd927ec7421c39bb2"),
     (["table", "--format", "csv"],
      "d128ba90a4f8cbda8180a302f1247f24656fb3301d4f0d9c5c0216bbc9ff4699"),
+    (["remark2", "--rank", "10"],
+     "4164b4d8a2c08001524bb160b1be7b9aea9f360d6f3168b1bbcf92c347c4ce97"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dpmod2 import bridge, errors, f2, lattice
 from dpmod2.groups import PermGroup, bit_indices
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import closure
+from oracles import closure, f2_chain_of_permutations
 
 
 def _tuple_mult(a, b):
@@ -268,6 +268,17 @@ def _gl2_permutation(images):
     return [apply(v) - 1 for v in range(1, 1 << len(images))]
 
 
+def _invertible_images(draw, n):
+    """The basis images, as masks, of a random invertible linear map of
+    F2^n."""
+    images, span = [], {0}
+    for _ in range(n):      # each image outside the span of the others
+        m = draw(st.sampled_from([v for v in range(1 << n) if v not in span]))
+        images.append(m)
+        span |= {v ^ m for v in span}
+    return images
+
+
 @st.composite
 def _linear_groups(draw):
     """Generators of a random subgroup of GL(n, 2), n <= 4, on the nonzero
@@ -277,14 +288,8 @@ def _linear_groups(draw):
     not always the first basis vectors."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 4))
-        gens = []
-        for _ in range(draw(st.integers(1, 3))):
-            images, span = [], {0}
-            for _ in range(n):      # each image outside the span of the others
-                m = draw(st.sampled_from([v for v in range(1 << n) if v not in span]))
-                images.append(m)
-                span |= {v ^ m for v in span}
-            gens.append(_gl2_permutation(images))
+        gens = [_gl2_permutation(_invertible_images(draw, n))
+                for _ in range(draw(st.integers(1, 3)))]
         degree, known_base = (1 << n) - 1, [(1 << i) - 1 for i in range(n)]
     else:
         L = build_plain_root_lattice(draw(st.integers(2, 5)))
@@ -330,22 +335,39 @@ def test_known_base_sift_is_membership(case):
         assert G.sifts_on_known_base([g[b] for b in known_base]) == G.contains(g)
 
 
+def _rho_inputs(n, isometries):
+    L = build_del_pezzo(n)
+    return f2.reduce(L), [bridge.reduce_isometry(L, u) for u in isometries(L)]
+
+
+def _f2_chain_inputs(name):
+    """The space and the maps of each mod-2 chain the package builds."""
+    if name == "n7-SpH":
+        H = f2.sp_model(f2.reduce(build_del_pezzo(7))).hyperplane
+        return [(H, [f2.transvection(H, v) for v in H.nonzero_vectors()])]
+    if name == "n5-quotient":
+        S = f2.reduce(build_del_pezzo(5))
+        quo = f2.quotient_by_radical(S)
+        return [(quo.section, [quo.project(g) for g in f2.orthogonal_generators(S)])]
+    if name.startswith("rho"):
+        return [_rho_inputs(int(name[3:]), isometries)
+                for isometries in (lattice.automorphism_group, lattice.weyl_generators)]
+    L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
+         else build_plain_root_lattice(int(name[1:])))
+    S = f2.reduce(L)
+    return [(S, f2.orthogonal_generators(S))]
+
+
 def _sp7_chain():
-    H = f2.sp_model(f2.reduce(build_del_pezzo(7))).hyperplane
-    return bridge._f2_chain(H, [f2.transvection(H, v) for v in H.nonzero_vectors()])
+    return bridge._f2_chain(*_f2_chain_inputs("n7-SpH")[0])
 
 
 def _quotient5_chain():
-    S = f2.reduce(build_del_pezzo(5))
-    quo = f2.quotient_by_radical(S)
-    return bridge._f2_chain(quo.section,
-                            [quo.project(g) for g in f2.orthogonal_generators(S)])
+    return bridge._f2_chain(*_f2_chain_inputs("n5-quotient")[0])
 
 
 def _rho_chain(n, isometries):
-    L = build_del_pezzo(n)
-    return bridge._f2_chain(f2.reduce(L), [bridge.reduce_isometry(L, u)
-                                           for u in isometries(L)])
+    return bridge._f2_chain(*_rho_inputs(n, isometries))
 
 
 # built afresh, so its counts are not shared with other tests
@@ -354,11 +376,12 @@ def _a10_ol2_chain():
 
 
 @pytest.mark.parametrize("chain, base, orbits, counts", [
-    # 6,920 Schreier generators sifted on the 10 known-base points, 579
-    # permutations (528 generators and 51 Schreier generators) in full
+    # 6,920 Schreier generators sifted on the 10 known-base points, 62
+    # permutations (the 11 generators that grow the chain and 51 Schreier
+    # generators) in full; the other 517 reflections sift on the known base
     (_a10_ol2_chain,
      (512, 513, 515, 519, 527, 543, 575, 639, 767, 511),
-     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 579)),
+     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 62)),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
      (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None),
     (lambda: bridge.aut_group(build_del_pezzo(8)),
@@ -470,3 +493,85 @@ def test_base_lies_in_the_known_base(name):
             first = lv.gens[0]
             assert lv.beta == next(b for b in known if first[b] != b)
             assert len(lv.known[0]) == len(known)
+
+
+@pytest.mark.parametrize("name", [f"dP{n}" for n in range(3, 9)]
+                         + [f"A{n}" for n in range(5, 11)]
+                         + [f"rho{n}" for n in range(3, 9)]
+                         + ["n7-SpH", "n5-quotient"])
+def test_f2_chain_matches_the_chain_of_every_permutation(name, monkeypatch):
+    """Converting only the maps that do not sift on the basis images keeps
+    the chain, level by level, and its generators; the maps converted are
+    exactly those that grow it (11 of the 528 reflections for A10)."""
+    permutation = f2.permutation
+    for S, maps in _f2_chain_inputs(name):
+        ref = f2_chain_of_permutations(S, maps)
+        converted = []
+
+        def counted(S, images):
+            converted.append(images)
+            return permutation(S, images)
+
+        with monkeypatch.context() as m:
+            m.setattr(f2, "permutation", counted)
+            G = bridge._f2_chain(S, maps)
+        assert _chain_digest(G) == _chain_digest(ref)
+        assert G.generators == ref.generators
+        assert len(converted) == len(G.generators)
+    if name == "A10":
+        assert len(converted) == 11
+
+
+@st.composite
+def _spaces_and_maps(draw):
+    """A small intrinsic space and invertible linear maps of it, with the
+    identity and repeats among them."""
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(0, 1))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(0, 1))
+    S = f2.space_from_gram(gram)
+    maps = [S.basis] + [tuple(_invertible_images(draw, n))
+                        for _ in range(draw(st.integers(1, 5)))]
+    maps += draw(st.lists(st.sampled_from(maps), max_size=3))
+    return S, draw(st.permutations(maps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_spaces_and_maps())
+def test_f2_chain_matches_on_random_maps(case):
+    """The same on random invertible maps, the identity and repeats among
+    them."""
+    S, maps = case
+    G, ref = bridge._f2_chain(S, maps), f2_chain_of_permutations(S, maps)
+    assert _chain_digest(G) == _chain_digest(ref)
+    assert G.generators == ref.generators
+
+
+# the hyperbolic plane: nonzero vectors 1, 2, 3 at positions 0, 1, 2; the
+# map b0 -> 2, b1 -> 3 is a 3-cycle on them
+_PLANE = f2.space_from_gram([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("before", [[], [(2, 3)]], ids=["first", "after-chain"])
+@pytest.mark.parametrize("bad, error", [
+    ((4, 1), errors.NotIsometry),       # an image outside the space
+    ((1,), errors.NotIsometry),         # too few images
+    ((1, 2, 3), errors.NotIsometry),    # too many images
+    ((2, 2), errors.BadInput),          # dependent images
+    ((3, 3), errors.BadInput),
+    ((1, 0), errors.BadInput),          # an image of 0
+    ((0, 0), errors.BadInput),
+    # the 3-cycle with b1 -> 0 in place of b1 -> 3, the last point: a
+    # position of -1 read as an index would make it a member
+    ((2, 0), errors.BadInput),
+], ids=["outside", "too-few", "too-many", "repeated", "repeated-sum",
+        "zero", "zeros", "zero-for-last"])
+def test_f2_chain_refuses_malformed_maps(before, bad, error):
+    """The basis-image sift never admits a malformed map, whether it comes
+    first or after maps that built a nontrivial chain."""
+    assert bridge._f2_chain(_PLANE, before).order() == (3 if before else 1)
+    with pytest.raises(error):
+        bridge._f2_chain(_PLANE, before + [bad])
