@@ -166,8 +166,9 @@ def _f2_chain(S, maps):
     The maps are linear, so the basis vectors are a known base.  Between
     maps every level is complete, so a map whose basis images sift on it
     agrees on the basis with a member and is that member.  Only the other
-    maps, and any map with an image of 0 (position -1, not a point, which
-    extend refuses), are made permutations and extend the chain."""
+    maps, and any map with an image of 0 (position -1, not a point), are
+    made permutations and extend the chain; f2.permutation refuses a map
+    with dependent images."""
     chain = groups.PermGroup([], 2 ** S.dim - 1,
                              known_base=[S._position[1 << i] for i in range(S.dim)])
     for m in maps:
@@ -440,8 +441,8 @@ def _verify_remark1():
     comp_orders = []
     comp_f2_orders = []
     for comp in comps:
-        gram = lat.sublattice_gram(L, comp)
-        comp_orders.append(lat.gram_isometry_count(gram))
+        order, gram = lat.component_isometries(L, comp)
+        comp_orders.append(order)
         comp_f2_orders.append(f2.isometry_order(f2.space_from_gram(gram)))
     c.check(comp_orders == [2, 12], "component isometry groups have orders 2, 12")
     c.check(2 * 12 == aut_order, "O(L) = O(A1) x O(A2)")

@@ -291,11 +291,13 @@ def permutation(S, images):
     images: entry c holds the coordinate bits of the image of the vector
     with coordinate bits c.  Returns a tuple of ints, gathered from S's
     position table.  Raises NotIsometry unless there is one image per basis
-    vector, each in S; dependent images send some nonzero vector to 0, an
-    entry of -1, which PermGroup refuses.
+    vector, each in S, and the images are linearly independent.
     """
+    images = _basis_images(S, images)
+    if not _independent(S._coords[m] for m in images):
+        raise errors.NotIsometry("images are linearly dependent")
     span = [0]
-    for m in _basis_images(S, images):
+    for m in images:
         c = S._coords[m]
         span += [x ^ c for x in span]
     return groups.gather(S._position, groups.gather(span, S._point_coords))
@@ -423,17 +425,16 @@ class SpModel:
         return f2_reflection(self.space, w)
 
 
-def _split_radical(S, qk, purpose, top_bit):
-    """The radical vector k and the hyperplane of vectors with bit j clear,
-    where j is k's top or lowest bit; WrongShape unless the radical is {0, k}
-    with q(k) = qk."""
+def _split_radical(S, qk, purpose):
+    """The radical vector k and the hyperplane of vectors with k's top bit j
+    clear; WrongShape unless the radical is {0, k} with q(k) = qk."""
     rad = radical(S)
     if len(rad) != 2:
         raise errors.WrongShape(f"radical has {len(rad)} elements, need 2")
     k = rad[1]
     if S.q(k) != qk:
         raise errors.WrongShape(f"q(k) must be {qk} for the {purpose}")
-    j = k.bit_length() - 1 if top_bit else (k & -k).bit_length() - 1
+    j = k.bit_length() - 1
     pivot = next(b for b in S.basis if b >> j & 1)
     hbasis = tuple((b if not (b >> j & 1) else b ^ pivot)
                    for b in S.basis if b != pivot)
@@ -444,7 +445,7 @@ def _split_radical(S, qk, purpose, top_bit):
 
 def sp_model(S):
     """Build the Sp(H) model; WrongShape unless radical = {0,k} with q(k)=1."""
-    k, H = _split_radical(S, 1, "Sp model", top_bit=False)
+    k, H = _split_radical(S, 1, "Sp model")
     return SpModel(S, k, H)
 
 
@@ -480,5 +481,5 @@ class QuotientModel:
 
 def quotient_by_radical(S):
     """Build the radical quotient; WrongShape unless radical = {0,k}, q(k)=0."""
-    k, N = _split_radical(S, 0, "radical quotient", top_bit=True)
+    k, N = _split_radical(S, 0, "radical quotient")
     return QuotientModel(S, k, N)

@@ -133,7 +133,7 @@ class PermGroup:
         Only generators that grow the group are recorded in `generators`.
         """
         g = self._check_perm(g)
-        residue, _ = self._sift(g, 0)
+        residue = self._sift(g, 0)
         if residue is None:
             return False
         if gather(residue, self._known) == self._known:
@@ -155,16 +155,22 @@ class PermGroup:
 
     def contains(self, g):
         """Exact membership by sifting through the chain."""
-        g = self._check_perm(g)
-        residue, _ = self._sift(g, 0)
-        return residue is None
+        return self._sift(self._check_perm(g), 0) is None
 
-    def sifts_on_known_base(self, images, start=0):
+    def sifts_on_known_base(self, images):
         """Whether the element with these images of the known base sifts to
-        the identity through the levels from start on: the full sift's steps
-        on a few entries, exact for an element of any group the known base
-        determines (a product of such elements fixing it is 1)."""
-        cur = tuple(images)
+        the identity: the full sift's steps on a few entries, exact for an
+        element of any group the known base determines (a product of such
+        elements fixing it is 1).  Raises BadInput unless there is one point
+        per known-base point."""
+        images = tuple(images)
+        if (len(images) != len(self._known)
+                or any(type(b) is not int or not 0 <= b < self.degree for b in images)):
+            raise errors.BadInput("need one point in range per known-base point")
+        return self._sifts_on_known_base(images, 0)
+
+    def _sifts_on_known_base(self, cur, start):
+        """sifts_on_known_base through the levels from start on, unchecked."""
         for lv in self._levels[start:]:
             img = cur[lv.slot]
             if img != lv.beta:
@@ -186,21 +192,18 @@ class PermGroup:
         self._levels.append(_Level(self._known, slot, self._identity))
 
     def _sift(self, g, start):
-        """Strip g through levels >= start.
-
-        Returns (None, len) if g reduces to the identity, otherwise the
-        nontrivial residue and the level index where it belongs.
-        """
+        """Strip g through levels >= start: None if g reduces to the
+        identity, otherwise the nontrivial residue."""
         self.full_sifts += 1
         cur = g
-        for idx, lv in enumerate(self._levels[start:], start):
+        for lv in self._levels[start:]:
             img = cur[lv.beta]
             if img != lv.beta:
                 u_inv = lv.orbit.get(img)
                 if u_inv is None:
-                    return cur, idx
+                    return cur
                 cur = itemgetter(*cur)(u_inv)   # a level exists: degree >= 2
-        return (None if cur == self._identity else cur), len(self._levels)
+        return None if cur == self._identity else cur
 
     def _complete_level(self, idx):
         """Close the orbit at level idx and verify all its Schreier generators.
@@ -263,12 +266,12 @@ class PermGroup:
                 # s = u_q^-1 g u_p, formed in full only when it is not in
                 # the group
                 u_q_inv = lv.orbit[q]
-                if self.sifts_on_known_base(
+                if self._sifts_on_known_base(
                         gather(u_q_inv, gather(gen, lv.known[pi])), idx + 1):
                     continue
                 u_p = self._inverse(lv.orbit[p])
                 s = itemgetter(*u_p)(itemgetter(*gen)(u_q_inv))
-                residue, _ = self._sift(s, idx + 1)
+                residue = self._sift(s, idx + 1)
                 if idx + 1 == len(self._levels):
                     self._add_level(residue)
                 self._levels[idx + 1].add_gen(residue, self._identity)

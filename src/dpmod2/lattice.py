@@ -16,7 +16,6 @@ the ambient lattice fixing K.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
@@ -326,27 +325,41 @@ def _root_pairings(L):
     return rows, simple, [[L.dot(roots[a], roots[b]) for b in simple] for a in simple]
 
 
-@lru_cache(maxsize=None)
-def _aut_search(L):
-    """Backtracking over root images of the simple roots.
+def _root_search(L, mask):
+    """Backtracking over root images of the simple roots in a bitset mask of
+    roots, each image a root of the mask.  Returns (order, solutions, gram):
+    the product of the level counts, the solutions as tuples of root indices,
+    one isometry per realizable candidate that fixes the earlier simple
+    roots, and the Gram matrix of those simple roots, the search's target.
 
-    Any assignment of roots to the simple roots preserving all pairwise Gram
-    values extends linearly to an isometry of L, and every isometry arises
-    this way.  Level by level, the number of candidates that extend to a full
-    solution is the orbit length of that simple root under the pointwise
-    stabilizer of the previous ones, so the product of the counts is |O(L)|.
+    Over every root: any assignment of roots to the simple roots preserving
+    all pairwise Gram values extends linearly to an isometry of L, and every
+    isometry arises this way.  Level by level, the number of candidates that
+    extend to a full solution is the orbit length of that simple root under
+    the pointwise stabilizer of the previous ones, so the order is |O(L)|.
 
-    Returns (order, solutions); each solution is a tuple of root indices, one
-    isometry per realizable candidate that fixes the earlier simple roots.
+    Over a root component c, with span M: a root of L in M pairs nonzero
+    with some root of c, so it lies in c, and the norm-2 vectors of M are c.
+    A positive root a of c is x + y, sums of simple roots inside and outside
+    c; those outside are orthogonal to c, so <y, y> = <a, y> = 0.  So the
+    simple roots in c are a basis of M, and as for O(L), every
+    Gram-preserving assignment of roots of c to them is one isometry of M.
     """
     rows, simple, gram = _root_pairings(L)
-    every = (1 << len(rows)) - 1
-    counts, solutions = groups.orbit_search(rows, [every] * len(simple), gram,
-                                            simple)
+    pos = [i for i, s in enumerate(simple) if mask >> s & 1]
+    target = [[gram[i][j] for j in pos] for i in pos]
+    counts, solutions = groups.orbit_search(rows, [mask] * len(pos), target,
+                                            [simple[i] for i in pos])
     if 0 in counts:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: simple root {counts.index(0)} has no realizable image")
-    return prod(counts), solutions
+    return prod(counts), solutions, target
+
+
+@lru_cache(maxsize=None)
+def _aut_search(L):
+    """_root_search over every root: (|O(L)|, solutions)."""
+    return _root_search(L, (1 << len(enumerate_roots(L))) - 1)[:2]
 
 
 @lru_cache(maxsize=None)
@@ -422,40 +435,11 @@ def root_components(L):
     return tuple(sorted(comps, key=lambda c: (len(c), c)))
 
 
-def sublattice_gram(L, vectors):
-    """Gram matrix of the sublattice spanned by the given ambient vectors."""
-    rows = intlinalg.hermite_normal_form(vectors)
-    return tuple(tuple(L.dot(u, v) for v in rows) for u in rows)
-
-
-def gram_isometry_count(gram):
-    """|O| of a small positive-definite lattice given by its Gram matrix G.
-
-    An isometry is fixed by its basis images: lattice vectors with the basis
-    vectors' squares and pairings.  Conversely, images with Gram matrix G
-    have det(M)^2 = 1, so they define an isometry; groups.orbit_search counts
-    them.  The coordinate box is the exact Fincke-Pohst bound: a vector x of
-    square at most s has x_i^2 <= s * (G^-1)_ii, where (G^-1)_ii is the minor
-    of G without row and column i over det G.  Intended for rank <= 3.
-    """
-    n = len(gram)
-    squares = [gram[i][i] for i in range(n)]
-    d = intlinalg.det(gram)
-    bounds = [isqrt(max(squares) * intlinalg.det(
-        [row[:i] + row[i + 1:] for j, row in enumerate(gram) if j != i]) // d)
-        for i in range(n)]
-
-    def form(x, y):
-        return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
-
-    vecs = [x for x in itertools.product(*(range(-b, b + 1) for b in bounds))
-            if form(x, x) in squares]
-    allowed = [sum(1 << p for p, x in enumerate(vecs) if form(x, x) == s)
-               for s in squares]
-    base = [vecs.index(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    rows = [{} for _ in vecs]
-    for row, x in zip(rows, vecs):
-        for p, y in enumerate(vecs):
-            v = form(x, y)
-            row[v] = row.get(v, 0) | 1 << p
-    return prod(groups.orbit_search(rows, allowed, gram, base)[0])
+def component_isometries(L, component):
+    """(|O(M)|, Gram matrix of M on its simple roots) for the span M of a
+    component of root_components(L): _root_search over its roots."""
+    if tuple(component) not in root_components(L):
+        raise errors.BadInput("not a root component")
+    index = _heights(L)[1]
+    order, _, gram = _root_search(L, sum(1 << index[_height(r)] for r in component))
+    return order, gram

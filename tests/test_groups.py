@@ -335,6 +335,20 @@ def test_known_base_sift_is_membership(case):
         assert G.sifts_on_known_base([g[b] for b in known_base]) == G.contains(g)
 
 
+@pytest.mark.parametrize("images", [[1, -1], [1, 3], [1], [1, 2, 0], [1, True],
+                                    [1.0, 2]],
+                         ids=["negative", "too-large", "too-few", "too-many",
+                              "bool", "float"])
+def test_sifts_on_known_base_checks_images(images):
+    """One int point per known-base point, or BadInput: a negative image is
+    not read as an index from the end, which made [1, -1] pass as the
+    member [1, 2]."""
+    G = PermGroup([(1, 2, 0)], 3, known_base=[0, 1])
+    assert G.sifts_on_known_base([1, 2]) and not G.sifts_on_known_base([2, 1])
+    with pytest.raises(errors.BadInput, match="per known-base point"):
+        G.sifts_on_known_base(images)
+
+
 def _rho_inputs(n, isometries):
     L = build_del_pezzo(n)
     return f2.reduce(L), [bridge.reduce_isometry(L, u) for u in isometries(L)]
@@ -556,22 +570,23 @@ _PLANE = f2.space_from_gram([[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("before", [[], [(2, 3)]], ids=["first", "after-chain"])
-@pytest.mark.parametrize("bad, error", [
-    ((4, 1), errors.NotIsometry),       # an image outside the space
-    ((1,), errors.NotIsometry),         # too few images
-    ((1, 2, 3), errors.NotIsometry),    # too many images
-    ((2, 2), errors.BadInput),          # dependent images
-    ((3, 3), errors.BadInput),
-    ((1, 0), errors.BadInput),          # an image of 0
-    ((0, 0), errors.BadInput),
+@pytest.mark.parametrize("bad, match", [
+    ((4, 1), "outside"),                # an image outside the space
+    ((1,), "one image"),                # too few images
+    ((1, 2, 3), "one image"),           # too many images
+    ((2, 2), "dependent"),              # dependent images
+    ((3, 3), "dependent"),
+    ((1, 0), "dependent"),              # an image of 0
+    ((0, 0), "dependent"),
     # the 3-cycle with b1 -> 0 in place of b1 -> 3, the last point: a
     # position of -1 read as an index would make it a member
-    ((2, 0), errors.BadInput),
+    ((2, 0), "dependent"),
 ], ids=["outside", "too-few", "too-many", "repeated", "repeated-sum",
         "zero", "zeros", "zero-for-last"])
-def test_f2_chain_refuses_malformed_maps(before, bad, error):
+def test_f2_chain_refuses_malformed_maps(before, bad, match):
     """The basis-image sift never admits a malformed map, whether it comes
-    first or after maps that built a nontrivial chain."""
+    first or after maps that built a nontrivial chain: each is NotIsometry,
+    and dependent images, an image of 0 among them, are named as such."""
     assert bridge._f2_chain(_PLANE, before).order() == (3 if before else 1)
-    with pytest.raises(error):
+    with pytest.raises(errors.NotIsometry, match=match):
         bridge._f2_chain(_PLANE, before + [bad])

@@ -7,13 +7,13 @@ from functools import lru_cache
 
 import pytest
 
-from dpmod2 import errors, groups, intlinalg, lattice
+from dpmod2 import errors, f2, groups, intlinalg, lattice
 from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             automorphism_order, build_del_pezzo,
-                            build_plain_root_lattice, enumerate_roots,
-                            gram_isometry_count, is_root,
-                            lattice_coords, root_components, root_reflection,
-                            simple_roots, sublattice_gram, weyl_generators)
+                            build_plain_root_lattice, component_isometries,
+                            enumerate_roots, is_root, lattice_coords,
+                            minus_one, root_components, root_reflection,
+                            simple_roots, weyl_generators)
 from oracles import closure
 
 WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
@@ -310,22 +310,29 @@ def test_basis_on_simple_rejects_a_sublattice(L, monkeypatch):
 
 
 def test_root_components_and_component_isometries():
+    """On each dP3 component, the root search counts the group generated by
+    the component's root reflections and -1, restricted to its roots (O(A1)
+    and O(A2) = W(A2) x {+-1}); its Gram matrices reduce to O(L2) factors
+    of orders 1 and 6."""
     L = build_del_pezzo(3)
+    roots = enumerate_roots(L)
     comps = root_components(L)
     assert tuple(len(c) for c in comps) == (2, 6)
-    orders = [gram_isometry_count(sublattice_gram(L, c)) for c in comps]
+    orders, f2_orders = [], []
+    for c in comps:
+        points = [roots.index(r) for r in c]
+        local = {p: i for i, p in enumerate(points)}
+        gens = [tuple(local[g[p]] for p in points)
+                for g in [minus_one(L)] + [root_reflection(L, r) for r in c]]
+        group = closure(gens, groups.gather, tuple(range(len(c))))
+        order, gram = component_isometries(L, c)
+        assert order == len(group)
+        orders.append(order)
+        f2_orders.append(f2.isometry_order(f2.space_from_gram(gram)))
     assert orders == [2, 12]
-
-
-@pytest.mark.parametrize("gram, order", [
-    (((2,),), 2),
-    (((2, -1), (-1, 2)), 12),
-    (((2, 11), (11, 62)), 12),   # A2 on the basis a, 6a + b
-    (((2, 0), (0, 2)), 8),       # A1 x A1: signs and the swap
-])
-def test_gram_isometry_count(gram, order):
-    """The Fincke-Pohst box holds every vector, however skewed the basis."""
-    assert gram_isometry_count(gram) == order
+    assert f2_orders == [1, 6]
+    with pytest.raises(errors.BadInput, match="not a root component"):
+        component_isometries(L, comps[1][:3])
 
 
 def test_build_checks_the_discriminant():
