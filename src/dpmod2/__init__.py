@@ -6,8 +6,8 @@ from .bridge import (VerificationReport, reduce_isometry, reduce_root,
                      reports_for, root_preimage, verify_corollary,
                      verify_lemma, verify_prop1, verify_prop2, verify_remarks)
 from .f2 import (F2QuadraticSpace, arf, exception_check_n4, f2_reflection,
-                 orthogonal_generators, quotient_by_radical, radical, reduce,
-                 sp_model, symplectic_basis, value_census)
+                 orthogonal_generators, radical, reduce, split_radical,
+                 symplectic_basis, value_census)
 from .groups import PermGroup
 from .lattice import (Lattice, automorphism_group, automorphism_order,
                       build_del_pezzo, build_plain_root_lattice,
@@ -25,8 +25,7 @@ __all__ = [
     # f2
     "F2QuadraticSpace", "reduce", "radical",
     "value_census", "symplectic_basis", "arf", "f2_reflection",
-    "orthogonal_generators", "exception_check_n4", "sp_model",
-    "quotient_by_radical",
+    "orthogonal_generators", "exception_check_n4", "split_radical",
     # groups
     "PermGroup",
     # bridge

@@ -199,10 +199,6 @@ def rho_image_order_weyl(L):
                                     for u in lat.weyl_generators(L)]).order()
 
 
-def minus_one_in_weyl(L):
-    return weyl_group(L).contains(lat.minus_one(L))
-
-
 def _census_numbers(L):
     S = f2.reduce(L)
     q0, q1 = f2.value_census(S)
@@ -351,26 +347,31 @@ def verify_prop2(L):
                 "no totally singular 2-plane")
         witnesses.append(f"nonzero singular vectors: {len(rep.nonzero_singular)}")
     if L.n == 7:
-        model = f2.sp_model(S)
-        H = model.hyperplane
+        k, H = f2.split_radical(S)
+        c.check(S.q(k) == 1, "q(k) = 1")
         tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = _f2_chain(H, tgens).order()
         c.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
-        corr = all(model.forward(model.reflection_for_transvection(v))
+        corr = all(f2.induced(S, k, H, f2.f2_reflection(S, v if S.q(v) else v ^ k))
                    == f2.transvection(H, v) for v in H.nonzero_vectors())
         c.check(corr, "transvections correspond to reflections at v+(1+q(v))k")
         witnesses.append(f"|Sp(H)| = {sp_order}")
     if L.n == 5:
-        quo = f2.quotient_by_radical(S)
-        qgens = [quo.project(g) for g in f2.orthogonal_generators(S)]
-        image_q = _f2_chain(quo.section, qgens).order()
-        kernel = quo.kernel_maps()
+        k, H = f2.split_radical(S)
+        c.check(S.q(k) == 0, "q(k) = 0")
+        qgens = [f2.induced(S, k, H, g) for g in f2.orthogonal_generators(S)]
+        image_q = _f2_chain(H, qgens).order()
+        # the maps x -> x + l(x)k with l(k) = 0, l given by its basis bits
+        kc = S.coords(k)
+        kernel = [f2.check_isometry(S, [b ^ (k if lam >> i & 1 else 0)
+                                        for i, b in enumerate(S.basis)])
+                  for lam in range(1 << S.dim) if not (lam & kc).bit_count() & 1]
         c.check(len(kernel) == 16, "kernel of the quotient map has order 16")
-        c.check(all(quo.project(u) == quo.section.basis for u in kernel),
+        c.check(all(f2.induced(S, k, H, u) == H.basis for u in kernel),
                 "kernel maps project to the identity")
         c.check(oL2 == 16 * image_q, "|O(L2)| = 16 * |O(quotient)|")
         L4 = lat.build_del_pezzo(4)
-        c.check(f2.value_census(quo.section) == f2.value_census(f2.reduce(L4)),
+        c.check(f2.value_census(H) == f2.value_census(f2.reduce(L4)),
                 "quotient census equals the rank-4 census")
         numbers["kernel_order"] = 16
         witnesses.append(f"quotient image order: {image_q}")
@@ -386,7 +387,7 @@ def verify_corollary(L):
     weyl = weyl_group(L).order()
     oL2 = oL2_group(L).order()
     image = rho_image_order_weyl(L)
-    minus1 = minus_one_in_weyl(L)
+    minus1 = weyl_group(L).contains(lat.minus_one(L))
     if L.n in (7, 8):
         c.check(minus1, "-1 is in the Weyl group")
         c.check(weyl == 2 * oL2, "|W| = 2 |O(L2)|")

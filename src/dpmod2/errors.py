@@ -34,7 +34,7 @@ class BadVector(Error):
 
 
 class WrongShape(Error):
-    """The space does not have the radical/q(k) shape this model requires."""
+    """The space's radical is not {0, k} where the operation requires it."""
 
 
 class NoPreimage(Error):

@@ -40,10 +40,15 @@ class F2QuadraticSpace:
                  "_coords", "_q", "_polar", "_point_coords", "_position")
 
     def __init__(self, width, basis, qdiag, gram2, ambient_k=None):
-        self.width = int(width)
-        self.basis = tuple(int(b) for b in basis)
-        self.qdiag = tuple(int(q) & 1 for q in qdiag)
-        self.gram2 = tuple(tuple(int(x) & 1 for x in row) for row in gram2)
+        basis, qdiag, gram2 = tuple(basis), tuple(qdiag), tuple(map(tuple, gram2))
+        for v in (width, *basis, *qdiag, *(x for row in gram2 for x in row)):
+            self._int(v, "width, mask, qdiag or gram2 entry")
+        if len(qdiag) != len(basis):
+            raise errors.BadInput("need one qdiag entry per basis mask")
+        self.width = width
+        self.basis = basis
+        self.qdiag = tuple(q & 1 for q in qdiag)
+        self.gram2 = tuple(tuple(x & 1 for x in row) for row in gram2)
         self.ambient_k = ambient_k
         if self.width < 0 or any(not 0 < b < 1 << self.width for b in self.basis):
             raise errors.BadInput("basis masks must lie in [1, 2**width)")
@@ -165,11 +170,12 @@ def _mask(vec):
 def space_from_gram(gram):
     """Intrinsic model: masks are coordinate vectors over the lattice basis."""
     n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise errors.BadInput("the Gram matrix must be square")
     if any(gram[i][i] % 2 for i in range(n)):
         raise errors.BadInput("the lattice must be even")
     basis = tuple(1 << i for i in range(n))
-    qdiag = tuple((gram[i][i] // 2) & 1 for i in range(n))
-    return F2QuadraticSpace(n, basis, qdiag, gram)
+    return F2QuadraticSpace(n, basis, tuple(gram[i][i] // 2 for i in range(n)), gram)
 
 
 def radical(S):
@@ -240,12 +246,13 @@ def _independent(bits):
 
 
 def _basis_images(S, images):
-    """One space vector per basis vector, as a tuple; NotIsometry otherwise."""
-    images = tuple(int(m) for m in images)
+    """One int space vector per basis vector, as a tuple; NotIsometry
+    otherwise."""
+    images = tuple(images)
     if len(images) != S.dim:
         raise errors.NotIsometry("need one image per basis vector")
-    if any(m not in S._coords for m in images):
-        raise errors.NotIsometry("image outside the space")
+    if any(type(m) is not int or m not in S._coords for m in images):
+        raise errors.NotIsometry("image outside the space or not an int mask")
     return images
 
 
@@ -353,7 +360,7 @@ def isometry_order(S):
     return prod(counts)
 
 
-# -- structure reports and models -------------------------------------------------
+# -- structure reports and the radical split ------------------------------------
 
 @dataclass(frozen=True)
 class SingularPlaneReport:
@@ -396,44 +403,17 @@ def exception_check_n4(S):
     return SingularPlaneReport(sing, expected, sing == expected, pairings_ok, plane)
 
 
-class SpModel:
-    """Splitting L2 = H + F2*k for spaces with radical {0,k} and q(k) = 1.
+def split_radical(S):
+    """The radical vector k and the hyperplane H of vectors with k's top bit
+    clear, so that S = H + F2*k; WrongShape unless the radical is {0, k}.
 
-    The pairing restricted to the hyperplane H is symplectic, and
-    u -> p_H o u|_H identifies the isometry group of the whole space with
-    Sp(H); the transvection at v corresponds to the reflection at
-    v + (1+q(v))k.
+    Since k has no higher bit, x -> min(x, x ^ k) is the projection of S
+    onto H along k.
     """
-
-    def __init__(self, space, k, hyperplane):
-        self.space = space
-        self.k = k
-        self.hyperplane = hyperplane
-
-    def project(self, mask):
-        """p_H: subtract k when the splitting coordinate is set."""
-        return mask if self.hyperplane.contains(mask) else mask ^ self.k
-
-    def forward(self, u):
-        """The symplectic map p_H o u|_H of an isometry of the space."""
-        return check_symplectic(self.hyperplane, (
-            self.project(apply(self.space, u, h)) for h in self.hyperplane.basis))
-
-    def reflection_for_transvection(self, v):
-        """The space reflection corresponding to the transvection at v in H."""
-        w = v if self.space.q(v) == 1 else v ^ self.k
-        return f2_reflection(self.space, w)
-
-
-def _split_radical(S, qk, purpose):
-    """The radical vector k and the hyperplane of vectors with k's top bit j
-    clear; WrongShape unless the radical is {0, k} with q(k) = qk."""
     rad = radical(S)
     if len(rad) != 2:
         raise errors.WrongShape(f"radical has {len(rad)} elements, need 2")
     k = rad[1]
-    if S.q(k) != qk:
-        raise errors.WrongShape(f"q(k) must be {qk} for the {purpose}")
     j = k.bit_length() - 1
     pivot = next(b for b in S.basis if b >> j & 1)
     hbasis = tuple((b if not (b >> j & 1) else b ^ pivot)
@@ -443,43 +423,16 @@ def _split_radical(S, qk, purpose):
                                gram2)
 
 
-def sp_model(S):
-    """Build the Sp(H) model; WrongShape unless radical = {0,k} with q(k)=1."""
-    k, H = _split_radical(S, 1, "Sp model")
-    return SpModel(S, k, H)
+def induced(S, k, H, u):
+    """The basis images on H of x -> min(u(x), u(x) ^ k), for an isometry u
+    of S and (k, H) = split_radical(S); a homomorphism in u.
 
-
-class QuotientModel:
-    """The quotient of a space by its radical vector k when q(k) = 0.
-
-    Classes are represented by the canonical section N = {x : min(x, x^k)},
-    which is a subspace because k's top bit selects the representative.  The
-    form descends since q(x+k) = q(x).
+    If q(k) = 0, q descends to S/k, which H represents: the result is checked
+    as an isometry of (H, q), and the kernel is the 2^(dim-1) maps
+    x -> x + l(x)k with l(k) = 0.  If q(k) = 1, q does not descend: the
+    result is checked as a symplectic map of H, and u -> induced(u) is an
+    isomorphism onto Sp(H) that takes the reflection at whichever of v and
+    v + k has q = 1 to the transvection at v.
     """
-
-    def __init__(self, space, k, section):
-        self.space = space
-        self.k = k
-        self.section = section
-
-    def project_vector(self, mask):
-        return min(mask, mask ^ self.k)
-
-    def project(self, u):
-        """The induced isometry of the quotient (a homomorphism in u)."""
-        return check_isometry(self.section, (
-            self.project_vector(apply(self.space, u, b)) for b in self.section.basis))
-
-    def kernel_maps(self):
-        """All maps x -> x + l(x)k with l(k) = 0: the kernel of project()."""
-        S = self.space
-        kc = S.coords(self.k)
-        return tuple(check_isometry(S, (b ^ (self.k if lam >> i & 1 else 0)
-                                        for i, b in enumerate(S.basis)))
-                     for lam in range(1 << S.dim) if not _parity(lam & kc))
-
-
-def quotient_by_radical(S):
-    """Build the radical quotient; WrongShape unless radical = {0,k}, q(k)=0."""
-    k, N = _split_radical(S, 0, "radical quotient")
-    return QuotientModel(S, k, N)
+    check = check_symplectic if S.q(k) else check_isometry
+    return check(H, (min(m, m ^ k) for m in (apply(S, u, h) for h in H.basis)))

@@ -172,8 +172,11 @@ def _pivot_plan(L):
 def lattice_coords(L, v):
     """Integer coordinates of an ambient lattice vector on L.basis.
 
-    Raises BadInput if v is not in the lattice.
+    Raises BadInput if v is not in the lattice, LengthMismatch unless v has
+    the ambient width.
     """
+    if len(v) != L.width:
+        raise errors.LengthMismatch("ambient vectors must have width n+1")
     rem = list(v)
     x = [0] * L.n
     for c, i, row in _pivot_plan(L):

@@ -2,7 +2,7 @@
 the mod-2 chain built the plain way, from every map's permutation; and a
 reader for the reports' JSON form."""
 
-from dpmod2 import f2
+from dpmod2 import errors, f2
 from dpmod2.bridge import VerificationReport
 from dpmod2.groups import PermGroup
 
@@ -63,3 +63,16 @@ def isometry_count_bruteforce(S):
 
     assign(0, [], frozenset({0}))
     return count
+
+
+def radical_kernel_bruteforce(S, k):
+    """The isometries of S that move each basis vector b to b or b + k, by
+    trying all 2^dim choices and keeping those check_isometry accepts."""
+    maps = []
+    for choice in range(1 << S.dim):
+        images = [b ^ (k if choice >> i & 1 else 0) for i, b in enumerate(S.basis)]
+        try:
+            maps.append(f2.check_isometry(S, images))
+        except errors.NotIsometry:
+            pass
+    return maps

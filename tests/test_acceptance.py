@@ -14,7 +14,9 @@ import pytest
 from dpmod2 import bridge, cli, errors, f2, groups, intlinalg
 from dpmod2.lattice import (automorphism_group, automorphism_order,
                             build_del_pezzo, build_plain_root_lattice,
-                            enumerate_roots, root_reflection, weyl_generators)
+                            enumerate_roots, minus_one, root_reflection,
+                            weyl_generators)
+from oracles import radical_kernel_bruteforce
 
 NS = range(3, 9)
 
@@ -108,7 +110,7 @@ def test_c06_group_orders():
             assert o == a // (4 if n == 3 else 2)
             assert (w == o) if n in (4, 5, 6) else True
             assert (w == 2 * o) if n in (7, 8) else True
-            assert bridge.minus_one_in_weyl(L) == (n in (7, 8))
+            assert bridge.weyl_group(L).contains(minus_one(L)) == (n in (7, 8))
 
 
 def test_c07_constructive_bijection():
@@ -139,22 +141,22 @@ def test_c08_prop2_structure():
         # n = 7: O(L2) = Sp(H) by order and generator correspondence
         L7 = build_del_pezzo(7)
         S7 = f2.reduce(L7)
-        model = f2.sp_model(S7)
-        H = model.hyperplane
+        k, H = f2.split_radical(S7)
         tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = groups.PermGroup([f2.permutation(H, t) for t in tgens],
                                     len(H.nonzero_vectors())).order()
         assert sp_order == bridge.oL2_group(L7).order() == 1451520
         for v in H.nonzero_vectors():
-            assert (model.forward(model.reflection_for_transvection(v))
-                    == f2.transvection(H, v))
+            r = f2.f2_reflection(S7, v if S7.q(v) else v ^ k)
+            assert f2.induced(S7, k, H, r) == f2.transvection(H, v)
         # n = 5: kernel of the quotient map has order 16 and the quotient
         # census equals the n = 4 census
         S5 = f2.reduce(build_del_pezzo(5))
-        quo = f2.quotient_by_radical(S5)
-        assert len(quo.kernel_maps()) == 16
-        assert all(quo.project(u) == quo.section.basis for u in quo.kernel_maps())
-        assert f2.value_census(quo.section) == f2.value_census(S4) == (6, 10)
+        k, N = f2.split_radical(S5)
+        kernel = radical_kernel_bruteforce(S5, k)
+        assert len(kernel) == 16
+        assert all(f2.induced(S5, k, N, u) == N.basis for u in kernel)
+        assert f2.value_census(N) == f2.value_census(S4) == (6, 10)
 
 
 def test_c09_remark2_failure_witness():

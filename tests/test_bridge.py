@@ -41,13 +41,12 @@ def test_batched_permutations_match_pointwise(L):
     S = f2.reduce(L)
     maps = [(S, g) for g in f2.orthogonal_generators(S)]
     maps += [(S, bridge.reduce_isometry(L, u)) for u in isometries]
-    rad = f2.radical(S)
-    if len(rad) == 2 and S.q(rad[1]) == 1:       # Sp(H) transvections
-        H = f2.sp_model(S).hyperplane
-        maps += [(H, f2.transvection(H, v)) for v in H.nonzero_vectors()]
-    if len(rad) == 2 and S.q(rad[1]) == 0:       # quotient projections
-        quo = f2.quotient_by_radical(S)
-        maps += [(quo.section, quo.project(g)) for g in f2.orthogonal_generators(S)]
+    if len(f2.radical(S)) == 2:
+        k, H = f2.split_radical(S)
+        if S.q(k) == 1:                          # Sp(H) transvections
+            maps += [(H, f2.transvection(H, v)) for v in H.nonzero_vectors()]
+        else:                                    # quotient projections
+            maps += [(H, f2.induced(S, k, H, g)) for g in f2.orthogonal_generators(S)]
     for space, m in maps:
         assert list(f2.permutation(space, m)) == _pointwise(
             space.nonzero_vectors(), lambda v: f2.apply(space, m, v))

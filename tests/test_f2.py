@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dpmod2 import bridge, cli, errors, f2, groups
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import isometry_count_bruteforce
+from oracles import isometry_count_bruteforce, radical_kernel_bruteforce
 
 # (q0, q1) for n = 3..8; the q1 column is 4, 10, 20, 36, 64, 120
 CENSUS = {3: (4, 4), 4: (6, 10), 5: (12, 20), 6: (28, 36), 7: (64, 64),
@@ -340,13 +340,17 @@ def test_exception_check_n4():
 
 
 def test_sp_model_n7():
+    """O(L2) = Sp(H) at n = 7, where q(k) = 1, through split_radical and
+    induced."""
     S = _space(7)
-    M = f2.sp_model(S)
-    H = M.hyperplane
+    k, H = f2.split_radical(S)
+    assert k == S.ambient_k and S.q(k) == 1
     assert H.dim == 6
     # L2 = H + F2 k: k outside H, together they span
-    assert not H.contains(M.k)
+    assert not H.contains(k)
     assert f2.radical(H) == [0]
+    # the projection along k keeps the member with k's top bit clear
+    assert all(H.contains(min(x, x ^ k)) for x in S.vectors())
     tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
     SpG = _f2_group(tgens, H)
     assert SpG.order() == 1451520  # |Sp6(F2)|, matches the classical formula
@@ -356,41 +360,41 @@ def test_sp_model_n7():
     for i in range(1, m + 1):
         formula *= 4 ** i - 1
     assert SpG.order() == formula
-    # forward is a homomorphism on reflection generator pairs
+    # induced is a homomorphism on reflection generator pairs
     gens = f2.orthogonal_generators(S)[:6]
     for u in gens:
         for v in gens:
-            assert M.forward(f2.compose(S, u, v)) == f2.compose(
-                H, M.forward(u), M.forward(v))
-    # transvection at v corresponds to the reflection at v + (1+q(v))k
+            assert f2.induced(S, k, H, f2.compose(S, u, v)) == f2.compose(
+                H, f2.induced(S, k, H, u), f2.induced(S, k, H, v))
+    # transvection at v corresponds to the reflection at v + (1+q(v))k: the
+    # reflection at v itself when q(v) = 1, at v + k when q(v) = 0
+    assert {S.q(v) for v in H.nonzero_vectors()} == {0, 1}
     for v in H.nonzero_vectors():
-        assert M.forward(M.reflection_for_transvection(v)) == f2.transvection(H, v)
-    # q(v) = 1 vectors map to their own reflection; q(v) = 0 to v + k
-    one = next(v for v in H.nonzero_vectors() if S.q(v) == 1)
-    zero = next(v for v in H.nonzero_vectors() if S.q(v) == 0)
-    assert M.reflection_for_transvection(one) == f2.f2_reflection(S, one)
-    assert M.reflection_for_transvection(zero) == f2.f2_reflection(S, zero ^ M.k)
+        r = f2.f2_reflection(S, v if S.q(v) else v ^ k)
+        assert f2.induced(S, k, H, r) == f2.transvection(H, v)
 
 
 def test_sp_model_n3():
     S = _space(3)
-    M = f2.sp_model(S)
-    tgens = [f2.transvection(M.hyperplane, v)
-             for v in M.hyperplane.nonzero_vectors()]
-    SpG = _f2_group(tgens, M.hyperplane)
+    k, H = f2.split_radical(S)
+    tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
+    SpG = _f2_group(tgens, H)
     assert SpG.order() == 6  # Sp2(F2) = S3
 
 
-@pytest.mark.parametrize("n", (4, 5))
-def test_sp_model_wrong_shape(n):
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_split_radical_wrong_shape(n):
+    """Even n has a trivial radical, so there is no k to split off."""
     with pytest.raises(errors.WrongShape):
-        f2.sp_model(_space(n))
+        f2.split_radical(_space(n))
 
 
 def test_quotient_model_n5():
+    """O(L2) onto O(L2/k) at n = 5, where q(k) = 0: H represents the
+    quotient and induced is the projection."""
     S = _space(5)
-    Q = f2.quotient_by_radical(S)
-    N = Q.section
+    k, N = f2.split_radical(S)
+    assert k == S.ambient_k and S.q(k) == 0
     assert N.dim == 4
     # the section is spanned by e_i + e_j for i < j < 5 (top bit clear)
     assert all(v >> 5 == 0 for v in N.vectors())
@@ -398,24 +402,42 @@ def test_quotient_model_n5():
     assert f2.radical(N) == [0]
     # 2 * quotient census = the full census
     assert f2.value_census(S)[1] == 2 * f2.value_census(N)[1] == 20
-    kernel = Q.kernel_maps()
+    kernel = radical_kernel_bruteforce(S, k)
     assert len(kernel) == 16
     for u in kernel:
-        assert Q.project(u) == N.basis
+        assert f2.induced(S, k, N, u) == N.basis
         for v in S.vectors():
-            assert f2.apply(S, u, v) in (v, v ^ Q.k)
-    # project is a homomorphism on reflection generator pairs
+            assert f2.apply(S, u, v) in (v, v ^ k)
+    # induced is a homomorphism on reflection generator pairs
     gens = f2.orthogonal_generators(S)[:6]
     for u in gens:
         for v in gens:
-            assert Q.project(f2.compose(S, u, v)) == f2.compose(
-                N, Q.project(u), Q.project(v))
+            assert f2.induced(S, k, N, f2.compose(S, u, v)) == f2.compose(
+                N, f2.induced(S, k, N, u), f2.induced(S, k, N, v))
 
 
-@pytest.mark.parametrize("n", (4, 7))
-def test_quotient_model_wrong_shape(n):
-    with pytest.raises(errors.WrongShape):
-        f2.quotient_by_radical(_space(n))
+def test_induced_keeps_q_exactly_when_q_of_k_is_0():
+    """q descends along k when q(k) = 0: at n = 5 every induced reflection
+    is an isometry of (H, q), and induced refuses a map that breaks q.  At
+    n = 7, where q(k) = 1, some induced reflection keeps only the pairing."""
+    S5, S7 = _space(5), _space(7)
+    k, H = f2.split_radical(S5)
+    for g in f2.orthogonal_generators(S5):
+        m = f2.induced(S5, k, H, g)
+        assert f2.check_isometry(H, m) == m
+    v = next(v for v in H.nonzero_vectors() if S5.q(v) == 0)
+    with pytest.raises(errors.NotIsometry, match="q is not preserved"):
+        f2.induced(S5, k, H, f2.transvection(S5, v))
+    k, H = f2.split_radical(S7)
+    failures = 0
+    for g in f2.orthogonal_generators(S7):
+        m = f2.induced(S7, k, H, g)
+        assert f2.check_symplectic(H, m) == m
+        try:
+            f2.check_isometry(H, m)
+        except errors.NotIsometry:
+            failures += 1
+    assert failures > 0
 
 
 def test_hyperbolic_plane_arf_zero():
@@ -563,6 +585,16 @@ def test_isometry_validation_rejects_bad_maps():
     for m in (1, 1 << S.width, b[0] | 1 << S.width):
         with pytest.raises(errors.NotIsometry, match="outside"):
             f2.check_symplectic(S, (m,) + b[1:])
+    # images are int masks: a float, str or bool is not coerced, also where
+    # the int it would become is in the space (mask 1 of the plane)
+    P = f2.space_from_gram([[0, 1], [1, 0]])
+    assert f2.check_symplectic(P, (1, 2)) == (1, 2)
+    for space, images in [(S, (m,) + b[1:])
+                          for m in (b[0] + 0.7, float(b[0]), str(b[0]))] + [
+                          (P, (True, 2))]:
+        for check in (f2.check_symplectic, f2.check_isometry):
+            with pytest.raises(errors.NotIsometry, match="not an int"):
+                check(space, images)
 
 
 def test_permutation_rejects_bad_images():
@@ -577,6 +609,12 @@ def test_permutation_rejects_bad_images():
     for m in (1, 1 << S.width, b[0] | 1 << S.width):
         with pytest.raises(errors.NotIsometry, match="image outside the space"):
             f2.permutation(S, (m,) + b[1:])
+    P = f2.space_from_gram([[0, 1], [1, 0]])
+    for space, images in [(S, (m,) + b[1:])
+                          for m in (b[0] + 0.7, float(b[0]), str(b[0]))] + [
+                          (P, (True, 2)), (P, (1, 2.0))]:
+        with pytest.raises(errors.NotIsometry, match="not an int"):
+            f2.permutation(space, images)
     # b[0] + b[0] = 0 is no nonzero vector
     with pytest.raises(errors.NotIsometry, match="images are linearly dependent"):
         f2.permutation(S, (b[0], b[0]) + b[2:])

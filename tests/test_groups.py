@@ -357,12 +357,12 @@ def _rho_inputs(n, isometries):
 def _f2_chain_inputs(name):
     """The space and the maps of each mod-2 chain the package builds."""
     if name == "n7-SpH":
-        H = f2.sp_model(f2.reduce(build_del_pezzo(7))).hyperplane
+        _, H = f2.split_radical(f2.reduce(build_del_pezzo(7)))
         return [(H, [f2.transvection(H, v) for v in H.nonzero_vectors()])]
     if name == "n5-quotient":
         S = f2.reduce(build_del_pezzo(5))
-        quo = f2.quotient_by_radical(S)
-        return [(quo.section, [quo.project(g) for g in f2.orthogonal_generators(S)])]
+        k, H = f2.split_radical(S)
+        return [(H, [f2.induced(S, k, H, g) for g in f2.orthogonal_generators(S)])]
     if name.startswith("rho"):
         return [_rho_inputs(int(name[3:]), isometries)
                 for isometries in (lattice.automorphism_group, lattice.weyl_generators)]
@@ -482,11 +482,11 @@ def _package_chains(name):
         return [(_rho_chain(n, isometries), known)
                 for isometries in (lattice.automorphism_group, lattice.weyl_generators)]
     if name == "n7-SpH":
-        H = f2.sp_model(f2.reduce(build_del_pezzo(7))).hyperplane
+        _, H = f2.split_radical(f2.reduce(build_del_pezzo(7)))
         return [(_sp7_chain(), _basis_positions(H))]
     if name == "n5-quotient":
-        quo = f2.quotient_by_radical(f2.reduce(build_del_pezzo(5)))
-        return [(_quotient5_chain(), _basis_positions(quo.section))]
+        _, H = f2.split_radical(f2.reduce(build_del_pezzo(5)))
+        return [(_quotient5_chain(), _basis_positions(H))]
     L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
          else build_plain_root_lattice(int(name[1:])))
     simple = list(lattice._simple_indices(L))

@@ -197,14 +197,25 @@ _PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X"
     lambda: f2.F2QuadraticSpace(2, (-1,), (0,), ((0,),)),
     lambda: f2.F2QuadraticSpace(2, (0,), (0,), ((0,),)),
     lambda: f2.F2QuadraticSpace(-1, (), (), ()),
+    lambda: f2.F2QuadraticSpace(2, [1, 2], [1], [[0, 1], [1, 0]]),
+    lambda: f2.F2QuadraticSpace(2, [1], [1, 0], [[0]]),
+    lambda: f2.F2QuadraticSpace(2.5, [1], [0], [[0]]),
+    lambda: f2.F2QuadraticSpace(2, [1.5], [0], [[0]]),
+    lambda: f2.F2QuadraticSpace(2, [1], [True], [[0]]),
+    lambda: f2.F2QuadraticSpace(2, [1], [0], [[0.0]]),
     lambda: f2.space_from_gram(((1,),)),
+    lambda: f2.space_from_gram([[2, 1], [1]]),
+    lambda: f2.space_from_gram([[2.0]]),
     lambda: groups.PermGroup([], 0),
     lambda: groups.PermGroup([[1, 1, 2]], 3),
     lambda: lattice.lattice_coords(_PIVOT_3, (1, 0)),
     lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (1, 0, 0, 0)),
     lambda: intlinalg.kernel_basis((0, 0, 0)),
 ], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
-        "f2-negative-mask", "f2-zero-mask", "f2-negative-width", "f2-odd-gram",
+        "f2-negative-mask", "f2-zero-mask", "f2-negative-width",
+        "f2-short-qdiag", "f2-long-qdiag", "f2-float-width", "f2-float-mask",
+        "f2-bool-qdiag", "f2-float-gram2", "f2-odd-gram", "f2-ragged-gram",
+        "f2-float-gram",
         "groups-degree", "groups-not-a-permutation", "lattice-pivot",
         "lattice-remainder", "intlinalg-zero-functional"])
 def test_bad_input_is_a_typed_error(bad_call):

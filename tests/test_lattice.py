@@ -285,6 +285,11 @@ def test_lattice_coords_roundtrip():
         assert lattice_coords(L, v) == x
     with pytest.raises(ValueError):
         lattice_coords(L, (1, 0, 0, 0, 0, 0, 0))  # not orthogonal to K
+    # the width is checked, as Lattice.dot does: no IndexError, and no
+    # truncation or zero padding by zip
+    for v in ((1, 2), (0,) * 8):
+        with pytest.raises(errors.LengthMismatch):
+            lattice_coords(L, v)
 
 
 @pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
