@@ -382,11 +382,32 @@ def test_sp_model_n3():
     assert SpG.order() == 6  # Sp2(F2) = S3
 
 
-@pytest.mark.parametrize("n", (4, 6, 8))
+@pytest.mark.parametrize("n", (6, 8))
 def test_split_radical_wrong_shape(n):
     """Even n has a trivial radical, so there is no k to split off."""
     with pytest.raises(errors.WrongShape):
         f2.split_radical(_space(n))
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_sp_model_wrong_shape(n):
+    """O(L2) = Sp(H) needs a radical {0, k} with q(k) = 1.  At n = 4 the
+    radical is trivial.  At n = 5, q(k) = 0, so q descends along k: every
+    induced reflection is an isometry of (H, q), and induced refuses a map
+    that breaks q."""
+    S = _space(n)
+    if n == 4:
+        with pytest.raises(errors.WrongShape):
+            f2.split_radical(S)
+        return
+    k, H = f2.split_radical(S)
+    assert S.q(k) == 0
+    for g in f2.orthogonal_generators(S):
+        m = f2.induced(S, k, H, g)
+        assert f2.check_isometry(H, m) == m
+    v = next(v for v in H.nonzero_vectors() if S.q(v) == 0)
+    with pytest.raises(errors.NotIsometry, match="q is not preserved"):
+        f2.induced(S, k, H, f2.transvection(S, v))
 
 
 def test_quotient_model_n5():
@@ -416,22 +437,21 @@ def test_quotient_model_n5():
                 N, f2.induced(S, k, N, u), f2.induced(S, k, N, v))
 
 
-def test_induced_keeps_q_exactly_when_q_of_k_is_0():
-    """q descends along k when q(k) = 0: at n = 5 every induced reflection
-    is an isometry of (H, q), and induced refuses a map that breaks q.  At
-    n = 7, where q(k) = 1, some induced reflection keeps only the pairing."""
-    S5, S7 = _space(5), _space(7)
-    k, H = f2.split_radical(S5)
-    for g in f2.orthogonal_generators(S5):
-        m = f2.induced(S5, k, H, g)
-        assert f2.check_isometry(H, m) == m
-    v = next(v for v in H.nonzero_vectors() if S5.q(v) == 0)
-    with pytest.raises(errors.NotIsometry, match="q is not preserved"):
-        f2.induced(S5, k, H, f2.transvection(S5, v))
-    k, H = f2.split_radical(S7)
+@pytest.mark.parametrize("n", (4, 7))
+def test_quotient_model_wrong_shape(n):
+    """O(L2) onto O(L2/k) needs a radical {0, k} with q(k) = 0.  At n = 4
+    the radical is trivial.  At n = 7, q(k) = 1, so q does not descend: every
+    induced reflection keeps the pairing, and some fails check_isometry."""
+    S = _space(n)
+    if n == 4:
+        with pytest.raises(errors.WrongShape):
+            f2.split_radical(S)
+        return
+    k, H = f2.split_radical(S)
+    assert S.q(k) == 1
     failures = 0
-    for g in f2.orthogonal_generators(S7):
-        m = f2.induced(S7, k, H, g)
+    for g in f2.orthogonal_generators(S):
+        m = f2.induced(S, k, H, g)
         assert f2.check_symplectic(H, m) == m
         try:
             f2.check_isometry(H, m)
