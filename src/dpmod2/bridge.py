@@ -11,7 +11,6 @@ space, and return serializable reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import xor
 
@@ -108,15 +107,15 @@ def reduce_isometry(L, p):
 
 # -- reports ----------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
     """Outcome of one verified statement for one lattice."""
 
-    statement: str
-    n: int
-    passed: bool
-    numbers: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
+    def __init__(self, statement, n, passed, numbers, witnesses):
+        self.statement = statement
+        self.n = n
+        self.passed = passed
+        self.numbers = numbers
+        self.witnesses = witnesses
 
     def to_json_dict(self):
         return {
@@ -339,13 +338,15 @@ def verify_prop2(L):
                    rho_image_order=image, kernel_order=2)
     witnesses = []
     if L.n == 4:
-        rep = f2.exception_check_n4(S)
-        c.check(rep.matches_expected,
+        # no totally singular plane, by an exhaustive scan of singular pairs
+        sing = [v for v in S.nonzero_vectors() if S.q(v) == 0]
+        pairs = [(u, v) for i, u in enumerate(sing) for v in sing[i + 1:]]
+        expected = {S.ambient_k ^ 1} | {1 | 1 << i for i in range(1, S.width)}
+        c.check(set(sing) == expected,
                 "nonzero singular vectors are k+e0 and the e0+e_i")
-        c.check(rep.pairings_all_one, "singular vectors pair to 1")
-        c.check(rep.totally_singular_plane is None,
-                "no totally singular 2-plane")
-        witnesses.append(f"nonzero singular vectors: {len(rep.nonzero_singular)}")
+        c.check(all(S.pair(u, v) for u, v in pairs), "singular vectors pair to 1")
+        c.check(all(S.q(u ^ v) for u, v in pairs), "no totally singular 2-plane")
+        witnesses.append(f"nonzero singular vectors: {len(sing)}")
     if L.n == 7:
         k, H = f2.split_radical(S)
         c.check(S.q(k) == 1, "q(k) = 1")

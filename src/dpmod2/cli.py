@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import bridge, errors, f2, lattice as lat
 
@@ -197,6 +196,7 @@ def run(argv):
         sys.stderr.write(f"check failed with {type(exc).__name__}: {exc}\n")
         return 1
     except Exception as exc:  # a bug, which must not pass for a failed check
+        import traceback
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         traceback.print_exc()
         return 1

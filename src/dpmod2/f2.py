@@ -10,8 +10,8 @@ their basis coordinates.  In the canonical *ambient* model the bits index
 the ambient coordinates e_0..e_n, where the pairing is also the parity of
 the AND popcount (reduce() checks this); a lattice of rank n reduces to the
 n-dimensional subspace of even-popcount masks.  The *intrinsic* model
-(space_from_gram) uses the basis coordinates as masks; coords()/from_coords()
-convert between a mask and its basis coordinates in either model.
+(space_from_gram) uses the basis coordinates as masks, so coords() takes a
+mask of either model to the intrinsic mask of the same vector.
 
 A linear self-map of a space is the tuple of its basis images.
 check_symplectic/check_isometry validate one and return it, apply and
@@ -21,7 +21,6 @@ nonzero_vectors(), the form the stabilizer chains take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -40,7 +39,11 @@ class F2QuadraticSpace:
                  "_coords", "_q", "_polar", "_point_coords", "_position")
 
     def __init__(self, width, basis, qdiag, gram2, ambient_k=None):
-        basis, qdiag, gram2 = tuple(basis), tuple(qdiag), tuple(map(tuple, gram2))
+        try:
+            basis, qdiag, gram2 = tuple(basis), tuple(qdiag), tuple(map(tuple, gram2))
+        except TypeError:
+            raise errors.BadInput("basis, qdiag and each gram2 row must be "
+                                  "sequences") from None
         for v in (width, *basis, *qdiag, *(x for row in gram2 for x in row)):
             self._int(v, "width, mask, qdiag or gram2 entry")
         if len(qdiag) != len(basis):
@@ -109,16 +112,6 @@ class F2QuadraticSpace:
         """Basis coordinate bits of a space vector."""
         return self._lookup(self._coords, v)
 
-    def from_coords(self, bits):
-        bits = self._int(bits, "coordinate bits")
-        if not 0 <= bits < 1 << self.dim:
-            raise errors.BadInput(f"coordinate bits {bits} out of range "
-                                  f"for dimension {self.dim}")
-        m = 0
-        for i in groups.bit_indices(bits):
-            m ^= self.basis[i]
-        return m
-
     def vectors(self):
         """All space vectors, sorted (deterministic)."""
         return sorted(self._q)
@@ -169,9 +162,15 @@ def _mask(vec):
 
 def space_from_gram(gram):
     """Intrinsic model: masks are coordinate vectors over the lattice basis."""
+    try:
+        gram = tuple(map(tuple, gram))
+    except TypeError:
+        raise errors.BadInput("the Gram matrix must be a sequence of rows") from None
     n = len(gram)
-    if any(len(row) != n for row in gram):
-        raise errors.BadInput("the Gram matrix must be square")
+    if any(len(row) != n or any(type(x) is not int for x in row) for row in gram):
+        raise errors.BadInput("the Gram matrix must be a square matrix of ints")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise errors.BadInput("the Gram matrix must be symmetric")
     if any(gram[i][i] % 2 for i in range(n)):
         raise errors.BadInput("the lattice must be even")
     basis = tuple(1 << i for i in range(n))
@@ -360,48 +359,7 @@ def isometry_order(S):
     return prod(counts)
 
 
-# -- structure reports and the radical split ------------------------------------
-
-@dataclass(frozen=True)
-class SingularPlaneReport:
-    """Outcome of the q=0-vector analysis used for the rank-4 exception."""
-
-    nonzero_singular: tuple
-    expected_singular: tuple
-    matches_expected: bool
-    pairings_all_one: bool
-    totally_singular_plane: tuple | None
-
-    @property
-    def passed(self):
-        return (self.matches_expected and self.pairings_all_one
-                and self.totally_singular_plane is None)
-
-
-def exception_check_n4(S):
-    """Confirm the rank-4 space has no 2-dimensional subspace with q = 0.
-
-    The nonzero singular vectors must be exactly k+e0 and e0+e_i (pairwise
-    pairing 1), which rules out any totally singular plane; the plane scan is
-    exhaustive and independent of that description.
-    """
-    sing = tuple(v for v in S.vectors() if v and S.q(v) == 0)
-    k = S.ambient_k
-    expected = tuple(sorted([(k ^ 1) & ((1 << S.width) - 1)]
-                            + [1 | (1 << i) for i in range(1, S.width)]))
-    pairings_ok = all(S.pair(u, v) == 1
-                      for i, u in enumerate(sing) for v in sing[i + 1:])
-    plane = None
-    for i, u in enumerate(sing):
-        for v in sing[i + 1:]:
-            w = u ^ v
-            if w and S.q(w) == 0:
-                plane = (u, v)
-                break
-        if plane:
-            break
-    return SingularPlaneReport(sing, expected, sing == expected, pairings_ok, plane)
-
+# -- the radical split ----------------------------------------------------------
 
 def split_radical(S):
     """The radical vector k and the hyperplane H of vectors with k's top bit

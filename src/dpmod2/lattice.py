@@ -16,7 +16,7 @@ the ambient lattice fixing K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, prod
 from operator import mul
@@ -29,17 +29,16 @@ DEL_PEZZO_TYPES = {3: "A1xA2", 4: "A4", 5: "D5", 6: "E6", 7: "E7", 8: "E8"}
 ROOT_COUNTS = {"A1xA2": 8, "A4": 20, "D5": 40, "E6": 72, "E7": 126, "E8": 240}
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """An even positive-definite lattice K^perp inside a diagonal Z^(n+1)."""
+class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
+    """An even positive-definite lattice K^perp inside a diagonal Z^(n+1).
 
-    kind: str                 # "delpezzo" | "plain"
-    n: int                    # rank
-    signs: tuple              # diagonal of the ambient form, entries +-1
-    K: tuple                  # ambient vector cut out
-    basis: tuple              # n ambient vectors: canonical kernel basis
-    gram: tuple               # n x n Gram matrix of the basis
-    root_type: str
+    An immutable value: kind is "delpezzo" or "plain", n the rank, signs the
+    diagonal of the ambient form (entries +-1), K the ambient vector cut
+    out, basis the n ambient vectors of the canonical kernel basis, gram
+    their n x n Gram matrix, and root_type the name of the root system.
+    """
+
+    __slots__ = ()
 
     @property
     def width(self):

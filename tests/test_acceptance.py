@@ -131,13 +131,16 @@ def test_c07_constructive_bijection():
 
 def test_c08_prop2_structure():
     with criterion("8 prop2 structure checks"):
-        # n = 4: exactly five nonzero singular vectors, pairwise pairing 1,
-        # no totally singular plane (exhaustive scan)
-        S4 = f2.reduce(build_del_pezzo(4))
-        rep = f2.exception_check_n4(S4)
-        assert len(rep.nonzero_singular) == 5
-        assert rep.matches_expected and rep.pairings_all_one
-        assert rep.totally_singular_plane is None
+        # n = 4: exactly five nonzero singular vectors, k + e0 and e0 + e_i;
+        # prop2's sub-checks (pairwise pairing 1, no totally singular plane
+        # by an exhaustive scan) pass
+        L4 = build_del_pezzo(4)
+        rep = bridge.verify_prop2(L4)
+        assert rep.passed and rep.witnesses == ["nonzero singular vectors: 5"]
+        S4 = f2.reduce(L4)
+        k = S4.ambient_k
+        assert {v for v in S4.vectors() if v and S4.q(v) == 0} == (
+            {k ^ 1} | {1 | 1 << i for i in range(1, 5)})
         # n = 7: O(L2) = Sp(H) by order and generator correspondence
         L7 = build_del_pezzo(7)
         S7 = f2.reduce(L7)

@@ -82,14 +82,9 @@ def test_lookup_rejects_non_int_masks(mask):
     lambda S: S.contains([3]),
     lambda S: S.contains(3.0),
     lambda S: f2.transvection(S, [3]),
-    lambda S: S.from_coords(2.5),
-    lambda S: S.from_coords(16),
-    lambda S: S.from_coords(-1),
-], ids=["contains-list", "contains-float", "transvection-list",
-        "from_coords-float", "from_coords-2**dim", "from_coords-negative"])
+], ids=["contains-list", "contains-float", "transvection-list"])
 def test_contains_and_from_coords_reject_bad_input(call):
-    """Non-int masks and coordinate bits outside [0, 2**dim) are BadInput,
-    not a bare TypeError, an IndexError, a float answer or an endless loop."""
+    """Non-int masks are BadInput, not a bare TypeError or a float answer."""
     S = _space(4)
     assert S.dim == 4
     with pytest.raises(errors.BadInput):
@@ -328,15 +323,16 @@ def test_emitted_isometries_preserve_q_exhaustively(n):
 
 
 def test_exception_check_n4():
-    S = _space(4)
-    rep = f2.exception_check_n4(S)
+    """The rank-4 space has no totally singular plane: prop2's n = 4
+    sub-checks pass on the five nonzero singular vectors k + e0, e0 + e_i."""
+    L = build_del_pezzo(4)
+    rep = bridge.verify_prop2(L)
     assert rep.passed
-    assert len(rep.nonzero_singular) == 5
-    assert rep.nonzero_singular == rep.expected_singular
-    # explicit: k + e0 and e0 + e_i
+    assert rep.witnesses == ["nonzero singular vectors: 5"]
+    S = f2.reduce(L)
     k = S.ambient_k
-    assert set(rep.nonzero_singular) == {k ^ 1} | {1 | (1 << i) for i in range(1, 5)}
-    assert rep.totally_singular_plane is None
+    sing = {v for v in S.vectors() if v and S.q(v) == 0}
+    assert sing == {k ^ 1} | {1 | (1 << i) for i in range(1, 5)}
 
 
 def test_sp_model_n7():
@@ -553,17 +549,25 @@ def test_isometry_order_tests_independence():
 
 
 def test_intrinsic_and_ambient_models_agree():
-    """coords()/from_coords() convert between the two models."""
+    """coords() takes an ambient mask to the intrinsic mask of the same
+    vector; the XOR of the ambient basis over its bits goes back."""
     L = build_del_pezzo(4)
     amb = f2.reduce(L)
     intr = f2.space_from_gram(L.gram)
+
+    def ambient(bits):
+        m = 0
+        for i in groups.bit_indices(bits):
+            m ^= amb.basis[i]
+        return m
+
     for v in amb.vectors():
         bits = amb.coords(v)
         assert intr.q(bits) == amb.q(v)
-        assert amb.from_coords(bits) == v
+        assert ambient(bits) == v
     for x in intr.vectors():
         for y in intr.vectors():
-            assert intr.pair(x, y) == amb.pair(amb.from_coords(x), amb.from_coords(y))
+            assert intr.pair(x, y) == amb.pair(ambient(x), ambient(y))
 
 
 def test_plain_lattice_reduction():

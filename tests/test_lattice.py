@@ -82,6 +82,11 @@ def test_del_pezzo_invariants(n):
     assert intlinalg.is_positive_definite(L.gram)
     # deterministic construction
     assert L == build_del_pezzo(n)
+    # an immutable value: equal fields give an equal lattice with its hash
+    same = lattice.Lattice(L.kind, L.n, L.signs, L.K, L.basis, L.gram, L.root_type)
+    assert same == L and hash(same) == hash(L)
+    with pytest.raises(AttributeError):
+        L.n = 0
 
 
 @pytest.mark.parametrize("n", (2, 9))
