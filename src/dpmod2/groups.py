@@ -83,9 +83,9 @@ class PermGroup:
     """
 
     def __init__(self, generators, degree, known_base=None):
-        self.degree = int(degree)
-        if self.degree < 1:
-            raise errors.BadInput("degree must be positive")
+        if type(degree) is not int or degree < 1:
+            raise errors.BadInput("degree must be a positive int")
+        self.degree = degree
         self._identity = tuple(range(self.degree))
         known = tuple(self._identity if known_base is None else known_base)
         if any(isinstance(b, bool) or not isinstance(b, int) for b in known):

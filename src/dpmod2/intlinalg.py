@@ -1,10 +1,13 @@
-"""Exact integer linear algebra: Hermite normal form, kernels, determinants.
+"""Exact integer linear algebra: Hermite normal form, and from it kernels
+and |det|.
 
 Everything here runs on Python integers, so there is no overflow and no
 floating-point rounding anywhere in the lattice constructions.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from . import errors
 
@@ -15,12 +18,15 @@ def hermite_normal_form(rows):
     Returns the nonzero rows as tuples: row echelon with positive pivots and
     entries above each pivot reduced into [0, pivot).  Canonical for the row
     lattice, i.e. two matrices with the same integer row span give the same
-    result.
+    result.  Raises BadInput for a ragged matrix or an entry that is not an
+    int.
     """
-    A = [list(map(int, r)) for r in rows]
+    A = [list(r) for r in rows]
     if not A:
         return []
     m, ncols = len(A), len(A[0])
+    if any(len(r) != ncols or any(type(x) is not int for x in r) for r in A):
+        raise errors.BadInput("expected a rectangular matrix of ints")
     r = 0
     for c in range(ncols):
         if r == m:
@@ -47,9 +53,9 @@ def hermite_normal_form(rows):
 def kernel_basis(coeffs):
     """Canonical basis of the integer kernel of v -> sum(coeffs[i] * v[i]).
 
-    The functional must be nonzero.  Returns HNF rows of the kernel lattice,
-    sorted lexicographically, so the basis is identical across runs and
-    platforms.
+    The functional must be nonzero, with int coefficients.  Returns HNF rows
+    of the kernel lattice, sorted lexicographically, so the basis is
+    identical across runs and platforms.
     """
     n = len(coeffs)
     if not any(coeffs):
@@ -57,37 +63,18 @@ def kernel_basis(coeffs):
     # Row-reduce [coeffs_i | e_i]; unimodular row operations keep the row span
     # equal to {(f(a), a) : a in Z^n}, so rows whose first entry reaches 0
     # carry a basis of the kernel in their tail.
-    aug = [[int(coeffs[i])] + [1 if j == i else 0 for j in range(n)]
+    aug = [[coeffs[i]] + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
     tails = [row[1:] for row in hermite_normal_form(aug) if row[0] == 0]
     return sorted(hermite_normal_form(tails))
 
 
-def det(mat):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    A = [list(map(int, row)) for row in mat]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def is_positive_definite(gram):
-    """Sylvester's criterion on a symmetric integer matrix, exactly."""
-    n = len(gram)
-    return all(det([row[: k + 1] for row in gram[: k + 1]]) > 0
-               for k in range(n))
-
+def abs_det(mat):
+    """|det| of a square integer matrix: its HNF is U * mat, U unimodular,
+    so |det| is the product of the n diagonal pivots, or 0 when the HNF has
+    fewer than n rows (Cohen, GTM 138, 2.4.3)."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise errors.BadInput("expected a square matrix")
+    hnf = hermite_normal_form(mat)
+    return prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == n else 0

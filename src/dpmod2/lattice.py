@@ -2,10 +2,12 @@
 
 The del Pezzo lattice of rank n (3 <= n <= 8) is the orthogonal complement of
 K = 3*E0 - E1 - ... - En inside Z^(n+1) with the Lorentzian form E0^2 = -1,
-Ei^2 = 1.  It is even, positive definite, of discriminant 9 - n, and its
-vectors of square 2 form a root system of type A1xA2, A4, D5, E6, E7, E8.
-The plain A_n lattice is the sum-zero sublattice of Euclidean Z^(n+1); it goes
-through the same machinery and serves as the counterexample family.
+Ei^2 = 1.  It is even, of discriminant 9 - n, and positive definite by
+Sylvester's law of inertia: K.K = n - 9 < 0 takes the form's one negative
+sign, so K^perp keeps the n positive ones.  Its vectors of square 2 form a
+root system of type A1xA2, A4, D5, E6, E7, E8.  The plain A_n lattice is the
+sum-zero sublattice of Euclidean Z^(n+1); it goes through the same machinery
+and serves as the counterexample family.
 
 Ambient vectors are plain tuples of ints.  An isometry is stored only by the
 permutation p it induces on enumerate_roots(L), a tuple of root indices, in
@@ -68,14 +70,18 @@ def _build(kind, n, signs, K, expected_disc, root_type):
         tuple(sum(s * a * b for s, a, b in zip(signs, u, v)) for v in basis)
         for u in basis)
     lat = Lattice(kind, n, signs, K, basis, gram, root_type)
-    # construction invariants: orthogonal to K, even, right discriminant
+    # construction invariants: orthogonal to K, even, right discriminant,
+    # positive definite
     if any(lat.dot(b, K) != 0 for b in basis):
         raise errors.CrossCheckFailed(f"{root_type}: a basis vector is not orthogonal to K")
     if any(gram[i][i] % 2 for i in range(n)):
         raise errors.CrossCheckFailed(f"{root_type}: the lattice is not even")
-    if abs(intlinalg.det(gram)) != expected_disc:
+    if intlinalg.abs_det(gram) != expected_disc:
         raise errors.CrossCheckFailed(f"{root_type}: discriminant is not {expected_disc}")
-    if not intlinalg.is_positive_definite(gram):
+    # Sylvester's law of inertia: if K.K != 0, the ambient space is R K plus
+    # K^perp, orthogonally, so K^perp has the negative signs K.K leaves over;
+    # K.K = 0 needs a negative sign, so it fails here too
+    if signs.count(-1) != (lat.dot(K, K) < 0):
         raise errors.CrossCheckFailed(f"{root_type}: the form is not positive definite")
     return lat
 
@@ -171,11 +177,13 @@ def _pivot_plan(L):
 def lattice_coords(L, v):
     """Integer coordinates of an ambient lattice vector on L.basis.
 
-    Raises BadInput if v is not in the lattice, LengthMismatch unless v has
-    the ambient width.
+    Raises BadInput if v is not in the lattice or an entry is not an int,
+    LengthMismatch unless v has the ambient width.
     """
     if len(v) != L.width:
         raise errors.LengthMismatch("ambient vectors must have width n+1")
+    if any(type(a) is not int for a in v):
+        raise errors.BadInput("ambient vector entries must be ints")
     rem = list(v)
     x = [0] * L.n
     for c, i, row in _pivot_plan(L):

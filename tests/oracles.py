@@ -1,6 +1,9 @@
 """Brute-force oracles, independent of the package's searches and chains;
-the mod-2 chain built the plain way, from every map's permutation; and a
-reader for the reports' JSON form."""
+the determinant by rational elimination; the mod-2 chain built the plain
+way, from every map's permutation; and a reader for the reports' JSON
+form."""
+
+from fractions import Fraction
 
 from dpmod2 import errors, f2
 from dpmod2.bridge import VerificationReport
@@ -33,6 +36,30 @@ def closure(generators, multiply, identity, limit=2_000_000):
                         raise RuntimeError("closure exceeded limit")
         frontier = new
     return seen
+
+
+def det_fraction(M):
+    """The signed determinant of a square integer matrix, by Gaussian
+    elimination over the rationals."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] for row in M]
+    sign = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            f = A[i][c] / A[c][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= A[i][i]
+    if out.denominator != 1:
+        raise AssertionError(f"non-integer determinant {out}")
+    return int(out)
 
 
 def f2_chain_of_permutations(S, maps):

@@ -1,13 +1,13 @@
 """Exact integer linear algebra: oracles are brute force and fractions."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmod2 import errors, f2, groups, intlinalg, lattice
+from oracles import det_fraction
 
 
 def _row_span_member(rows, v, bound=6):
@@ -72,37 +72,30 @@ def test_kernel_of_zero_functional_rejected():
 
 def test_det_matches_fraction_elimination():
     random.seed(11)
-
-    def det_frac(M):
-        n = len(M)
-        A = [[Fraction(x) for x in row] for row in M]
-        sign = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if A[i][c]), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                A[c], A[piv] = A[piv], A[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                f = A[i][c] / A[c][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
-        out = Fraction(sign)
-        for i in range(n):
-            out *= A[i][i]
-        assert out.denominator == 1
-        return int(out)
-
+    singular = [[[0]], [[0, 0], [0, 0]], [[1, 2], [2, 4]],
+                [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                [[2, -1, 0], [0, 0, 0], [1, 1, 1]],
+                [[3, 1, 4, 1], [5, 9, 2, 6], [3, 1, 4, 1], [0, 2, 7, 1]]]
+    for M in singular:
+        assert det_fraction(M) == 0
+        assert intlinalg.abs_det(M) == 0
     for n in (1, 2, 3, 4, 5):
         for _ in range(10):
             M = [[random.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            assert intlinalg.det(M) == det_frac(M)
+            assert intlinalg.abs_det(M) == abs(det_fraction(M))
+    assert intlinalg.abs_det([]) == 1
 
 
 def test_positive_definite():
-    assert intlinalg.is_positive_definite([[2, -1], [-1, 2]])
-    assert not intlinalg.is_positive_definite([[1, 2], [2, 1]])
-
+    """_build's definiteness check is the only one that rejects K^perp at
+    n = 10, the even unimodular II_(9,1), as K.K = +1 leaves the negative
+    sign to K^perp; at n = 9, K.K = 0 puts K in its own K^perp, and the
+    singular Gram matrix fails the discriminant check (for any expected
+    discriminant but 0)."""
+    for n, check in ((10, "positive definite"), (9, "discriminant")):
+        signs, K = (-1,) + (1,) * n, (3,) + (-1,) * n
+        with pytest.raises(errors.CrossCheckFailed, match=check):
+            lattice._build("delpezzo", n, signs, K, 1, "X")
 
 
 def _matrix(rows, cols, bound=4):
@@ -148,9 +141,20 @@ def _square_pair(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_square_pair())
 def test_det_is_multiplicative(pair):
+    """|det| against the rational oracle, and multiplicative, also on a
+    singular A0: A with row 0 repeated, when A has two rows or more."""
     A, B = pair
-    AB = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
-    assert intlinalg.det(AB) == intlinalg.det(A) * intlinalg.det(B)
+
+    def mul(X, Y):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    A0 = [A[0]] + A[:-1]
+    for X, Y in ((A, B), (A0, B)):
+        for M in (X, Y, mul(X, Y)):
+            assert intlinalg.abs_det(M) == abs(det_fraction(M))
+        assert intlinalg.abs_det(mul(X, Y)) == intlinalg.abs_det(X) * intlinalg.abs_det(Y)
+    if len(A) > 1:
+        assert intlinalg.abs_det(A0) == intlinalg.abs_det(mul(A0, B)) == 0
 
 
 _LATTICES = ([lattice.build_del_pezzo(n) for n in range(3, 9)]
@@ -214,7 +218,18 @@ _PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X"
     lambda: groups.PermGroup([[1, 1, 2]], 3),
     lambda: lattice.lattice_coords(_PIVOT_3, (1, 0)),
     lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (1, 0, 0, 0)),
+    lambda: groups.PermGroup([], "3"),
+    lambda: groups.PermGroup([], 2.9),
+    lambda: groups.PermGroup([], True),
+    lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (0.0, 1.0, -1.0, 0.0)),
+    lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), ("0", "1", "-1", "0")),
     lambda: intlinalg.kernel_basis((0, 0, 0)),
+    lambda: intlinalg.hermite_normal_form([[1], [3, 4]]),
+    lambda: intlinalg.hermite_normal_form([[1, 2], [3]]),
+    lambda: intlinalg.kernel_basis((1.5, -1)),
+    lambda: intlinalg.kernel_basis(("1", "2")),
+    lambda: intlinalg.hermite_normal_form([[True, 0]]),
+    lambda: intlinalg.abs_det([[1, 2]]),
 ], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
         "f2-negative-mask", "f2-zero-mask", "f2-negative-width",
         "f2-short-qdiag", "f2-long-qdiag", "f2-float-width", "f2-float-mask",
@@ -222,7 +237,11 @@ _PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X"
         "f2-float-gram", "f2-str-gram", "f2-gram-not-rows",
         "f2-gram2-row-not-sequence", "f2-asymmetric-gram",
         "groups-degree", "groups-not-a-permutation", "lattice-pivot",
-        "lattice-remainder", "intlinalg-zero-functional"])
+        "lattice-remainder", "groups-str-degree", "groups-float-degree",
+        "groups-bool-degree", "lattice-float-entry", "lattice-str-entry",
+        "intlinalg-zero-functional", "intlinalg-long-row",
+        "intlinalg-short-row", "intlinalg-float-coeff", "intlinalg-str-coeff",
+        "intlinalg-bool-entry", "intlinalg-det-not-square"])
 def test_bad_input_is_a_typed_error(bad_call):
     """Rejected input raises a package error that is still a ValueError."""
     with pytest.raises(errors.BadInput) as info:

@@ -7,14 +7,14 @@ from functools import lru_cache
 
 import pytest
 
-from dpmod2 import errors, f2, groups, intlinalg, lattice
+from dpmod2 import errors, f2, groups, lattice
 from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             automorphism_order, build_del_pezzo,
                             build_plain_root_lattice, component_isometries,
                             enumerate_roots, is_root, lattice_coords,
                             minus_one, root_components, root_reflection,
                             simple_roots, weyl_generators)
-from oracles import closure
+from oracles import closure, det_fraction
 
 WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
 AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
@@ -78,8 +78,10 @@ def test_del_pezzo_invariants(n):
     assert len(L.basis) == n
     assert all(L.dot(b, L.K) == 0 for b in L.basis)
     assert all(L.gram[i][i] % 2 == 0 for i in range(n))
-    assert abs(intlinalg.det(L.gram)) == 9 - n
-    assert intlinalg.is_positive_definite(L.gram)
+    assert abs(det_fraction(L.gram)) == 9 - n
+    # Sylvester's criterion: every leading principal minor is positive
+    assert all(det_fraction([row[:k] for row in L.gram[:k]]) > 0
+               for k in range(1, n + 1))
     # deterministic construction
     assert L == build_del_pezzo(n)
     # an immutable value: equal fields give an equal lattice with its hash
@@ -128,7 +130,7 @@ def test_plain_root_counts():
     for rank in range(2, 11):
         L = build_plain_root_lattice(rank)
         assert len(enumerate_roots(L)) == rank * (rank + 1)
-        assert abs(intlinalg.det(L.gram)) == rank + 1
+        assert abs(det_fraction(L.gram)) == rank + 1
 
 
 def test_plain_rank4_matches_del_pezzo_n4():
