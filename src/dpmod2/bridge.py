@@ -386,6 +386,11 @@ def verify_corollary(L):
         raise errors.WrongRange("the corollary applies to del Pezzo n in [4, 8]")
     c = _Checks()
     weyl = weyl_group(L).order()
+    # |O(L)| = |W| |Gamma|, Gamma the isometries keeping the simple roots
+    gamma = lat._root_search(L, sum(1 << s for s in lat._simple_indices(L)))[0]
+    if weyl * gamma != lat.automorphism_order(L):
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: |W| times {gamma} diagram automorphisms != |O(L)|")
     oL2 = oL2_group(L).order()
     image = rho_image_order_weyl(L)
     minus1 = weyl_group(L).contains(lat.minus_one(L))

@@ -337,7 +337,7 @@ def orthogonal_generators(S):
 @lru_cache(maxsize=None)
 def isometry_order(S):
     """|O(S, q)| by groups.orbit_search over the basis images, independent
-    of the reflections and the chains.
+    of the reflections and the chains; a solution acts by its permutation.
 
     Basis vector i goes to a vector with q = qdiag[i] and gram2's pairings
     with the other images; independent such images are exactly the
@@ -353,10 +353,11 @@ def isometry_order(S):
     rows = [{1: ones[S._polar[v]], 0: every ^ ones[S._polar[v]]} for v in points]
     allowed = [sum(1 << p for p, v in enumerate(points) if S._q[v] == qb)
                for qb in S.qdiag]
-    counts, _ = groups.orbit_search(
+    lengths, _ = groups.orbit_search(
         rows, allowed, S.gram2, [S._position[1 << i] for i in range(S.dim)],
+        act=lambda sol: permutation(S, [points[p] for p in sol]),
         keep=lambda images: _independent(coords[p] for p in images if p >= 0))
-    return prod(counts)
+    return prod(lengths)
 
 
 # -- the radical split ----------------------------------------------------------

@@ -34,7 +34,8 @@ involution.
 
 orbit_search is the one isometry search: it backtracks over the images of a
 base among points given by their pairing table, as bitsets, and counts the
-group as the product of the basic orbit lengths it finds.
+group as the product of the basic orbit lengths it finds, pruned by the
+automorphisms found: a handful of elements, which generate the group.
 """
 
 from __future__ import annotations
@@ -316,28 +317,49 @@ def completions(rows, masks, target, images, keep=None):
         images[t] = -1
 
 
-def orbit_search(rows, allowed, target, base, keep=None):
-    """Stabilizer-orbit backtracking over the images of a base (Plesken and
-    Souvignier, J. Symbolic Comput. 24, 1997).
+def _orbit(point, perms):
+    """The orbit of a point under the group the permutations generate."""
+    orbit, seen = [point], {point}
+    for p in orbit:
+        new = {g[p] for g in perms} - seen
+        seen |= new
+        orbit += new
+    return seen
 
-    Position t takes a point of allowed[t]; the identity puts base[t] there.
-    With the positions before l at their base points, the candidates at l
-    that complete form the orbit of base[l] under the stabilizer of the
-    earlier ones, so when the full assignments are a group, the product of
-    the level counts is its order.  Returns (level_counts, solutions), the
-    first completion found for each such candidate, level by level.
+
+def orbit_search(rows, allowed, target, base, act, keep=None):
+    """Stabilizer-orbit backtracking over the images of a base, pruned by the
+    automorphisms found (Plesken and Souvignier, J. Symbolic Comput. 24,
+    1997; Seress, Permutation Group Algorithms, 2003, ch. 9).
+
+    Position t takes a point of allowed[t]; the base is a solution.  When
+    the solutions are a group, those with base[0..l-1] in place put the
+    orbit of base[l] under its stabilizer at l, and the product of the
+    orbit lengths is its order.  act(solution) is the permutation of the
+    points a solution induces.  The levels are searched from the last to
+    the first, so the elements found fix base[0..l-1]: only a candidate
+    outside the orbit of base[l] under them is searched, and the orbit is
+    closed again after each that completes.  Returns (orbit_lengths,
+    solutions), the solutions found per level, first level first.
     """
-    images, masks = [-1] * len(base), list(allowed)
-    counts, solutions = [], []
+    levels, masks = [], list(allowed)     # the masks with base[0..l-1] fixed
     for level, b in enumerate(base):
-        before = len(solutions)
-        for r in bit_indices(masks[level]):
-            trial = list(masks)
-            trial[level] = 1 << r
-            sol = next(completions(rows, trial, target, list(images), keep), None)
-            if sol is not None:
-                solutions.append(sol)
-        counts.append(len(solutions) - before)
-        images[level] = b
+        if not masks[level] >> b & 1:
+            raise errors.BadInput(f"base point {b} is not a candidate at {level}")
+        levels.append(masks)
         masks = [m & rows[b].get(target[level][s], 0) for s, m in enumerate(masks)]
-    return tuple(counts), tuple(solutions)
+    found, lengths, solutions = [], [], []
+    for level in reversed(range(len(base))):
+        masks, orbit, sols = levels[level], _orbit(base[level], found), []
+        for r in bit_indices(masks[level]):
+            if r not in orbit:
+                trial = masks[:level] + [1 << r] + masks[level + 1:]
+                images = list(base[:level]) + [-1] * (len(base) - level)
+                sol = next(completions(rows, trial, target, images, keep), None)
+                if sol is not None:
+                    sols.append(sol)
+                    found.append(act(sol))
+                    orbit = _orbit(base[level], found)
+        lengths.append(len(orbit))
+        solutions.append(tuple(sols))
+    return tuple(reversed(lengths)), tuple(reversed(solutions))

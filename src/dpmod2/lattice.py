@@ -13,7 +13,8 @@ Ambient vectors are plain tuples of ints.  An isometry is stored only by the
 permutation p it induces on enumerate_roots(L), a tuple of root indices, in
 which groups.gather(p, q) applies q first; the roots span L, so this
 represents all of O(L), including elements such as -1 that do not extend to
-the ambient lattice fixing K.
+the ambient lattice fixing K.  Its images of the simple roots fix it, and
+its root map adds their heights root by root for the search and the check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, prod
-from operator import mul
 
 from . import errors, groups, intlinalg
 
@@ -157,7 +157,7 @@ def enumerate_roots(L):
 
 
 def is_root(L, v):
-    return (len(v) == L.width and all(isinstance(c, int) for c in v)
+    return (len(v) == L.width and all(type(c) is int for c in v)
             and L.dot(v, v) == 2 and L.dot(v, L.K) == 0)
 
 
@@ -243,26 +243,41 @@ def simple_roots(L):
 # -- isometries, as root permutations --------------------------------------------
 
 @lru_cache(maxsize=None)
-def _simple_coords(L):
-    """Each root's integer coordinates on the simple roots."""
-    columns = tuple(zip(*_basis_on_simple(L)))
-    return tuple(tuple(sum(map(mul, x, col)) for col in columns)
-                 for x in (lattice_coords(L, r) for r in enumerate_roots(L)))
+def _root_steps(L):
+    """Steps (r, a, b) with root r = a + b, as root indices: b is a simple
+    root or its negative, and a is one too or an earlier r.  Breadth first
+    from the +-simple roots, they reach every root once, as a positive root
+    that is not simple is a positive root plus a simple one."""
+    heights, index = _heights(L)
+    ends = [i for s in _simple_indices(L) for i in (s, index[-heights[s]])]
+    reached, seen, steps = list(ends), set(ends), []
+    for a in reached:
+        for b in ends:
+            r = index.get(heights[a] + heights[b])
+            if r is not None and r not in seen:
+                seen.add(r)
+                reached.append(r)
+                steps.append((r, a, b))
+    if len(reached) != len(heights):
+        raise errors.CrossCheckFailed(f"{L.root_type}: the simple roots miss a root")
+    return tuple(steps)
 
 
 def _solution_perms(L, solutions):
-    """Root permutations of the maps sending simple root t to root sol[t],
-    one per solution, in order: root r goes to the root of height
-    sum_t C[r][t] h(sol[t]), C[r] its coordinates on the simple roots, and
-    NotClosed is raised where there is none.  Exact for a map that keeps the
-    simple roots' pairings, as each search solution does: its images are
-    roots."""
-    heights, index = _heights(L)
-    coords = _simple_coords(L)
+    """Root permutations of the linear maps sending simple root t to root
+    sol[t], one per solution, in order: each step of _root_steps adds two
+    image heights and looks the sum up, and NotClosed is raised where it is
+    no root's.  Exact for a map that keeps the simple roots' pairings."""
+    (heights, index), steps = _heights(L), _root_steps(L)
     for sol in solutions:
-        images = [heights[s] for s in sol]
+        image = [0] * len(heights)
+        for s, t in zip(_simple_indices(L), sol):
+            image[s] = heights[t]
+            image[index[-heights[s]]] = -heights[t]
+        for r, a, b in steps:
+            image[r] = image[a] + image[b]
         try:
-            yield tuple(index[sum(map(mul, c, images))] for c in coords)
+            yield tuple(map(index.__getitem__, image))
         except KeyError:
             raise errors.NotClosed("a root maps outside the root set") from None
 
@@ -286,18 +301,18 @@ def root_reflection(L, alpha):
 def check_isometry(L, p):
     """Raise NotIsometry unless p is the root permutation of an isometry of L.
 
-    It is one iff it keeps the pairing of every simple root with every root:
-    the simple roots' images then keep their Gram matrix, so they define an
-    isometry g, and as the simple roots span L and the form is nondegenerate,
-    every p[r] is g(r).  The pairings of a root s are kept iff p maps the
-    roots pairing to v with s onto those pairing to v with p[s], for each v.
+    It is one iff it is a permutation, the simple roots' images keep their
+    Gram matrix, and p is the root map of those images: such images define
+    an isometry, which they determine as the simple roots span L, and the
+    height is injective on the roots.
     """
-    rows = _root_pairings(L)[0]
+    rows, simple, gram = _root_pairings(L)
     p = tuple(p)
     if (len(p) != len(rows) or set(map(type, p)) != {int}
             or set(p) != set(range(len(rows)))
-            or any(sum(1 << p[r] for r in groups.bit_indices(bits)) != rows[p[s]][v]
-                   for s in _simple_indices(L) for v, bits in rows[s].items())):
+            or any(not rows[p[s]][v] >> p[t] & 1
+                   for s, row in zip(simple, gram) for t, v in zip(simple, row))
+            or p != next(_solution_perms(L, [[p[s] for s in simple]]))):
         raise errors.NotIsometry(
             f"not the root permutation of an isometry of {L.root_type}")
 
@@ -336,11 +351,11 @@ def _root_pairings(L):
 
 
 def _root_search(L, mask):
-    """Backtracking over root images of the simple roots in a bitset mask of
-    roots, each image a root of the mask.  Returns (order, solutions, gram):
-    the product of the level counts, the solutions as tuples of root indices,
-    one isometry per realizable candidate that fixes the earlier simple
-    roots, and the Gram matrix of those simple roots, the search's target.
+    """groups.orbit_search over root images of the simple roots in a bitset
+    mask of roots, each a root of the mask, the other simple roots fixed; a
+    solution acts by its root map.  Returns (order, solutions, gram): the
+    product of the orbit lengths, the solutions by level, each the simple
+    roots' images, and the Gram matrix of the simple roots in the mask.
 
     Over every root: any assignment of roots to the simple roots preserving
     all pairwise Gram values extends linearly to an isometry of L, and every
@@ -356,14 +371,11 @@ def _root_search(L, mask):
     Gram-preserving assignment of roots of c to them is one isometry of M.
     """
     rows, simple, gram = _root_pairings(L)
+    lengths, solutions = groups.orbit_search(
+        rows, [mask if mask >> s & 1 else 1 << s for s in simple], gram, simple,
+        act=lambda sol: next(_solution_perms(L, [sol])))
     pos = [i for i, s in enumerate(simple) if mask >> s & 1]
-    target = [[gram[i][j] for j in pos] for i in pos]
-    counts, solutions = groups.orbit_search(rows, [mask] * len(pos), target,
-                                            [simple[i] for i in pos])
-    if 0 in counts:
-        raise errors.CrossCheckFailed(
-            f"{L.root_type}: simple root {counts.index(0)} has no realizable image")
-    return prod(counts), solutions, target
+    return prod(lengths), solutions, [[gram[i][j] for j in pos] for i in pos]
 
 
 @lru_cache(maxsize=None)
@@ -399,9 +411,9 @@ def automorphism_order(L):
 def automorphism_chain(L):
     """The stabilizer chain of O(L) on the roots.
 
-    The backtracking search yields one isometry per stabilizer-orbit element,
-    which together generate O(L); the chain starts from -1 and records, as
-    its generators, only those that grow it, each checked to be an isometry.
+    The pruned search yields a few isometries, which generate O(L); the
+    chain starts from -1, takes them first level first, and records, as its
+    generators, only those that grow it, each checked to be an isometry.
     A solution is the images of the simple roots, the chain's known base,
     so it is sifted on them first; only one the chain does not contain is
     turned into a root permutation.  The chain's order is checked against
@@ -410,7 +422,7 @@ def automorphism_chain(L):
     order, solutions = _aut_search(L)
     chain = groups.PermGroup([minus_one(L)], len(enumerate_roots(L)),
                              known_base=_simple_indices(L))
-    for sol in solutions:
+    for sol in (sol for level in solutions for sol in level):
         if not chain.sifts_on_known_base(sol):
             p, = _solution_perms(L, [sol])
             check_isometry(L, p)

@@ -1,13 +1,16 @@
 """Brute-force oracles, independent of the package's searches and chains;
 the determinant by rational elimination; the mod-2 chain built the plain
-way, from every map's permutation; and a reader for the reports' JSON
-form."""
+way, from every map's permutation; the isometry search without pruning;
+the isometry check on every pairing of the simple roots; and a reader for
+the reports' JSON form."""
 
 from fractions import Fraction
 
-from dpmod2 import errors, f2
+import pytest
+
+from dpmod2 import errors, f2, groups, lattice
 from dpmod2.bridge import VerificationReport
-from dpmod2.groups import PermGroup
+from dpmod2.groups import PermGroup, bit_indices, completions
 
 
 def report_from_json_dict(d):
@@ -103,3 +106,53 @@ def radical_kernel_bruteforce(S, k):
         except errors.NotIsometry:
             pass
     return maps
+
+
+def orbit_search_unpruned(rows, allowed, target, base, act=None, keep=None):
+    """groups.orbit_search without pruning (act is ignored): a fresh
+    completions search for every candidate at every level.  Returns
+    (level_counts, solutions), the solutions level by level, one for each
+    candidate that completes."""
+    images, masks = [-1] * len(base), list(allowed)
+    counts, solutions = [], []
+    for level, b in enumerate(base):
+        found = []
+        for r in bit_indices(masks[level]):
+            trial = list(masks)
+            trial[level] = 1 << r
+            sol = next(completions(rows, trial, target, list(images), keep), None)
+            if sol is not None:
+                found.append(sol)
+        counts.append(len(found))
+        solutions.append(tuple(found))
+        images[level] = b
+        masks = [m & rows[b].get(target[level][s], 0) for s, m in enumerate(masks)]
+    return tuple(counts), tuple(solutions)
+
+
+def searches(run, search=groups.orbit_search):
+    """The (level_counts, solutions) of each groups.orbit_search that run()
+    makes, with search run in its place."""
+    found = []
+
+    def spy(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groups, "orbit_search", spy)
+        run()
+    return found
+
+
+def check_isometry_pairings(L, p):
+    """Raise NotIsometry unless the permutation p of the roots keeps the
+    pairing of every simple root with every root: p must map the roots
+    pairing to v with s onto those pairing to v with p[s], for each v."""
+    rows = lattice._root_pairings(L)[0]
+    p = tuple(p)
+    if (len(p) != len(rows) or set(map(type, p)) != {int}
+            or set(p) != set(range(len(rows)))
+            or any(sum(1 << p[r] for r in bit_indices(bits)) != rows[p[s]][v]
+                   for s in lattice._simple_indices(L) for v, bits in rows[s].items())):
+        raise errors.NotIsometry("not the root permutation of an isometry")

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from dpmod2 import bridge, errors, f2
+from dpmod2 import bridge, errors, f2, groups
 from dpmod2.lattice import (automorphism_group, build_del_pezzo,
                             build_plain_root_lattice, enumerate_roots,
-                            root_reflection, simple_roots, weyl_generators)
+                            minus_one, root_reflection, simple_roots,
+                            weyl_generators)
 from oracles import report_from_json_dict
 
 
@@ -316,3 +317,15 @@ def test_reports_for_statement_lists():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_all_reports_pass(n):
     assert all(r.passed for r in bridge.reports_for(n))
+
+
+def test_corollary_cross_checks_the_weyl_order(monkeypatch):
+    """|W| |Gamma| = |O(L)| is a raise, not a sub-check: a W chain of twice
+    the order, here W x {+-1} on dP4, stops the corollary."""
+    L = build_del_pezzo(4)
+    doubled = groups.PermGroup(weyl_generators(L) + (minus_one(L),),
+                               len(enumerate_roots(L)))
+    assert doubled.order() == 2 * bridge.weyl_group(L).order()
+    monkeypatch.setattr(bridge, "weyl_group", lambda L: doubled)
+    with pytest.raises(errors.CrossCheckFailed, match="diagram automorphisms"):
+        bridge.verify_corollary(L)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dpmod2 import bridge, cli, errors, f2, groups
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import isometry_count_bruteforce, radical_kernel_bruteforce
+from oracles import (isometry_count_bruteforce, orbit_search_unpruned,
+                     radical_kernel_bruteforce, searches)
 
 # (q0, q1) for n = 3..8; the q1 column is 4, 10, 20, 36, 64, 120
 CENSUS = {3: (4, 4), 4: (6, 10), 5: (12, 20), 6: (28, 36), 7: (64, 64),
@@ -539,6 +540,31 @@ def test_isometry_order_equals_bruteforce_on_random_forms(gram):
     """Degenerate forms included: their pairings do not force independence."""
     S = f2.space_from_gram(gram)
     assert f2.isometry_order(S) == isometry_count_bruteforce(S)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_even_gram(max_dim=5))
+def test_isometry_order_pruned_matches_unpruned_on_random_forms(gram):
+    """Pruning keeps every level's count on random forms, degenerate ones
+    included."""
+    S = f2.space_from_gram(gram)
+
+    def run():
+        return f2.isometry_order.__wrapped__(S)
+
+    (pruned, _), = searches(run)
+    (unpruned, _), = searches(run, orbit_search_unpruned)
+    assert pruned == unpruned
+
+
+def test_isometry_order_work_pinned():
+    """On A10 the pruned search finds 10 elements, against 1,053 without
+    pruning: a search that stops pruning fails here, without timing
+    anything."""
+    (lengths, solutions), = searches(
+        lambda: f2.isometry_order.__wrapped__(f2.reduce(build_plain_root_lattice(10))))
+    assert lengths == (528, 272, 135, 64, 28, 12, 5, 4, 3, 2)
+    assert sum(map(len, solutions)) == 10
 
 
 def test_isometry_order_tests_independence():

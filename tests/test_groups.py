@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmod2 import bridge, errors, f2, lattice
+from dpmod2 import bridge, errors, f2, groups, lattice
 from dpmod2.groups import PermGroup, bit_indices
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import closure, f2_chain_of_permutations
+from oracles import (closure, f2_chain_of_permutations, orbit_search_unpruned,
+                     searches)
 
 
 def _tuple_mult(a, b):
@@ -384,9 +385,13 @@ def _rho_chain(n, isometries):
     return bridge._f2_chain(*_rho_inputs(n, isometries))
 
 
-# built afresh, so its counts are not shared with other tests
+# built afresh, so their counts are not shared with other tests
 def _a10_ol2_chain():
     return bridge.oL2_group.__wrapped__(build_plain_root_lattice(10))
+
+
+def _ol_chain(L):
+    return lattice.automorphism_chain.__wrapped__(L)
 
 
 @pytest.mark.parametrize("chain, base, orbits, counts", [
@@ -395,36 +400,40 @@ def _a10_ol2_chain():
     # generators) in full; the other 517 reflections sift on the known base
     (_a10_ol2_chain,
      (512, 513, 515, 519, 527, 543, 575, 639, 767, 511),
-     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 62)),
+     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 62, 11)),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
      (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None),
-    (lambda: bridge.aut_group(build_del_pezzo(8)),
-     (91, 118, 98, 109, 119, 104, 113), (240, 126, 60, 16, 4, 3, 2), None),
+    # the 8 pruned search solutions, fed first level first: -1 and 2 of
+    # them grow the chain
+    (lambda: _ol_chain(build_del_pezzo(8)),
+     (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (649, 17, 3)),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
      (129, 131, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), None),
     (_sp7_chain, (32, 33, 35, 39, 47, 31), (63, 32, 15, 8, 3, 2), None),
     (_quotient5_chain, (9, 11, 8), (10, 6, 2), None),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     (191, 159, 135, 131, 143, 128, 129), (120, 56, 27, 16, 10, 6, 2), None),
+     (191, 159, 143, 135, 131, 129, 128), (120, 56, 27, 16, 10, 6, 2), (401, 24, 2)),
     (lambda: _rho_chain(8, lattice.weyl_generators),
      (131, 129, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), None),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     (47, 39, 35, 33, 31), (36, 20, 9, 4, 2), None),
+     (47, 39, 35, 33, 31), (36, 20, 9, 4, 2), (72, 9, 2)),
     (lambda: _rho_chain(6, lattice.weyl_generators),
      (35, 33, 39, 47, 31), (36, 20, 9, 4, 2), None),
-    (lambda: bridge.aut_group(build_plain_root_lattice(10)),
-     (9, 53, 18, 26, 48, 33, 39), (110, 72, 14, 6, 20, 3, 2), None),
+    (lambda: _ol_chain(build_plain_root_lattice(10)),
+     (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (386, 24, 4)),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_shape_pinned(chain, base, orbits, counts):
     """The chains themselves, not only their orders, stay as they were;
-    counts pins the Schreier generators tested and the full sifts."""
+    counts pins the Schreier generators tested, the full sifts and the
+    generators kept, so that a chain fed more elements than the pruned
+    search finds fails here."""
     G = chain()
     assert G.base() == base
     assert G.basic_orbit_lengths() == orbits
     assert G.order() == math.prod(orbits)
     if counts is not None:
-        assert (G.schreier_tested, G.full_sifts) == counts
+        assert (G.schreier_tested, G.full_sifts, len(G.generators)) == counts
 
 
 def _chain_digest(G):
@@ -445,7 +454,7 @@ def _chain_digest(G):
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
      "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51"),
     (lambda: bridge.aut_group(build_del_pezzo(8)),
-     "2464bdf2ca956acc39fc36c365641c0c773019b7a3f6c01e0f1b5e6aa0fa8a4d"),
+     "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc"),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
      "6b91d11c2d6e168e66b7a6acbc20670726891e418562559cf48580f66dfafd5d"),
     (_sp7_chain,
@@ -453,15 +462,15 @@ def _chain_digest(G):
     (_quotient5_chain,
      "706d1c7fe846311eb057fc39c551a2f9378f7ac98cf0904c1a305c01427ab088"),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     "d93c4069563891ef527237e50e0d17ed7fc9479a9a4aad19c06528ad64e54086"),
+     "130797a4b8db685c914ad2f7981967117ff4591bb6cda93cf6306d0f81194ccb"),
     (lambda: _rho_chain(8, lattice.weyl_generators),
      "1f80be868b50e8dfb280815137c3a5d6e5ce97e06854a2a8e159569389698058"),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     "dc6474727989402dadeeca1d9b336dbcd9f95f8f4f1552f03836bca8557f0384"),
+     "861f9f68e5fc77ad2e4900329a79e410e6f2ab3fa1b19caba8ae5711c9262eb1"),
     (lambda: _rho_chain(6, lattice.weyl_generators),
      "e6976dea5284b9fe6d3d1b0c921f0f414ad61a6f4174769acee24dfb67e368e3"),
     (lambda: bridge.aut_group(build_plain_root_lattice(10)),
-     "14646d29a78f1982c0dfc33d7f44e71ee953c9fa5e25b91a01f7f3d6cab6fa3b"),
+     "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da"),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_pinned(chain, digest):
@@ -590,3 +599,45 @@ def test_f2_chain_refuses_malformed_maps(before, bad, match):
     assert bridge._f2_chain(_PLANE, before).order() == (3 if before else 1)
     with pytest.raises(errors.NotIsometry, match=match):
         bridge._f2_chain(_PLANE, before + [bad])
+
+
+# -- the pruned isometry search ------------------------------------------------
+
+def _searches_run_by(case):
+    """What runs groups.orbit_search for a case "kind-lattice": the O(L)
+    search over every root, the searches over the root components, or
+    isometry_order."""
+    kind, name = case.split("-")
+    L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
+         else build_plain_root_lattice(int(name[1:])))
+    if kind == "OL":
+        return lambda: lattice._root_search(L, (1 << len(lattice.enumerate_roots(L))) - 1)
+    if kind == "components":
+        return lambda: [lattice.component_isometries(L, c)
+                        for c in lattice.root_components(L)]
+    return lambda: f2.isometry_order.__wrapped__(f2.reduce(L))
+
+
+@pytest.mark.parametrize(
+    "case", [f"OL-dP{n}" for n in range(3, 9)] + [f"OL-A{n}" for n in range(5, 11)]
+    + ["components-dP3"]
+    + [f"f2-dP{n}" for n in range(3, 9)] + [f"f2-A{n}" for n in range(2, 11)])
+def test_pruned_search_matches_unpruned(case):
+    """Pruning by the automorphisms found keeps every level's count, and each
+    solution it finds is the one the unpruned search finds for its
+    candidate."""
+    run = _searches_run_by(case)
+    pruned, unpruned = searches(run), searches(run, orbit_search_unpruned)
+    assert pruned and [c for c, _ in pruned] == [c for c, _ in unpruned]
+    for (_, sols), (_, ref) in zip(pruned, unpruned, strict=True):
+        assert all(set(s) <= set(r) for s, r in zip(sols, ref, strict=True))
+
+
+def test_orbit_search_needs_the_base_as_a_solution():
+    """The identity is never searched, so a base point that is not a
+    candidate at its level is refused rather than counted."""
+    L = build_del_pezzo(4)
+    rows, simple, gram = lattice._root_pairings(L)
+    with pytest.raises(errors.BadInput, match="not a candidate"):
+        groups.orbit_search(rows, [1 << simple[1]] * len(simple), gram, simple,
+                            act=lambda sol: sol)

@@ -14,7 +14,7 @@ from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             enumerate_roots, is_root, lattice_coords,
                             minus_one, root_components, root_reflection,
                             simple_roots, weyl_generators)
-from oracles import closure, det_fraction
+from oracles import check_isometry_pairings, closure, det_fraction
 
 WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
 AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
@@ -235,15 +235,18 @@ def test_chain_order_mismatch_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("L, count, digest", [
-    (build_del_pezzo(8), 418,
-     "bbc7e68e8c97d9b1a89fefa93c0ee9c4bde9ec2db41d7f39258e321cf68ca891"),
-    (build_plain_root_lattice(10), 164,
-     "89c20ce9a368a23a600ed1283464afac01b8c480284eebb8d5386aab274b6d85"),
+    (build_del_pezzo(8), 8,
+     "43c10c5bd9190135850b6224c732c9c280b98cd8b15e2ba4ffbf4a773e5e6ba2"),
+    (build_plain_root_lattice(10), 10,
+     "f57733ef22205a61e9b1b5d2577c870c06883f16f6326ca83e22ffbda7eafd9b"),
 ], ids=["E8", "A10"])
 def test_aut_search_solutions_pinned(L, count, digest):
-    """The backtracking's solutions, in order, feed the O(L) chain: pinned."""
+    """The backtracking's solutions, by level and in order, feed the O(L)
+    chain: pinned.  count is the elements the pruned search finds (418 on
+    E8 and 164 on A10 without pruning), so a search that stops pruning
+    fails here."""
     solutions = lattice._aut_search(L)[1]
-    assert len(solutions) == count
+    assert sum(map(len, solutions)) == count
     assert hashlib.sha256(repr(solutions).encode()).hexdigest() == digest
 
 
@@ -368,3 +371,57 @@ def test_is_root_type_checks():
     assert not is_root(L, (0, 1, -1))          # wrong width
     assert not is_root(L, (0, 1, -1, 0.0))     # non-integer entry
     assert is_root(L, (0, 1, -1, 0))
+    # bools are not ints here, as in lattice_coords
+    assert not is_root(L, (False, True, -1, False))
+    with pytest.raises(errors.NotARoot):
+        root_reflection(L, (False, True, -1, False))
+
+
+_CHECK_LATTICES = ([build_del_pezzo(n) for n in range(3, 9)]
+                   + [build_plain_root_lattice(r) for r in (5, 10)])
+
+
+@pytest.mark.parametrize("L", _CHECK_LATTICES, ids=lambda L: L.root_type)
+def test_check_isometry_matches_pairing_oracle(L):
+    """The stepwise check and the check of every pairing of the simple roots
+    both accept -1, the Weyl reflections, every O(L) generator and every
+    product of two of those generators."""
+    gens = list(automorphism_group(L))
+    for p in ([minus_one(L)] + list(weyl_generators(L)) + gens
+              + [groups.gather(u, v) for u in gens for v in gens]):
+        lattice.check_isometry(L, p)
+        check_isometry_pairings(L, p)
+
+
+def _swapped(p, i, j):
+    p = list(p)
+    p[i], p[j] = p[j], p[i]
+    return p
+
+
+@pytest.mark.parametrize("L", _CHECK_LATTICES, ids=lambda L: L.root_type)
+def test_check_isometry_refuses_mutants(L):
+    """Both checks refuse permutations near an isometry g: g with two
+    entries swapped; g wrong only off the simple roots; and g with
+    p[-s] != -p[s] for a simple root s."""
+    simple = lattice._simple_indices(L)
+    neg = minus_one(L)
+    g = automorphism_group(L)[-1]
+    off = [r for r in range(len(g)) if r not in simple]
+    near = [_swapped(g, off[0], off[1]), _swapped(g, neg[simple[0]], neg[simple[1]])]
+    assert all([p[s] for s in simple] == [g[s] for s in simple] for p in near)
+    for p in [_swapped(g, 0, 1)] + near:
+        for check in (lattice.check_isometry, check_isometry_pairings):
+            with pytest.raises(errors.NotIsometry):
+                check(L, p)
+
+
+@pytest.mark.parametrize("n, order", [(4, 2), (5, 2), (6, 2), (7, 1), (8, 1)])
+def test_diagram_automorphisms(n, order):
+    """The root search over the simple roots alone counts the isometries
+    that keep them, the Dynkin diagram's symmetries; with W it gives
+    |O(L)| = |W| |Gamma|."""
+    L = build_del_pezzo(n)
+    mask = sum(1 << s for s in lattice._simple_indices(L))
+    assert lattice._root_search(L, mask)[0] == order
+    assert WEYL_ORDERS[n] * order == AUT_ORDERS[n]
