@@ -353,11 +353,11 @@ def isometry_order(S):
     rows = [{1: ones[S._polar[v]], 0: every ^ ones[S._polar[v]]} for v in points]
     allowed = [sum(1 << p for p, v in enumerate(points) if S._q[v] == qb)
                for qb in S.qdiag]
-    lengths, _ = groups.orbit_search(
+    counts, _ = groups.orbit_search(
         rows, allowed, S.gram2, [S._position[1 << i] for i in range(S.dim)],
         act=lambda sol: permutation(S, [points[p] for p in sol]),
         keep=lambda images: _independent(coords[p] for p in images if p >= 0))
-    return prod(lengths)
+    return prod(counts)
 
 
 # -- the radical split ----------------------------------------------------------
