@@ -33,11 +33,12 @@ def reduce_root(L, alpha):
 def root_preimage(L, v):
     """A root mapping to the given q=1 vector, by the support case table.
 
-    For the del Pezzo families the constructive cases are: support I without
-    e0 of size 2 -> E_i - E_j; size 6 -> 2E0 - E_I; support containing e0 of
-    size 4 -> 2E0 - E_I; size 8 (n=8) -> 4E0 - E_I - 2E_l with l the unique
-    missing index.  For n=7 the all-ones vector k has no preimage: a preimage
-    would have all coordinates odd, so its square would be 6 mod 8, not 2.
+    The cases, on the support I: size 2, without e0 in a del Pezzo lattice
+    (the only case in a plain one) -> E_i - E_j; without e0, size 6 -> 2E0 -
+    E_I; with e0, size 4 -> 2E0 - E_I, which is E0 minus the other three
+    E_i, and size 8 (n=8) -> 4E0 - E_I - 2E_l with l the one index missed.
+    For n=7 the all-ones vector k has no preimage: a preimage would have all
+    coordinates odd, so its square would be 6 mod 8, not 2.
     """
     S = f2.reduce(L)
     try:
@@ -47,43 +48,29 @@ def root_preimage(L, v):
     if qv != 1:
         raise errors.BadInput("root preimages exist only for q(v) = 1")
     support = groups.bit_indices(v)
-    m = len(support)
-    width = L.width
-
-    def e(i, c=1):
-        return tuple(c if j == i else 0 for j in range(width))
-
-    def combine(*terms):
-        out = [0] * width
-        for vec in terms:
-            out = [a + b for a, b in zip(out, vec)]
-        return tuple(out)
-
-    if L.kind == "plain":
-        if m == 2:
-            i, j = support
-            root = combine(e(i), e(j, -1))
-        else:
-            raise errors.NoPreimage(
-                f"support of size {m} has no root preimage in a plain lattice")
-    elif 0 not in support and m == 2:
+    m, e0 = len(support), 0 in support
+    root = [0] * L.width
+    if m == 2 and (L.kind == "plain" or not e0):
         i, j = support
-        root = combine(e(i), e(j, -1))
-    elif 0 not in support and m == 6:
-        root = combine(e(0, 2), *(e(i, -1) for i in support))
-    elif 0 in support and m == 4:
-        root = combine(e(0, 2), *(e(i, -1) for i in support))
-    elif 0 in support and m == 8 and L.n == 8:
-        missing = [i for i in range(width) if i not in support]
-        if len(missing) != 1:
-            raise errors.CrossCheckFailed(f"support misses {len(missing)} indices")
-        root = combine(e(0, 4), *(e(i, -1) for i in support),
-                       e(missing[0], -2))
-    elif 0 in support and m == 8 and L.n == 7:
+        root[i], root[j] = 1, -1
+    elif L.kind == "plain":
+        raise errors.NoPreimage(
+            f"support of size {m} has no root preimage in a plain lattice")
+    elif m == (4 if e0 else 6) or (e0 and m == 8 and L.n == 8):
+        root[0] = 4 if m == 8 else 2
+        for i in support:
+            root[i] -= 1
+        if m == 8:
+            missing = [i for i in range(L.width) if i not in support]
+            if len(missing) != 1:
+                raise errors.CrossCheckFailed(f"support misses {len(missing)} indices")
+            root[missing[0]] = -2
+    elif e0 and m == 8 and L.n == 7:
         raise errors.NoPreimage(
             "the all-ones vector has no root preimage (square 6 mod 8)")
     else:
         raise errors.CrossCheckFailed(f"q=1 vector with unhandled support size {m}")
+    root = tuple(root)
     if not (lat.is_root(L, root) and reduce_root(L, root) == v):
         raise errors.CrossCheckFailed(f"case table gives {root}, not a root over {v:#x}")
     return root
@@ -135,7 +122,6 @@ class _Checks:
 
     def check(self, ok, description):
         self.items.append((bool(ok), description))
-        return bool(ok)
 
     @property
     def passed(self):
@@ -414,7 +400,7 @@ def verify_remarks(n):
     """remark1 for n = 3; remark2 for a plain A_rank lattice, rank in [5, 10]."""
     if n == 3:
         return _verify_remark1()
-    if 5 <= n <= 10:
+    if n in range(5, 11):
         return _verify_remark2(n)
     raise errors.OutOfRange(
         "remarks cover n = 3 and plain ranks 5..10 (ranks <= 4 coincide "

@@ -89,6 +89,8 @@ def _build(kind, n, signs, K, expected_disc, root_type):
 @lru_cache(maxsize=None)
 def build_del_pezzo(n):
     """The rank-n del Pezzo lattice, with its canonical basis of K^perp."""
+    if type(n) is not int:
+        raise errors.BadInput(f"n must be an int, got {n!r}")
     if not 3 <= n <= 8:
         raise errors.OutOfRange(f"n must be in [3, 8], got {n}")
     signs = (-1,) + (1,) * n
@@ -99,6 +101,8 @@ def build_del_pezzo(n):
 @lru_cache(maxsize=None)
 def build_plain_root_lattice(rank):
     """The A_rank lattice: sum-zero vectors of Euclidean Z^(rank+1)."""
+    if type(rank) is not int:
+        raise errors.BadInput(f"rank must be an int, got {rank!r}")
     if not 2 <= rank <= 10:
         raise errors.OutOfRange(f"rank must be in [2, 10], got {rank}")
     signs = (1,) * (rank + 1)
@@ -159,43 +163,6 @@ def enumerate_roots(L):
 def is_root(L, v):
     return (len(v) == L.width and all(type(c) is int for c in v)
             and L.dot(v, v) == 2 and L.dot(v, L.K) == 0)
-
-
-# -- coordinates on the canonical basis ---------------------------------------
-
-@lru_cache(maxsize=None)
-def _pivot_plan(L):
-    """Basis rows ordered by pivot column (the basis is HNF up to row order)."""
-    plan = []
-    for i, row in enumerate(L.basis):
-        c = next(j for j, x in enumerate(row) if x)
-        plan.append((c, i, row))
-    plan.sort()
-    return tuple(plan)
-
-
-def lattice_coords(L, v):
-    """Integer coordinates of an ambient lattice vector on L.basis.
-
-    Raises BadInput if v is not in the lattice or an entry is not an int,
-    LengthMismatch unless v has the ambient width.
-    """
-    if len(v) != L.width:
-        raise errors.LengthMismatch("ambient vectors must have width n+1")
-    if any(type(a) is not int for a in v):
-        raise errors.BadInput("ambient vector entries must be ints")
-    rem = list(v)
-    x = [0] * L.n
-    for c, i, row in _pivot_plan(L):
-        q, r = divmod(rem[c], row[c])
-        if r:
-            raise errors.BadInput("vector is not in the lattice")
-        x[i] = q
-        if q:
-            rem = [a - q * b for a, b in zip(rem, row)]
-    if any(rem):
-        raise errors.BadInput("vector is not in the lattice")
-    return tuple(x)
 
 
 # -- roots as points: heights, pairings and the simple roots --------------------
@@ -388,18 +355,19 @@ def _aut_search(L):
 def _basis_on_simple(L):
     """Integer coordinates of the canonical basis on the simple roots.
 
-    With S the simple roots' coordinates on the basis, these are the rows of
-    S^-1.  The HNF of [S | I] is [I | S^-1] exactly when S is unimodular, i.e.
-    when the simple roots span the lattice.
+    Each row of the HNF of the rows (s_t | e_t), simple root s_t then unit
+    vector e_t, is a vector of the roots' span and its coordinates on them.
+    The heads are the HNF of the span, and L.basis is that of L, so the
+    simple roots span L exactly when the heads are the basis.
     """
-    n = L.n
+    n, w = L.n, L.width
     eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    hnf = intlinalg.hermite_normal_form(
-        [lattice_coords(L, s) + e for s, e in zip(simple_roots(L), eye)])
-    if [row[:n] for row in hnf] != eye:
+    hnf = intlinalg.hermite_normal_form([s + e for s, e in zip(simple_roots(L), eye)])
+    coords = {row[:w]: row[w:] for row in hnf}
+    if set(coords) != set(L.basis):
         raise errors.CrossCheckFailed(
             f"{L.root_type}: the simple roots do not span the lattice")
-    return tuple(row[n:] for row in hnf)
+    return tuple(coords[b] for b in L.basis)
 
 
 def automorphism_order(L):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmod2 import errors, f2, groups, intlinalg, lattice
+from dpmod2 import bridge, errors, f2, groups, intlinalg, lattice
 from oracles import det_fraction
 
 
@@ -157,43 +157,6 @@ def test_det_is_multiplicative(pair):
         assert intlinalg.abs_det(A0) == intlinalg.abs_det(mul(A0, B)) == 0
 
 
-_LATTICES = ([lattice.build_del_pezzo(n) for n in range(3, 9)]
-             + [lattice.build_plain_root_lattice(r) for r in (2, 5, 10)])
-
-
-def _combine(L, x):
-    """The ambient vector with basis coordinates x."""
-    return tuple(sum(c * b[j] for c, b in zip(x, L.basis)) for j in range(L.width))
-
-
-@st.composite
-def _lattice_point_and_offset(draw):
-    """A lattice, a lattice vector and a small ambient offset."""
-    L = draw(st.sampled_from(_LATTICES))
-    x = draw(st.lists(st.integers(-5, 5), min_size=L.n, max_size=L.n))
-    e = draw(st.lists(st.integers(-2, 2), min_size=L.width, max_size=L.width))
-    return L, _combine(L, x), tuple(e)
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(_lattice_point_and_offset())
-def test_lattice_coords_accepts_exactly_the_lattice(case):
-    """L is all integer vectors orthogonal to K: those get coordinates that
-    recombine to them, every other vector raises BadInput."""
-    L, v, e = case
-    w = tuple(a + b for a, b in zip(v, e))
-    if L.dot(e, L.K) == 0:
-        assert _combine(L, lattice.lattice_coords(L, w)) == w
-    else:
-        with pytest.raises(errors.BadInput):
-            lattice.lattice_coords(L, w)
-
-
-# a rank-1 lattice whose basis vector (3, -2) has pivot 3, so a vector can
-# fail the pivot division before any remainder is left over
-_PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X")
-
-
 @pytest.mark.parametrize("bad_call", [
     lambda: f2.F2QuadraticSpace(2, (1, 2), (0, 0), ((0, 1), (0, 0))),
     lambda: f2.F2QuadraticSpace(2, (1, 1), (0, 0), ((0, 0), (0, 0))),
@@ -216,13 +179,9 @@ _PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X"
     lambda: f2.space_from_gram([[2, 2], [0, 2]]),
     lambda: groups.PermGroup([], 0),
     lambda: groups.PermGroup([[1, 1, 2]], 3),
-    lambda: lattice.lattice_coords(_PIVOT_3, (1, 0)),
-    lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (1, 0, 0, 0)),
     lambda: groups.PermGroup([], "3"),
     lambda: groups.PermGroup([], 2.9),
     lambda: groups.PermGroup([], True),
-    lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), (0.0, 1.0, -1.0, 0.0)),
-    lambda: lattice.lattice_coords(lattice.build_del_pezzo(3), ("0", "1", "-1", "0")),
     lambda: intlinalg.kernel_basis((0, 0, 0)),
     lambda: intlinalg.hermite_normal_form([[1], [3, 4]]),
     lambda: intlinalg.hermite_normal_form([[1, 2], [3]]),
@@ -230,18 +189,27 @@ _PIVOT_3 = lattice.Lattice("plain", 1, (1, 1), (2, 3), ((3, -2),), ((13,),), "X"
     lambda: intlinalg.kernel_basis(("1", "2")),
     lambda: intlinalg.hermite_normal_form([[True, 0]]),
     lambda: intlinalg.abs_det([[1, 2]]),
+    lambda: lattice.build_del_pezzo(5.0),
+    lambda: lattice.build_del_pezzo("5"),
+    lambda: lattice.build_del_pezzo(True),
+    lambda: lattice.build_plain_root_lattice(5.0),
+    lambda: lattice.build_plain_root_lattice("5"),
+    lambda: lattice.build_plain_root_lattice(True),
+    lambda: bridge.verify_remarks(5.0),
 ], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
         "f2-negative-mask", "f2-zero-mask", "f2-negative-width",
         "f2-short-qdiag", "f2-long-qdiag", "f2-float-width", "f2-float-mask",
         "f2-bool-qdiag", "f2-float-gram2", "f2-odd-gram", "f2-ragged-gram",
         "f2-float-gram", "f2-str-gram", "f2-gram-not-rows",
         "f2-gram2-row-not-sequence", "f2-asymmetric-gram",
-        "groups-degree", "groups-not-a-permutation", "lattice-pivot",
-        "lattice-remainder", "groups-str-degree", "groups-float-degree",
-        "groups-bool-degree", "lattice-float-entry", "lattice-str-entry",
+        "groups-degree", "groups-not-a-permutation", "groups-str-degree",
+        "groups-float-degree", "groups-bool-degree",
         "intlinalg-zero-functional", "intlinalg-long-row",
         "intlinalg-short-row", "intlinalg-float-coeff", "intlinalg-str-coeff",
-        "intlinalg-bool-entry", "intlinalg-det-not-square"])
+        "intlinalg-bool-entry", "intlinalg-det-not-square",
+        "lattice-float-n", "lattice-str-n", "lattice-bool-n",
+        "lattice-float-rank", "lattice-str-rank", "lattice-bool-rank",
+        "bridge-float-remark-rank"])
 def test_bad_input_is_a_typed_error(bad_call):
     """Rejected input raises a package error that is still a ValueError."""
     with pytest.raises(errors.BadInput) as info:

@@ -11,7 +11,7 @@ from dpmod2 import errors, f2, groups, lattice
 from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             automorphism_order, build_del_pezzo,
                             build_plain_root_lattice, component_isometries,
-                            enumerate_roots, is_root, lattice_coords,
+                            enumerate_roots, is_root,
                             minus_one, root_components, root_reflection,
                             simple_roots, weyl_generators)
 from oracles import check_isometry_pairings, closure, det_fraction
@@ -286,20 +286,16 @@ def test_root_action_is_faithful(n):
 
 
 def test_lattice_coords_roundtrip():
+    """Basis coordinates x give the same vector on the basis as x times
+    _basis_on_simple(L) gives on the simple roots."""
     L = build_del_pezzo(6)
+    simple, on_simple = simple_roots(L), lattice._basis_on_simple(L)
     random.seed(4)
     for _ in range(20):
         x = tuple(random.randint(-3, 3) for _ in range(L.n))
-        v = tuple(sum(xi * b[j] for xi, b in zip(x, L.basis))
-                  for j in range(L.width))
-        assert lattice_coords(L, v) == x
-    with pytest.raises(ValueError):
-        lattice_coords(L, (1, 0, 0, 0, 0, 0, 0))  # not orthogonal to K
-    # the width is checked, as Lattice.dot does: no IndexError, and no
-    # truncation or zero padding by zip
-    for v in ((1, 2), (0,) * 8):
-        with pytest.raises(errors.LengthMismatch):
-            lattice_coords(L, v)
+        y = [sum(xi * row[t] for xi, row in zip(x, on_simple)) for t in range(L.n)]
+        assert (tuple(sum(xi * b[j] for xi, b in zip(x, L.basis)) for j in range(L.width))
+                == tuple(sum(yt * s[j] for yt, s in zip(y, simple)) for j in range(L.width)))
 
 
 @pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
@@ -371,7 +367,7 @@ def test_is_root_type_checks():
     assert not is_root(L, (0, 1, -1))          # wrong width
     assert not is_root(L, (0, 1, -1, 0.0))     # non-integer entry
     assert is_root(L, (0, 1, -1, 0))
-    # bools are not ints here, as in lattice_coords
+    # bools are not ints here, as in intlinalg.hermite_normal_form
     assert not is_root(L, (False, True, -1, False))
     with pytest.raises(errors.NotARoot):
         root_reflection(L, (False, True, -1, False))
