@@ -16,9 +16,6 @@ from operator import xor
 
 from . import errors, f2, groups, lattice as lat
 
-STATEMENTS = ("lemma1a", "lemma1b", "prop1", "prop2", "corollary",
-              "remark1", "remark2")
-
 NUMBER_KEYS = ("roots", "q1_count", "q0_count", "arf", "weyl_order",
                "autL_order", "oL2_order", "rho_image_order", "kernel_order")
 
@@ -26,7 +23,7 @@ NUMBER_KEYS = ("roots", "q1_count", "q0_count", "arf", "weyl_order",
 def reduce_root(L, alpha):
     """Mod-2 class of a root, as an ambient mask (q of the image is 1)."""
     if not lat.is_root(L, alpha):
-        raise errors.NotARoot(f"{alpha} is not a root")
+        raise errors.BadInput(f"{alpha} is not a root")
     return f2._mask(alpha)
 
 
@@ -41,11 +38,7 @@ def root_preimage(L, v):
     coordinates odd, so its square would be 6 mod 8, not 2.
     """
     S = f2.reduce(L)
-    try:
-        qv = S.q(v)
-    except errors.NotInSpace:
-        raise errors.BadInput(f"mask {v:#x} is not in the mod-2 space") from None
-    if qv != 1:
+    if S.q(v) != 1:
         raise errors.BadInput("root preimages exist only for q(v) = 1")
     support = groups.bit_indices(v)
     m, e0 = len(support), 0 in support
@@ -309,7 +302,7 @@ def verify_prop1(L):
 def verify_prop2(L):
     """prop2: reduction maps O(L)/{+-1} isomorphically onto O(L2), n >= 4."""
     if L.kind != "delpezzo" or L.n < 4:
-        raise errors.WrongRange("prop2 applies to del Pezzo lattices of rank >= 4")
+        raise errors.BadInput("prop2 applies to del Pezzo lattices of rank >= 4")
     c = _Checks()
     S = f2.reduce(L)
     aut_order = aut_group(L).order()
@@ -369,7 +362,7 @@ def verify_prop2(L):
 def verify_corollary(L):
     """corollary: W = O(L2) for n = 4,5,6 and W/{+-1} = O(L2) for n = 7,8."""
     if L.kind != "delpezzo" or not 4 <= L.n <= 8:
-        raise errors.WrongRange("the corollary applies to del Pezzo n in [4, 8]")
+        raise errors.BadInput("the corollary applies to del Pezzo n in [4, 8]")
     c = _Checks()
     weyl = weyl_group(L).order()
     # |O(L)| = |W| |Gamma|, Gamma the isometries keeping the simple roots
@@ -398,11 +391,13 @@ def verify_corollary(L):
 
 def verify_remarks(n):
     """remark1 for n = 3; remark2 for a plain A_rank lattice, rank in [5, 10]."""
+    if type(n) is not int:
+        raise errors.BadInput(f"n must be an int, got {n!r}")
     if n == 3:
         return _verify_remark1()
     if n in range(5, 11):
         return _verify_remark2(n)
-    raise errors.OutOfRange(
+    raise errors.BadInput(
         "remarks cover n = 3 and plain ranks 5..10 (ranks <= 4 coincide "
         "with del Pezzo cases)")
 

@@ -95,7 +95,7 @@ class F2QuadraticSpace:
         try:
             return table[self._int(v, "mask")]
         except KeyError:
-            raise errors.NotInSpace(f"mask {v!r} is not in the space") from None
+            raise errors.BadInput(f"mask {v!r} is not in the space") from None
 
     def pair(self, u, v):
         """The bilinear form of two space vectors."""
@@ -105,7 +105,7 @@ class F2QuadraticSpace:
         return self._int(v, "mask") in self._q
 
     def q(self, v):
-        """q(v); raises NotInSpace for masks outside the space."""
+        """q(v); raises BadInput for masks outside the space."""
         return self._lookup(self._q, v)
 
     def coords(self, v):
@@ -195,7 +195,7 @@ def symplectic_basis(S):
     other pairings 0.
     """
     if radical(S) != [0]:
-        raise errors.DegenerateForm("the pairing has a nontrivial radical")
+        raise errors.WrongShape("the pairing has a nontrivial radical")
     work = list(S.basis)
     pairs = []
     while work:
@@ -313,7 +313,7 @@ def transvection(S, v):
     """The basis images of the symplectic transvection x -> x + (x|v)v (no
     q constraint)."""
     if not S.contains(v) or v == 0:
-        raise errors.BadVector("transvection vector must be a nonzero space vector")
+        raise errors.BadInput("transvection vector must be a nonzero space vector")
     pv = S._polar[v]
     return tuple(b ^ (v if pv >> i & 1 else 0) for i, b in enumerate(S.basis))
 
@@ -325,7 +325,7 @@ def f2_reflection(S, v):
     in the radical.
     """
     if S.q(v) != 1:
-        raise errors.BadVector(f"q(v) must be 1, got {S.q(v)}")
+        raise errors.BadInput(f"q(v) must be 1, got {S.q(v)}")
     return transvection(S, v)
 
 

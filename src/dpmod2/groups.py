@@ -108,7 +108,7 @@ class PermGroup:
         int-like entry such as True passes as its int)."""
         g = tuple(g)
         if len(g) != self.degree:
-            raise errors.DegreeMismatch(
+            raise errors.BadInput(
                 f"permutation of degree {len(g)} in group of degree {self.degree}")
         try:
             perm = gather(self._identity, g)

@@ -49,7 +49,7 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
     def dot(self, v, w):
         """Ambient bilinear form of this lattice's model."""
         if len(v) != self.width or len(w) != self.width:
-            raise errors.LengthMismatch("ambient vectors must have width n+1")
+            raise errors.BadInput("ambient vectors must have width n+1")
         return sum(s * a * b for s, a, b in zip(self.signs, v, w))
 
     def to_json_dict(self):
@@ -92,7 +92,7 @@ def build_del_pezzo(n):
     if type(n) is not int:
         raise errors.BadInput(f"n must be an int, got {n!r}")
     if not 3 <= n <= 8:
-        raise errors.OutOfRange(f"n must be in [3, 8], got {n}")
+        raise errors.BadInput(f"n must be in [3, 8], got {n}")
     signs = (-1,) + (1,) * n
     K = (3,) + (-1,) * n
     return _build("delpezzo", n, signs, K, 9 - n, DEL_PEZZO_TYPES[n])
@@ -104,7 +104,7 @@ def build_plain_root_lattice(rank):
     if type(rank) is not int:
         raise errors.BadInput(f"rank must be an int, got {rank!r}")
     if not 2 <= rank <= 10:
-        raise errors.OutOfRange(f"rank must be in [2, 10], got {rank}")
+        raise errors.BadInput(f"rank must be in [2, 10], got {rank}")
     signs = (1,) * (rank + 1)
     K = (1,) * (rank + 1)
     return _build("plain", rank, signs, K, rank + 1, f"A{rank}")
@@ -233,8 +233,8 @@ def _root_steps(L):
 def _solution_perms(L, solutions):
     """Root permutations of the linear maps sending simple root t to root
     sol[t], one per solution, in order: each step of _root_steps adds two
-    image heights and looks the sum up, and NotClosed is raised where it is
-    no root's.  Exact for a map that keeps the simple roots' pairings."""
+    image heights and looks the sum up, and NotIsometry is raised where it
+    is no root's.  Exact for a map that keeps the simple roots' pairings."""
     (heights, index), steps = _heights(L), _root_steps(L)
     for sol in solutions:
         image = [0] * len(heights)
@@ -246,7 +246,7 @@ def _solution_perms(L, solutions):
         try:
             yield tuple(map(index.__getitem__, image))
         except KeyError:
-            raise errors.NotClosed("a root maps outside the root set") from None
+            raise errors.NotIsometry("a root maps outside the root set") from None
 
 
 def minus_one(L):
@@ -259,7 +259,7 @@ def root_reflection(L, alpha):
     """The root permutation of the reflection x -> x - <x, alpha> alpha in a
     root alpha."""
     if not is_root(L, alpha):
-        raise errors.NotARoot(f"{alpha} is not a root")
+        raise errors.BadInput(f"{alpha} is not a root")
     (heights, index), ha = _heights(L), _height(alpha)
     return tuple(index[h - L.dot(r, alpha) * ha]
                  for r, h in zip(enumerate_roots(L), heights))

@@ -91,7 +91,7 @@ def test_order_divides_degree_factorial():
 
 def test_degree_mismatch():
     G = PermGroup([[1, 0, 2]], 3)
-    with pytest.raises(errors.DegreeMismatch):
+    with pytest.raises(errors.BadInput):
         G.contains([1, 0])
 
 

@@ -196,6 +196,20 @@ def test_det_is_multiplicative(pair):
     lambda: lattice.build_plain_root_lattice("5"),
     lambda: lattice.build_plain_root_lattice(True),
     lambda: bridge.verify_remarks(5.0),
+    lambda: bridge.verify_remarks(3.0),
+    lambda: bridge.verify_remarks(True),
+    lambda: bridge.verify_remarks(4),
+    lambda: bridge.verify_prop2(lattice.build_del_pezzo(3)),
+    lambda: bridge.verify_corollary(lattice.build_del_pezzo(3)),
+    lambda: bridge.reduce_root(lattice.build_del_pezzo(4), (1, 0, 0, 0, 0)),
+    lambda: lattice.root_reflection(lattice.build_del_pezzo(4), (1, 0, 0, 0, 0)),
+    lambda: lattice.build_del_pezzo(3).dot((1,), (1,)),
+    lambda: lattice.build_del_pezzo(9),
+    lambda: lattice.build_plain_root_lattice(11),
+    lambda: f2.reduce(lattice.build_del_pezzo(4)).q(1),
+    lambda: f2.f2_reflection(f2.reduce(lattice.build_del_pezzo(4)), 0b11),
+    lambda: f2.transvection(f2.reduce(lattice.build_del_pezzo(4)), 0),
+    lambda: groups.PermGroup([(1, 0, 2)], 3).contains([1, 0]),
 ], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
         "f2-negative-mask", "f2-zero-mask", "f2-negative-width",
         "f2-short-qdiag", "f2-long-qdiag", "f2-float-width", "f2-float-mask",
@@ -209,7 +223,12 @@ def test_det_is_multiplicative(pair):
         "intlinalg-bool-entry", "intlinalg-det-not-square",
         "lattice-float-n", "lattice-str-n", "lattice-bool-n",
         "lattice-float-rank", "lattice-str-rank", "lattice-bool-rank",
-        "bridge-float-remark-rank"])
+        "bridge-float-remark-rank", "bridge-float-remark1-rank",
+        "bridge-bool-remark-rank", "bridge-remark-rank-4", "bridge-prop2-dp3",
+        "bridge-corollary-dp3", "bridge-reduce-non-root",
+        "lattice-reflect-non-root", "lattice-dot-short", "lattice-dp9",
+        "lattice-a11", "f2-q-outside-space", "f2-reflection-q0",
+        "f2-transvection-zero", "groups-contains-wrong-degree"])
 def test_bad_input_is_a_typed_error(bad_call):
     """Rejected input raises a package error that is still a ValueError."""
     with pytest.raises(errors.BadInput) as info:

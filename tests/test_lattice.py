@@ -68,7 +68,7 @@ def test_dot_examples():
     assert L.dot(e1, e2) == 0
     L8 = build_del_pezzo(8)
     assert L8.dot(L8.K, L8.K) == -1  # -9 + n at n = 8
-    with pytest.raises(errors.LengthMismatch):
+    with pytest.raises(errors.BadInput):
         L.dot((1, 0), (1, 0, 0, 0))
 
 
@@ -93,13 +93,13 @@ def test_del_pezzo_invariants(n):
 
 @pytest.mark.parametrize("n", (2, 9))
 def test_del_pezzo_out_of_range(n):
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.BadInput):
         build_del_pezzo(n)
 
 
 @pytest.mark.parametrize("rank", (1, 11))
 def test_plain_out_of_range(rank):
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.BadInput):
         build_plain_root_lattice(rank)
 
 
@@ -162,7 +162,7 @@ def test_root_reflection_properties(n):
 
 def test_root_reflection_rejects_non_roots():
     L = build_del_pezzo(4)
-    with pytest.raises(errors.NotARoot):
+    with pytest.raises(errors.BadInput):
         root_reflection(L, (1, 0, 0, 0, 0))
 
 
@@ -259,7 +259,7 @@ def test_root_permutation_not_closed():
     assert list(lattice._solution_perms(L, [simple])) == [tuple(range(20))]
     s0, s1, *rest = simple
     for images in [(s0,) * L.n, (s1, s0, *rest)]:
-        with pytest.raises(errors.NotClosed):
+        with pytest.raises(errors.NotIsometry):
             list(lattice._solution_perms(L, [images]))
 
 
@@ -369,7 +369,7 @@ def test_is_root_type_checks():
     assert is_root(L, (0, 1, -1, 0))
     # bools are not ints here, as in intlinalg.hermite_normal_form
     assert not is_root(L, (False, True, -1, False))
-    with pytest.raises(errors.NotARoot):
+    with pytest.raises(errors.BadInput):
         root_reflection(L, (False, True, -1, False))
 
 
