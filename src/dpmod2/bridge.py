@@ -126,11 +126,20 @@ class _Checks:
 
 # -- cached heavy computations -----------------------------------------------------
 
+def _agreed(L, what, order, closed_form):
+    if order != closed_form:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: {what} {order} != its closed form {closed_form}")
+
+
 @lru_cache(maxsize=None)
 def weyl_group(L):
-    """Stabilizer chain for the Weyl group acting on the roots."""
-    return groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)),
-                            known_base=lat._simple_indices(L))
+    """Stabilizer chain for the Weyl group acting on the roots; its order
+    must be prod(m_i + 1) over lat.exponents(L) (CrossCheckFailed)."""
+    G = groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)),
+                         known_base=lat._simple_indices(L))
+    _agreed(L, "|W|", G.order(), reduce(lambda w, m: w * (m + 1), lat.exponents(L), 1))
+    return G
 
 
 def aut_group(L):
@@ -159,9 +168,12 @@ def _f2_chain(S, maps):
 
 @lru_cache(maxsize=None)
 def oL2_group(L):
-    """Stabilizer chain for the reflection group of the mod-2 space."""
+    """Stabilizer chain for the reflection group of the mod-2 space; its
+    order must be f2.orthogonal_order (CrossCheckFailed)."""
     S = f2.reduce(L)
-    return _f2_chain(S, f2.orthogonal_generators(S))
+    G = _f2_chain(S, f2.orthogonal_generators(S))
+    _agreed(L, "|O(L2)|", G.order(), f2.orthogonal_order(S))
+    return G
 
 
 @lru_cache(maxsize=None)
@@ -177,11 +189,13 @@ def rho_image_order_weyl(L):
                                     for u in lat.weyl_generators(L)]).order()
 
 
-def _census_numbers(L):
+def _census_numbers(L, **orders):
+    """The root count and census, then the given orders, then arf if the
+    pairing is nondegenerate (the plain report lists them in this order)."""
     S = f2.reduce(L)
     q0, q1 = f2.value_census(S)
     numbers = {"roots": len(lat.enumerate_roots(L)), "q1_count": q1,
-               "q0_count": q0}
+               "q0_count": q0, **orders}
     if len(f2.radical(S)) == 1:
         numbers["arf"] = f2.arf(S)
     return numbers
@@ -426,12 +440,9 @@ def _verify_remark1():
     c.check(signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)},
             "kernel is {+-1} x {+-1} on the two components")
     # component lattices: A1 and A2, with isometry groups of orders 2 and 12
-    comp_orders = []
-    comp_f2_orders = []
-    for comp in comps:
-        order, gram = lat.component_isometries(L, comp)
-        comp_orders.append(order)
-        comp_f2_orders.append(f2.isometry_order(f2.space_from_gram(gram)))
+    isos = [lat.component_isometries(L, comp) for comp in comps]
+    comp_orders = [order for order, _ in isos]
+    comp_f2_orders = [f2.isometry_order(f2.space_from_gram(gram)) for _, gram in isos]
     c.check(comp_orders == [2, 12], "component isometry groups have orders 2, 12")
     c.check(2 * 12 == aut_order, "O(L) = O(A1) x O(A2)")
     c.check(comp_f2_orders == [1, 6], "mod-2 component groups have orders 1, 6")
@@ -445,22 +456,21 @@ def _verify_remark1():
 
 
 def _verify_remark2(rank):
-    """Plain A_rank: the root/quadric and group correspondences both fail."""
+    """Plain A_rank: the root/quadric and group correspondences both fail.
+
+    The remark says nothing of reflections, so no reflection chain is built:
+    |O(L2)| is f2.isometry_order, checked against f2.orthogonal_order."""
     L = lat.build_plain_root_lattice(rank)
     c = _Checks()
     S = f2.reduce(L)
-    roots = lat.enumerate_roots(L)
-    q0, q1 = f2.value_census(S)
     aut_order = aut_group(L).order()
-    oL2 = oL2_group(L).order()
-    c.check(len(roots) == rank * (rank + 1), "A_n has n(n+1) roots")
-    root_classes = len(roots) // 2
+    oL2 = f2.isometry_order(S)
+    _agreed(L, "|O(L2)|", oL2, f2.orthogonal_order(S))
+    numbers = _census_numbers(L, autL_order=aut_order, oL2_order=oL2)
+    c.check(numbers["roots"] == rank * (rank + 1), "A_n has n(n+1) roots")
+    root_classes, q1 = numbers["roots"] // 2, numbers["q1_count"]
     c.check(root_classes != q1 or aut_order != oL2,
             "at least one correspondence fails strictly")
-    numbers = {"roots": len(roots), "q1_count": q1, "q0_count": q0,
-               "autL_order": aut_order, "oL2_order": oL2}
-    if len(f2.radical(S)) == 1:
-        numbers["arf"] = f2.arf(S)
     witnesses = c.witnesses()
     witnesses.append(f"root classes {root_classes} vs q1 vectors {q1}")
     witnesses.append(f"|O(L)| {aut_order} vs |O(L2)| {oL2}")

@@ -141,19 +141,11 @@ def _table_rows():
         S = f2.reduce(L)
         q0, q1 = f2.value_census(S)
         radical_dim = len(f2.radical(S)) - 1
-        row = {
-            "n": n,
-            "type": L.root_type,
-            "roots": len(lat.enumerate_roots(L)),
-            "q1": q1,
-            "q0": q0,
-            "radical_dim": radical_dim,
-            "arf": f2.arf(S) if radical_dim == 0 else None,
-            "weyl_order": bridge.weyl_group(L).order(),
-            "autL_order": bridge.aut_group(L).order(),
-            "oL2_order": bridge.oL2_group(L).order(),
-            "rho_image_order": bridge.rho_image_order_aut(L),
-        }
+        row = dict(zip(TABLE_COLUMNS, (
+            n, L.root_type, len(lat.enumerate_roots(L)), q1, q0, radical_dim,
+            f2.arf(S) if radical_dim == 0 else None, bridge.weyl_group(L).order(),
+            bridge.aut_group(L).order(), bridge.oL2_group(L).order(),
+            bridge.rho_image_order_aut(L))))
         ok = ok and row["roots"] == lat.ROOT_COUNTS[L.root_type]
         rows.append(row)
     return rows, ok

@@ -395,3 +395,19 @@ def induced(S, k, H, u):
     """
     check = check_symplectic if S.q(k) else check_isometry
     return check(H, (min(m, m ^ k) for m in (apply(S, u, h) for h in H.basis)))
+
+
+def orthogonal_order(S):
+    """|O(S, q)| by closed forms sharing no code with isometry_order (Taylor,
+    The Geometry of the Classical Groups, 1992, ch. 11).  With H = S or (k, H)
+    = split_radical(S), dim H = 2m: |Sp(H)| = 2^(m^2) prod_{i<=m} (4^i - 1),
+    O(H, q) has index 2^(m-1) (2^m + (-1)^arf) in it, and a radical {0, k}
+    gives |Sp(H)| if q(k) = 1, 2^(dim-1) |O(H, q)| if q(k) = 0.  A larger
+    radical raises WrongShape."""
+    k, H = (0, S) if len(radical(S)) == 1 else split_radical(S)
+    m = H.dim // 2
+    sp = 2 ** (m * m) * prod(4 ** i - 1 for i in range(1, m + 1))
+    if k and S.q(k):
+        return sp
+    order = 2 * sp // (2 ** m * (2 ** m + (-1) ** arf(H)))
+    return order * 2 ** (S.dim - 1) if k else order

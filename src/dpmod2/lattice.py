@@ -290,6 +290,18 @@ def weyl_generators(L):
     return tuple(root_reflection(L, s) for s in simple_roots(L))
 
 
+def exponents(L):
+    """The exponents m_i of W, so |W| = prod(m_i + 1): h is one k_h - k_(h+1)
+    times, k_h roots having height h (Kostant 1959; Humphreys 1990, 3.20),
+    where ht(+-s) = +-1 and ht(a + b) = ht(a) + ht(b) along _root_steps."""
+    heights, index = _heights(L)
+    ht = {i: e for s in _simple_indices(L) for i, e in ((s, 1), (index[-heights[s]], -1))}
+    for r, a, b in _root_steps(L):
+        ht[r] = ht[a] + ht[b]
+    k = [list(ht.values()).count(h) for h in range(max(ht.values()) + 2)]
+    return tuple(h for h in range(1, len(k) - 1) for _ in range(k[h] - k[h + 1]))
+
+
 # -- full isometry group --------------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from dpmod2 import bridge, errors, f2, groups
+from dpmod2 import bridge, cli, errors, f2, groups
+from dpmod2 import lattice as lat
 from dpmod2.lattice import (automorphism_group, build_del_pezzo,
                             build_plain_root_lattice, enumerate_roots,
                             minus_one, root_reflection, simple_roots,
@@ -286,7 +288,7 @@ def test_verify_remark1():
     assert rep.numbers["kernel_order"] == 4
 
 
-@pytest.mark.parametrize("rank", (5, 6, 7, 8, 9))
+@pytest.mark.parametrize("rank", range(5, 11))
 def test_verify_remark2(rank):
     rep = bridge.verify_remarks(rank)
     assert rep.statement == "remark2" and rep.passed
@@ -348,3 +350,102 @@ def test_corollary_cross_checks_the_weyl_order(monkeypatch):
     monkeypatch.setattr(bridge, "weyl_group", lambda L: doubled)
     with pytest.raises(errors.CrossCheckFailed, match="diagram automorphisms"):
         bridge.verify_corollary(L)
+
+
+@pytest.fixture
+def fresh_chains():
+    """Build the W and O(L2) chains anew inside a test that perturbs what
+    checks them, and drop what it built afterwards."""
+    bridge.weyl_group.cache_clear()
+    bridge.oL2_group.cache_clear()
+    yield
+    bridge.weyl_group.cache_clear()
+    bridge.oL2_group.cache_clear()
+
+
+def test_remark2_cross_checks_the_arf_invariant(monkeypatch):
+    """A10 is nondegenerate mod 2: a flipped Arf invariant moves the closed
+    form from O^-(10, 2) to O^+(10, 2), away from the basis-image count."""
+    arf = f2.arf
+    monkeypatch.setattr(f2, "arf", lambda S: 1 - arf(S))
+    with pytest.raises(errors.CrossCheckFailed, match=r"A10: \|O\(L2\)\|"):
+        bridge.verify_remarks(10)
+
+
+@pytest.mark.parametrize("rank", (9, 7))
+def test_remark2_cross_checks_the_isometry_count(rank, monkeypatch):
+    """A9 has q(k) = 1 and A7 q(k) = 0: in both, a basis-image count one
+    off its closed form stops remark2."""
+    S = f2.reduce(build_plain_root_lattice(rank))
+    k = f2.radical(S)[-1]
+    assert S.q(k) == (rank == 9)
+    count = f2.isometry_order
+    monkeypatch.setattr(f2, "isometry_order", lambda S: count(S) + 1)
+    with pytest.raises(errors.CrossCheckFailed, match=r"\|O\(L2\)\|"):
+        bridge.verify_remarks(rank)
+
+
+def _shift_an_exponent(monkeypatch):
+    exponents = lat.exponents
+    monkeypatch.setattr(lat, "exponents", lambda L: (2,) + exponents(L)[1:])
+
+
+def _drop_reflections(monkeypatch):
+    """Keep one reflection: the chain it generates has order 2."""
+    reflections = f2.orthogonal_generators
+    monkeypatch.setattr(f2, "orthogonal_generators", lambda S: reflections(S)[:1])
+
+
+def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
+    """E8's exponents give |W| = 696729600; with 1 shifted to 2 the Weyl
+    chain's order disagrees and the corollary stops."""
+    L = build_del_pezzo(8)
+    assert bridge.weyl_group(L).order() == 696729600
+    bridge.weyl_group.cache_clear()
+    _shift_an_exponent(monkeypatch)
+    with pytest.raises(errors.CrossCheckFailed, match=r"E8: \|W\|"):
+        bridge.verify_corollary(L)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: bridge.verify_prop2(build_del_pezzo(4)),
+    lambda: bridge.verify_corollary(build_del_pezzo(6)),
+    lambda: bridge.verify_remarks(3),
+    cli._table_rows,
+], ids=["prop2", "corollary", "remark1", "table"])
+def test_reflection_chain_order_is_cross_checked(run, monkeypatch, fresh_chains):
+    """Each printer of the reflection chain's |O(L2)| raises when the chain's
+    order is not the closed form."""
+    _drop_reflections(monkeypatch)
+    with pytest.raises(errors.CrossCheckFailed, match=r"\|O\(L2\)\| 2 !="):
+        run()
+
+
+@pytest.mark.parametrize("perturb, match", [
+    (_drop_reflections, r"\|O\(L2\)\| 2 !="),
+    (_shift_an_exponent, r"\|W\|"),
+], ids=["reflection-chain", "exponent"])
+def test_table_exits_1_on_a_failed_cross_check(perturb, match, monkeypatch,
+                                               fresh_chains, capsys):
+    perturb(monkeypatch)
+    assert cli.run(["table", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search("check failed with CrossCheckFailed: A1xA2: " + match,
+                     captured.err)
+
+
+@pytest.mark.parametrize("rank", range(5, 11))
+def test_remark2_builds_no_reflection_chain(rank, monkeypatch):
+    """remark2 claims nothing of reflections: it passes with every way to
+    build a chain on the mod-2 space refused."""
+    def refuse(*args):
+        raise AssertionError("remark2 built a mod-2 chain")
+
+    for module, name in [(bridge, "oL2_group"), (bridge, "_f2_chain"),
+                         (f2, "orthogonal_generators")]:
+        monkeypatch.setattr(module, name, refuse)
+    rep = bridge.verify_remarks(rank)
+    assert rep.passed
+    assert rep.numbers["oL2_order"] == f2.orthogonal_order(
+        f2.reduce(build_plain_root_lattice(rank)))

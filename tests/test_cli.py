@@ -174,6 +174,18 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
      "d128ba90a4f8cbda8180a302f1247f24656fb3301d4f0d9c5c0216bbc9ff4699"),
     (["remark2", "--rank", "10"],
      "4164b4d8a2c08001524bb160b1be7b9aea9f360d6f3168b1bbcf92c347c4ce97"),
+    (["remark2", "--rank", "5", "--format", "json"],
+     "517d27ab8977f2113e798faba63d76364deb3f3c6af69759073c35c21cb6b094"),
+    (["remark2", "--rank", "6", "--format", "json"],
+     "b0dec844852a42cd8b5c052dd729c7a2666687497ff61bdc4a8923767b5dd497"),
+    (["remark2", "--rank", "7", "--format", "json"],
+     "5baf72556e2a42ab3bd05f59ec7c3a0f3b22d3e0945d49ac5b137fabf1925782"),
+    (["remark2", "--rank", "8", "--format", "json"],
+     "9e4c0ee53bff8710f1303814fcfc370bff4f24d49036c0b3fae3ba44246d6d61"),
+    (["remark2", "--rank", "9", "--format", "json"],
+     "29e0f60ad54cd8199eed53c43303ff44a70f4837e1bb9cc684c0212d2bb764a0"),
+    (["remark2", "--rank", "10", "--format", "json"],
+     "88bba06710694ffd7f3e273614d6e5ca3184d6360d3049bd0c1f7de3b0907429"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

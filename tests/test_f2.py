@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmod2 import bridge, cli, errors, f2, groups
+from dpmod2 import bridge, cli, errors, f2, groups, lattice
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
 from oracles import (isometry_count_bruteforce, orbit_search_unpruned,
                      radical_kernel_bruteforce, searches)
@@ -572,6 +572,51 @@ def test_isometry_order_tests_independence():
     identity and the swap are isometries; b0 -> b1, b1 -> b1 keeps every
     pairing and q on the basis but is not invertible."""
     assert f2.isometry_order(f2.space_from_gram([[2, 0], [0, 2]])) == 2
+
+
+def _component_spaces():
+    L = build_del_pezzo(3)
+    return [f2.space_from_gram(lattice.component_isometries(L, comp)[1])
+            for comp in lattice.root_components(L)]
+
+
+@pytest.mark.parametrize(
+    "S", [f2.reduce(build_del_pezzo(n)) for n in range(3, 9)]
+    + [f2.reduce(build_plain_root_lattice(r)) for r in range(2, 11)]
+    + _component_spaces(),
+    ids=[f"dP{n}" for n in range(3, 9)] + [f"A{r}" for r in range(2, 11)]
+    + ["A1-component", "A2-component"])
+def test_orthogonal_order_equals_isometry_order(S):
+    """The closed form against the basis-image count: nondegenerate spaces
+    (dP4, dP6, dP8, A2, A4, ...), q(k) = 1 (dP3, dP7, A1 with dim H = 0, ...)
+    and q(k) = 0 (dP5, A3, A7, ...)."""
+    assert f2.orthogonal_order(S) == f2.isometry_order(S)
+
+
+def test_orthogonal_order_covers_all_three_cases():
+    spaces = [f2.reduce(build_del_pezzo(n)) for n in (4, 7, 5)]
+    assert [len(f2.radical(S)) for S in spaces] == [1, 2, 2]
+    assert [S.q(f2.radical(S)[-1]) for S in spaces[1:]] == [1, 0]
+    assert _component_spaces()[0].dim == 1
+
+
+def test_orthogonal_order_wrong_shape():
+    """A1 x A1 has the zero pairing mod 2: its radical has dimension 2."""
+    with pytest.raises(errors.WrongShape):
+        f2.orthogonal_order(f2.space_from_gram([[2, 0], [0, 2]]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_even_gram(max_dim=5))
+def test_orthogonal_order_on_random_forms(gram):
+    """The closed form wherever the radical has at most two elements, and
+    WrongShape wherever it has more."""
+    S = f2.space_from_gram(gram)
+    if len(f2.radical(S)) > 2:
+        with pytest.raises(errors.WrongShape):
+            f2.orthogonal_order(S)
+    else:
+        assert f2.orthogonal_order(S) == f2.isometry_order(S)
 
 
 def test_intrinsic_and_ambient_models_agree():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -421,3 +422,23 @@ def test_diagram_automorphisms(n, order):
     mask = sum(1 << s for s in lattice._simple_indices(L))
     assert lattice._root_search(L, mask)[0] == order
     assert WEYL_ORDERS[n] * order == AUT_ORDERS[n]
+
+
+# the exponents of each root system (Bourbaki, Lie groups, ch. VI, plates)
+EXPONENTS = {"A1xA2": (1, 1, 2), "D5": (1, 3, 4, 5, 7),
+             "E6": (1, 4, 5, 7, 8, 11), "E7": (1, 5, 7, 9, 11, 13, 17),
+             "E8": (1, 7, 11, 13, 17, 19, 23, 29),
+             **{f"A{r}": tuple(range(1, r + 1)) for r in range(2, 11)}}
+
+
+@pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
+                         + [build_plain_root_lattice(r) for r in range(2, 11)],
+                         ids=lambda L: L.root_type)
+def test_exponents_from_the_root_heights(L):
+    """The heights along _root_steps give the textbook exponents, whose
+    (m_i + 1) multiply to the Weyl chain's order."""
+    exps = lattice.exponents(L)
+    assert exps == EXPONENTS[L.root_type]
+    assert len(exps) == L.n
+    assert prod(m + 1 for m in exps) == _root_group(
+        weyl_generators(L), enumerate_roots(L)).order()
