@@ -411,11 +411,10 @@ def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
     lambda: bridge.verify_prop2(build_del_pezzo(4)),
     lambda: bridge.verify_corollary(build_del_pezzo(6)),
     lambda: bridge.verify_remarks(3),
-    cli._table_rows,
-], ids=["prop2", "corollary", "remark1", "table"])
+], ids=["prop2", "corollary", "remark1"])
 def test_reflection_chain_order_is_cross_checked(run, monkeypatch, fresh_chains):
-    """Each printer of the reflection chain's |O(L2)| raises when the chain's
-    order is not the closed form."""
+    """Each statement that prints the reflection chain's |O(L2)| raises when
+    the chain's order is not the closed form; table is below."""
     _drop_reflections(monkeypatch)
     with pytest.raises(errors.CrossCheckFailed, match=r"\|O\(L2\)\| 2 !="):
         run()

@@ -593,13 +593,6 @@ def test_orthogonal_order_equals_isometry_order(S):
     assert f2.orthogonal_order(S) == f2.isometry_order(S)
 
 
-def test_orthogonal_order_covers_all_three_cases():
-    spaces = [f2.reduce(build_del_pezzo(n)) for n in (4, 7, 5)]
-    assert [len(f2.radical(S)) for S in spaces] == [1, 2, 2]
-    assert [S.q(f2.radical(S)[-1]) for S in spaces[1:]] == [1, 0]
-    assert _component_spaces()[0].dim == 1
-
-
 def test_orthogonal_order_wrong_shape():
     """A1 x A1 has the zero pairing mod 2: its radical has dimension 2."""
     with pytest.raises(errors.WrongShape):
