@@ -261,7 +261,8 @@ def check_symplectic(S, images):
     images = _basis_images(S, images)
     if not _independent(S._coords[m] for m in images):
         raise errors.NotIsometry("images are linearly dependent")
-    if any(S.pair(images[i], images[j]) != S.gram2[i][j]
+    polar, coords = S._polar, S._coords
+    if any(_parity(polar[images[i]] & coords[images[j]]) != S.gram2[i][j]
            for i in range(S.dim) for j in range(i + 1, S.dim)):
         raise errors.NotIsometry("the pairing is not preserved")
     return images

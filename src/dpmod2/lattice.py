@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, prod
+from operator import mul
 
 from . import errors, groups, intlinalg
 
@@ -48,9 +49,10 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
 
     def dot(self, v, w):
         """Ambient bilinear form of this lattice's model."""
-        if len(v) != self.width or len(w) != self.width:
+        width = len(self.K)
+        if len(v) != width or len(w) != width:
             raise errors.BadInput("ambient vectors must have width n+1")
-        return sum(s * a * b for s, a, b in zip(self.signs, v, w))
+        return sum(map(mul, map(mul, self.signs, v), w))
 
     def to_json_dict(self):
         return {
@@ -257,12 +259,12 @@ def minus_one(L):
 
 def root_reflection(L, alpha):
     """The root permutation of the reflection x -> x - <x, alpha> alpha in a
-    root alpha."""
+    root alpha: the root map of the simple roots' images."""
     if not is_root(L, alpha):
         raise errors.BadInput(f"{alpha} is not a root")
-    (heights, index), ha = _heights(L), _height(alpha)
-    return tuple(index[h - L.dot(r, alpha) * ha]
-                 for r, h in zip(enumerate_roots(L), heights))
+    (heights, index), ha, roots = _heights(L), _height(alpha), enumerate_roots(L)
+    return next(_solution_perms(L, [[index[heights[t] - L.dot(roots[t], alpha) * ha]
+                                     for t in _simple_indices(L)]]))
 
 
 def check_isometry(L, p):
@@ -304,27 +306,45 @@ def exponents(L):
 
 # -- full isometry group --------------------------------------------------------
 
+def _pairing_ones(L, a):
+    """The bitset of the roots b with <a, b> = 1, for which h(a) - h(b) is
+    a root's height (see _root_pairings)."""
+    heights, index = _heights(L)
+    return sum(1 << index[h] for h in index.keys() & map(heights[a].__sub__, heights))
+
+
 @lru_cache(maxsize=None)
 def _root_pairings(L):
     """The search data of the roots: rows[a][v], the bitset of the roots
     pairing to v with root a, the simple roots' indices in
     enumerate_roots(L), and the simple roots' Gram matrix.
 
-    For roots a != +-t, <a, t> = 1 iff a - t is a root and -1 iff a + t is
-    one, as every root has square 2.  The height is linear and injective on
-    these vectors, so <a, t> = 1 iff h(a) - h(t) is a root's height, and
-    the roots pairing to -1 with a pair to 1 with -a.
+    The rows of the +-simple roots are scanned: for roots a != +-t,
+    <a, t> = 1 iff a - t is a root and -1 iff a + t is one, as every root
+    has square 2.  The height is linear and injective on these vectors, so
+    <a, t> = 1 iff h(a) - h(t) is a root's height, and the roots pairing to
+    -1 with a pair to 1 with -a.  The pairing is linear, so along
+    _root_steps the row of r = a + b at v is the union over u + u' = v of
+    rows[a][u] & rows[b][u'], checked to be empty outside -2..2 and to hold
+    r alone at 2 (CrossCheckFailed).
     """
     heights, index = _heights(L)
-    every = (1 << len(heights)) - 1
-    ones = [sum(1 << index[h] for h in index.keys() & map(ha.__sub__, heights))
-            for ha in heights]
-    rows = []
-    for a, ha in enumerate(heights):
-        neg = index[-ha]
-        row = {2: 1 << a, -2: 1 << neg, 1: ones[a], -1: ones[neg]}
-        row[0] = every ^ sum(row.values())
-        rows.append(row)
+    every, rows = (1 << len(heights)) - 1, [None] * len(heights)
+    ends = [i for s in _simple_indices(L) for i in (s, index[-heights[s]])]
+    ones = {a: _pairing_ones(L, a) for a in ends}
+    for a in ends:
+        neg = index[-heights[a]]
+        rows[a] = {2: 1 << a, -2: 1 << neg, 1: ones[a], -1: ones[neg]}
+        rows[a][0] = every ^ sum(rows[a].values())
+    for r, a, b in _root_steps(L):
+        row = dict.fromkeys((2, -2, 1, -1, 0, 3, -3, 4, -4), 0)
+        for u, x in rows[a].items():
+            for v, y in rows[b].items():
+                row[u + v] |= x & y
+        if row[2] != 1 << r or any(row.pop(v) for v in (3, -3, 4, -4)):
+            raise errors.CrossCheckFailed(
+                f"{L.root_type}: the pairings added along the root steps are not a root's")
+        rows[r] = row
     roots, simple = enumerate_roots(L), list(_simple_indices(L))
     return rows, simple, [[L.dot(roots[a], roots[b]) for b in simple] for a in simple]
 

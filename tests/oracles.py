@@ -1,8 +1,9 @@
 """Brute-force oracles, independent of the package's searches and chains;
 the determinant by rational elimination; the mod-2 chain built the plain
 way, from every map's permutation; the isometry search without pruning;
-the isometry check on every pairing of the simple roots; and a reader for
-the reports' JSON form."""
+the isometry check on every pairing of the simple roots; the root pairing
+rows by one height scan per root and the reflections by one pairing per
+root; and a reader for the reports' JSON form."""
 
 from fractions import Fraction
 
@@ -156,3 +157,29 @@ def check_isometry_pairings(L, p):
             or any(sum(1 << p[r] for r in bit_indices(bits)) != rows[p[s]][v]
                    for s in lattice._simple_indices(L) for v, bits in rows[s].items())):
         raise errors.NotIsometry("not the root permutation of an isometry")
+
+
+def root_pairings_by_heights(L):
+    """lattice._root_pairings with every row scanned: <a, b> = 1 iff
+    h(a) - h(b) is a root's height, and the roots pairing to -1 with a pair
+    to 1 with -a."""
+    heights, index = lattice._heights(L)
+    every = (1 << len(heights)) - 1
+    ones = [sum(1 << index[h] for h in index.keys() & map(ha.__sub__, heights))
+            for ha in heights]
+    rows = []
+    for a, ha in enumerate(heights):
+        neg = index[-ha]
+        row = {2: 1 << a, -2: 1 << neg, 1: ones[a], -1: ones[neg]}
+        row[0] = every ^ sum(row.values())
+        rows.append(row)
+    roots, simple = lattice.enumerate_roots(L), list(lattice._simple_indices(L))
+    return rows, simple, [[L.dot(roots[a], roots[b]) for b in simple] for a in simple]
+
+
+def root_reflection_by_dots(L, alpha):
+    """lattice.root_reflection with one ambient pairing per root: root r
+    goes to the root of height h(r) - <r, alpha> h(alpha)."""
+    (heights, index), ha = lattice._heights(L), lattice._height(alpha)
+    return tuple(index[h - L.dot(r, alpha) * ha]
+                 for r, h in zip(lattice.enumerate_roots(L), heights))

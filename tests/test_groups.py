@@ -336,6 +336,23 @@ def test_known_base_sift_is_membership(case):
         assert G.sifts_on_known_base([g[b] for b in known_base]) == G.contains(g)
 
 
+def test_member_cache_skips_repeated_schreier_generators(monkeypatch):
+    """A Schreier generator whose known-base images repeat those of one
+    already handled at its level is in the next stabilizer, and is not
+    sifted again: W(E8) forms 1,904 of them but sifts only the 31 distinct
+    ones, level by level, and still counts all 1,904."""
+    sifts = []
+    sift = PermGroup._sifts_on_known_base
+    monkeypatch.setattr(PermGroup, "_sifts_on_known_base", lambda self, cur, start: (
+        sifts.append((start, cur)) or sift(self, cur, start)))
+    L = build_del_pezzo(8)
+    G = PermGroup(lattice.weyl_generators(L), len(lattice.enumerate_roots(L)),
+                  known_base=lattice._simple_indices(L))
+    assert (G.schreier_tested, G.full_sifts) == (1904, 36)
+    assert len(sifts) == len(set(sifts)) == 31
+    assert sum(len(lv.members) for lv in G._levels) == 31
+
+
 @pytest.mark.parametrize("images", [[1, -1], [1, 3], [1], [1, 2, 0], [1, True],
                                     [1.0, 2]],
                          ids=["negative", "too-large", "too-few", "too-many",

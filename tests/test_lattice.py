@@ -15,7 +15,8 @@ from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             enumerate_roots, is_root,
                             minus_one, root_components, root_reflection,
                             simple_roots, weyl_generators)
-from oracles import check_isometry_pairings, closure, det_fraction
+from oracles import (check_isometry_pairings, closure, det_fraction,
+                     root_pairings_by_heights, root_reflection_by_dots)
 
 WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
 AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
@@ -165,6 +166,42 @@ def test_root_reflection_rejects_non_roots():
     L = build_del_pezzo(4)
     with pytest.raises(errors.BadInput):
         root_reflection(L, (1, 0, 0, 0, 0))
+
+
+_ALL_LATTICES = ([build_del_pezzo(n) for n in range(3, 9)]
+                 + [build_plain_root_lattice(r) for r in range(2, 11)])
+
+
+@pytest.mark.parametrize("L", _ALL_LATTICES, ids=lambda L: L.root_type)
+def test_root_steps_match_the_scans(L):
+    """The pairing rows added up along _root_steps are those of one height
+    scan per root, and the reflection in every root, the root map of the
+    simple roots' images, is the one of one pairing per root."""
+    assert lattice._root_pairings(L) == root_pairings_by_heights(L)
+    for alpha in enumerate_roots(L):
+        assert root_reflection(L, alpha) == root_reflection_by_dots(L, alpha)
+
+
+@pytest.mark.parametrize("L", [build_del_pezzo(8), build_plain_root_lattice(2)],
+                         ids=lambda L: L.root_type)
+@pytest.mark.parametrize("corrupt", ["drop", "flip"])
+def test_root_pairings_refuse_a_corrupted_simple_row(L, corrupt, monkeypatch):
+    """The first step r = a + b reads the scanned row of b.  Dropping r from
+    the roots pairing to 1 with b leaves no root pairing to 2 with r;
+    moving a from -1 to 1 with b (and so from 1 to -1 with -b) makes
+    <r, a> = 3.  Either raises CrossCheckFailed."""
+    r, a, b = lattice._root_steps(L)[0]
+    neg_b = minus_one(L)[b]
+    ones = lattice._pairing_ones
+
+    def corrupted(L, c):
+        if corrupt == "drop":
+            return ones(L, c) & ~(1 << r) if c == b else ones(L, c)
+        return ones(L, c) ^ (1 << a) if c in (b, neg_b) else ones(L, c)
+
+    monkeypatch.setattr(lattice, "_pairing_ones", corrupted)
+    with pytest.raises(errors.CrossCheckFailed, match="not a root's"):
+        lattice._root_pairings.__wrapped__(L)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
