@@ -189,7 +189,7 @@ def test_root_pairings_refuse_a_corrupted_simple_row(L, corrupt, monkeypatch):
     """The first step r = a + b reads the scanned row of b.  Dropping r from
     the roots pairing to 1 with b leaves no root pairing to 2 with r;
     moving a from -1 to 1 with b (and so from 1 to -1 with -b) makes
-    <r, a> = 3.  Either raises CrossCheckFailed."""
+    <r, a> read 3.  Either raises CrossCheckFailed."""
     r, a, b = lattice._root_steps(L)[0]
     neg_b = minus_one(L)[b]
     ones = lattice._pairing_ones
