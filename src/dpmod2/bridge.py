@@ -64,7 +64,7 @@ def root_preimage(L, v):
     else:
         raise errors.CrossCheckFailed(f"q=1 vector with unhandled support size {m}")
     root = tuple(root)
-    if not (lat.is_root(L, root) and reduce_root(L, root) == v):
+    if not (lat.is_root(L, root) and f2._mask(root) == v):
         raise errors.CrossCheckFailed(f"case table gives {root}, not a root over {v:#x}")
     return root
 
@@ -88,7 +88,11 @@ def reduce_isometry(L, p):
 # -- reports ----------------------------------------------------------------------
 
 class VerificationReport:
-    """Outcome of one verified statement for one lattice."""
+    """Outcome of one verified statement for one lattice.
+
+    A verifier creates its report first and records each sub-check with
+    check(); a failed one lists "FAIL: <description>" among the witnesses,
+    where the check ran."""
 
     def __init__(self, statement, n, passed, numbers, witnesses):
         self.statement = statement
@@ -106,22 +110,10 @@ class VerificationReport:
             "witnesses": list(self.witnesses),
         }
 
-
-class _Checks:
-    """Collects named pass/fail sub-checks for one report."""
-
-    def __init__(self):
-        self.items = []
-
     def check(self, ok, description):
-        self.items.append((bool(ok), description))
-
-    @property
-    def passed(self):
-        return all(ok for ok, _ in self.items)
-
-    def witnesses(self):
-        return [f"FAIL: {d}" for ok, d in self.items if not ok]
+        if not ok:
+            self.passed = False
+            self.witnesses.append(f"FAIL: {description}")
 
 
 # -- cached heavy computations -----------------------------------------------------
@@ -210,23 +202,22 @@ def verify_lemma(L):
 
 def verify_lemma_roots(L):
     """lemma1a: roots inject into the mod-2 space up to sign."""
-    c = _Checks()
+    rep = VerificationReport("lemma1a", L.n, True, _census_numbers(L), [])
     roots = lat.enumerate_roots(L)
     S = f2.reduce(L)
     fibers = {}
-    for r in roots:
-        fibers.setdefault(reduce_root(L, r), []).append(r)
-    c.check(all(len(f) == 2 for f in fibers.values()),
-            "every mod-2 class contains exactly one +-root pair")
-    c.check(all(tuple(-x for x in f[0]) == f[1]
-                for f in fibers.values() if len(f) == 2),
-            "each fiber is {alpha, -alpha}")
-    c.check(all(S.q(v) == 1 for v in fibers),
-            "the image lies in q^-1(1)")
-    c.check(len(fibers) == len(roots) // 2, "image size is half the root count")
-    numbers = _census_numbers(L)
-    numbers["root_image_size"] = len(fibers)
-    return VerificationReport("lemma1a", L.n, c.passed, numbers, c.witnesses())
+    for r in roots:             # enumerate_roots has checked each r is a root
+        fibers.setdefault(f2._mask(r), []).append(r)
+    rep.check(all(len(f) == 2 for f in fibers.values()),
+              "every mod-2 class contains exactly one +-root pair")
+    rep.check(all(tuple(-x for x in f[0]) == f[1]
+                  for f in fibers.values() if len(f) == 2),
+              "each fiber is {alpha, -alpha}")
+    rep.check(all(S.q(v) == 1 for v in fibers),
+              "the image lies in q^-1(1)")
+    rep.check(len(fibers) == len(roots) // 2, "image size is half the root count")
+    rep.numbers["root_image_size"] = len(fibers)
+    return rep
 
 
 def verify_lemma_isometries(L):
@@ -238,31 +229,29 @@ def verify_lemma_isometries(L):
     backtracking and independently of the chains, for every n; its size is
     listed as a witness for n <= 4.
     """
-    c = _Checks()
+    rep = VerificationReport("lemma1b", L.n, True, _census_numbers(L), [])
     gens = lat.automorphism_group(L)
     aut_order = aut_group(L).order()
     image = rho_image_order_aut(L)
     expected_kernel = 4 if (L.kind == "delpezzo" and L.n == 3) else 2
-    c.check(aut_order == expected_kernel * image,
-            f"|O(L)| = {expected_kernel} * |rho(O(L))|")
+    rep.check(aut_order == expected_kernel * image,
+              f"|O(L)| = {expected_kernel} * |rho(O(L))|")
     # rho is a homomorphism on all generator pairs
     S = f2.reduce(L)
     reduced = [reduce_isometry(L, u) for u in gens]
     hom = all(reduce_isometry(L, groups.gather(u, v)) == f2.compose(S, ru, rv)
               for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
-    c.check(hom, "reduction is multiplicative on generator pairs")
-    numbers = _census_numbers(L)
-    numbers.update(autL_order=aut_order, rho_image_order=image,
-                   kernel_order=aut_order // image)
+    rep.check(hom, "reduction is multiplicative on generator pairs")
+    rep.numbers.update(autL_order=aut_order, rho_image_order=image,
+                       kernel_order=aut_order // image)
     kernel = _kernel_elements(L)
-    c.check(len(kernel) == expected_kernel,
-            "explicit kernel enumeration matches the order count")
-    witnesses = c.witnesses()
+    rep.check(len(kernel) == expected_kernel,
+              "explicit kernel enumeration matches the order count")
     if L.n <= 4:
-        witnesses.append(f"kernel enumerated: {len(kernel)} elements")
+        rep.witnesses.append(f"kernel enumerated: {len(kernel)} elements")
     if expected_kernel == 4:
-        witnesses.append("n=3 kernel is {+-1}x{+-1}; decomposition checked in remark1")
-    return VerificationReport("lemma1b", L.n, c.passed, numbers, witnesses)
+        rep.witnesses.append("n=3 kernel is {+-1}x{+-1}; decomposition checked in remark1")
+    return rep
 
 
 def _kernel_elements(L):
@@ -283,76 +272,71 @@ def _kernel_elements(L):
 
 def verify_prop1(L):
     """prop1: roots/{+-1} biject with q^-1(1) (minus k for n=7)."""
-    c = _Checks()
+    rep = VerificationReport("prop1", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
     roots = lat.enumerate_roots(L)
-    image = {reduce_root(L, r) for r in roots}
+    image = {f2._mask(r) for r in roots}    # each r checked by enumerate_roots
     q1 = {v for v in S.vectors() if S.q(v) == 1}
     k = S.ambient_k
-    numbers = _census_numbers(L)
-    numbers["root_image_size"] = len(image)
+    rep.numbers["root_image_size"] = len(image)
     if L.kind == "delpezzo" and L.n == 7:
-        c.check(S.q(k) == 1, "q(k) = 1")
-        c.check(k not in image, "k is not a root image")
-        c.check(image == q1 - {k}, "image equals q^-1(1) minus {k}")
+        rep.check(S.q(k) == 1, "q(k) = 1")
+        rep.check(k not in image, "k is not a root image")
+        rep.check(image == q1 - {k}, "image equals q^-1(1) minus {k}")
         try:
             root_preimage(L, k)
-            c.check(False, "root_preimage(k) raises NoPreimage")
+            rep.check(False, "root_preimage(k) raises NoPreimage")
         except errors.NoPreimage:
-            c.check(True, "root_preimage(k) raises NoPreimage")
+            pass
         targets = q1 - {k}
     else:
-        c.check(image == q1, "image equals q^-1(1)")
+        rep.check(image == q1, "image equals q^-1(1)")
         targets = q1
-    c.check(2 * len(image) == len(roots), "classes count half the roots")
-    ok = True
-    for v in sorted(targets):
-        r = root_preimage(L, v)
-        ok = ok and lat.is_root(L, r) and reduce_root(L, r) == v
-    c.check(ok, "constructive preimages land on every target vector")
-    return VerificationReport("prop1", L.n, c.passed, numbers, c.witnesses())
+    rep.check(2 * len(image) == len(roots), "classes count half the roots")
+    # root_preimage raises CrossCheckFailed unless its result is a root over v
+    rep.check(all(root_preimage(L, v) for v in sorted(targets)),
+              "constructive preimages land on every target vector")
+    return rep
 
 
 def verify_prop2(L):
     """prop2: reduction maps O(L)/{+-1} isomorphically onto O(L2), n >= 4."""
     if L.kind != "delpezzo" or L.n < 4:
         raise errors.BadInput("prop2 applies to del Pezzo lattices of rank >= 4")
-    c = _Checks()
+    rep = VerificationReport("prop2", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
     aut_order = aut_group(L).order()
     oL2 = oL2_group(L).order()
     image = rho_image_order_aut(L)
-    c.check(image * 2 == aut_order, "|rho(O(L))| = |O(L)| / 2")
-    c.check(image == oL2, "|rho(O(L))| = |O(L2)|")
-    c.check(f2.isometry_order(S) == oL2,
-            "the reflections generate O(L2): its basis-image count agrees")
-    numbers = _census_numbers(L)
-    numbers.update(autL_order=aut_order, oL2_order=oL2,
-                   rho_image_order=image, kernel_order=2)
-    witnesses = []
+    rep.check(image * 2 == aut_order, "|rho(O(L))| = |O(L)| / 2")
+    rep.check(image == oL2, "|rho(O(L))| = |O(L2)|")
+    rep.check(f2.isometry_order(S) == oL2,
+              "the reflections generate O(L2): its basis-image count agrees")
+    rep.numbers.update(autL_order=aut_order, oL2_order=oL2,
+                       rho_image_order=image, kernel_order=2)
     if L.n == 4:
         # no totally singular plane, by an exhaustive scan of singular pairs
         sing = [v for v in S.nonzero_vectors() if S.q(v) == 0]
         pairs = [(u, v) for i, u in enumerate(sing) for v in sing[i + 1:]]
         expected = {S.ambient_k ^ 1} | {1 | 1 << i for i in range(1, S.width)}
-        c.check(set(sing) == expected,
-                "nonzero singular vectors are k+e0 and the e0+e_i")
-        c.check(all(S.pair(u, v) for u, v in pairs), "singular vectors pair to 1")
-        c.check(all(S.q(u ^ v) for u, v in pairs), "no totally singular 2-plane")
-        witnesses.append(f"nonzero singular vectors: {len(sing)}")
+        rep.check(set(sing) == expected,
+                  "nonzero singular vectors are k+e0 and the e0+e_i")
+        rep.check(all(S.pair(u, v) for u, v in pairs), "singular vectors pair to 1")
+        rep.check(all(S.q(u ^ v) for u, v in pairs), "no totally singular 2-plane")
+        rep.witnesses.append(f"nonzero singular vectors: {len(sing)}")
     if L.n == 7:
         k, H = f2.split_radical(S)
-        c.check(S.q(k) == 1, "q(k) = 1")
+        rep.check(S.q(k) == 1, "q(k) = 1")
         tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = _f2_chain(H, tgens).order()
-        c.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
+        rep.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
         corr = all(f2.induced(S, k, H, f2.f2_reflection(S, v if S.q(v) else v ^ k))
                    == f2.transvection(H, v) for v in H.nonzero_vectors())
-        c.check(corr, "transvections correspond to reflections at v+(1+q(v))k")
-        witnesses.append(f"|Sp(H)| = {sp_order}")
+        rep.check(corr, "transvections correspond to reflections at v+(1+q(v))k")
+        rep.witnesses.append(f"|Sp(H)| = {sp_order}")
     if L.n == 5:
         k, H = f2.split_radical(S)
-        c.check(S.q(k) == 0, "q(k) = 0")
+        rep.check(S.q(k) == 0, "q(k) = 0")
         qgens = [f2.induced(S, k, H, g) for g in f2.orthogonal_generators(S)]
         image_q = _f2_chain(H, qgens).order()
         # the maps x -> x + l(x)k with l(k) = 0, l given by its basis bits
@@ -360,24 +344,23 @@ def verify_prop2(L):
         kernel = [f2.check_isometry(S, [b ^ (k if lam >> i & 1 else 0)
                                         for i, b in enumerate(S.basis)])
                   for lam in range(1 << S.dim) if not (lam & kc).bit_count() & 1]
-        c.check(len(kernel) == 16, "kernel of the quotient map has order 16")
-        c.check(all(f2.induced(S, k, H, u) == H.basis for u in kernel),
-                "kernel maps project to the identity")
-        c.check(oL2 == 16 * image_q, "|O(L2)| = 16 * |O(quotient)|")
+        rep.check(len(kernel) == 16, "kernel of the quotient map has order 16")
+        rep.check(all(f2.induced(S, k, H, u) == H.basis for u in kernel),
+                  "kernel maps project to the identity")
+        rep.check(oL2 == 16 * image_q, "|O(L2)| = 16 * |O(quotient)|")
         L4 = lat.build_del_pezzo(4)
-        c.check(f2.value_census(H) == f2.value_census(f2.reduce(L4)),
-                "quotient census equals the rank-4 census")
-        numbers["kernel_order"] = 16
-        witnesses.append(f"quotient image order: {image_q}")
-    return VerificationReport("prop2", L.n, c.passed, numbers,
-                              witnesses + c.witnesses())
+        rep.check(f2.value_census(H) == f2.value_census(f2.reduce(L4)),
+                  "quotient census equals the rank-4 census")
+        rep.numbers["kernel_order"] = 16
+        rep.witnesses.append(f"quotient image order: {image_q}")
+    return rep
 
 
 def verify_corollary(L):
     """corollary: W = O(L2) for n = 4,5,6 and W/{+-1} = O(L2) for n = 7,8."""
     if L.kind != "delpezzo" or not 4 <= L.n <= 8:
         raise errors.BadInput("the corollary applies to del Pezzo n in [4, 8]")
-    c = _Checks()
+    rep = VerificationReport("corollary", L.n, True, _census_numbers(L), [])
     weyl = weyl_group(L).order()
     # |O(L)| = |W| |Gamma|, Gamma the isometries keeping the simple roots
     gamma = lat._root_search(L, sum(1 << s for s in lat._simple_indices(L)))[0]
@@ -388,19 +371,17 @@ def verify_corollary(L):
     image = rho_image_order_weyl(L)
     minus1 = weyl_group(L).contains(lat.minus_one(L))
     if L.n in (7, 8):
-        c.check(minus1, "-1 is in the Weyl group")
-        c.check(weyl == 2 * oL2, "|W| = 2 |O(L2)|")
+        rep.check(minus1, "-1 is in the Weyl group")
+        rep.check(weyl == 2 * oL2, "|W| = 2 |O(L2)|")
     else:
-        c.check(not minus1, "-1 is outside the Weyl group")
-        c.check(weyl == oL2, "|W| = |O(L2)|")
-    c.check(image == oL2, "the Weyl group surjects onto O(L2)")
-    c.check(f2.isometry_order(f2.reduce(L)) == oL2,
-            "the reflections generate O(L2): its basis-image count agrees")
-    numbers = _census_numbers(L)
-    numbers.update(weyl_order=weyl, oL2_order=oL2, rho_image_order=image)
-    witnesses = c.witnesses()
-    witnesses.append(f"-1 in W: {minus1}")
-    return VerificationReport("corollary", L.n, c.passed, numbers, witnesses)
+        rep.check(not minus1, "-1 is outside the Weyl group")
+        rep.check(weyl == oL2, "|W| = |O(L2)|")
+    rep.check(image == oL2, "the Weyl group surjects onto O(L2)")
+    rep.check(f2.isometry_order(f2.reduce(L)) == oL2,
+              "the reflections generate O(L2): its basis-image count agrees")
+    rep.numbers.update(weyl_order=weyl, oL2_order=oL2, rho_image_order=image)
+    rep.witnesses.append(f"-1 in W: {minus1}")
+    return rep
 
 
 def verify_remarks(n):
@@ -419,40 +400,38 @@ def verify_remarks(n):
 def _verify_remark1():
     """n=3: reduction is onto with kernel {+-1}x{+-1}, via the A1 x A2 split."""
     L = lat.build_del_pezzo(3)
-    c = _Checks()
+    rep = VerificationReport("remark1", 3, True, _census_numbers(L), [])
     aut_order = aut_group(L).order()
     oL2 = oL2_group(L).order()
     image = rho_image_order_aut(L)
-    c.check(aut_order == 24, "|O(L)| = 24")
-    c.check(oL2 == 6 and image == 6, "reduction is onto O(L2) of order 6")
+    rep.check(aut_order == 24, "|O(L)| = 24")
+    rep.check(oL2 == 6 and image == 6, "reduction is onto O(L2) of order 6")
     kernel = _kernel_elements(L)
-    c.check(len(kernel) == 4, "kernel has order 4")
+    rep.check(len(kernel) == 4, "kernel has order 4")
     # kernel elements act as +-1 on each root component
     comps = lat.root_components(L)
-    c.check(tuple(len(comp) for comp in comps) == (2, 6),
-            "root components have sizes 2 and 6")
+    rep.check(tuple(len(comp) for comp in comps) == (2, 6),
+              "root components have sizes 2 and 6")
     points = [[lat.enumerate_roots(L).index(r) for r in comp] for comp in comps]
     neg = lat.minus_one(L)
     # 1 or -1 per component, 0 where an element is neither
     signs = {tuple(1 if all(perm[i] == i for i in p)
                    else -1 if all(perm[i] == neg[i] for i in p)
                    else 0 for p in points) for perm in kernel}
-    c.check(signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)},
-            "kernel is {+-1} x {+-1} on the two components")
+    rep.check(signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)},
+              "kernel is {+-1} x {+-1} on the two components")
     # component lattices: A1 and A2, with isometry groups of orders 2 and 12
     isos = [lat.component_isometries(L, comp) for comp in comps]
     comp_orders = [order for order, _ in isos]
     comp_f2_orders = [f2.isometry_order(f2.space_from_gram(gram)) for _, gram in isos]
-    c.check(comp_orders == [2, 12], "component isometry groups have orders 2, 12")
-    c.check(2 * 12 == aut_order, "O(L) = O(A1) x O(A2)")
-    c.check(comp_f2_orders == [1, 6], "mod-2 component groups have orders 1, 6")
-    c.check(1 * 6 == oL2, "O(L2) = O(L2') x O(L2'')")
-    numbers = _census_numbers(L)
-    numbers.update(autL_order=aut_order, oL2_order=oL2,
-                   rho_image_order=image, kernel_order=len(kernel))
-    witnesses = c.witnesses()
-    witnesses.append(f"component isometry orders: {comp_orders}")
-    return VerificationReport("remark1", 3, c.passed, numbers, witnesses)
+    rep.check(comp_orders == [2, 12], "component isometry groups have orders 2, 12")
+    rep.check(2 * 12 == aut_order, "O(L) = O(A1) x O(A2)")
+    rep.check(comp_f2_orders == [1, 6], "mod-2 component groups have orders 1, 6")
+    rep.check(1 * 6 == oL2, "O(L2) = O(L2') x O(L2'')")
+    rep.numbers.update(autL_order=aut_order, oL2_order=oL2,
+                       rho_image_order=image, kernel_order=len(kernel))
+    rep.witnesses.append(f"component isometry orders: {comp_orders}")
+    return rep
 
 
 def _verify_remark2(rank):
@@ -461,20 +440,19 @@ def _verify_remark2(rank):
     The remark says nothing of reflections, so no reflection chain is built:
     |O(L2)| is f2.isometry_order, checked against f2.orthogonal_order."""
     L = lat.build_plain_root_lattice(rank)
-    c = _Checks()
     S = f2.reduce(L)
     aut_order = aut_group(L).order()
     oL2 = f2.isometry_order(S)
     _agreed(L, "|O(L2)|", oL2, f2.orthogonal_order(S))
-    numbers = _census_numbers(L, autL_order=aut_order, oL2_order=oL2)
-    c.check(numbers["roots"] == rank * (rank + 1), "A_n has n(n+1) roots")
-    root_classes, q1 = numbers["roots"] // 2, numbers["q1_count"]
-    c.check(root_classes != q1 or aut_order != oL2,
-            "at least one correspondence fails strictly")
-    witnesses = c.witnesses()
-    witnesses.append(f"root classes {root_classes} vs q1 vectors {q1}")
-    witnesses.append(f"|O(L)| {aut_order} vs |O(L2)| {oL2}")
-    return VerificationReport("remark2", rank, c.passed, numbers, witnesses)
+    rep = VerificationReport("remark2", rank, True,
+                             _census_numbers(L, autL_order=aut_order, oL2_order=oL2), [])
+    rep.check(rep.numbers["roots"] == rank * (rank + 1), "A_n has n(n+1) roots")
+    root_classes, q1 = rep.numbers["roots"] // 2, rep.numbers["q1_count"]
+    rep.check(root_classes != q1 or aut_order != oL2,
+              "at least one correspondence fails strictly")
+    rep.witnesses.append(f"root classes {root_classes} vs q1 vectors {q1}")
+    rep.witnesses.append(f"|O(L)| {aut_order} vs |O(L2)| {oL2}")
+    return rep
 
 
 def reports_for(n):

@@ -110,6 +110,17 @@ def test_root_preimage_roundtrip(n):
         assert bridge.reduce_root(L, r) == v
 
 
+def test_root_preimage_checks_the_class_of_its_root(monkeypatch):
+    """A case table that builds a root over another vector is refused: here
+    every support reads as {1, 2}, so the q = 1 vector e3 + e4 of dP4 would
+    get the root E1 - E2."""
+    L = build_del_pezzo(4)
+    assert bridge.root_preimage(L, 0b11000) == (0, 0, 0, 1, -1)
+    monkeypatch.setattr(groups, "bit_indices", lambda mask: [1, 2])
+    with pytest.raises(errors.CrossCheckFailed, match="not a root over 0x18"):
+        bridge.root_preimage(L, 0b11000)
+
+
 def test_root_preimage_plain_lattice():
     A8 = build_plain_root_lattice(8)
     S = f2.reduce(A8)
@@ -250,6 +261,46 @@ def test_verify_prop2(n):
                                         7: 1451520, 8: 348364800}[n]
     assert rep.numbers["rho_image_order"] == rep.numbers["oL2_order"]
     assert rep.numbers["autL_order"] == 2 * rep.numbers["oL2_order"]
+
+
+def test_report_check_records_failures_where_they_run():
+    """A passing check leaves the report as it is; a failing one fails it for
+    good and lists its FAIL line after the witnesses recorded before it."""
+    rep = bridge.VerificationReport("lemma1a", 4, True, {}, ["note"])
+    rep.check(True, "quiet")
+    assert rep.passed and rep.witnesses == ["note"]
+    rep.check(0, "first")
+    rep.witnesses.append("later note")
+    rep.check(True, "quiet again")
+    rep.check(False, "second")
+    assert not rep.passed
+    assert rep.witnesses == ["note", "FAIL: first", "later note", "FAIL: second"]
+
+
+def test_prop2_fail_line_sits_where_its_check_runs(monkeypatch):
+    """The basis-image check runs before the n = 4 singular-vector scan, so
+    its FAIL line comes before that scan's note."""
+    monkeypatch.setattr(f2, "isometry_order", lambda S: 1)
+    rep = bridge.verify_prop2(build_del_pezzo(4))
+    assert not rep.passed
+    assert rep.witnesses == [
+        "FAIL: the reflections generate O(L2): its basis-image count agrees",
+        "nonzero singular vectors: 5"]
+
+
+@pytest.mark.parametrize("n, preimages", [(8, 120), (7, 63)])
+def test_enumerated_roots_are_not_checked_again(n, preimages, monkeypatch):
+    """lemma1a and prop1 reduce the roots of enumerate_roots, which has
+    checked each one, by their masks: lattice.is_root runs only inside
+    root_preimage, once per constructed preimage (E8: the 120 q = 1
+    vectors; E7: 63, all of them but k)."""
+    L = build_del_pezzo(n)
+    bridge.verify_lemma_roots(L), bridge.verify_prop1(L)    # fill the caches
+    calls = []
+    is_root = lat.is_root
+    monkeypatch.setattr(lat, "is_root", lambda L, v: calls.append(v) or is_root(L, v))
+    assert bridge.verify_lemma_roots(L).passed and bridge.verify_prop1(L).passed
+    assert len(calls) == len(set(calls)) == preimages
 
 
 def test_verify_prop2_wrong_range():

@@ -186,6 +186,12 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
      "29e0f60ad54cd8199eed53c43303ff44a70f4837e1bb9cc684c0212d2bb764a0"),
     (["remark2", "--rank", "10", "--format", "json"],
      "88bba06710694ffd7f3e273614d6e5ca3184d6360d3049bd0c1f7de3b0907429"),
+    # the plain format prints numbers in insertion order, with keys outside
+    # NUMBER_KEYS (root_image_size) that the JSON and CSV formats leave out
+    (["verify", "--n", "all"],
+     "bbdf0073579295fa02aed74ddc8b09d8b2643a13600bb1a0f3a20fe8b2cea130"),
+    (["verify", "--n", "all", "--format", "csv"],
+     "807be4fa9f1d1c03b961a097783e0d786be1e99be4c9fdc047ab50a18d22177d"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

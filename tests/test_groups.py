@@ -147,6 +147,21 @@ def test_every_generator_is_a_member():
     assert all(G.contains(g) for g in G.generators)
 
 
+@pytest.mark.parametrize("gens, degree, members, others", [
+    ([(1, 0)], 2, [(0, 1), (1, 0)], []),
+    ([(1, 2, 0)], 3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)], [(1, 0, 2), (0, 2, 1)]),
+], ids=["S2", "C3-regular"])
+def test_one_point_known_base(gens, degree, members, others):
+    """A one-point known base is allowed: the gather of one index must give
+    a tuple, where itemgetter(x) alone gives a bare int."""
+    G = PermGroup(gens, degree, known_base=[0])
+    assert G.order() == len(members)
+    assert all(G.contains(g) for g in members)
+    assert not any(G.contains(g) for g in others)
+    assert all(G.sifts_on_known_base([g[0]]) for g in members)
+    assert groups.gather((5, 6, 7), [2]) == (7,)
+
+
 def test_bit_indices_rejects_negative_masks():
     """A negative int has infinitely many set bits; it used to loop forever."""
     assert bit_indices(0b10110) == [1, 2, 4]
