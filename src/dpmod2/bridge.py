@@ -169,10 +169,15 @@ def oL2_group(L):
 
 
 @lru_cache(maxsize=None)
+def _reduced_aut_generators(L):
+    """reduce_isometry of each element of lat.automorphism_group(L), computed once."""
+    return tuple(reduce_isometry(L, u) for u in lat.automorphism_group(L))
+
+
+@lru_cache(maxsize=None)
 def rho_image_order_aut(L):
     """Order of the image of the full isometry group in the mod-2 space."""
-    return _f2_chain(f2.reduce(L), [reduce_isometry(L, u)
-                                    for u in lat.automorphism_group(L)]).order()
+    return _f2_chain(f2.reduce(L), _reduced_aut_generators(L)).order()
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +243,7 @@ def verify_lemma_isometries(L):
               f"|O(L)| = {expected_kernel} * |rho(O(L))|")
     # rho is a homomorphism on all generator pairs
     S = f2.reduce(L)
-    reduced = [reduce_isometry(L, u) for u in gens]
+    reduced = _reduced_aut_generators(L)
     hom = all(reduce_isometry(L, groups.gather(u, v)) == f2.compose(S, ru, rv)
               for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
     rep.check(hom, "reduction is multiplicative on generator pairs")

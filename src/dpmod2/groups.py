@@ -8,12 +8,15 @@ never floating point) and membership tests.  Base points are taken from a
 known base (below) in its given order, so the chain -- and hence every
 reported number -- is reproducible across runs.
 
-Permutations are tuples of ints.  The product of p after q is the gather
-of p at q, itemgetter(*q)(p), which reuses p's int objects rather than
-making new ones.  Sifting uses only inverse coset representatives, so each
-level's orbit table stores u_p^-1 in place of u_p (one tuple per orbit
-point, no second copy): a sift step is one gather, and the identity test
-is a tuple comparison.
+Inside a chain of at most 256 points a permutation is a 256-byte string
+fixing the points from degree on: p after q is q.translate(p) and the
+inverse of p is bytes.maketrans(p, bytes(range(256))), both in C.  Above 256
+points (translate needs a 256-entry table) it is a tuple of ints, and p after
+q is the gather itemgetter(*q)(p), which reuses p's int objects.  generators
+are tuples of ints either way.  Sifting uses only inverse coset
+representatives, so each level's orbit table stores u_p^-1 in place of u_p
+(one permutation per orbit point, no second copy): a sift step is one
+product, and the identity test is one comparison.
 
 Schreier generators are tested on a known base (Seress, Permutation Group
 Algorithms, 2003, ch. 4): points on which every element of the group is
@@ -48,21 +51,28 @@ from operator import itemgetter
 
 from . import errors
 
+_BYTES = bytes(range(256))
+
 
 def gather(a, idx):
     """The tuple of a[i] for i in idx: for permutations, a after idx."""
     return itemgetter(*idx)(a) if len(idx) > 1 else tuple(a[i] for i in idx)
 
 
+def _then(q, p):
+    """p after q on tuples, in the argument order of bytes.translate."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
+
+
 class _Level:
-    __slots__ = ("beta", "slot", "gens", "involution", "orbit", "orbit_order",
+    __slots__ = ("beta", "slot", "gens", "inverses", "orbit", "orbit_order",
                  "known", "gen_done", "members")
 
     def __init__(self, known, slot, identity):
         self.beta = known[slot]
         self.slot = slot                    # index of beta in the known base
         self.gens = []
-        self.involution = []                # per gen: whether g g == 1
+        self.inverses = []                  # per gen: g^-1, g itself if g g == 1
         self.orbit = {self.beta: identity}  # point -> u^-1 with u[beta] == point
         self.orbit_order = [self.beta]
         self.known = [known]                # entry i: u on the known base, for
@@ -70,9 +80,9 @@ class _Level:
         self.gen_done = []                  # per-gen count of processed orbit points
         self.members = set()                # known-base images tested here
 
-    def add_gen(self, g, identity):
+    def add_gen(self, g, group):
         self.gens.append(g)
-        self.involution.append(itemgetter(*g)(g) == identity)
+        self.inverses.append(g if group._then(g, g) == group._one else group._inverse(g))
         self.gen_done.append(0)
 
 
@@ -99,7 +109,15 @@ class PermGroup:
             raise errors.BadInput("known base point out of range")
         if len(set(known)) != len(known):
             raise errors.BadInput("repeated known base point")
-        self._known = known
+        # in the chain: _rep(points) (+ _pad for a permutation); _then(q, p) = p q
+        if degree <= 256:
+            self._rep, self._pad, self._then = bytes, _BYTES[degree:], bytes.translate
+            self._inverse = lambda p: bytes.maketrans(p, _BYTES)
+        else:
+            self._rep, self._pad, self._then = tuple, (), _then
+            self._inverse = self._tuple_inverse
+        self._one = self._rep(self._identity) + self._pad
+        self._known = self._rep(known)
         self.generators = []
         self._levels = []
         self.schreier_tested = 0    # Schreier generators formed on the known base
@@ -126,7 +144,7 @@ class PermGroup:
                                   else "not a permutation")
         return perm
 
-    def _inverse(self, p):
+    def _tuple_inverse(self, p):
         inv = [0] * self.degree
         for i, x in zip(self._identity, p):
             inv[x] = i
@@ -138,15 +156,16 @@ class PermGroup:
         Only generators that grow the group are recorded in `generators`.
         """
         g = self._check_perm(g)
-        residue = self._sift(g, 0)
+        perm = self._rep(g) + self._pad
+        residue = self._sift(perm, 0)
         if residue is None:
             return False
-        if gather(residue, self._known) == self._known:
+        if self._then(self._known, residue) == self._known:
             raise errors.BadInput("the known base does not determine the group")
         self.generators.append(g)
         if not self._levels:
-            self._add_level(g)
-        self._levels[0].add_gen(g, self._identity)
+            self._add_level(perm)
+        self._levels[0].add_gen(perm, self)
         self._complete_level(0)
         return True
 
@@ -160,7 +179,7 @@ class PermGroup:
 
     def contains(self, g):
         """Exact membership by sifting through the chain."""
-        return self._sift(self._check_perm(g), 0) is None
+        return self._sift(self._rep(self._check_perm(g)) + self._pad, 0) is None
 
     def sifts_on_known_base(self, images):
         """Whether the element with these images of the known base sifts to
@@ -172,7 +191,7 @@ class PermGroup:
         if (len(images) != len(self._known)
                 or any(type(b) is not int or not 0 <= b < self.degree for b in images)):
             raise errors.BadInput("need one point in range per known-base point")
-        return self._sifts_on_known_base(images, 0)
+        return self._sifts_on_known_base(self._rep(images), 0)
 
     def _sifts_on_known_base(self, cur, start):
         """sifts_on_known_base through the levels from start on, unchecked."""
@@ -182,7 +201,7 @@ class PermGroup:
                 u_inv = lv.orbit.get(img)
                 if u_inv is None:
                     return False
-                cur = gather(u_inv, cur)
+                cur = self._then(cur, u_inv)
         return cur == self._known
 
     def base(self):
@@ -194,7 +213,7 @@ class PermGroup:
         """Append a level whose base point is the first known-base point
         that residue moves."""
         slot = next(i for i, b in enumerate(self._known) if residue[b] != b)
-        self._levels.append(_Level(self._known, slot, self._identity))
+        self._levels.append(_Level(self._known, slot, self._one))
 
     def _sift(self, g, start):
         """Strip g through levels >= start: None if g reduces to the
@@ -207,8 +226,8 @@ class PermGroup:
                 u_inv = lv.orbit.get(img)
                 if u_inv is None:
                     return cur
-                cur = itemgetter(*cur)(u_inv)   # a level exists: degree >= 2
-        return None if cur == self._identity else cur
+                cur = self._then(cur, u_inv)
+        return None if cur == self._one else cur
 
     def _complete_level(self, idx):
         """Close the orbit at level idx and verify all its Schreier generators.
@@ -223,6 +242,7 @@ class PermGroup:
         """
         lv = self._levels[idx]
         n = self.degree
+        then = self._then
         # Generator gi has visited the first gen_done[gi] orbit points: all of
         # them, or none if it was added since the last call.  The orbit is
         # closed under the visitors, so only the fresh generators on old
@@ -232,19 +252,15 @@ class PermGroup:
         every = list(enumerate(lv.gens))
         fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
         tree = set()        # gi * n + p for each u_{g(p)} = g u_p defined here
-        after_inv = {}      # gi -> the gather x -> x g^-1
         i = 0
         while i < len(lv.orbit_order):
             p = lv.orbit_order[i]
             for gi, gen in (fresh if i < old else every):
                 q = gen[p]
                 if q not in lv.orbit:
-                    if gi not in after_inv:
-                        after_inv[gi] = itemgetter(*(gen if lv.involution[gi]
-                                                     else self._inverse(gen)))
                     # u_q^-1 = u_p^-1 g^-1, and u_q = g u_p on the known base
-                    lv.orbit[q] = after_inv[gi](lv.orbit[p])
-                    lv.known.append(gather(gen, lv.known[i]))
+                    lv.orbit[q] = then(lv.inverses[gi], lv.orbit[p])
+                    lv.known.append(then(lv.known[i], gen))
                     lv.orbit_order.append(q)
                     tree.add(gi * n + p)
             i += 1
@@ -255,7 +271,7 @@ class PermGroup:
         # both lie in the same pass: the orbit visited so far is closed
         # under g.
         for gi, gen in every:
-            involution = lv.involution[gi]
+            involution = lv.inverses[gi] is gen
             visited = bytearray(n)
             start, lv.gen_done[gi] = lv.gen_done[gi], end
             for pi in range(start, end):
@@ -271,18 +287,17 @@ class PermGroup:
                 # s = u_q^-1 g u_p, sifted on the known base unless an equal
                 # one was, and formed in full only when it is not in the group
                 u_q_inv = lv.orbit[q]
-                images = gather(u_q_inv, gather(gen, lv.known[pi]))
+                images = then(then(lv.known[pi], gen), u_q_inv)
                 if images in lv.members:
                     continue
                 lv.members.add(images)
                 if self._sifts_on_known_base(images, idx + 1):
                     continue
-                u_p = self._inverse(lv.orbit[p])
-                s = itemgetter(*u_p)(itemgetter(*gen)(u_q_inv))
+                s = then(self._inverse(lv.orbit[p]), then(gen, u_q_inv))
                 residue = self._sift(s, idx + 1)
                 if idx + 1 == len(self._levels):
                     self._add_level(residue)
-                self._levels[idx + 1].add_gen(residue, self._identity)
+                self._levels[idx + 1].add_gen(residue, self)
                 self._complete_level(idx + 1)
 
 

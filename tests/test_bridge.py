@@ -177,6 +177,22 @@ def test_reduce_isometry_is_homomorphism(n):
                 S, bridge.reduce_isometry(L, u), bridge.reduce_isometry(L, v))
 
 
+def test_isometry_generators_are_reduced_once(monkeypatch):
+    """rho(O(L)) and lemma1b's homomorphism check share one reduction of
+    the O(L) generators: each is reduced once, and then each product of
+    two of them."""
+    L = build_del_pezzo(7)
+    g = len(automorphism_group(L))
+    calls = []
+    reduce_isometry = bridge.reduce_isometry
+    monkeypatch.setattr(bridge, "reduce_isometry",
+                        lambda L, p: calls.append(p) or reduce_isometry(L, p))
+    bridge._reduced_aut_generators.cache_clear()
+    bridge.rho_image_order_aut.cache_clear()
+    assert bridge.verify_lemma_isometries(L).passed
+    assert len(calls) == g + g * g
+
+
 def test_reduce_isometry_rejects_foreign_input():
     L = build_del_pezzo(4)
     with pytest.raises(errors.NotIsometry):

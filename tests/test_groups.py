@@ -351,6 +351,69 @@ def test_known_base_sift_is_membership(case):
         assert G.sifts_on_known_base([g[b] for b in known_base]) == G.contains(g)
 
 
+def _placed(g, offset, degree):
+    """g moved onto the points offset, offset + 1, ... of `degree` points,
+    the other points fixed."""
+    return (*range(offset), *(offset + x for x in g), *range(offset + len(g), degree))
+
+
+@st.composite
+def _placements(draw):
+    """A group on k points, with or without a known base, elements to test,
+    and a degree of 256, 257 or 300 to place it in."""
+    if draw(st.booleans()):
+        k, gens, elements = draw(_group_and_elements())
+        known_base = None
+    else:
+        gens, k, known_base = draw(_linear_groups())
+        elements = [*gens, _tuple_mult(gens[0], gens[-1]),
+                    *draw(st.lists(st.permutations(range(k)), max_size=3))]
+    return gens, k, known_base, elements, draw(st.sampled_from([256, 257, 300]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_placements())
+def test_byte_and_tuple_chains_agree(case):
+    """A chain of at most 256 points keeps its permutations as byte strings,
+    a larger one as tuples.  The same generators on k points and placed on
+    the first or the last k of 256, 257 or 300 points, the rest fixed, give
+    the same chain, level by level, the same counts and the same answers."""
+    gens, k, known_base, elements, degree = case
+    G = PermGroup(gens, k, known_base=known_base)
+    counts = (G.schreier_tested, G.full_sifts)    # before contains sifts more
+    for offset in (0, degree - k):
+        H = PermGroup([_placed(g, offset, degree) for g in gens], degree,
+                      known_base=known_base and [offset + b for b in known_base])
+        assert isinstance(H._one, bytes) == (degree <= 256)
+        assert H.base() == tuple(offset + b for b in G.base())
+        assert H.basic_orbit_lengths() == G.basic_orbit_lengths()
+        assert (H.schreier_tested, H.full_sifts) == counts
+        assert H.generators == [_placed(g, offset, degree) for g in G.generators]
+        for a, b in zip(G._levels, H._levels, strict=True):
+            assert b.orbit_order == [offset + p for p in a.orbit_order]
+            assert all(tuple(b.orbit[offset + p][:degree])
+                       == _placed(a.orbit[p][:k], offset, degree) for p in a.orbit_order)
+        for x in elements:
+            y = _placed(x, offset, degree)
+            assert H.contains(y) == G.contains(x)
+            if known_base is not None:
+                assert H.sifts_on_known_base([y[offset + b] for b in known_base]) == (
+                    G.sifts_on_known_base([x[b] for b in known_base]))
+
+
+def test_generators_are_tuples_of_ints():
+    """Whatever a chain stores, its generators are tuples of ints, on 240
+    roots (bytes inside the chain) as on 1023 mod-2 vectors (tuples):
+    lattice.check_isometry accepts nothing else."""
+    for G in (lattice.automorphism_chain(build_del_pezzo(8)),
+              bridge.oL2_group(build_del_pezzo(8)),
+              bridge.oL2_group(build_plain_root_lattice(10))):
+        assert G.generators
+        assert all(type(g) is tuple and set(map(type, g)) == {int} for g in G.generators)
+    assert all(set(map(type, g)) == {int}
+               for g in lattice.automorphism_group(build_del_pezzo(8)))
+
+
 def test_member_cache_skips_repeated_schreier_generators(monkeypatch):
     """A Schreier generator whose known-base images repeat those of one
     already handled at its level is in the next stabilizer, and is not
@@ -470,13 +533,14 @@ def test_chain_shape_pinned(chain, base, orbits, counts):
 
 def _chain_digest(G):
     """sha256 over each level's base point, orbit order, generators and
-    stored inverse coset representatives."""
+    stored inverse coset representatives, on the group's points alone: a
+    chain of at most 256 points stores each permutation as 256 bytes."""
     h = hashlib.sha256()
     for lv in G._levels:
         h.update(array("i", [lv.beta, len(lv.orbit_order), len(lv.gens),
                              *lv.orbit_order]).tobytes())
         for g in lv.gens + [lv.orbit[p] for p in lv.orbit_order]:
-            h.update(array("i", g).tobytes())
+            h.update(array("i", list(g[:G.degree])).tobytes())
     return h.hexdigest()
 
 
