@@ -278,12 +278,17 @@ def check_isometry(S, images):
     return images
 
 
+def _xor(items, bits):
+    """The XOR of items[i] over the set bits i of an int."""
+    x = 0
+    for i in groups.bit_indices(bits):
+        x ^= items[i]
+    return x
+
+
 def apply(S, images, v):
     """The image of a space vector under the map with these basis images."""
-    m = 0
-    for i in groups.bit_indices(S.coords(v)):
-        m ^= images[i]
-    return m
+    return _xor(images, S.coords(v))
 
 
 def compose(S, a, b):
@@ -335,29 +340,53 @@ def orthogonal_generators(S):
     return tuple(f2_reflection(S, v) for v in S.vectors() if S.q(v) == 1)
 
 
+class _PairRows(dict):
+    """isometry_order's rows, each built on first use: rows[c][v] is the
+    bitset of the points pairing to v with c, the columns' XOR over its polar bits."""
+
+    def __init__(self, polar, columns):
+        super().__init__()
+        self.polar, self.columns = polar, columns
+        self.every = (1 << (1 << len(columns))) - 1
+
+    def __missing__(self, c):
+        ones = _xor(self.columns, _xor(self.polar, c))
+        row = self[c] = {1: ones, 0: self.every ^ ones}
+        return row
+
+
 @lru_cache(maxsize=None)
 def isometry_order(S):
     """|O(S, q)| by groups.orbit_search over the basis images, independent
-    of the reflections and the chains; a solution acts by its permutation.
+    of the reflections and the chains.  A point is a vector's coordinate
+    bits c in [1, 2^dim), and a solution acts by the images of every c.
 
     Basis vector i goes to a vector with q = qdiag[i] and gram2's pairings
     with the other images; independent such images are exactly the
     isometries (polarization gives q everywhere).  A degenerate pairing does
-    not force independence, so every step tests it.  The points pairing to 1
-    with v are the XOR, over v's polar bits, of the coordinate-bit bitsets.
+    not force independence, so every step tests it.  Column j is the bitset
+    of the c with bit j set; it and the q = 1 bitset are built by doubling
+    over the basis, by q(c + b_k) = q(c) + q(b_k) + (c|b_k) for c < 2^k.
     """
-    points, coords = S.nonzero_vectors(), S._point_coords
-    every, ones = (1 << len(points)) - 1, [0]
-    for i in range(S.dim):      # the XOR for each set of polar bits, by doubling
-        column = sum(1 << p for p, c in enumerate(coords) if c >> i & 1)
-        ones += [x ^ column for x in ones]
-    rows = [{1: ones[S._polar[v]], 0: every ^ ones[S._polar[v]]} for v in points]
-    allowed = [sum(1 << p for p, v in enumerate(points) if S._q[v] == qb)
-               for qb in S.qdiag]
+    polar = [sum(x << j for j, x in enumerate(row)) for row in S.gram2]
+    columns, q1 = [], 0             # over the c < 2^k, then over all c
+    for k, qb in enumerate(S.qdiag):
+        half, low = 1 << k, (1 << (1 << k)) - 1     # 2^k, and every c < 2^k
+        q1 |= (q1 ^ _xor(columns, polar[k] % half) ^ (low if qb else 0)) << half
+        columns = [c | c << half for c in columns] + [low << half]
+    ids = tuple(range(1 << S.dim))
+    zeros = ((1 << len(ids)) - 2) ^ q1       # q = 0, c != 0
+
+    def act(sol):           # the image of every c: the span, by doubling
+        span = [0]
+        for c in sol:
+            span += [x ^ c for x in span]
+        return groups.gather(ids, span)
+
     counts, _ = groups.orbit_search(
-        rows, allowed, S.gram2, [S._position[1 << i] for i in range(S.dim)],
-        act=lambda sol: permutation(S, [points[p] for p in sol]),
-        keep=lambda images: _independent(coords[p] for p in images if p >= 0))
+        _PairRows(polar, columns), [q1 if qb else zeros for qb in S.qdiag],
+        S.gram2, [1 << i for i in range(S.dim)], act,
+        keep=lambda images: _independent(c for c in images if c >= 0))
     return prod(counts)
 
 

@@ -39,9 +39,9 @@ handled.  Every level-0 generator of the reflection chains is an
 involution.
 
 orbit_search is the one isometry search: it backtracks over the images of a
-base among points given by their pairing table, as bitsets, and counts the
-group as the product of the basic orbit lengths it finds, pruned by the
-automorphisms found: a handful of elements, which generate the group.
+base among points given by their pairing rows (any mapping), as bitsets, and
+counts the group as the product of the basic orbit lengths, each grown with
+the automorphisms found; they prune it: a handful, which generate the group.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class PermGroup:
         self.generators = []
         self._levels = []
         self.schreier_tested = 0    # Schreier generators formed on the known base
-        self.full_sifts = 0         # permutations sifted in full
+        self.full_sifts = 0         # permutations sifted in full while building
         for g in generators:
             self.extend(g)
 
@@ -157,6 +157,7 @@ class PermGroup:
         """
         g = self._check_perm(g)
         perm = self._rep(g) + self._pad
+        self.full_sifts += 1
         residue = self._sift(perm, 0)
         if residue is None:
             return False
@@ -218,7 +219,6 @@ class PermGroup:
     def _sift(self, g, start):
         """Strip g through levels >= start: None if g reduces to the
         identity, otherwise the nontrivial residue."""
-        self.full_sifts += 1
         cur = g
         for lv in self._levels[start:]:
             img = cur[lv.beta]
@@ -294,6 +294,7 @@ class PermGroup:
                 if self._sifts_on_known_base(images, idx + 1):
                     continue
                 s = then(self._inverse(lv.orbit[p]), then(gen, u_q_inv))
+                self.full_sifts += 1
                 residue = self._sift(s, idx + 1)
                 if idx + 1 == len(self._levels):
                     self._add_level(residue)
@@ -322,7 +323,7 @@ def completions(rows, masks, target, images, keep=None):
     images[t] is the point at position t, or -1 while t is open; masks[t]
     holds the candidates of an open t, whose pairing with the point at each
     fixed s is target[t][s].  The open t with the fewest candidates (the
-    first, on a tie) is filled next, in ascending order; each choice narrows
+    first, on a tie) is filled next, lowest bit first; each choice narrows
     the masks by one AND, and is dropped if keep(images) is false.
     """
     open_pos = [t for t, p in enumerate(images) if p < 0]
@@ -330,23 +331,17 @@ def completions(rows, masks, target, images, keep=None):
         yield tuple(images)
         return
     t = min(open_pos, key=lambda s: masks[s].bit_count())
-    for r in bit_indices(masks[t]):
+    todo = masks[t]
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        r = low.bit_length() - 1
         row = rows[r]
         narrowed = [m & row.get(target[t][s], 0) for s, m in enumerate(masks)]
         images[t] = r
         if all(narrowed[s] for s in open_pos) and (keep is None or keep(images)):
             yield from completions(rows, narrowed, target, images, keep)
         images[t] = -1
-
-
-def _orbit(point, perms):
-    """The orbit of a point under the group the permutations generate."""
-    orbit, seen = [point], {point}
-    for p in orbit:
-        new = {g[p] for g in perms} - seen
-        seen |= new
-        orbit += new
-    return seen
 
 
 def orbit_search(rows, allowed, target, base, act, keep=None):
@@ -358,11 +353,13 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
     the solutions are a group, those with base[0..l-1] in place put the
     orbit of base[l] under its stabilizer at l, and the product of the
     orbit lengths is its order.  act(solution) is the permutation of the
-    points a solution induces.  The levels are searched from the last to
-    the first, so the elements found fix base[0..l-1]: only a candidate
-    outside the orbit of base[l] under them is searched, and the orbit is
-    closed again after each that completes.  Returns (orbit_lengths,
-    solutions), the solutions found per level, first level first.
+    points a solution induces, and rows any mapping from a point to its
+    row.  The levels are searched from the last to the first, so the
+    elements found fix base[0..l-1]: only a candidate outside the orbit of
+    base[l] under them is searched, lowest first.  The orbit grows with
+    each element found: the new element on the old points, every element
+    on the new ones.  Returns (orbit_lengths, solutions), the solutions
+    found per level, first level first.
     """
     levels, masks = [], list(allowed)     # the masks with base[0..l-1] fixed
     for level, b in enumerate(base):
@@ -372,16 +369,30 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
         masks = [m & rows[b].get(target[level][s], 0) for s, m in enumerate(masks)]
     found, lengths, solutions = [], [], []
     for level in reversed(range(len(base))):
-        masks, orbit, sols = levels[level], _orbit(base[level], found), []
-        for r in bit_indices(masks[level]):
-            if r not in orbit:
-                trial = masks[:level] + [1 << r] + masks[level + 1:]
-                images = list(base[:level]) + [-1] * (len(base) - level)
-                sol = next(completions(rows, trial, target, images, keep), None)
-                if sol is not None:
-                    sols.append(sol)
-                    found.append(act(sol))
-                    orbit = _orbit(base[level], found)
+        masks, sols, b = levels[level], [], base[level]
+        orbit, seen, todo = [b], {b}, masks[level] & ~(1 << b)
+        done = k = 0                # orbit[:done] is closed under found[:k]
+        images = [*base[:level]] + [-1] * (len(base) - level)
+        while True:
+            if k < len(found):
+                fresh = found[k:]
+                for i, p in enumerate(orbit):
+                    for g in (fresh if i < done else found):
+                        q = g[p]
+                        if q not in seen:
+                            seen.add(q)
+                            orbit.append(q)
+                            todo &= ~(1 << q)
+                done, k = len(orbit), len(found)
+            if not todo:
+                break
+            low = todo & -todo
+            todo ^= low
+            trial = masks[:level] + [low] + masks[level + 1:]
+            sol = next(completions(rows, trial, target, list(images), keep), None)
+            if sol is not None:
+                sols.append(sol)
+                found.append(act(sol))
         lengths.append(len(orbit))
         solutions.append(tuple(sols))
     return tuple(reversed(lengths)), tuple(reversed(solutions))

@@ -1,7 +1,7 @@
 """Brute-force oracles, independent of the package's searches and chains;
 the determinant by rational elimination; the mod-2 chain built the plain
-way, from every map's permutation; the isometry search without pruning;
-the isometry check on every pairing of the simple roots; the root pairing
+way, from every map's permutation; the isometry search without pruning and
+the eager completions it was first written with; the isometry check on every pairing of the simple roots; the root pairing
 rows by one height scan per root and the reflections by one pairing per
 root; and a reader for the reports' JSON form."""
 
@@ -107,6 +107,24 @@ def radical_kernel_bruteforce(S, k):
         except errors.NotIsometry:
             pass
     return maps
+
+
+def completions_eager(rows, masks, target, images, keep=None):
+    """groups.completions as first written: the candidates of the position
+    filled next listed in full by bit_indices, then tried in ascending
+    order."""
+    open_pos = [t for t, p in enumerate(images) if p < 0]
+    if not open_pos:
+        yield tuple(images)
+        return
+    t = min(open_pos, key=lambda s: masks[s].bit_count())
+    for r in bit_indices(masks[t]):
+        row = rows[r]
+        narrowed = [m & row.get(target[t][s], 0) for s, m in enumerate(masks)]
+        images[t] = r
+        if all(narrowed[s] for s in open_pos) and (keep is None or keep(images)):
+            yield from completions_eager(rows, narrowed, target, images, keep)
+        images[t] = -1
 
 
 def orbit_search_unpruned(rows, allowed, target, base, act=None, keep=None):

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from dpmod2 import bridge, cli, errors, f2, groups, lattice
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import (isometry_count_bruteforce, orbit_search_unpruned,
-                     radical_kernel_bruteforce, searches)
+from oracles import (completions_eager, isometry_count_bruteforce,
+                     orbit_search_unpruned, radical_kernel_bruteforce, searches)
 
 # (q0, q1) for n = 3..8; the q1 column is 4, 10, 20, 36, 64, 120
 CENSUS = {3: (4, 4), 4: (6, 10), 5: (12, 20), 6: (28, 36), 7: (64, 64),
@@ -557,14 +558,94 @@ def test_isometry_order_pruned_matches_unpruned_on_random_forms(gram):
     assert pruned == unpruned
 
 
+def _isometry_search_inputs(S):
+    """The rows and allowed masks isometry_order hands to
+    groups.orbit_search, read after the search has run."""
+    seen, search = [], groups.orbit_search
+
+    def spy(rows, allowed, *args, **kwargs):
+        seen.append((rows, allowed))
+        return search(rows, allowed, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groups, "orbit_search", spy)
+        f2.isometry_order.__wrapped__(S)
+    (inputs,) = seen
+    return inputs
+
+
 def test_isometry_order_work_pinned():
-    """On A10 the pruned search finds 10 elements, against 1,053 without
-    pruning: a search that stops pruning fails here, without timing
-    anything."""
-    (lengths, solutions), = searches(
-        lambda: f2.isometry_order.__wrapped__(f2.reduce(build_plain_root_lattice(10))))
+    """On A10 the pruned search finds 12 elements, against 1,053 without
+    pruning, and builds 26 of the 1,024 pairing rows: a search that stops
+    pruning, or tables built eagerly over every point, fail here, without
+    timing anything."""
+    S = f2.reduce(build_plain_root_lattice(10))
+    (lengths, solutions), = searches(lambda: f2.isometry_order.__wrapped__(S))
     assert lengths == (528, 272, 135, 64, 28, 12, 5, 4, 3, 2)
-    assert sum(map(len, solutions)) == 10
+    assert sum(map(len, solutions)) == 12
+    rows, _ = _isometry_search_inputs(S)
+    assert len(rows) == 26
+
+
+def _check_search_tables(S, every_row):
+    """isometry_order's candidates and pairing rows against S.q and S.pair,
+    each vector at the point of its coordinate bits: the rows the search
+    built, and with every_row all 2^dim of them."""
+    rows, allowed = _isometry_search_inputs(S)
+    vectors = S.vectors()
+    point = {v: S._coords[v] for v in vectors}
+    assert allowed == [sum(1 << point[v] for v in vectors if v and S.q(v) == qb)
+                       for qb in S.qdiag]
+    if every_row:
+        for v in vectors:
+            rows[point[v]]
+    assert len(rows) == (1 << S.dim if every_row else len(rows)) > 0
+    vector = {c: v for v, c in point.items()}
+    for c, row in rows.items():
+        assert row == {x: sum(1 << point[v] for v in vectors
+                              if S.pair(vector[c], v) == x) for x in (0, 1)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_even_gram(max_dim=5))
+def test_isometry_search_tables_on_random_forms(gram):
+    """The q = 1 bitset and every pairing row, built on demand or not, on
+    random forms, degenerate ones included."""
+    _check_search_tables(f2.space_from_gram(gram), every_row=True)
+
+
+@pytest.mark.parametrize(
+    "L", [build_del_pezzo(n) for n in range(3, 9)]
+    + [build_plain_root_lattice(r) for r in range(2, 11)],
+    ids=[f"dP{n}" for n in range(3, 9)] + [f"A{r}" for r in range(2, 11)])
+def test_isometry_search_tables_on_the_lattices(L):
+    """The same on the 15 reductions, in the ambient model: the rows the
+    search built, and all of them up to 2^7."""
+    S = f2.reduce(L)
+    _check_search_tables(S, every_row=S.dim <= 7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_even_gram(max_dim=5), st.data())
+def test_completions_match_the_eager_reference_on_random_forms(gram, data):
+    """groups.completions takes its candidates straight from the mask and
+    yields the same assignments, in the same order, as the eager version
+    that listed them first: the basis-image assignments keeping q and the
+    pairing (the first 200 of them: a degenerate form has up to 2^20), with
+    and without the independence test, from no image or one fixed."""
+    S = f2.space_from_gram(gram)
+    vecs = S.vectors()
+    rows = [{x: sum(1 << w for w in vecs if S.pair(v, w) == x) for x in (0, 1)}
+            for v in vecs]
+    allowed = [sum(1 << v for v in vecs if v and S.q(v) == qb) for qb in S.qdiag]
+    images = [-1] * S.dim
+    t = data.draw(st.integers(-1, S.dim - 1))
+    if t >= 0 and allowed[t]:
+        images[t] = data.draw(st.sampled_from(groups.bit_indices(allowed[t])))
+    for keep in (None, lambda im: f2._independent(c for c in im if c >= 0)):
+        new = groups.completions(rows, allowed, S.gram2, list(images), keep)
+        ref = completions_eager(rows, allowed, S.gram2, list(images), keep)
+        assert list(islice(new, 200)) == list(islice(ref, 200))
 
 
 def test_isometry_order_tests_independence():

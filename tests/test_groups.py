@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from dpmod2 import bridge, errors, f2, groups, lattice
 from dpmod2.groups import PermGroup, bit_indices
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import (closure, f2_chain_of_permutations, orbit_search_unpruned,
-                     searches)
+from oracles import (closure, completions_eager, f2_chain_of_permutations,
+                     orbit_search_unpruned, searches)
 
 
 def _tuple_mult(a, b):
@@ -377,10 +377,11 @@ def test_byte_and_tuple_chains_agree(case):
     """A chain of at most 256 points keeps its permutations as byte strings,
     a larger one as tuples.  The same generators on k points and placed on
     the first or the last k of 256, 257 or 300 points, the rest fixed, give
-    the same chain, level by level, the same counts and the same answers."""
+    the same chain, level by level, the same counts and the same answers,
+    and the counts stay as built after the membership tests."""
     gens, k, known_base, elements, degree = case
     G = PermGroup(gens, k, known_base=known_base)
-    counts = (G.schreier_tested, G.full_sifts)    # before contains sifts more
+    counts = (G.schreier_tested, G.full_sifts)
     for offset in (0, degree - k):
         H = PermGroup([_placed(g, offset, degree) for g in gens], degree,
                       known_base=known_base and [offset + b for b in known_base])
@@ -399,6 +400,27 @@ def test_byte_and_tuple_chains_agree(case):
             if known_base is not None:
                 assert H.sifts_on_known_base([y[offset + b] for b in known_base]) == (
                     G.sifts_on_known_base([x[b] for b in known_base]))
+        assert (H.schreier_tested, H.full_sifts) == counts
+    assert (G.schreier_tested, G.full_sifts) == counts
+
+
+@pytest.mark.parametrize("gens, degree", [
+    ([(0, 1, 2)], 3),
+    ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+    (lattice.weyl_generators(build_del_pezzo(6)), 72),
+], ids=["trivial", "S4", "W(E6)"])
+def test_membership_tests_leave_the_counts(gens, degree):
+    """schreier_tested and full_sifts count the build alone: contains and
+    sifts_on_known_base leave them as they were (the trivial group read
+    full_sifts 1 when built and 3 after two contains calls, when contains
+    counted its sift)."""
+    G = PermGroup(gens, degree)
+    counts = (G.schreier_tested, G.full_sifts)
+    assert counts[1] >= 1
+    for g in [*gens, tuple(range(degree)), (1, 0, *range(2, degree))]:
+        G.contains(g)
+        G.sifts_on_known_base(g)
+    assert (G.schreier_tested, G.full_sifts) == counts
 
 
 def test_generators_are_tuples_of_ints():
@@ -727,6 +749,27 @@ def test_pruned_search_matches_unpruned(case):
     assert pruned and [c for c, _ in pruned] == [c for c, _ in unpruned]
     for (_, sols), (_, ref) in zip(pruned, unpruned, strict=True):
         assert all(set(s) <= set(r) for s, r in zip(sols, ref, strict=True))
+
+
+@pytest.mark.parametrize("name", [f"dP{n}" for n in range(3, 9)]
+                         + [f"A{r}" for r in range(2, 11)])
+def test_completions_match_the_eager_reference_on_the_kernels(name, monkeypatch):
+    """groups.completions, taking its candidates straight from the mask,
+    yields the same assignments in the same order as the eager version that
+    listed them first, on the inputs of bridge._kernel_elements."""
+    L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
+         else build_plain_root_lattice(int(name[1:])))
+    inputs, completions = [], groups.completions
+
+    def spy(rows, masks, target, images, keep=None):
+        inputs.append((rows, list(masks), target, list(images), keep))
+        return completions(rows, masks, target, images, keep)
+
+    monkeypatch.setattr(groups, "completions", spy)
+    bridge._kernel_elements(L)
+    rows, masks, target, images, keep = inputs[0]     # the rest are its recursion
+    new = list(completions(rows, masks, target, list(images), keep))
+    assert new and new == list(completions_eager(rows, masks, target, images, keep))
 
 
 def test_orbit_search_needs_the_base_as_a_solution():
