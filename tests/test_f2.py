@@ -599,7 +599,8 @@ def _check_search_tables(S, every_row):
     if every_row:
         for v in vectors:
             rows[point[v]]
-    assert len(rows) == (1 << S.dim if every_row else len(rows)) > 0
+        assert len(rows) == len(vectors)
+    assert rows
     vector = {c: v for v, c in point.items()}
     for c, row in rows.items():
         assert row == {x: sum(1 << point[v] for v in vectors
