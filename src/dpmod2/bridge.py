@@ -78,11 +78,23 @@ def reduce_isometry(L, p):
     simple root s_t, so its image is the same sum of the roots p[s_t], and
     its class mod 2 the sum of their classes with odd coefficients.
     """
-    lat.check_isometry(L, p)
-    moved = [f2._mask(lat.enumerate_roots(L)[p[s]]) for s in lat._simple_indices(L)]
-    return f2.check_isometry(f2.reduce(L), [
-        reduce(xor, (m for c, m in zip(row, moved) if c & 1), 0)
-        for row in lat._basis_on_simple(L)])
+    return f2.check_isometry(f2.reduce(L), _reduce_checked(L, lat.check_isometry(L, p)))
+
+
+def _reduce_checked(L, p):
+    """reduce_isometry's basis images, unchecked: p must already be the
+    root permutation of an isometry of L."""
+    masks = _root_masks(L)
+    moved = [masks[p[s]] for s in lat._simple_indices(L)]
+    return tuple(reduce(xor, (m for c, m in zip(row, moved) if c & 1), 0)
+                 for row in lat._basis_on_simple(L))
+
+
+@lru_cache(maxsize=None)
+def _root_masks(L):
+    """The mod-2 class of each root of enumerate_roots(L), which has checked
+    each one to be a root."""
+    return tuple(map(f2._mask, lat.enumerate_roots(L)))
 
 
 # -- reports ----------------------------------------------------------------------
@@ -170,8 +182,11 @@ def oL2_group(L):
 
 @lru_cache(maxsize=None)
 def _reduced_aut_generators(L):
-    """reduce_isometry of each element of lat.automorphism_group(L), computed once."""
-    return tuple(reduce_isometry(L, u) for u in lat.automorphism_group(L))
+    """reduce_isometry of each element of lat.automorphism_group(L), computed
+    once; automorphism_chain has checked each element."""
+    S = f2.reduce(L)
+    return tuple(f2.check_isometry(S, _reduce_checked(L, u))
+                 for u in lat.automorphism_group(L))
 
 
 @lru_cache(maxsize=None)
@@ -186,15 +201,25 @@ def rho_image_order_weyl(L):
                                     for u in lat.weyl_generators(L)]).order()
 
 
-def _census_numbers(L, **orders):
-    """The root count and census, then the given orders, then arf if the
-    pairing is nondegenerate (the plain report lists them in this order)."""
+@lru_cache(maxsize=None)
+def _census(L):
+    """The root count, the census (q = 1, then q = 0), the radical's
+    dimension, and arf, None if the pairing is degenerate."""
     S = f2.reduce(L)
     q0, q1 = f2.value_census(S)
-    numbers = {"roots": len(lat.enumerate_roots(L)), "q1_count": q1,
-               "q0_count": q0, **orders}
-    if len(f2.radical(S)) == 1:
-        numbers["arf"] = f2.arf(S)
+    radical_dim = len(f2.radical(S)) - 1
+    return (len(lat.enumerate_roots(L)), q1, q0, radical_dim,
+            None if radical_dim else f2.arf(S))
+
+
+def _census_numbers(L, **orders):
+    """A fresh dict of the root count and census, then the given orders, then
+    arf if the pairing is nondegenerate (the plain report lists them in this
+    order)."""
+    roots, q1, q0, _, arf = _census(L)
+    numbers = {"roots": roots, "q1_count": q1, "q0_count": q0, **orders}
+    if arf is not None:
+        numbers["arf"] = arf
     return numbers
 
 
@@ -211,8 +236,8 @@ def verify_lemma_roots(L):
     roots = lat.enumerate_roots(L)
     S = f2.reduce(L)
     fibers = {}
-    for r in roots:             # enumerate_roots has checked each r is a root
-        fibers.setdefault(f2._mask(r), []).append(r)
+    for r, m in zip(roots, _root_masks(L)):
+        fibers.setdefault(m, []).append(r)
     rep.check(all(len(f) == 2 for f in fibers.values()),
               "every mod-2 class contains exactly one +-root pair")
     rep.check(all(tuple(-x for x in f[0]) == f[1]
@@ -241,10 +266,11 @@ def verify_lemma_isometries(L):
     expected_kernel = 4 if (L.kind == "delpezzo" and L.n == 3) else 2
     rep.check(aut_order == expected_kernel * image,
               f"|O(L)| = {expected_kernel} * |rho(O(L))|")
-    # rho is a homomorphism on all generator pairs
+    # rho is a homomorphism on all generator pairs; u v is an isometry, and
+    # its image equals one of O(L2), so neither is checked again
     S = f2.reduce(L)
     reduced = _reduced_aut_generators(L)
-    hom = all(reduce_isometry(L, groups.gather(u, v)) == f2.compose(S, ru, rv)
+    hom = all(_reduce_checked(L, groups.gather(u, v)) == f2.compose(S, ru, rv)
               for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
     rep.check(hom, "reduction is multiplicative on generator pairs")
     rep.numbers.update(autL_order=aut_order, rho_image_order=image,
@@ -268,7 +294,7 @@ def _kernel_elements(L):
     that keeps the simple roots' pairings is listed by groups.completions.
     """
     rows, simple, gram = lat._root_pairings(L)
-    masks = [f2._mask(r) for r in lat.enumerate_roots(L)]
+    masks = _root_masks(L)
     allowed = [sum(1 << i for i, m in enumerate(masks) if m == masks[s])
                for s in simple]
     sols = groups.completions(rows, allowed, gram, [-1] * len(simple))
@@ -280,7 +306,7 @@ def verify_prop1(L):
     rep = VerificationReport("prop1", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
     roots = lat.enumerate_roots(L)
-    image = {f2._mask(r) for r in roots}    # each r checked by enumerate_roots
+    image = set(_root_masks(L))
     q1 = {v for v in S.vectors() if S.q(v) == 1}
     k = S.ambient_k
     rep.numbers["root_image_size"] = len(image)

@@ -138,12 +138,8 @@ def _table_rows():
     ok = True
     for n in range(3, 9):
         L = lat.build_del_pezzo(n)
-        S = f2.reduce(L)
-        q0, q1 = f2.value_census(S)
-        radical_dim = len(f2.radical(S)) - 1
         row = dict(zip(TABLE_COLUMNS, (
-            n, L.root_type, len(lat.enumerate_roots(L)), q1, q0, radical_dim,
-            f2.arf(S) if radical_dim == 0 else None, bridge.weyl_group(L).order(),
+            n, L.root_type, *bridge._census(L), bridge.weyl_group(L).order(),
             bridge.aut_group(L).order(), bridge.oL2_group(L).order(),
             bridge.rho_image_order_aut(L))))
         ok = ok and row["roots"] == lat.ROOT_COUNTS[L.root_type]

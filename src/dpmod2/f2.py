@@ -247,7 +247,10 @@ def _independent(bits):
 def _basis_images(S, images):
     """One int space vector per basis vector, as a tuple; NotIsometry
     otherwise."""
-    images = tuple(images)
+    try:
+        images = tuple(images)
+    except TypeError:
+        raise errors.NotIsometry(f"{images!r} is not a sequence of images") from None
     if len(images) != S.dim:
         raise errors.NotIsometry("need one image per basis vector")
     if any(type(m) is not int or m not in S._coords for m in images):

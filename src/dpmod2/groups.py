@@ -59,6 +59,14 @@ def gather(a, idx):
     return itemgetter(*idx)(a) if len(idx) > 1 else tuple(a[i] for i in idx)
 
 
+def _tuple(items, what):
+    """tuple(items); BadInput with the message what unless items is iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise errors.BadInput(f"{what}, got {items!r}") from None
+
+
 def _then(q, p):
     """p after q on tuples, in the argument order of bytes.translate."""
     return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
@@ -102,7 +110,8 @@ class PermGroup:
             raise errors.BadInput("degree must be a positive int")
         self.degree = degree
         self._identity = tuple(range(self.degree))
-        known = tuple(self._identity if known_base is None else known_base)
+        known = _tuple(self._identity if known_base is None else known_base,
+                       "the known base must be iterable")
         if any(isinstance(b, bool) or not isinstance(b, int) for b in known):
             raise errors.BadInput("known base points must be integers")
         if any(not 0 <= b < self.degree for b in known):
@@ -122,13 +131,13 @@ class PermGroup:
         self._levels = []
         self.schreier_tested = 0    # Schreier generators formed on the known base
         self.full_sifts = 0         # permutations sifted in full while building
-        for g in generators:
+        for g in _tuple(generators, "the generators must be iterable"):
             self.extend(g)
 
     def _check_perm(self, g):
         """g as a tuple of the identity's own ints, read as indices (so an
         int-like entry such as True passes as its int)."""
-        g = tuple(g)
+        g = _tuple(g, "a permutation must be iterable")
         if len(g) != self.degree:
             raise errors.BadInput(
                 f"permutation of degree {len(g)} in group of degree {self.degree}")
@@ -188,7 +197,7 @@ class PermGroup:
         element of any group the known base determines (a product of such
         elements fixing it is 1).  Raises BadInput unless there is one point
         per known-base point."""
-        images = tuple(images)
+        images = _tuple(images, "need one point per known-base point")
         if (len(images) != len(self._known)
                 or any(type(b) is not int or not 0 <= b < self.degree for b in images)):
             raise errors.BadInput("need one point in range per known-base point")

@@ -268,7 +268,8 @@ def root_reflection(L, alpha):
 
 
 def check_isometry(L, p):
-    """Raise NotIsometry unless p is the root permutation of an isometry of L.
+    """p as a tuple; NotIsometry unless it is the root permutation of an
+    isometry of L.
 
     It is one iff it is a permutation, the simple roots' images keep their
     Gram matrix, and p is the root map of those images: such images define
@@ -276,7 +277,10 @@ def check_isometry(L, p):
     height is injective on the roots.
     """
     rows, simple, gram = _root_pairings(L)
-    p = tuple(p)
+    try:
+        p = tuple(p)
+    except TypeError:
+        raise errors.NotIsometry(f"{p!r} is not a root permutation") from None
     if (len(p) != len(rows) or set(map(type, p)) != {int}
             or set(p) != set(range(len(rows)))
             or any(not rows[p[s]][v] >> p[t] & 1
@@ -284,6 +288,7 @@ def check_isometry(L, p):
             or p != next(_solution_perms(L, [[p[s] for s in simple]]))):
         raise errors.NotIsometry(
             f"not the root permutation of an isometry of {L.root_type}")
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -420,13 +425,12 @@ def automorphism_chain(L):
     the backtracking count.
     """
     order, solutions = _aut_search(L)
-    chain = groups.PermGroup([minus_one(L)], len(enumerate_roots(L)),
+    chain = groups.PermGroup([check_isometry(L, minus_one(L))], len(enumerate_roots(L)),
                              known_base=_simple_indices(L))
     for sol in (sol for level in solutions for sol in level):
         if not chain.sifts_on_known_base(sol):
             p, = _solution_perms(L, [sol])
-            check_isometry(L, p)
-            chain.extend(p)
+            chain.extend(check_isometry(L, p))
     if chain.order() != order:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "
@@ -460,7 +464,8 @@ def root_components(L):
 def component_isometries(L, component):
     """(|O(M)|, Gram matrix of M on its simple roots) for the span M of a
     component of root_components(L): _root_search over its roots."""
-    if tuple(component) not in root_components(L):
+    component = groups._tuple(component, "not a root component")
+    if component not in root_components(L):
         raise errors.BadInput("not a root component")
     index = _heights(L)[1]
     order, _, gram = _root_search(L, sum(1 << index[_height(r)] for r in component))

@@ -156,6 +156,7 @@ def test_reduce_isometry_properties(n):
     S = f2.reduce(L)
     R = enumerate_roots(L)
     assert bridge.reduce_isometry(L, range(len(R))) == S.basis
+    assert bridge.reduce_isometry(L, iter(range(len(R)))) == S.basis
     assert bridge.reduce_isometry(
         L, [R.index(tuple(-c for c in r)) for r in R]) == S.basis
     # compatibility: reducing the reflection in alpha gives the reflection
@@ -177,20 +178,43 @@ def test_reduce_isometry_is_homomorphism(n):
                 S, bridge.reduce_isometry(L, u), bridge.reduce_isometry(L, v))
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Patch module.name to append its arguments to calls, then run."""
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+
+
 def test_isometry_generators_are_reduced_once(monkeypatch):
     """rho(O(L)) and lemma1b's homomorphism check share one reduction of
     the O(L) generators: each is reduced once, and then each product of
-    two of them."""
+    two of them, without a lattice check, as automorphism_chain has checked
+    each generator.  Only a generator's image is checked in O(L2); a
+    product's is compared with the product of two checked images."""
     L = build_del_pezzo(7)
-    g = len(automorphism_group(L))
-    calls = []
-    reduce_isometry = bridge.reduce_isometry
-    monkeypatch.setattr(bridge, "reduce_isometry",
-                        lambda L, p: calls.append(p) or reduce_isometry(L, p))
+    g = len(automorphism_group(L))      # builds and checks the chain
+    reduced, lattice_checks, f2_checks = [], [], []
+    _counting(monkeypatch, bridge, "_reduce_checked", reduced)
+    _counting(monkeypatch, lat, "check_isometry", lattice_checks)
+    _counting(monkeypatch, f2, "check_isometry", f2_checks)
     bridge._reduced_aut_generators.cache_clear()
     bridge.rho_image_order_aut.cache_clear()
     assert bridge.verify_lemma_isometries(L).passed
-    assert len(calls) == g + g * g
+    assert len(reduced) == g + g * g
+    assert lattice_checks == []
+    assert len(f2_checks) == g
+
+
+def test_automorphism_chain_checks_minus_one(monkeypatch):
+    """The chain starts from -1, which is checked like every generator the
+    search adds: a transposition in its place is refused."""
+    L = build_del_pezzo(4)
+    monkeypatch.setattr(lat, "minus_one", lambda L: _transposition(L))
+    lat.automorphism_chain.cache_clear()
+    try:
+        with pytest.raises(errors.NotIsometry):
+            lat.automorphism_chain(L)
+    finally:
+        lat.automorphism_chain.cache_clear()
 
 
 def test_reduce_isometry_rejects_foreign_input():
@@ -227,13 +251,18 @@ def _negative_entry(L):
     lambda L: weyl_generators(build_plain_root_lattice(4))[0],          # also 20 roots
     lambda L: "0123456789",
     lambda L: [float(i) for i in range(len(enumerate_roots(L)))],
+    lambda L: None,
+    lambda L: 5,
 ], ids=["transposition", "wrong-length", "out-of-range", "negative",
-        "A4-reflection", "string", "floats"])
+        "A4-reflection", "string", "floats", "None", "int"])
 def test_reduce_isometry_rejects_non_isometries(bad):
-    """Only root permutations of isometries of this lattice get through."""
+    """Only root permutations of isometries of this lattice get through,
+    here and in lattice.check_isometry."""
     L = build_del_pezzo(4)
     with pytest.raises(errors.NotIsometry):
         bridge.reduce_isometry(L, bad(L))
+    with pytest.raises(errors.NotIsometry):
+        lat.check_isometry(L, bad(L))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -317,6 +346,38 @@ def test_enumerated_roots_are_not_checked_again(n, preimages, monkeypatch):
     monkeypatch.setattr(lat, "is_root", lambda L, v: calls.append(v) or is_root(L, v))
     assert bridge.verify_lemma_roots(L).passed and bridge.verify_prop1(L).passed
     assert len(calls) == len(set(calls)) == preimages
+
+
+def _clear_caches():
+    for module in (lat, f2, bridge):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
+    """From cold caches, verify --n all checks each lattice isometry once:
+    the 26 O(L) chain generators of its seven lattices, -1 among them, in
+    automorphism_chain, and the 30 Weyl generators of dP4..8 in
+    reduce_isometry.  In O(L2) it checks the 22 reduced del Pezzo O(L)
+    generators, the 30 reduced Weyl generators and prop2's 52 maps on dP5.
+    Per lattice it masks each root once and computes the census, the
+    radical and arf once; the closed forms compute their own."""
+    counts = {"lat.check_isometry": 56, "f2.check_isometry": 104,
+              "bridge.reduce_isometry": 30, "f2._mask": 807, "f2.arf": 9,
+              "f2.radical": 28}
+    modules = {"lat": lat, "f2": f2, "bridge": bridge}
+    calls = {key: [] for key in counts}
+    for key, c in calls.items():
+        module, name = key.split(".")
+        _counting(monkeypatch, modules[module], name, c)
+    _clear_caches()
+    try:
+        assert cli.run(["verify", "--n", "all", "--format", "json"]) == 0
+    finally:
+        _clear_caches()
+    capsys.readouterr()
+    assert {key: len(c) for key, c in calls.items()} == counts
 
 
 def test_verify_prop2_wrong_range():

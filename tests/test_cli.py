@@ -192,6 +192,11 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
      "bbdf0073579295fa02aed74ddc8b09d8b2643a13600bb1a0f3a20fe8b2cea130"),
     (["verify", "--n", "all", "--format", "csv"],
      "807be4fa9f1d1c03b961a097783e0d786be1e99be4c9fdc047ab50a18d22177d"),
+    # table reads the census, the radical and arf of each lattice
+    (["table"],
+     "a581088377ef67c2e34917c2c80f69476c88259e4c3e0654642ef94f5d58744e"),
+    (["table", "--format", "json"],
+     "fc9491ccc4266855d7b404c7c477156275d5c32ba83eed422960a37088ac325e"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

@@ -170,13 +170,19 @@ def test_symplectic_basis_and_arf(n):
 
 def test_arf_disagreeing_with_the_census_is_a_failed_check(monkeypatch, capsys):
     """arf checks its symplectic-basis sum against the census identity, so
-    every report that prints it fails when the two disagree."""
+    every report that prints it fails when the two disagree.  The reports
+    and table compute each lattice's census once, in bridge._census, so its
+    cache is cleared around the perturbed run."""
     census = f2.value_census
     monkeypatch.setattr(f2, "value_census", lambda S: (census(S)[0] - 1,
                                                        census(S)[1] + 1))
     with pytest.raises(errors.CrossCheckFailed, match="census"):
         f2.arf(_space(4))
-    assert cli.run(["table"]) == 1
+    bridge._census.cache_clear()
+    try:
+        assert cli.run(["table"]) == 1
+    finally:
+        bridge._census.cache_clear()
     assert "check failed with CrossCheckFailed" in capsys.readouterr().err
 
 
@@ -765,6 +771,9 @@ def test_isometry_validation_rejects_bad_maps():
         for check in (f2.check_symplectic, f2.check_isometry):
             with pytest.raises(errors.NotIsometry, match="not an int"):
                 check(space, images)
+    for check in (f2.check_symplectic, f2.check_isometry):
+        with pytest.raises(errors.NotIsometry, match="not a sequence"):
+            check(S, None)
 
 
 def test_permutation_rejects_bad_images():
@@ -785,6 +794,8 @@ def test_permutation_rejects_bad_images():
                           (P, (True, 2)), (P, (1, 2.0))]:
         with pytest.raises(errors.NotIsometry, match="not an int"):
             f2.permutation(space, images)
+    with pytest.raises(errors.NotIsometry, match="not a sequence"):
+        f2.permutation(S, None)
     # b[0] + b[0] = 0 is no nonzero vector
     with pytest.raises(errors.NotIsometry, match="images are linearly dependent"):
         f2.permutation(S, (b[0], b[0]) + b[2:])

@@ -98,6 +98,8 @@ def test_degree_mismatch():
 def test_rejects_non_permutations():
     with pytest.raises(ValueError):
         PermGroup([[1, 1, 2]], 3)
+    with pytest.raises(errors.BadInput, match="generators must be iterable"):
+        PermGroup(None, 3)
 
 
 @pytest.mark.parametrize("bad", [
@@ -110,8 +112,10 @@ def test_rejects_non_permutations():
     [-1, 0, 1],
     [3, 0, 1],
     [None, 0, 1],
+    None,
+    5,
 ], ids=["fractional", "float", "str", "bool", "2**40", "2**70", "negative",
-        "degree", "None"])
+        "degree", "None", "not-iterable", "int"])
 def test_rejects_malformed_entries(bad):
     with pytest.raises(errors.BadInput):
         PermGroup([bad], 3)
@@ -253,7 +257,8 @@ def test_involution_edges_match_closure(case):
     (["1"], "integers"),
     ([True], "integers"),
     ([None], "integers"),
-], ids=["degree", "negative", "repeated", "float", "str", "bool", "None"])
+    (5, "iterable"),
+], ids=["degree", "negative", "repeated", "float", "str", "bool", "None", "int"])
 def test_known_base_rejects_bad_points(known_base, message):
     with pytest.raises(errors.BadInput, match=message):
         PermGroup([[1, 0, 2, 3]], 4, known_base=known_base)
@@ -454,9 +459,9 @@ def test_member_cache_skips_repeated_schreier_generators(monkeypatch):
 
 
 @pytest.mark.parametrize("images", [[1, -1], [1, 3], [1], [1, 2, 0], [1, True],
-                                    [1.0, 2]],
+                                    [1.0, 2], None],
                          ids=["negative", "too-large", "too-few", "too-many",
-                              "bool", "float"])
+                              "bool", "float", "None"])
 def test_sifts_on_known_base_checks_images(images):
     """One int point per known-base point, or BadInput: a negative image is
     not read as an index from the end, which made [1, -1] pass as the

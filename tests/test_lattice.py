@@ -376,12 +376,14 @@ def test_root_components_and_component_isometries():
         group = closure(gens, groups.gather, tuple(range(len(c))))
         order, gram = component_isometries(L, c)
         assert order == len(group)
+        assert component_isometries(L, iter(c)) == (order, gram)
         orders.append(order)
         f2_orders.append(f2.isometry_order(f2.space_from_gram(gram)))
     assert orders == [2, 12]
     assert f2_orders == [1, 6]
-    with pytest.raises(errors.BadInput, match="not a root component"):
-        component_isometries(L, comps[1][:3])
+    for bad in (comps[1][:3], None):
+        with pytest.raises(errors.BadInput, match="not a root component"):
+            component_isometries(L, bad)
 
 
 def test_build_checks_the_discriminant():
