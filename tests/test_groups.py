@@ -530,17 +530,17 @@ def _ol_chain(L):
     (lambda: _ol_chain(build_del_pezzo(8)),
      (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (649, 17, 3)),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     (129, 131, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), None),
-    (_sp7_chain, (32, 33, 35, 39, 47, 31), (63, 32, 15, 8, 3, 2), None),
-    (_quotient5_chain, (9, 11, 8), (10, 6, 2), None),
+     (129, 131, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), (1068, 35, 8)),
+    (_sp7_chain, (32, 33, 35, 39, 47, 31), (63, 32, 15, 8, 3, 2), (454, 26, 7)),
+    (_quotient5_chain, (9, 11, 8), (10, 6, 2), (25, 8, 4)),
     (lambda: _rho_chain(8, lattice.automorphism_group),
      (191, 159, 143, 135, 131, 129, 128), (120, 56, 27, 16, 10, 6, 2), (401, 24, 2)),
     (lambda: _rho_chain(8, lattice.weyl_generators),
-     (131, 129, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), None),
+     (131, 129, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), (1060, 35, 8)),
     (lambda: _rho_chain(6, lattice.automorphism_group),
      (47, 39, 35, 33, 31), (36, 20, 9, 4, 2), (72, 9, 2)),
     (lambda: _rho_chain(6, lattice.weyl_generators),
-     (35, 33, 39, 47, 31), (36, 20, 9, 4, 2), None),
+     (35, 33, 39, 47, 31), (36, 20, 9, 4, 2), (203, 20, 6)),
     (lambda: _ol_chain(build_plain_root_lattice(10)),
      (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (386, 24, 4)),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
