@@ -22,6 +22,7 @@ NUMBER_KEYS = ("roots", "q1_count", "q0_count", "arf", "weyl_order",
 
 def reduce_root(L, alpha):
     """Mod-2 class of a root, as an ambient mask (q of the image is 1)."""
+    alpha = groups._tuple(alpha, "a root must be iterable")
     if not lat.is_root(L, alpha):
         raise errors.BadInput(f"{alpha} is not a root")
     return f2._mask(alpha)
@@ -152,20 +153,19 @@ def aut_group(L):
 
 
 def _f2_chain(S, maps):
-    """Stabilizer chain of the given maps acting on the nonzero vectors of S.
+    """Stabilizer chain of the given maps acting on the coordinate bits of
+    S's vectors, 0 fixed (f2.permutation).
 
-    The maps are linear, so the basis vectors are a known base.  Between
-    maps every level is complete, so a map whose basis images sift on it
-    agrees on the basis with a member and is that member.  Only the other
-    maps, and any map with an image of 0 (position -1, not a point), are
-    made permutations and extend the chain; f2.permutation refuses a map
-    with dependent images."""
-    chain = groups.PermGroup([], 2 ** S.dim - 1,
-                             known_base=[S._position[1 << i] for i in range(S.dim)])
+    The maps are linear, so the basis vectors 1 << i are a known base.
+    Between maps every level is complete, so a map whose basis images sift
+    on it agrees on the basis with a member and is that member.  Only the
+    other maps are made permutations and extend the chain.  A map with an
+    image of 0 never sifts, as no orbit holds the point 0, and
+    f2.permutation refuses it like any map with dependent images."""
+    chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
     for m in maps:
         m = f2._basis_images(S, m)
-        images = [S._position[S._coords[v]] for v in m]
-        if -1 in images or not chain.sifts_on_known_base(images):
+        if not chain.sifts_on_known_base([S._coords[v] for v in m]):
             chain.extend(f2.permutation(S, m))
     return chain
 

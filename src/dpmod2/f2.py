@@ -15,8 +15,8 @@ mask of either model to the intrinsic mask of the same vector.
 
 A linear self-map of a space is the tuple of its basis images.
 check_symplectic/check_isometry validate one and return it, apply and
-compose evaluate it, and permutation gives the index map it induces on
-nonzero_vectors(), the form the stabilizer chains take.
+compose evaluate it, and permutation gives the map it induces on coordinate
+bits, 0 fixed: the form the stabilizer chains take.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class F2QuadraticSpace:
     the pairing on the basis (gram2, entries taken mod 2)."""
 
     __slots__ = ("width", "basis", "qdiag", "ambient_k", "gram2",
-                 "_coords", "_q", "_polar", "_point_coords", "_position")
+                 "_coords", "_q", "_polar")
 
     def __init__(self, width, basis, qdiag, gram2, ambient_k=None):
         try:
@@ -76,10 +76,6 @@ class F2QuadraticSpace:
         self._coords = coords
         self._q = qtab
         self._polar = polar
-        # coordinate bits of the sorted nonzero vectors, and the position
-        # among them of the vector with each coordinate bits (-1 for 0)
-        pc = self._point_coords = tuple(coords[v] for v in sorted(qtab)[1:])
-        self._position = [-1] + sorted(range(len(pc)), key=pc.__getitem__)
 
     @property
     def dim(self):
@@ -214,6 +210,7 @@ def symplectic_basis(S):
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
 def arf(S):
     """The Arf invariant: sum of q(x)q(y) over a symplectic basis.
 
@@ -281,6 +278,15 @@ def check_isometry(S, images):
     return images
 
 
+def _span(bits):
+    """Entry c is the XOR of bits[i] over the set bits i of c, by doubling:
+    for the basis images' bits, the image of every coordinate bits."""
+    span = [0]
+    for b in bits:
+        span += [x ^ b for x in span]
+    return span
+
+
 def _xor(items, bits):
     """The XOR of items[i] over the set bits i of an int."""
     x = 0
@@ -300,22 +306,14 @@ def compose(S, a, b):
 
 
 def permutation(S, images):
-    """Position in S.nonzero_vectors() of the image of each of them.
-
-    The images of the whole span are built by doubling over the basis
-    images: entry c holds the coordinate bits of the image of the vector
-    with coordinate bits c.  Returns a tuple of ints, gathered from S's
-    position table.  Raises NotIsometry unless there is one image per basis
-    vector, each in S, and the images are linearly independent.
-    """
-    images = _basis_images(S, images)
-    if not _independent(S._coords[m] for m in images):
+    """The map on coordinate bits, a tuple of 2^dim ints with 0 fixed: entry
+    c is the coordinate bits of the image of the vector with coordinate bits
+    c.  NotIsometry unless there is one int image in S per basis vector and
+    the images are linearly independent."""
+    bits = [S._coords[m] for m in _basis_images(S, images)]
+    if not _independent(bits):
         raise errors.NotIsometry("images are linearly dependent")
-    span = [0]
-    for m in images:
-        c = S._coords[m]
-        span += [x ^ c for x in span]
-    return groups.gather(S._position, groups.gather(span, S._point_coords))
+    return tuple(_span(bits))
 
 
 def transvection(S, v):
@@ -380,11 +378,8 @@ def isometry_order(S):
     ids = tuple(range(1 << S.dim))
     zeros = ((1 << len(ids)) - 2) ^ q1       # q = 0, c != 0
 
-    def act(sol):           # the image of every c: the span, by doubling
-        span = [0]
-        for c in sol:
-            span += [x ^ c for x in span]
-        return groups.gather(ids, span)
+    def act(sol):           # the image of every c, as permutation builds it
+        return groups.gather(ids, _span(sol))
 
     counts, _ = groups.orbit_search(
         _PairRows(polar, columns), [q1 if qb else zeros for qb in S.qdiag],

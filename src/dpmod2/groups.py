@@ -1,12 +1,12 @@
 """Exact finite-group computation for permutation groups.
 
-Groups are given by generators acting on {0..degree-1}: each element is the
-index map it induces on a fixed, sorted point set (a lattice isometry's
-permutation of the roots, or f2.permutation of a mod-2 map).  A deterministic
-Schreier-Sims stabilizer chain provides exact order (arbitrary-precision,
-never floating point) and membership tests.  Base points are taken from a
-known base (below) in its given order, so the chain -- and hence every
-reported number -- is reproducible across runs.
+Groups are given by generators acting on {0..degree-1}: a lattice
+isometry's permutation of the root indices, or f2.permutation of a mod-2
+map, which acts on the vectors' coordinate bits and fixes 0.  A
+deterministic Schreier-Sims stabilizer chain provides exact order
+(arbitrary-precision, never floating point) and membership tests.  Base
+points are taken from a known base (below) in its given order, so the
+chain -- and hence every reported number -- is reproducible across runs.
 
 Inside a chain of at most 256 points a permutation is a 256-byte string
 fixing the points from degree on: p after q is q.translate(p) and the

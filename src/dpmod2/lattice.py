@@ -163,6 +163,8 @@ def enumerate_roots(L):
 
 
 def is_root(L, v):
+    """Whether v, read once as a tuple, is a root of L (False if not iterable)."""
+    v = tuple(v) if hasattr(v, "__iter__") else ()
     return (len(v) == L.width and all(type(c) is int for c in v)
             and L.dot(v, v) == 2 and L.dot(v, L.K) == 0)
 
@@ -260,6 +262,7 @@ def minus_one(L):
 def root_reflection(L, alpha):
     """The root permutation of the reflection x -> x - <x, alpha> alpha in a
     root alpha: the root map of the simple roots' images."""
+    alpha = groups._tuple(alpha, "a root must be iterable")
     if not is_root(L, alpha):
         raise errors.BadInput(f"{alpha} is not a root")
     (heights, index), ha, roots = _heights(L), _height(alpha), enumerate_roots(L)

@@ -67,11 +67,11 @@ def det_fraction(M):
 
 
 def f2_chain_of_permutations(S, maps):
-    """The stabilizer chain of linear maps of S on its nonzero vectors, built
-    by turning every map into its permutation and extending by each one:
-    every map is checked and sifted in full."""
-    return PermGroup([f2.permutation(S, m) for m in maps], 2 ** S.dim - 1,
-                     known_base=[S._position[1 << i] for i in range(S.dim)])
+    """The stabilizer chain of linear maps of S on the coordinate bits of its
+    vectors, built by turning every map into its permutation and extending
+    by each one: every map is checked and sifted in full."""
+    return PermGroup([f2.permutation(S, m) for m in maps], 2 ** S.dim,
+                     known_base=[1 << i for i in range(S.dim)])
 
 
 def isometry_count_bruteforce(S):

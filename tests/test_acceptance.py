@@ -147,7 +147,7 @@ def test_c08_prop2_structure():
         k, H = f2.split_radical(S7)
         tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = groups.PermGroup([f2.permutation(H, t) for t in tgens],
-                                    len(H.nonzero_vectors())).order()
+                                    2 ** H.dim).order()
         assert sp_order == bridge.oL2_group(L7).order() == 1451520
         for v in H.nonzero_vectors():
             r = f2.f2_reflection(S7, v if S7.q(v) else v ^ k)

@@ -29,7 +29,8 @@ def test_batched_permutations_match_pointwise(L):
 
     On the roots the references are the reflection formula on ambient tuples
     and negation; the other kept automorphisms have no formula and are
-    checked against the full table of root pairings.
+    checked against the full table of root pairings.  On the mod-2 points
+    the reference is f2.apply, one vector at a time.
     """
     R = enumerate_roots(L)
     for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
@@ -51,9 +52,11 @@ def test_batched_permutations_match_pointwise(L):
             maps += [(H, f2.transvection(H, v)) for v in H.nonzero_vectors()]
         else:                                    # quotient projections
             maps += [(H, f2.induced(S, k, H, g)) for g in f2.orthogonal_generators(S)]
+    # the mod-2 points are the vectors in the order of their coordinate bits
     for space, m in maps:
+        points = sorted(space.vectors(), key=space.coords)
         assert list(f2.permutation(space, m)) == _pointwise(
-            space.nonzero_vectors(), lambda v: f2.apply(space, m, v))
+            points, lambda v: f2.apply(space, m, v))
 
 
 def test_reduce_root_examples():
@@ -65,6 +68,8 @@ def test_reduce_root_examples():
     # mod 2 kills the sign
     for r in enumerate_roots(L)[:6]:
         assert bridge.reduce_root(L, r) == bridge.reduce_root(L, tuple(-c for c in r))
+    # an iterator is read once, as the tuple it yields
+    assert bridge.reduce_root(L, iter((0, 1, -1, 0, 0))) == 0b00110
     with pytest.raises(errors.BadInput):
         bridge.reduce_root(L, (1, 0, 0, 0, 0))
 
@@ -361,11 +366,13 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     automorphism_chain, and the 30 Weyl generators of dP4..8 in
     reduce_isometry.  In O(L2) it checks the 22 reduced del Pezzo O(L)
     generators, the 30 reduced Weyl generators and prop2's 52 maps on dP5.
-    Per lattice it masks each root once and computes the census, the
-    radical and arf once; the closed forms compute their own."""
+    Per lattice it masks each root once and computes the census and the
+    radical once.  It computes arf, by a symplectic basis, once per
+    nondegenerate space: dP4, dP6, dP8, A8 and dP5's quotient, the closed
+    forms reading the same value."""
     counts = {"lat.check_isometry": 56, "f2.check_isometry": 104,
-              "bridge.reduce_isometry": 30, "f2._mask": 807, "f2.arf": 9,
-              "f2.radical": 28}
+              "bridge.reduce_isometry": 30, "f2._mask": 807,
+              "f2.symplectic_basis": 5, "f2.radical": 24, "f2.value_census": 14}
     modules = {"lat": lat, "f2": f2, "bridge": bridge}
     calls = {key: [] for key in counts}
     for key, c in calls.items():

@@ -197,6 +197,9 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
      "a581088377ef67c2e34917c2c80f69476c88259e4c3e0654642ef94f5d58744e"),
     (["table", "--format", "json"],
      "fc9491ccc4266855d7b404c7c477156275d5c32ba83eed422960a37088ac325e"),
+    # roots prints the lattice and its mod-2 space (F2QuadraticSpace.to_json_dict)
+    (["roots", "--n", "8", "--format", "json"],
+     "93d7903a69dc64d9847e0dcdcc1d30b3c59f4482e2100128a709a070b44bdef4"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

@@ -22,7 +22,7 @@ ARF = {4: 1, 6: 1, 8: 0}
 
 def _f2_group(maps, space):
     return groups.PermGroup([f2.permutation(space, m) for m in maps],
-                            len(space.nonzero_vectors()))
+                            2 ** space.dim)
 
 
 def _space(n):
@@ -170,18 +170,21 @@ def test_symplectic_basis_and_arf(n):
 
 def test_arf_disagreeing_with_the_census_is_a_failed_check(monkeypatch, capsys):
     """arf checks its symplectic-basis sum against the census identity, so
-    every report that prints it fails when the two disagree.  The reports
-    and table compute each lattice's census once, in bridge._census, so its
-    cache is cleared around the perturbed run."""
+    every report that prints it fails when the two disagree.  arf is
+    computed once per space, and the reports and table compute each
+    lattice's census once, in bridge._census, so both caches are cleared
+    around the perturbed run."""
     census = f2.value_census
     monkeypatch.setattr(f2, "value_census", lambda S: (census(S)[0] - 1,
                                                        census(S)[1] + 1))
-    with pytest.raises(errors.CrossCheckFailed, match="census"):
-        f2.arf(_space(4))
+    f2.arf.cache_clear()
     bridge._census.cache_clear()
     try:
+        with pytest.raises(errors.CrossCheckFailed, match="census"):
+            f2.arf(_space(4))
         assert cli.run(["table"]) == 1
     finally:
+        f2.arf.cache_clear()
         bridge._census.cache_clear()
     assert "check failed with CrossCheckFailed" in capsys.readouterr().err
 
@@ -277,7 +280,7 @@ def test_orthogonal_generator_orders(n):
     S = _space(n)
     gens = f2.orthogonal_generators(S)
     G = _f2_group(gens, S)
-    assert G.degree == 2 ** n - 1
+    assert G.degree == 2 ** n
     assert G.order() == OL2_ORDERS[n]
 
 
@@ -778,10 +781,10 @@ def test_isometry_validation_rejects_bad_maps():
 
 def test_permutation_rejects_bad_images():
     """permutation checks the count, membership and independence of the
-    images."""
+    images; the identity fixes every coordinate bits, 0 among them."""
     S = _space(4)
     b = S.basis
-    assert f2.permutation(S, b) == tuple(range(2 ** S.dim - 1))
+    assert f2.permutation(S, b) == tuple(range(2 ** S.dim))
     for images in (b + b[:1], b[:-1]):
         with pytest.raises(errors.NotIsometry, match="one image per basis vector"):
             f2.permutation(S, images)
@@ -796,7 +799,7 @@ def test_permutation_rejects_bad_images():
             f2.permutation(space, images)
     with pytest.raises(errors.NotIsometry, match="not a sequence"):
         f2.permutation(S, None)
-    # b[0] + b[0] = 0 is no nonzero vector
+    # b[0] + b[0] = 0 would be the image of a nonzero vector
     with pytest.raises(errors.NotIsometry, match="images are linearly dependent"):
         f2.permutation(S, (b[0], b[0]) + b[2:])
 

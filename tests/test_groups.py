@@ -516,12 +516,13 @@ def _ol_chain(L):
     return lattice.automorphism_chain.__wrapped__(L)
 
 
+# a mod-2 chain acts on coordinate bits: its base point 1 << i is basis vector i
 @pytest.mark.parametrize("chain, base, orbits, counts", [
     # 6,920 Schreier generators sifted on the 10 known-base points, 62
     # permutations (the 11 generators that grow the chain and 51 Schreier
     # generators) in full; the other 517 reflections sift on the known base
     (_a10_ol2_chain,
-     (512, 513, 515, 519, 527, 543, 575, 639, 767, 511),
+     (256, 128, 64, 32, 16, 8, 4, 2, 1, 512),
      (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 62, 11)),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
      (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None),
@@ -530,17 +531,17 @@ def _ol_chain(L):
     (lambda: _ol_chain(build_del_pezzo(8)),
      (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (649, 17, 3)),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     (129, 131, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), (1068, 35, 8)),
-    (_sp7_chain, (32, 33, 35, 39, 47, 31), (63, 32, 15, 8, 3, 2), (454, 26, 7)),
-    (_quotient5_chain, (9, 11, 8), (10, 6, 2), (25, 8, 4)),
+     (32, 16, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1068, 35, 8)),
+    (_sp7_chain, (16, 8, 4, 2, 1, 32), (63, 32, 15, 8, 3, 2), (454, 26, 7)),
+    (_quotient5_chain, (2, 1, 4), (10, 6, 2), (25, 8, 4)),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     (191, 159, 143, 135, 131, 129, 128), (120, 56, 27, 16, 10, 6, 2), (401, 24, 2)),
+     (1, 2, 4, 8, 16, 32, 64), (120, 56, 27, 16, 10, 6, 2), (401, 24, 2)),
     (lambda: _rho_chain(8, lattice.weyl_generators),
-     (131, 129, 135, 143, 159, 191, 128), (120, 56, 27, 16, 10, 6, 2), (1060, 35, 8)),
+     (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1060, 35, 8)),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     (47, 39, 35, 33, 31), (36, 20, 9, 4, 2), (72, 9, 2)),
+     (1, 2, 4, 8, 32), (36, 20, 9, 4, 2), (72, 9, 2)),
     (lambda: _rho_chain(6, lattice.weyl_generators),
-     (35, 33, 39, 47, 31), (36, 20, 9, 4, 2), (203, 20, 6)),
+     (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (203, 20, 6)),
     (lambda: _ol_chain(build_plain_root_lattice(10)),
      (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (386, 24, 4)),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
@@ -573,25 +574,25 @@ def _chain_digest(G):
 
 @pytest.mark.parametrize("chain, digest", [
     (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
-     "cb1683d23bd443eeb93e7f5652462abddb1d28752d5123d36d8d245e94d374a9"),
+     "3f56a54c60b7f60290f78ec5c6ae4e0a866708749338ca826747b4411c7b5407"),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
      "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51"),
     (lambda: bridge.aut_group(build_del_pezzo(8)),
      "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc"),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     "6b91d11c2d6e168e66b7a6acbc20670726891e418562559cf48580f66dfafd5d"),
+     "62ed5fe2b60004da3e6bf379522b0f5fe3c4fc08a7cbc6d3b2f5f8f0ba12ed8c"),
     (_sp7_chain,
-     "ef4fbcd136e53dcdddb3e060681a2202532775ed95ade981d53ba3868d4bb153"),
+     "7783a6ab5f890e921f4ef3c29ce5df0d1df34a0328d651197a456e0042ede746"),
     (_quotient5_chain,
-     "706d1c7fe846311eb057fc39c551a2f9378f7ac98cf0904c1a305c01427ab088"),
+     "981b74071d3c0bca2ed48442dd2e84cb0643d099f0abe287d7186d48840cbb3e"),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     "130797a4b8db685c914ad2f7981967117ff4591bb6cda93cf6306d0f81194ccb"),
+     "73bbf1aa39d1353708346ff45d088bde3a453da2c21adc779bea8e31add34810"),
     (lambda: _rho_chain(8, lattice.weyl_generators),
-     "1f80be868b50e8dfb280815137c3a5d6e5ce97e06854a2a8e159569389698058"),
+     "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     "861f9f68e5fc77ad2e4900329a79e410e6f2ab3fa1b19caba8ae5711c9262eb1"),
+     "8ef466bbd07dcdf17e4241da86bec521cbfd2b720393b7fbbbe574452a9cc53a"),
     (lambda: _rho_chain(6, lattice.weyl_generators),
-     "e6976dea5284b9fe6d3d1b0c921f0f414ad61a6f4174769acee24dfb67e368e3"),
+     "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
     (lambda: bridge.aut_group(build_plain_root_lattice(10)),
      "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da"),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
@@ -602,7 +603,7 @@ def test_chain_pinned(chain, digest):
 
 
 def _basis_positions(S):
-    return [S.nonzero_vectors().index(b) for b in S.basis]
+    return [S.coords(b) for b in S.basis]
 
 
 def _package_chains(name):
@@ -696,8 +697,8 @@ def test_f2_chain_matches_on_random_maps(case):
     assert G.generators == ref.generators
 
 
-# the hyperbolic plane: nonzero vectors 1, 2, 3 at positions 0, 1, 2; the
-# map b0 -> 2, b1 -> 3 is a 3-cycle on them
+# the hyperbolic plane: its points are the coordinate bits 0..3 of its
+# vectors, 0 fixed; the map b0 -> 2, b1 -> 3 is a 3-cycle on 1, 2, 3
 _PLANE = f2.space_from_gram([[0, 1], [1, 0]])
 
 
@@ -710,8 +711,8 @@ _PLANE = f2.space_from_gram([[0, 1], [1, 0]])
     ((3, 3), "dependent"),
     ((1, 0), "dependent"),              # an image of 0
     ((0, 0), "dependent"),
-    # the 3-cycle with b1 -> 0 in place of b1 -> 3, the last point: a
-    # position of -1 read as an index would make it a member
+    # the 3-cycle with b1 -> 0 in place of b1 -> 3, its last point: no
+    # orbit holds the point 0, so these images never sift
     ((2, 0), "dependent"),
 ], ids=["outside", "too-few", "too-many", "repeated", "repeated-sum",
         "zero", "zeros", "zero-for-last"])

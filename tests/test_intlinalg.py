@@ -210,6 +210,9 @@ def test_det_is_multiplicative(pair):
     lambda: f2.f2_reflection(f2.reduce(lattice.build_del_pezzo(4)), 0b11),
     lambda: f2.transvection(f2.reduce(lattice.build_del_pezzo(4)), 0),
     lambda: groups.PermGroup([(1, 0, 2)], 3).contains([1, 0]),
+    lambda: bridge.reduce_root(lattice.build_del_pezzo(4), None),
+    lambda: bridge.reduce_root(lattice.build_del_pezzo(4), 5),
+    lambda: lattice.root_reflection(lattice.build_del_pezzo(4), None),
 ], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
         "f2-negative-mask", "f2-zero-mask", "f2-negative-width",
         "f2-short-qdiag", "f2-long-qdiag", "f2-float-width", "f2-float-mask",
@@ -228,7 +231,8 @@ def test_det_is_multiplicative(pair):
         "bridge-corollary-dp3", "bridge-reduce-non-root",
         "lattice-reflect-non-root", "lattice-dot-short", "lattice-dp9",
         "lattice-a11", "f2-q-outside-space", "f2-reflection-q0",
-        "f2-transvection-zero", "groups-contains-wrong-degree"])
+        "f2-transvection-zero", "groups-contains-wrong-degree",
+        "bridge-reduce-none", "bridge-reduce-int", "lattice-reflect-none"])
 def test_bad_input_is_a_typed_error(bad_call):
     """Rejected input raises a package error that is still a ValueError."""
     with pytest.raises(errors.BadInput) as info:

@@ -409,6 +409,8 @@ def test_is_root_type_checks():
     assert is_root(L, (0, 1, -1, 0))
     # bools are not ints here, as in intlinalg.hermite_normal_form
     assert not is_root(L, (False, True, -1, False))
+    assert not is_root(L, None) and not is_root(L, 5)
+    assert is_root(L, iter((0, 1, -1, 0)))
     with pytest.raises(errors.BadInput):
         root_reflection(L, (False, True, -1, False))
 
