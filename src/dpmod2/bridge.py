@@ -161,11 +161,13 @@ def _f2_chain(S, maps):
     on it agrees on the basis with a member and is that member.  Only the
     other maps are made permutations and extend the chain.  A map with an
     image of 0 never sifts, as no orbit holds the point 0, and
-    f2.permutation refuses it like any map with dependent images."""
+    f2.permutation refuses it like any map with dependent images.  The
+    images' coordinate bits are one point per basis vector, so they are
+    sifted unchecked."""
     chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
     for m in maps:
         m = f2._basis_images(S, m)
-        if not chain.sifts_on_known_base([S._coords[v] for v in m]):
+        if not chain._sifts([S._coords[v] for v in m]):
             chain.extend(f2.permutation(S, m))
     return chain
 
@@ -207,7 +209,7 @@ def _census(L):
     dimension, and arf, None if the pairing is degenerate."""
     S = f2.reduce(L)
     q0, q1 = f2.value_census(S)
-    radical_dim = len(f2.radical(S)) - 1
+    radical_dim = len(f2._radical(S)) - 1
     return (len(lat.enumerate_roots(L)), q1, q0, radical_dim,
             None if radical_dim else f2.arf(S))
 
@@ -243,7 +245,7 @@ def verify_lemma_roots(L):
     rep.check(all(tuple(-x for x in f[0]) == f[1]
                   for f in fibers.values() if len(f) == 2),
               "each fiber is {alpha, -alpha}")
-    rep.check(all(S.q(v) == 1 for v in fibers),
+    rep.check(all(S._q.get(v) == 1 for v in fibers),
               "the image lies in q^-1(1)")
     rep.check(len(fibers) == len(roots) // 2, "image size is half the root count")
     rep.numbers["root_image_size"] = len(fibers)
@@ -307,7 +309,7 @@ def verify_prop1(L):
     S = f2.reduce(L)
     roots = lat.enumerate_roots(L)
     image = set(_root_masks(L))
-    q1 = {v for v in S.vectors() if S.q(v) == 1}
+    q1 = {v for v, q in S._q.items() if q}
     k = S.ambient_k
     rep.numbers["root_image_size"] = len(image)
     if L.kind == "delpezzo" and L.n == 7:

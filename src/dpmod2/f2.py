@@ -174,8 +174,15 @@ def space_from_gram(gram):
 
 
 def radical(S):
-    """All vectors pairing to zero with the whole space (includes 0)."""
-    return [v for v in S.vectors() if not S._polar[v]]
+    """All vectors pairing to zero with the whole space (includes 0), sorted,
+    in a fresh list."""
+    return list(_radical(S))
+
+
+@lru_cache(maxsize=None)
+def _radical(S):
+    """radical(S) as a tuple, computed once per space."""
+    return tuple(sorted(v for v, p in S._polar.items() if not p))
 
 
 def value_census(S):
@@ -190,7 +197,7 @@ def symplectic_basis(S):
     Returns the tuple of hyperbolic pairs (x_i, y_i): (x_i|y_j) = [i==j], all
     other pairings 0.
     """
-    if radical(S) != [0]:
+    if _radical(S) != (0,):
         raise errors.WrongShape("the pairing has a nontrivial radical")
     work = list(S.basis)
     pairs = []
@@ -321,6 +328,11 @@ def transvection(S, v):
     q constraint)."""
     if not S.contains(v) or v == 0:
         raise errors.BadInput("transvection vector must be a nonzero space vector")
+    return _transvection(S, v)
+
+
+def _transvection(S, v):
+    """transvection(S, v) for a nonzero vector v of S, unchecked."""
     pv = S._polar[v]
     return tuple(b ^ (v if pv >> i & 1 else 0) for i, b in enumerate(S.basis))
 
@@ -337,23 +349,10 @@ def f2_reflection(S, v):
 
 
 def orthogonal_generators(S):
-    """All reflections r_v with q(v) = 1; they generate the isometry group."""
-    return tuple(f2_reflection(S, v) for v in S.vectors() if S.q(v) == 1)
-
-
-class _PairRows(dict):
-    """isometry_order's rows, each built on first use: rows[c][v] is the
-    bitset of the points pairing to v with c, the columns' XOR over its polar bits."""
-
-    def __init__(self, polar, columns):
-        super().__init__()
-        self.polar, self.columns = polar, columns
-        self.every = (1 << (1 << len(columns))) - 1
-
-    def __missing__(self, c):
-        ones = _xor(self.columns, _xor(self.polar, c))
-        row = self[c] = {1: ones, 0: self.every ^ ones}
-        return row
+    """All reflections r_v with q(v) = 1; they generate the isometry group.
+    Each v is read from q's table, so f2_reflection's check is not repeated."""
+    q = S._q
+    return tuple(_transvection(S, v) for v in S.vectors() if q[v])
 
 
 @lru_cache(maxsize=None)
@@ -361,6 +360,8 @@ def isometry_order(S):
     """|O(S, q)| by groups.orbit_search over the basis images, independent
     of the reflections and the chains.  A point is a vector's coordinate
     bits c in [1, 2^dim), and a solution acts by the images of every c.
+    Point c's row, built on first read, holds the c' with (c|c') = 1 and
+    those with (c|c') = 0.
 
     Basis vector i goes to a vector with q = qdiag[i] and gram2's pairings
     with the other images; independent such images are exactly the
@@ -376,13 +377,18 @@ def isometry_order(S):
         q1 |= (q1 ^ _xor(columns, polar[k] % half) ^ (low if qb else 0)) << half
         columns = [c | c << half for c in columns] + [low << half]
     ids = tuple(range(1 << S.dim))
-    zeros = ((1 << len(ids)) - 2) ^ q1       # q = 0, c != 0
+    every = (1 << len(ids)) - 1
+    zeros = (every - 1) ^ q1       # q = 0, c != 0
+
+    def row(c):             # the columns' XOR over the polar bits of c
+        ones = _xor(columns, _xor(polar, c))
+        return {1: ones, 0: every ^ ones}
 
     def act(sol):           # the image of every c, as permutation builds it
         return groups.gather(ids, _span(sol))
 
     counts, _ = groups.orbit_search(
-        _PairRows(polar, columns), [q1 if qb else zeros for qb in S.qdiag],
+        groups.LazyRows(row), [q1 if qb else zeros for qb in S.qdiag],
         S.gram2, [1 << i for i in range(S.dim)], act,
         keep=lambda images: _independent(c for c in images if c >= 0))
     return prod(counts)
@@ -397,7 +403,7 @@ def split_radical(S):
     Since k has no higher bit, x -> min(x, x ^ k) is the projection of S
     onto H along k.
     """
-    rad = radical(S)
+    rad = _radical(S)
     if len(rad) != 2:
         raise errors.WrongShape(f"radical has {len(rad)} elements, need 2")
     k = rad[1]
@@ -432,7 +438,7 @@ def orthogonal_order(S):
     O(H, q) has index 2^(m-1) (2^m + (-1)^arf) in it, and a radical {0, k}
     gives |Sp(H)| if q(k) = 1, 2^(dim-1) |O(H, q)| if q(k) = 0.  A larger
     radical raises WrongShape."""
-    k, H = (0, S) if len(radical(S)) == 1 else split_radical(S)
+    k, H = (0, S) if len(_radical(S)) == 1 else split_radical(S)
     m = H.dim // 2
     sp = 2 ** (m * m) * prod(4 ** i - 1 for i in range(1, m + 1))
     if k and S.q(k):

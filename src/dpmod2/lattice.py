@@ -20,7 +20,7 @@ its root map adds their heights root by root for the search and the check.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt, prod
 from operator import mul
 
@@ -39,9 +39,19 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
     diagonal of the ambient form (entries +-1), K the ambient vector cut
     out, basis the n ambient vectors of the canonical kernel basis, gram
     their n x n Gram matrix, and root_type the name of the root system.
+    Equality is the tuples'; the hash is computed once per instance, as the
+    caches look a lattice up by it many times.
     """
 
-    __slots__ = ()
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __getstate__(self):
+        return None     # not the hash: a str's hash differs between processes
 
     @property
     def width(self):
@@ -49,9 +59,12 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
 
     def dot(self, v, w):
         """Ambient bilinear form of this lattice's model."""
-        width = len(self.K)
-        if len(v) != width or len(w) != width:
-            raise errors.BadInput("ambient vectors must have width n+1")
+        try:
+            fits = len(v) == len(self.K) == len(w)
+        except TypeError:
+            fits = False
+        if not fits:
+            raise errors.BadInput("ambient vectors must be sequences of width n+1")
         return sum(map(mul, map(mul, self.signs, v), w))
 
     def to_json_dict(self):
@@ -157,7 +170,10 @@ def enumerate_roots(L):
     else:
         roots = _bounded_vectors(n + 1, 0, 2)
     roots = tuple(sorted(roots))
-    if not all(L.dot(v, v) == 2 and L.dot(v, L.K) == 0 for v in roots):
+    # both pairings as L.dot takes them, without its width checks
+    signs, sK = L.signs, tuple(map(mul, L.signs, L.K))
+    if not all(sum(map(mul, map(mul, signs, v), v)) == 2 and sum(map(mul, sK, v)) == 0
+               for v in roots):
         raise errors.CrossCheckFailed(f"{L.root_type}: an enumerated vector is not a root")
     return roots
 
@@ -172,10 +188,12 @@ def is_root(L, v):
 # -- roots as points: heights, pairings and the simple roots --------------------
 
 _WEIGHT_BASE = 101  # exceeds twice any root coordinate, so heights are injective
+# its powers, one per ambient coordinate of the widest lattice, A10
+_WEIGHTS = tuple(_WEIGHT_BASE ** i for i in range(11))
 
 
 def _height(v):
-    return sum(c * _WEIGHT_BASE ** i for i, c in enumerate(v))
+    return sum(map(mul, v, _WEIGHTS))
 
 
 @lru_cache(maxsize=None)
@@ -221,10 +239,10 @@ def _root_steps(L):
     that is not simple is a positive root plus a simple one."""
     heights, index = _heights(L)
     ends = [i for s in _simple_indices(L) for i in (s, index[-heights[s]])]
+    end_heights = [heights[b] for b in ends]
     reached, seen, steps = list(ends), set(ends), []
     for a in reached:
-        for b in ends:
-            r = index.get(heights[a] + heights[b])
+        for b, r in zip(ends, map(index.get, map(heights[a].__add__, end_heights))):
             if r is not None and r not in seen:
                 seen.add(r)
                 reached.append(r)
@@ -280,12 +298,13 @@ def check_isometry(L, p):
     height is injective on the roots.
     """
     rows, simple, gram = _root_pairings(L)
+    count = len(_heights(L)[0])
     try:
         p = tuple(p)
     except TypeError:
         raise errors.NotIsometry(f"{p!r} is not a root permutation") from None
-    if (len(p) != len(rows) or set(map(type, p)) != {int}
-            or set(p) != set(range(len(rows)))
+    if (len(p) != count or set(map(type, p)) != {int}
+            or set(p) != set(range(count))
             or any(not rows[p[s]][v] >> p[t] & 1
                    for s, row in zip(simple, gram) for t, v in zip(simple, row))
             or p != next(_solution_perms(L, [[p[s] for s in simple]]))):
@@ -327,32 +346,43 @@ def _root_pairings(L):
     pairing to v with root a, the simple roots' indices in
     enumerate_roots(L), and the simple roots' Gram matrix.
 
-    The rows of the +-simple roots are scanned: for roots a != +-t,
-    <a, t> = 1 iff a - t is a root and -1 iff a + t is one, as every root
-    has square 2.  The height is linear and injective on these vectors, so
-    <a, t> = 1 iff h(a) - h(t) is a root's height, and the roots pairing to
-    -1 with a pair to 1 with -a.  The pairing is linear, so along
-    _root_steps the row of r = a + b at v is the union over u + u' = v of
-    rows[a][u] & rows[b][u'], checked to be empty outside -2..2 and to hold
-    r alone at 2 (CrossCheckFailed).
+    rows is a groups.LazyRows: a row is built on first read, from the rows
+    its root step adds, so a search builds the rows it reads and those they
+    are added from (100 of E8's 240).  The rows of the +-simple roots are
+    scanned: for roots a != +-t, <a, t> = 1 iff a - t is a root and -1 iff
+    a + t is one, as every root has square 2.  The height is linear and
+    injective on these vectors, so <a, t> = 1 iff h(a) - h(t) is a root's
+    height, and the roots pairing to -1 with a pair to 1 with -a.  The
+    pairing is linear, so along _root_steps the row of r = a + b at v is the
+    union over u + u' = v of rows[a][u] & rows[b][u'], 25 products; every
+    row built is checked to be empty outside -2..2 and to hold r alone at 2
+    (CrossCheckFailed).
     """
     heights, index = _heights(L)
-    every, rows = (1 << len(heights)) - 1, [None] * len(heights)
-    ends = [i for s in _simple_indices(L) for i in (s, index[-heights[s]])]
-    ones = {a: _pairing_ones(L, a) for a in ends}
-    for a in ends:
-        neg = index[-heights[a]]
-        rows[a] = {2: 1 << a, -2: 1 << neg, 1: ones[a], -1: ones[neg]}
-        rows[a][0] = every ^ sum(rows[a].values())
-    for r, a, b in _root_steps(L):
-        row = dict.fromkeys((2, -2, 1, -1, 0, 3, -3, 4, -4), 0)
-        for u, x in rows[a].items():
-            for v, y in rows[b].items():
-                row[u + v] |= x & y
-        if row[2] != 1 << r or any(row.pop(v) for v in (3, -3, 4, -4)):
+    every = (1 << len(heights)) - 1
+    steps = {r: (a, b) for r, a, b in _root_steps(L)}
+    ones = groups.LazyRows(partial(_pairing_ones, L))
+
+    def row(r):             # keyed 2, 1, 0, -1, -2, the order .values() unpacks
+        if r not in steps:          # a +-simple root
+            neg = index[-heights[r]]
+            p2, m2, p1, m1 = 1 << r, 1 << neg, ones[r], ones[neg]
+            return {2: p2, 1: p1, 0: every ^ (p2 | m2 | p1 | m1), -1: m1, -2: m2}
+        a, b = steps[r]
+        x2, x1, x0, xm1, xm2 = rows[a].values()
+        y2, y1, y0, ym1, ym2 = rows[b].values()
+        # the sums 4, 3, -3 and -4
+        if (x2 & y2 | x2 & y1 | x1 & y2 | xm1 & ym2 | xm2 & ym1 | xm2 & ym2
+                or x2 & y0 | x1 & y1 | x0 & y2 != 1 << r):
             raise errors.CrossCheckFailed(
                 f"{L.root_type}: the pairings added along the root steps are not a root's")
-        rows[r] = row
+        return {2: 1 << r,
+                1: x2 & ym1 | x1 & y0 | x0 & y1 | xm1 & y2,
+                0: x2 & ym2 | x1 & ym1 | x0 & y0 | xm1 & y1 | xm2 & y2,
+                -1: x1 & ym2 | x0 & ym1 | xm1 & y0 | xm2 & y1,
+                -2: x0 & ym2 | xm1 & ym1 | xm2 & y0}
+
+    rows = groups.LazyRows(row)
     roots, simple = enumerate_roots(L), list(_simple_indices(L))
     return rows, simple, [[L.dot(roots[a], roots[b]) for b in simple] for a in simple]
 
@@ -423,15 +453,15 @@ def automorphism_chain(L):
     chain starts from -1, takes them first level first, and records, as its
     generators, only those that grow it, each checked to be an isometry.
     A solution is the images of the simple roots, the chain's known base,
-    so it is sifted on them first; only one the chain does not contain is
-    turned into a root permutation.  The chain's order is checked against
-    the backtracking count.
+    so it is sifted on them first, unchecked, as the search built it; only
+    one the chain does not contain is turned into a root permutation.  The
+    chain's order is checked against the backtracking count.
     """
     order, solutions = _aut_search(L)
     chain = groups.PermGroup([check_isometry(L, minus_one(L))], len(enumerate_roots(L)),
                              known_base=_simple_indices(L))
     for sol in (sol for level in solutions for sol in level):
-        if not chain.sifts_on_known_base(sol):
+        if not chain._sifts(sol):
             p, = _solution_perms(L, [sol])
             chain.extend(check_isometry(L, p))
     if chain.order() != order:

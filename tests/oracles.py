@@ -168,10 +168,10 @@ def check_isometry_pairings(L, p):
     """Raise NotIsometry unless the permutation p of the roots keeps the
     pairing of every simple root with every root: p must map the roots
     pairing to v with s onto those pairing to v with p[s], for each v."""
-    rows = lattice._root_pairings(L)[0]
+    rows, count = lattice._root_pairings(L)[0], len(lattice.enumerate_roots(L))
     p = tuple(p)
-    if (len(p) != len(rows) or set(map(type, p)) != {int}
-            or set(p) != set(range(len(rows)))
+    if (len(p) != count or set(map(type, p)) != {int}
+            or set(p) != set(range(count))
             or any(sum(1 << p[r] for r in bit_indices(bits)) != rows[p[s]][v]
                    for s in lattice._simple_indices(L) for v, bits in rows[s].items())):
         raise errors.NotIsometry("not the root permutation of an isometry")

@@ -366,25 +366,42 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     automorphism_chain, and the 30 Weyl generators of dP4..8 in
     reduce_isometry.  In O(L2) it checks the 22 reduced del Pezzo O(L)
     generators, the 30 reduced Weyl generators and prop2's 52 maps on dP5.
-    Per lattice it masks each root once and computes the census and the
-    radical once.  It computes arf, by a symplectic basis, once per
-    nondegenerate space: dP4, dP6, dP8, A8 and dP5's quotient, the closed
-    forms reading the same value."""
+    Per lattice it masks each root once and computes the census once.  It
+    computes the radical once per space (8 spaces) and arf, by a symplectic
+    basis, once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
+    quotient, the closed forms reading the same value.
+
+    The values it has just built are not validated again: the chains sift
+    the searches' solutions and the reduced maps without the public
+    sifts_on_known_base, O(L2)'s reflections are built from q's table, so
+    f2_reflection runs only for prop2's 63 reflections on dP7, and no
+    caller reads the public radical.  It builds the pairing rows that the
+    searches and checks read and those they are added from: 296 of the 578
+    roots (all of them at the parent)."""
     counts = {"lat.check_isometry": 56, "f2.check_isometry": 104,
               "bridge.reduce_isometry": 30, "f2._mask": 807,
-              "f2.symplectic_basis": 5, "f2.radical": 24, "f2.value_census": 14}
-    modules = {"lat": lat, "f2": f2, "bridge": bridge}
+              "f2.symplectic_basis": 5, "f2.radical": 0, "f2.value_census": 14,
+              "f2.f2_reflection": 63, "PermGroup.sifts_on_known_base": 0}
+    rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
+                  "A8": 45}
+    modules = {"lat": lat, "f2": f2, "bridge": bridge, "PermGroup": groups.PermGroup}
     calls = {key: [] for key in counts}
     for key, c in calls.items():
         module, name = key.split(".")
         _counting(monkeypatch, modules[module], name, c)
+    lattices = [build_del_pezzo(n) for n in range(3, 9)] + [build_plain_root_lattice(8)]
     _clear_caches()
     try:
         assert cli.run(["verify", "--n", "all", "--format", "json"]) == 0
+        radicals = f2._radical.cache_info().misses
+        pairings = lat._root_pairings.cache_info().misses
+        built = {L.root_type: len(lat._root_pairings(L)[0]) for L in lattices}
     finally:
         _clear_caches()
     capsys.readouterr()
     assert {key: len(c) for key, c in calls.items()} == counts
+    assert radicals == 8
+    assert pairings == len(lattices) and built == rows_built
 
 
 def test_verify_prop2_wrong_range():

@@ -200,6 +200,18 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
     # roots prints the lattice and its mod-2 space (F2QuadraticSpace.to_json_dict)
     (["roots", "--n", "8", "--format", "json"],
      "93d7903a69dc64d9847e0dcdcc1d30b3c59f4482e2100128a709a070b44bdef4"),
+    # each lattice alone: a fresh process reads only its own pairing rows,
+    # and n = 5 also reads dP4's census
+    (["verify", "--n", "3", "--format", "json"],
+     "701be5d0a7f5197e32f1104035cc23c1645d8862923ab2ba59398b60d5ddd087"),
+    (["verify", "--n", "5", "--format", "json"],
+     "7bf8484eea62fd8c7e12a421727383b1536f5b7638eb8f2d986667893c20f2cc"),
+    (["verify", "--n", "6", "--format", "json"],
+     "fec85027a82bf9cc577da6cbcc87a33b57b566d4d634ed64adfdea3cec19c24d"),
+    (["verify", "--n", "7", "--format", "json"],
+     "c881626914e4e4f589402f78115e07176efce5ee35006a81118dc26ac546fcaf"),
+    (["verify", "--n", "8", "--format", "json"],
+     "4f5c45fbbc32f32485a3d91db6b40675941718771b3ac65c70182ff0f6ab1400"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

@@ -213,6 +213,8 @@ def test_det_is_multiplicative(pair):
     lambda: bridge.reduce_root(lattice.build_del_pezzo(4), None),
     lambda: bridge.reduce_root(lattice.build_del_pezzo(4), 5),
     lambda: lattice.root_reflection(lattice.build_del_pezzo(4), None),
+    lambda: lattice.build_del_pezzo(4).dot(None, lattice.build_del_pezzo(4).K),
+    lambda: lattice.build_del_pezzo(4).dot(5, lattice.build_del_pezzo(4).K),
 ], ids=["f2-gram2", "f2-dependent-basis", "f2-mask-beyond-width",
         "f2-negative-mask", "f2-zero-mask", "f2-negative-width",
         "f2-short-qdiag", "f2-long-qdiag", "f2-float-width", "f2-float-mask",
@@ -232,7 +234,8 @@ def test_det_is_multiplicative(pair):
         "lattice-reflect-non-root", "lattice-dot-short", "lattice-dp9",
         "lattice-a11", "f2-q-outside-space", "f2-reflection-q0",
         "f2-transvection-zero", "groups-contains-wrong-degree",
-        "bridge-reduce-none", "bridge-reduce-int", "lattice-reflect-none"])
+        "bridge-reduce-none", "bridge-reduce-int", "lattice-reflect-none",
+        "lattice-dot-none", "lattice-dot-int"])
 def test_bad_input_is_a_typed_error(bad_call):
     """Rejected input raises a package error that is still a ValueError."""
     with pytest.raises(errors.BadInput) as info:

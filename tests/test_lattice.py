@@ -174,10 +174,14 @@ _ALL_LATTICES = ([build_del_pezzo(n) for n in range(3, 9)]
 
 @pytest.mark.parametrize("L", _ALL_LATTICES, ids=lambda L: L.root_type)
 def test_root_steps_match_the_scans(L):
-    """The pairing rows added up along _root_steps are those of one height
-    scan per root, and the reflection in every root, the root map of the
-    simple roots' images, is the one of one pairing per root."""
-    assert lattice._root_pairings(L) == root_pairings_by_heights(L)
+    """The pairing rows added up along _root_steps, each read through the
+    lazy mapping, are those of one height scan per root, and the reflection
+    in every root, the root map of the simple roots' images, is the one of
+    one pairing per root."""
+    rows, simple, gram = lattice._root_pairings(L)
+    scanned, *rest = root_pairings_by_heights(L)
+    assert [rows[a] for a in range(len(enumerate_roots(L)))] == scanned
+    assert [simple, gram] == rest
     for alpha in enumerate_roots(L):
         assert root_reflection(L, alpha) == root_reflection_by_dots(L, alpha)
 
@@ -189,7 +193,8 @@ def test_root_pairings_refuse_a_corrupted_simple_row(L, corrupt, monkeypatch):
     """The first step r = a + b reads the scanned row of b.  Dropping r from
     the roots pairing to 1 with b leaves no root pairing to 2 with r;
     moving a from -1 to 1 with b (and so from 1 to -1 with -b) makes
-    <r, a> read 3.  Either raises CrossCheckFailed."""
+    <r, a> read 3.  Either raises CrossCheckFailed on the first read of
+    r's row."""
     r, a, b = lattice._root_steps(L)[0]
     neg_b = minus_one(L)[b]
     ones = lattice._pairing_ones
@@ -200,8 +205,9 @@ def test_root_pairings_refuse_a_corrupted_simple_row(L, corrupt, monkeypatch):
         return ones(L, c) ^ (1 << a) if c in (b, neg_b) else ones(L, c)
 
     monkeypatch.setattr(lattice, "_pairing_ones", corrupted)
+    rows = lattice._root_pairings.__wrapped__(L)[0]
     with pytest.raises(errors.CrossCheckFailed, match="not a root's"):
-        lattice._root_pairings.__wrapped__(L)
+        rows[r]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
