@@ -51,7 +51,7 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
             return self._hash
 
     def __getstate__(self):
-        return None     # not the hash: a str's hash differs between processes
+        return None     # pickle no cached hash: a str's hash differs between processes
 
     @property
     def width(self):
@@ -239,10 +239,10 @@ def _root_steps(L):
     that is not simple is a positive root plus a simple one."""
     heights, index = _heights(L)
     ends = [i for s in _simple_indices(L) for i in (s, index[-heights[s]])]
-    end_heights = [heights[b] for b in ends]
     reached, seen, steps = list(ends), set(ends), []
     for a in reached:
-        for b, r in zip(ends, map(index.get, map(heights[a].__add__, end_heights))):
+        for b in ends:
+            r = index.get(heights[a] + heights[b])
             if r is not None and r not in seen:
                 seen.add(r)
                 reached.append(r)
@@ -371,7 +371,7 @@ def _root_pairings(L):
         a, b = steps[r]
         x2, x1, x0, xm1, xm2 = rows[a].values()
         y2, y1, y0, ym1, ym2 = rows[b].values()
-        # the sums 4, 3, -3 and -4
+        # no root pairs to 4, 3, -3 or -4 with r, and r alone pairs to 2
         if (x2 & y2 | x2 & y1 | x1 & y2 | xm1 & ym2 | xm2 & ym1 | xm2 & ym2
                 or x2 & y0 | x1 & y1 | x0 & y2 != 1 << r):
             raise errors.CrossCheckFailed(
