@@ -376,8 +376,8 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     sifts_on_known_base, O(L2)'s reflections are built from q's table, so
     f2_reflection runs only for prop2's 63 reflections on dP7, and no
     caller reads the public radical.  It builds the pairing rows that the
-    searches and checks read and those they are added from: 296 of the 578
-    roots (all of them at the parent)."""
+    searches and checks read and those they are added from: 296 of the
+    578 roots' rows."""
     counts = {"lat.check_isometry": 56, "f2.check_isometry": 104,
               "bridge.reduce_isometry": 30, "f2._mask": 807,
               "f2.symplectic_basis": 5, "f2.radical": 0, "f2.value_census": 14,
