@@ -131,6 +131,21 @@ class VerificationReport:
 
 # -- cached heavy computations -----------------------------------------------------
 
+def _caches():
+    """Every lru_cache of lattice, f2 and bridge, found by introspection, so
+    that a new one is not missed."""
+    return [fn for namespace in (vars(lat), vars(f2), globals())
+            for fn in namespace.values() if hasattr(fn, "cache_clear")]
+
+
+def _clear_caches():
+    """Empty every cache of _caches(): a caller done with one lattice, such
+    as the CLI between lattices, releases its roots, rows, spaces, searches
+    and chains before the next."""
+    for fn in _caches():
+        fn.cache_clear()
+
+
 def _agreed(L, what, order, closed_form):
     if order != closed_form:
         raise errors.CrossCheckFailed(
@@ -161,14 +176,15 @@ def _f2_chain(S, maps):
     on it agrees on the basis with a member and is that member.  Only the
     other maps are made permutations and extend the chain.  A map with an
     image of 0 never sifts, as no orbit holds the point 0, and
-    f2.permutation refuses it like any map with dependent images.  The
-    images' coordinate bits are one point per basis vector, so they are
-    sifted unchecked."""
+    f2._permutation refuses it like any map with dependent images.  Each
+    map's images are read once, into their coordinate bits: one point per
+    basis vector, sifted unchecked, and once found independent a
+    permutation of the points, added unchecked."""
     chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
     for m in maps:
-        m = f2._basis_images(S, m)
-        if not chain._sifts([S._coords[v] for v in m]):
-            chain.extend(f2.permutation(S, m))
+        bits = [S._coords[v] for v in f2._basis_images(S, m)]
+        if not chain._sifts(bits):
+            chain._extend(f2._permutation(bits))
     return chain
 
 

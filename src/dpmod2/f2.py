@@ -317,7 +317,12 @@ def permutation(S, images):
     c is the coordinate bits of the image of the vector with coordinate bits
     c.  NotIsometry unless there is one int image in S per basis vector and
     the images are linearly independent."""
-    bits = [S._coords[m] for m in _basis_images(S, images)]
+    return _permutation([S._coords[m] for m in _basis_images(S, images)])
+
+
+def _permutation(bits):
+    """permutation from the images' coordinate bits, which its caller has
+    read from S; NotIsometry unless they are linearly independent."""
     if not _independent(bits):
         raise errors.NotIsometry("images are linearly dependent")
     return tuple(_span(bits))
@@ -380,7 +385,7 @@ def isometry_order(S):
     every = (1 << len(ids)) - 1
     zeros = (every - 1) ^ q1       # q = 0, c != 0
 
-    def row(c):             # the columns' XOR over the polar bits of c
+    def row(_, c):          # the columns' XOR over the polar bits of c
         ones = _xor(columns, _xor(polar, c))
         return {1: ones, 0: every ^ ones}
 
@@ -396,9 +401,11 @@ def isometry_order(S):
 
 # -- the radical split ----------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def split_radical(S):
     """The radical vector k and the hyperplane H of vectors with k's top bit
     clear, so that S = H + F2*k; WrongShape unless the radical is {0, k}.
+    Computed once per space, so orthogonal_order and prop2 share one H.
 
     Since k has no higher bit, x -> min(x, x ^ k) is the projection of S
     onto H along k.

@@ -166,7 +166,11 @@ class PermGroup:
 
         Only generators that grow the group are recorded in `generators`.
         """
-        g = self._check_perm(g)
+        return self._extend(self._check_perm(g))
+
+    def _extend(self, g):
+        """extend for a tuple of ints its caller has just built and checked
+        to be a permutation of the points, unchecked."""
         perm = self._rep(g) + self._pad
         self.full_sifts += 1
         residue = self._sift(perm, 0)
@@ -321,7 +325,10 @@ class PermGroup:
 
 class LazyRows(dict):
     """Pairing rows for orbit_search and completions, each built on first
-    read: rows[p] is build(p), kept."""
+    read: rows[p] is build(rows, p), kept.  A row built from other rows
+    reads them through the first argument, so build need not refer to the
+    mapping: no reference cycle keeps the rows alive once their last holder
+    lets them go."""
 
     __slots__ = ("build",)
 
@@ -330,7 +337,7 @@ class LazyRows(dict):
         self.build = build
 
     def __missing__(self, p):
-        row = self[p] = self.build(p)
+        row = self[p] = self.build(self, p)
         return row
 
 

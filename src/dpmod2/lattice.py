@@ -20,7 +20,7 @@ its root map adds their heights root by root for the search and the check.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import isqrt, prod
 from operator import mul
 
@@ -361,9 +361,9 @@ def _root_pairings(L):
     heights, index = _heights(L)
     every = (1 << len(heights)) - 1
     steps = {r: (a, b) for r, a, b in _root_steps(L)}
-    ones = groups.LazyRows(partial(_pairing_ones, L))
+    ones = groups.LazyRows(lambda _, a: _pairing_ones(L, a))
 
-    def row(r):             # keyed 2, 1, 0, -1, -2, the order .values() unpacks
+    def row(rows, r):       # keyed 2, 1, 0, -1, -2, the order .values() unpacks
         if r not in steps:          # a +-simple root
             neg = index[-heights[r]]
             p2, m2, p1, m1 = 1 << r, 1 << neg, ones[r], ones[neg]
@@ -454,16 +454,17 @@ def automorphism_chain(L):
     generators, only those that grow it, each checked to be an isometry.
     A solution is the images of the simple roots, the chain's known base,
     so it is sifted on them first, unchecked, as the search built it; only
-    one the chain does not contain is turned into a root permutation.  The
+    one the chain does not contain is turned into a root permutation, and
+    extends the chain unchecked once check_isometry has passed it.  The
     chain's order is checked against the backtracking count.
     """
     order, solutions = _aut_search(L)
-    chain = groups.PermGroup([check_isometry(L, minus_one(L))], len(enumerate_roots(L)),
-                             known_base=_simple_indices(L))
+    chain = groups.PermGroup([], len(enumerate_roots(L)), known_base=_simple_indices(L))
+    chain._extend(check_isometry(L, minus_one(L)))
     for sol in (sol for level in solutions for sol in level):
         if not chain._sifts(sol):
             p, = _solution_perms(L, [sol])
-            chain.extend(check_isometry(L, p))
+            chain._extend(check_isometry(L, p))
     if chain.order() != order:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "

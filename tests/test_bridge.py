@@ -1,7 +1,9 @@
 """Reduction maps and statement verifiers."""
 
+import ast
 import hashlib
 import json
+import pathlib
 import re
 
 import pytest
@@ -353,11 +355,20 @@ def test_enumerated_roots_are_not_checked_again(n, preimages, monkeypatch):
     assert len(calls) == len(set(calls)) == preimages
 
 
-def _clear_caches():
-    for module in (lat, f2, bridge):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+def _computing(monkeypatch, module, name, computed):
+    """Patch the cached module.name to append (args, value) to computed for
+    each value it computes, one it has not returned before.  The patch keeps
+    cache_clear, so bridge._clear_caches still empties the cache behind it."""
+    fn = getattr(module, name)
+
+    def counted(*args):
+        value = fn(*args)
+        if all(value is not v for _, v in computed):
+            computed.append((args, value))
+        return value
+
+    counted.cache_clear = fn.cache_clear
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
@@ -367,21 +378,31 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     reduce_isometry.  In O(L2) it checks the 22 reduced del Pezzo O(L)
     generators, the 30 reduced Weyl generators and prop2's 52 maps on dP5.
     Per lattice it masks each root once and computes the census once.  It
-    computes the radical once per space (8 spaces) and arf, by a symplectic
+    computes the radical once per space (8 spaces), the radical split once
+    per space with a radical (dP3, dP5, dP7), and arf, by a symplectic
     basis, once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
-    quotient, the closed forms reading the same value.
+    quotient, the closed forms reading the same value.  The CLI releases
+    each lattice's caches once its reports are built, so dP5's prop2
+    reduces dP4 again: 5 of the 812 masks.
 
     The values it has just built are not validated again: the chains sift
     the searches' solutions and the reduced maps without the public
-    sifts_on_known_base, O(L2)'s reflections are built from q's table, so
+    sifts_on_known_base, and extend without PermGroup's permutation check
+    by the ones check_isometry or the independence test has just passed,
+    so it runs only for the 30 Weyl generators and the 5 membership tests
+    of -1; the mod-2 chains read each map's images once, not again through
+    f2.permutation.  O(L2)'s reflections are built from q's table, so
     f2_reflection runs only for prop2's 63 reflections on dP7, and no
     caller reads the public radical.  It builds the pairing rows that the
     searches and checks read and those they are added from: 296 of the
     578 roots' rows."""
     counts = {"lat.check_isometry": 56, "f2.check_isometry": 104,
-              "bridge.reduce_isometry": 30, "f2._mask": 807,
+              "bridge.reduce_isometry": 30, "f2._mask": 812,
               "f2.symplectic_basis": 5, "f2.radical": 0, "f2.value_census": 14,
-              "f2.f2_reflection": 63, "PermGroup.sifts_on_known_base": 0}
+              "f2.f2_reflection": 63, "PermGroup.sifts_on_known_base": 0,
+              "PermGroup._check_perm": 35, "f2._basis_images": 556,
+              "f2.permutation": 0}
+    computations = {"f2._radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
     rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
                   "A8": 45}
     modules = {"lat": lat, "f2": f2, "bridge": bridge, "PermGroup": groups.PermGroup}
@@ -389,19 +410,34 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     for key, c in calls.items():
         module, name = key.split(".")
         _counting(monkeypatch, modules[module], name, c)
-    lattices = [build_del_pezzo(n) for n in range(3, 9)] + [build_plain_root_lattice(8)]
-    _clear_caches()
+    computed = {key: [] for key in computations}
+    for key, c in computed.items():
+        module, name = key.split(".")
+        _computing(monkeypatch, modules[module], name, c)
+    bridge._clear_caches()
     try:
         assert cli.run(["verify", "--n", "all", "--format", "json"]) == 0
-        radicals = f2._radical.cache_info().misses
-        pairings = lat._root_pairings.cache_info().misses
-        built = {L.root_type: len(lat._root_pairings(L)[0]) for L in lattices}
     finally:
-        _clear_caches()
+        bridge._clear_caches()
     capsys.readouterr()
     assert {key: len(c) for key, c in calls.items()} == counts
-    assert radicals == 8
-    assert pairings == len(lattices) and built == rows_built
+    assert {key: len(c) for key, c in computed.items()} == computations
+    built = {L.root_type: len(rows) for (L,), (rows, _, _) in computed["lat._root_pairings"]}
+    assert built == rows_built
+
+
+def test_caches_lists_every_lru_cache():
+    """bridge._caches finds, by introspection, every function the source of
+    lattice, f2 and bridge decorates with lru_cache, so clearing them
+    releases everything the program caches."""
+    decorated = set()
+    for module in (lat, f2, bridge):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        decorated |= {f"{module.__name__}.{node.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)}
+    found = {f"{fn.__module__}.{fn.__name__}" for fn in bridge._caches()}
+    assert len(decorated) == 23 and found == decorated
 
 
 def test_verify_prop2_wrong_range():

@@ -1,13 +1,16 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from dpmod2 import cli, errors
+from dpmod2 import bridge, cli, errors
+from dpmod2 import lattice as lat
 from oracles import report_from_json_dict
 
 
@@ -145,6 +148,65 @@ def test_repeated_runs_byte_identical(capsys):
     t1 = _run(["table", "--format", "csv"], capsys)[1]
     t2 = _run(["table", "--format", "csv"], capsys)[1]
     assert t1 == t2
+
+
+def _cached():
+    """How many values the program's caches hold."""
+    return sum(fn.cache_info().currsize for fn in bridge._caches())
+
+
+@pytest.mark.parametrize("command, stage", [("verify", "reports_for"),
+                                            ("table", "_build")],
+                         ids=["verify", "table"])
+def test_each_lattice_starts_from_empty_caches(command, stage, monkeypatch, capsys):
+    """verify --n all and table release each lattice's caches once its
+    reports or row are built: each reports_for(n) after the first, and each
+    row after the first, starts with nothing cached, so no other lattice's
+    data.  A table row starts by building its lattice, which then misses
+    the emptied cache and calls lattice._build; so does dP5's prop2 when it
+    builds dP4 again, which happens within a verify stage, not at its
+    start.  Each stage ends with its own lattice cached."""
+    module = {"reports_for": bridge, "_build": lat}[stage]
+    fn = getattr(module, stage)
+    at_start, at_end = [], []
+
+    def counted(*args):
+        at_start.append(_cached())
+        out = fn(*args)
+        at_end.append(_cached())
+        return out
+
+    monkeypatch.setattr(module, stage, counted)
+    argv = ["verify", "--n", "all"] if command == "verify" else ["table"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert len(at_start) == 6
+    assert at_start[1:] == [0] * 5
+    if command == "verify":
+        assert all(at_end)
+
+
+def test_verify_all_holds_one_lattice_at_a_time(capsys):
+    """The traced peak of verify --n all stays within 1.3 times that of
+    verify --n 8 alone, the largest lattice (about 1.2 here; 2.2 with every
+    lattice's caches kept to the end).  Each run starts from empty caches
+    and collected garbage, after a warm-up run that pays the one-time
+    allocations of argparse and json."""
+    def peak(argv):
+        bridge._clear_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert cli.run(["verify", "--n", "3"]) == 0
+    every = peak(["verify", "--n", "all", "--format", "json"])
+    largest = peak(["verify", "--n", "8", "--format", "json"])
+    capsys.readouterr()
+    assert every <= 1.3 * largest
 
 
 def test_subprocess_determinism_small_n():

@@ -650,17 +650,17 @@ def test_f2_chain_matches_the_chain_of_every_permutation(name, monkeypatch):
     """Converting only the maps that do not sift on the basis images keeps
     the chain, level by level, and its generators; the maps converted are
     exactly those that grow it (11 of the 528 reflections for A10)."""
-    permutation = f2.permutation
+    permutation = f2._permutation
     for S, maps in _f2_chain_inputs(name):
         ref = f2_chain_of_permutations(S, maps)
         converted = []
 
-        def counted(S, images):
-            converted.append(images)
-            return permutation(S, images)
+        def counted(bits):
+            converted.append(bits)
+            return permutation(bits)
 
         with monkeypatch.context() as m:
-            m.setattr(f2, "permutation", counted)
+            m.setattr(f2, "_permutation", counted)
             G = bridge._f2_chain(S, maps)
         assert _chain_digest(G) == _chain_digest(ref)
         assert G.generators == ref.generators

@@ -1,5 +1,6 @@
 """Lattice constructions: brute-force scans are the oracles for enumeration."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -184,6 +185,25 @@ def test_root_steps_match_the_scans(L):
     assert [simple, gram] == rest
     for alpha in enumerate_roots(L):
         assert root_reflection(L, alpha) == root_reflection_by_dots(L, alpha)
+
+
+@pytest.mark.parametrize("L", [build_del_pezzo(8), build_plain_root_lattice(10)],
+                         ids=lambda L: L.root_type)
+def test_pairing_rows_are_freed_without_the_collector(L):
+    """A LazyRows hands itself to its builder, so rows built from other rows
+    hold no reference cycle: dropped, they are freed at once, and clearing
+    the caches releases a lattice's rows without waiting for the cyclic
+    garbage collector."""
+    lattice._root_pairings(L)       # cache what the rows are built from
+    gc.collect()
+    gc.disable()
+    try:
+        rows = lattice._root_pairings.__wrapped__(L)[0]
+        assert [rows[a] for a in range(len(enumerate_roots(L)))]
+        del rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("L", [build_del_pezzo(8), build_plain_root_lattice(2)],
