@@ -188,7 +188,7 @@ def test_each_lattice_starts_from_empty_caches(command, stage, monkeypatch, caps
 
 def test_verify_all_holds_one_lattice_at_a_time(capsys):
     """The traced peak of verify --n all stays within 1.3 times that of
-    verify --n 8 alone, the largest lattice (about 1.2 here; 2.2 with every
+    verify --n 8 alone, the largest lattice (about 1.2; 2.2 with every
     lattice's caches kept to the end).  Each run starts from empty caches
     and collected garbage, after a warm-up run that pays the one-time
     allocations of argparse and json."""
