@@ -29,14 +29,9 @@ that sift ends fixing the known base.  Only one that does not is formed in
 full and sifted by the full sift, so residues, levels and chains are those
 of a full sift of every Schreier generator.  Each level keeps the images of
 those it has tested, each in the next stabilizer once handled; as the chain
-only grows, one whose images repeat is not sifted again (W(E8) forms 1,904
-Schreier generators, 31 of them distinct).  Two kinds are not tested at
-all: those on the orbit's spanning-tree edges, the pairs (p, g)
-that defined u_{g(p)} = g u_p, are the identity (sec. 4.2); and for an
-involution g the generators at (p, g) and (g(p), g) are inverse, so the
-one at the later orbit position is in the group once the earlier one is
-handled.  Every level-0 generator of the reflection chains is an
-involution.
+only grows, one whose images repeat is not sifted again (W(E8) forms 3,064
+Schreier generators, 36 of them distinct).  That is the only Schreier
+generator a level skips.
 
 orbit_search is the one isometry search: it backtracks over the images of a
 base among points given by their pairing rows (any mapping), as bitsets, and
@@ -49,6 +44,7 @@ read: a search reads the rows of its candidates only (35 of E8's 240 roots).
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import itemgetter
 
 from . import errors
@@ -74,6 +70,14 @@ def _then(q, p):
     return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
 
 
+def _tuple_inverse(identity, p):
+    """The inverse of the tuple p, of identity's own ints."""
+    inv = [0] * len(identity)
+    for i, x in zip(identity, p):
+        inv[x] = i
+    return tuple(inv)
+
+
 class _Level:
     __slots__ = ("beta", "slot", "gens", "inverses", "orbit", "orbit_order",
                  "known", "gen_done", "members")
@@ -82,7 +86,7 @@ class _Level:
         self.beta = known[slot]
         self.slot = slot                    # index of beta in the known base
         self.gens = []
-        self.inverses = []                  # per gen: g^-1, g itself if g g == 1
+        self.inverses = []                  # per gen: g^-1
         self.orbit = {self.beta: identity}  # point -> u^-1 with u[beta] == point
         self.orbit_order = [self.beta]
         self.known = [known]                # entry i: u on the known base, for
@@ -92,7 +96,7 @@ class _Level:
 
     def add_gen(self, g, group):
         self.gens.append(g)
-        self.inverses.append(g if group._then(g, g) == group._one else group._inverse(g))
+        self.inverses.append(group._inverse(g))
         self.gen_done.append(0)
 
 
@@ -126,7 +130,7 @@ class PermGroup:
             self._inverse = lambda p: bytes.maketrans(p, _BYTES)
         else:
             self._rep, self._pad, self._then = tuple, (), _then
-            self._inverse = self._tuple_inverse
+            self._inverse = partial(_tuple_inverse, self._identity)
         self._one = self._rep(self._identity) + self._pad
         self._known = self._rep(known)
         self.generators = []
@@ -154,12 +158,6 @@ class PermGroup:
             raise errors.BadInput("permutation entry out of range" if min(g) < 0
                                   else "not a permutation")
         return perm
-
-    def _tuple_inverse(self, p):
-        inv = [0] * self.degree
-        for i, x in zip(self._identity, p):
-            inv[x] = i
-        return tuple(inv)
 
     def extend(self, g):
         """Add a generator; returns True iff the group grew.
@@ -255,53 +253,27 @@ class PermGroup:
         sifting through them is an exact membership test; a Schreier generator
         that does not sift to the identity is genuinely new and its residue is
         added to level idx+1, which is then re-completed before continuing.
-        Schreier generators on spanning-tree edges are the identity, and of
-        an involution's inverse pair the later one is in the group once the
-        earlier one is; both are skipped.
         """
         lv = self._levels[idx]
-        n = self.degree
         then = self._then
-        # Generator gi has visited the first gen_done[gi] orbit points: all of
-        # them, or none if it was added since the last call.  The orbit is
-        # closed under the visitors, so only the fresh generators on old
-        # points and every generator on new points can add points, in the
-        # same point-major order as a full rescan.
-        old = len(lv.orbit_order)
         every = list(enumerate(lv.gens))
-        fresh = [(gi, gen) for gi, gen in every if lv.gen_done[gi] < old]
-        tree = set()        # gi * n + p for each u_{g(p)} = g u_p defined here
-        i = 0
-        while i < len(lv.orbit_order):
-            p = lv.orbit_order[i]
-            for gi, gen in (fresh if i < old else every):
+        for i, p in enumerate(lv.orbit_order):      # visits the points it appends
+            for gi, gen in every:
                 q = gen[p]
                 if q not in lv.orbit:
                     # u_q^-1 = u_p^-1 g^-1, and u_q = g u_p on the known base
                     lv.orbit[q] = then(lv.inverses[gi], lv.orbit[p])
                     lv.known.append(then(lv.known[i], gen))
                     lv.orbit_order.append(q)
-                    tree.add(gi * n + p)
-            i += 1
         end = len(lv.orbit_order)
         # Deeper levels never change this one, so one pass over the Schreier
-        # generators of the closed orbit completes it.  For an involution g
-        # the Schreier generators at (p, g) and (g(p), g) are inverse, and
-        # both lie in the same pass: the orbit visited so far is closed
-        # under g.
+        # generators of the closed orbit completes it; generator gi has been
+        # tested on the first gen_done[gi] orbit points.
         for gi, gen in every:
-            involution = lv.inverses[gi] is gen
-            visited = bytearray(n)
             start, lv.gen_done[gi] = lv.gen_done[gi], end
             for pi in range(start, end):
                 p = lv.orbit_order[pi]
                 q = gen[p]
-                if involution:
-                    if visited[q]:
-                        continue
-                    visited[p] = 1
-                if gi * n + p in tree:
-                    continue
                 self.schreier_tested += 1
                 # s = u_q^-1 g u_p, sifted on the known base unless an equal
                 # one was, and formed in full only when it is not in the group
@@ -393,10 +365,9 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
     points a solution induces, and rows any mapping from a point to its
     row.  The levels are searched from the last to the first, so the
     elements found fix base[0..l-1]: only a candidate outside the orbit of
-    base[l] under them is searched, lowest first.  The orbit grows with
-    each element found: the new element on the old points, every element
-    on the new ones.  Returns (orbit_lengths, solutions), the solutions
-    found per level, first level first.
+    base[l] under them is searched, lowest first, and the orbit is closed
+    again under all of them whenever one is found.  Returns (orbit_lengths,
+    solutions), the solutions found per level, first level first.
     """
     levels, masks = [], list(allowed)     # the masks with base[0..l-1] fixed
     for level, b in enumerate(base):
@@ -408,19 +379,18 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
     for level in reversed(range(len(base))):
         masks, sols, b = levels[level], [], base[level]
         orbit, seen, todo = [b], {b}, masks[level] & ~(1 << b)
-        done = k = 0                # orbit[:done] is closed under found[:k]
+        k = 0                       # orbit is closed under found[:k]
         images = [*base[:level]] + [-1] * (len(base) - level)
         while True:
             if k < len(found):
-                fresh = found[k:]
-                for i, p in enumerate(orbit):
-                    for g in (fresh if i < done else found):
+                for p in orbit:
+                    for g in found:
                         q = g[p]
                         if q not in seen:
                             seen.add(q)
                             orbit.append(q)
                             todo &= ~(1 << q)
-                done, k = len(orbit), len(found)
+                k = len(found)
             if not todo:
                 break
             low = todo & -todo

@@ -130,25 +130,25 @@ def build_plain_root_lattice(rank):
 def _bounded_vectors(count, sum_target, sq_target):
     """Integer tuples of given length, coordinate sum, and sum of squares."""
     out = []
-    vec = []
-
-    def rec(i, s, q):
-        if i == count:
-            if s == 0 and q == 0:
-                out.append(tuple(vec))
-            return
-        r = count - i
-        # Cauchy-Schwarz and parity pruning; x^2 == x mod 2 coordinatewise.
-        if (q - s) % 2 or s * s > q * r:
-            return
-        b = isqrt(q)
-        for x in range(-b, b + 1):
-            vec.append(x)
-            rec(i + 1, s - x, q - x * x)
-            vec.pop()
-
-    rec(0, sum_target, sq_target)
+    _extend_bounded(out, [], count, sum_target, sq_target)
     return out
+
+
+def _extend_bounded(out, vec, r, s, q):
+    """Append to out each vec + tail, in ascending order, whose r-entry tail
+    has sum s and sum of squares q."""
+    if not r:
+        if s == 0 and q == 0:
+            out.append(tuple(vec))
+        return
+    # Cauchy-Schwarz and parity pruning; x^2 == x mod 2 coordinatewise.
+    if (q - s) % 2 or s * s > q * r:
+        return
+    b = isqrt(q)
+    for x in range(-b, b + 1):
+        vec.append(x)
+        _extend_bounded(out, vec, r - 1, s - x, q - x * x)
+        vec.pop()
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
 """Stabilizer-chain engine: brute-force closure is the independent oracle."""
 
+import gc
 import hashlib
 import math
 import random
+import weakref
 from array import array
 from functools import partial
 
@@ -244,8 +246,8 @@ def _involutions_and_elements(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_involutions_and_elements())
 def test_involution_edges_match_closure(case):
-    """Skipping the later Schreier generator of each inverse pair (p, g),
-    (g(p), g) of an involution g keeps the chain exact."""
+    """Groups generated mostly by involutions, such as the reflection chains,
+    have the order and the members of the brute-force closure."""
     _check_against_closure(*case)
 
 
@@ -409,6 +411,22 @@ def test_byte_and_tuple_chains_agree(case):
     assert (G.schreier_tested, G.full_sifts) == counts
 
 
+@pytest.mark.parametrize("degree", [200, 300])
+def test_chain_is_freed_without_the_collector(degree):
+    """A chain holds no reference to itself, on the tuple path above 256
+    points as on the byte path: it is freed as soon as its last holder
+    drops it, without the cyclic garbage collector."""
+    G = PermGroup([_placed((1, 2, 0), 0, degree), _placed((1, 0), 5, degree)], degree)
+    assert G.order() == 6
+    gc.disable()
+    try:
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("gens, degree", [
     ([(0, 1, 2)], 3),
     ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
@@ -444,8 +462,8 @@ def test_generators_are_tuples_of_ints():
 def test_member_cache_skips_repeated_schreier_generators(monkeypatch):
     """A Schreier generator whose known-base images repeat those of one
     already handled at its level is in the next stabilizer, and is not
-    sifted again: W(E8) forms 1,904 of them but sifts only the 31 distinct
-    ones, level by level, and still counts all 1,904."""
+    sifted again: W(E8) forms 3,064 of them but sifts only the 36 distinct
+    ones, level by level, and still counts all 3,064."""
     sifts = []
     sift = PermGroup._sifts_on_known_base
     monkeypatch.setattr(PermGroup, "_sifts_on_known_base", lambda self, cur, start: (
@@ -453,9 +471,9 @@ def test_member_cache_skips_repeated_schreier_generators(monkeypatch):
     L = build_del_pezzo(8)
     G = PermGroup(lattice.weyl_generators(L), len(lattice.enumerate_roots(L)),
                   known_base=lattice._simple_indices(L))
-    assert (G.schreier_tested, G.full_sifts) == (1904, 36)
-    assert len(sifts) == len(set(sifts)) == 31
-    assert sum(len(lv.members) for lv in G._levels) == 31
+    assert (G.schreier_tested, G.full_sifts) == (3064, 36)
+    assert len(sifts) == len(set(sifts)) == 36
+    assert sum(len(lv.members) for lv in G._levels) == 36
 
 
 @pytest.mark.parametrize("images", [[1, -1], [1, 3], [1], [1, 2, 0], [1, True],
@@ -517,41 +535,53 @@ def _ol_chain(L):
 
 
 # a mod-2 chain acts on coordinate bits: its base point 1 << i is basis vector i
-@pytest.mark.parametrize("chain, base, orbits, counts", [
-    # 6,920 Schreier generators sifted on the 10 known-base points, 62
+@pytest.mark.parametrize("chain, base, orbits, counts, digest", [
+    # 10,835 Schreier generators formed on the 10 known-base points, 62
     # permutations (the 11 generators that grow the chain and 51 Schreier
     # generators) in full; the other 517 reflections sift on the known base
     (_a10_ol2_chain,
      (256, 128, 64, 32, 16, 8, 4, 2, 1, 512),
-     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (6920, 62, 11)),
+     (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (10835, 62, 11),
+     "3f56a54c60b7f60290f78ec5c6ae4e0a866708749338ca826747b4411c7b5407"),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
-     (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None),
+     (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None,
+     "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51"),
     # the 8 pruned search solutions, fed first level first: -1 and 2 of
     # them grow the chain
     (lambda: _ol_chain(build_del_pezzo(8)),
-     (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (649, 17, 3)),
+     (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (1232, 17, 3),
+     "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc"),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     (32, 16, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1068, 35, 8)),
-    (_sp7_chain, (16, 8, 4, 2, 1, 32), (63, 32, 15, 8, 3, 2), (454, 26, 7)),
-    (_quotient5_chain, (2, 1, 4), (10, 6, 2), (25, 8, 4)),
+     (32, 16, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
+     "62ed5fe2b60004da3e6bf379522b0f5fe3c4fc08a7cbc6d3b2f5f8f0ba12ed8c"),
+    (_sp7_chain, (16, 8, 4, 2, 1, 32), (63, 32, 15, 8, 3, 2), (780, 26, 7),
+     "7783a6ab5f890e921f4ef3c29ce5df0d1df34a0328d651197a456e0042ede746"),
+    (_quotient5_chain, (2, 1, 4), (10, 6, 2), (60, 8, 4),
+     "981b74071d3c0bca2ed48442dd2e84cb0643d099f0abe287d7186d48840cbb3e"),
     (lambda: _rho_chain(8, lattice.automorphism_group),
-     (1, 2, 4, 8, 16, 32, 64), (120, 56, 27, 16, 10, 6, 2), (401, 24, 2)),
+     (1, 2, 4, 8, 16, 32, 64), (120, 56, 27, 16, 10, 6, 2), (739, 24, 2),
+     "73bbf1aa39d1353708346ff45d088bde3a453da2c21adc779bea8e31add34810"),
     (lambda: _rho_chain(8, lattice.weyl_generators),
-     (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1060, 35, 8)),
+     (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
+     "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
     (lambda: _rho_chain(6, lattice.automorphism_group),
-     (1, 2, 4, 8, 32), (36, 20, 9, 4, 2), (72, 9, 2)),
+     (1, 2, 4, 8, 32), (36, 20, 9, 4, 2), (140, 9, 2),
+     "8ef466bbd07dcdf17e4241da86bec521cbfd2b720393b7fbbbe574452a9cc53a"),
     (lambda: _rho_chain(6, lattice.weyl_generators),
-     (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (203, 20, 6)),
+     (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
+     "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
     (lambda: _ol_chain(build_plain_root_lattice(10)),
-     (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (386, 24, 4)),
+     (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (842, 24, 4),
+     "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da"),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
-def test_chain_shape_pinned(chain, base, orbits, counts):
-    """The chains themselves, not only their orders, stay as they were;
-    counts pins the Schreier generators tested, the full sifts and the
-    generators kept, so that a chain fed more elements than the pruned
-    search finds fails here."""
+def test_chain_shape_pinned(chain, base, orbits, counts, digest):
+    """The chains themselves, not only their orders, stay as they were, to
+    every level's digest; counts pins the Schreier generators tested, the
+    full sifts and the generators kept, so that a chain fed more elements
+    than the pruned search finds fails here."""
     G = chain()
+    assert _chain_digest(G) == digest
     assert G.base() == base
     assert G.basic_orbit_lengths() == orbits
     assert G.order() == math.prod(orbits)

@@ -206,6 +206,19 @@ def test_pairing_rows_are_freed_without_the_collector(L):
         gc.enable()
 
 
+@pytest.mark.parametrize("L", _ALL_LATTICES, ids=lambda L: L.root_type)
+def test_root_enumeration_leaves_no_cycle(L):
+    """Enumerating the roots leaves no reference cycle, so nothing it built
+    waits for the cyclic garbage collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert lattice.enumerate_roots.__wrapped__(L) == enumerate_roots(L)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("L", [build_del_pezzo(8), build_plain_root_lattice(2)],
                          ids=lambda L: L.root_type)
 @pytest.mark.parametrize("corrupt", ["drop", "flip"])
