@@ -12,6 +12,7 @@ space, and return serializable reports.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from math import prod
 from operator import xor
 
 from . import errors, f2, groups, lattice as lat
@@ -51,14 +52,10 @@ def root_preimage(L, v):
         raise errors.NoPreimage(
             f"support of size {m} has no root preimage in a plain lattice")
     elif m == (4 if e0 else 6) or (e0 and m == 8 and L.n == 8):
+        # an index outside I is 0, or the one index l that I misses if m = 8
         root[0] = 4 if m == 8 else 2
-        for i in support:
-            root[i] -= 1
-        if m == 8:
-            missing = [i for i in range(L.width) if i not in support]
-            if len(missing) != 1:
-                raise errors.CrossCheckFailed(f"support misses {len(missing)} indices")
-            root[missing[0]] = -2
+        for i in range(L.width):
+            root[i] -= 1 if i in support else 2 if m == 8 else 0
     elif e0 and m == 8 and L.n == 7:
         raise errors.NoPreimage(
             "the all-ones vector has no root preimage (square 6 mod 8)")
@@ -150,6 +147,7 @@ def _agreed(L, what, order, closed_form):
     if order != closed_form:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: {what} {order} != its closed form {closed_form}")
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +156,7 @@ def weyl_group(L):
     must be prod(m_i + 1) over lat.exponents(L) (CrossCheckFailed)."""
     G = groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)),
                          known_base=lat._simple_indices(L))
-    _agreed(L, "|W|", G.order(), reduce(lambda w, m: w * (m + 1), lat.exponents(L), 1))
+    _agreed(L, "|W|", G.order(), prod(m + 1 for m in lat.exponents(L)))
     return G
 
 
@@ -167,9 +165,10 @@ def aut_group(L):
     return lat.automorphism_chain(L)
 
 
-def _f2_chain(S, maps):
+def _f2_chain(S, maps, chain=None):
     """Stabilizer chain of the given maps acting on the coordinate bits of
-    S's vectors, 0 fixed (f2.permutation).
+    S's vectors, 0 fixed (f2.permutation), made by extending chain, one that
+    _f2_chain has built on S, if given.
 
     The maps are linear, so the basis vectors 1 << i are a known base.
     Between maps every level is complete, so a map whose basis images sift
@@ -180,7 +179,8 @@ def _f2_chain(S, maps):
     map's images are read once, into their coordinate bits: one point per
     basis vector, sifted unchecked, and once found independent a
     permutation of the points, added unchecked."""
-    chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
+    if chain is None:
+        chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
     for m in maps:
         bits = [S._coords[v] for v in f2._basis_images(S, m)]
         if not chain._sifts(bits):
@@ -191,11 +191,19 @@ def _f2_chain(S, maps):
 @lru_cache(maxsize=None)
 def oL2_group(L):
     """Stabilizer chain for the reflection group of the mod-2 space; its
-    order must be f2.orthogonal_order (CrossCheckFailed)."""
+    order must be f2.orthogonal_order (CrossCheckFailed).  No statement
+    builds it: they read _oL2_order."""
     S = f2.reduce(L)
     G = _f2_chain(S, f2.orthogonal_generators(S))
     _agreed(L, "|O(L2)|", G.order(), f2.orthogonal_order(S))
     return G
+
+
+def _oL2_order(L):
+    """|O(L2)| by f2.isometry_order, which builds no chain; CrossCheckFailed
+    unless f2.orthogonal_order agrees."""
+    S = f2.reduce(L)
+    return _agreed(L, "|O(L2)|", f2.isometry_order(S), f2.orthogonal_order(S))
 
 
 @lru_cache(maxsize=None)
@@ -208,15 +216,29 @@ def _reduced_aut_generators(L):
 
 
 @lru_cache(maxsize=None)
+def _rho_orders(L):
+    """|rho(W)| and |rho(O(L))| from one chain: the reduced simple
+    reflections, then the reduced O(L) generators, which extend it only
+    where rho(O(L)) is larger.  Each reduced simple reflection must be the
+    mod-2 reflection in its root's class (CrossCheckFailed), so rho(W) lies
+    in the group the q = 1 reflections generate, and |rho(W)| = |O(L2)|
+    shows that they generate O(L2)."""
+    S = f2.reduce(L)
+    weyl = [reduce_isometry(L, u) for u in lat.weyl_generators(L)]
+    if weyl != [f2._transvection(S, _root_masks(L)[s]) for s in lat._simple_indices(L)]:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: a reduced simple reflection is not its root's mod-2 reflection")
+    chain = _f2_chain(S, weyl)
+    return chain.order(), _f2_chain(S, _reduced_aut_generators(L), chain).order()
+
+
 def rho_image_order_aut(L):
     """Order of the image of the full isometry group in the mod-2 space."""
-    return _f2_chain(f2.reduce(L), _reduced_aut_generators(L)).order()
+    return _rho_orders(L)[1]
 
 
-@lru_cache(maxsize=None)
 def rho_image_order_weyl(L):
-    return _f2_chain(f2.reduce(L), [reduce_isometry(L, u)
-                                    for u in lat.weyl_generators(L)]).order()
+    return _rho_orders(L)[0]
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +345,6 @@ def verify_prop1(L):
     """prop1: roots/{+-1} biject with q^-1(1) (minus k for n=7)."""
     rep = VerificationReport("prop1", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
-    roots = lat.enumerate_roots(L)
     image = set(_root_masks(L))
     q1 = {v for v, q in S._q.items() if q}
     k = S.ambient_k
@@ -331,17 +352,17 @@ def verify_prop1(L):
     if L.kind == "delpezzo" and L.n == 7:
         rep.check(S.q(k) == 1, "q(k) = 1")
         rep.check(k not in image, "k is not a root image")
-        rep.check(image == q1 - {k}, "image equals q^-1(1) minus {k}")
+        targets = q1 - {k}
+        rep.check(image == targets, "image equals q^-1(1) minus {k}")
         try:
             root_preimage(L, k)
             rep.check(False, "root_preimage(k) raises NoPreimage")
         except errors.NoPreimage:
             pass
-        targets = q1 - {k}
     else:
         rep.check(image == q1, "image equals q^-1(1)")
         targets = q1
-    rep.check(2 * len(image) == len(roots), "classes count half the roots")
+    rep.check(2 * len(image) == len(_root_masks(L)), "classes count half the roots")
     # root_preimage raises CrossCheckFailed unless its result is a root over v
     rep.check(all(root_preimage(L, v) for v in sorted(targets)),
               "constructive preimages land on every target vector")
@@ -355,12 +376,12 @@ def verify_prop2(L):
     rep = VerificationReport("prop2", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
     aut_order = aut_group(L).order()
-    oL2 = oL2_group(L).order()
+    oL2 = _oL2_order(L)
     image = rho_image_order_aut(L)
     rep.check(image * 2 == aut_order, "|rho(O(L))| = |O(L)| / 2")
     rep.check(image == oL2, "|rho(O(L))| = |O(L2)|")
-    rep.check(f2.isometry_order(S) == oL2,
-              "the reflections generate O(L2): its basis-image count agrees")
+    rep.check(rho_image_order_weyl(L) == oL2,
+              "the reflections generate O(L2): |rho(W)| agrees")
     rep.numbers.update(autL_order=aut_order, oL2_order=oL2,
                        rho_image_order=image, kernel_order=2)
     if L.n == 4:
@@ -379,8 +400,8 @@ def verify_prop2(L):
         tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
         sp_order = _f2_chain(H, tgens).order()
         rep.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
-        corr = all(f2.induced(S, k, H, f2.f2_reflection(S, v if S.q(v) else v ^ k))
-                   == f2.transvection(H, v) for v in H.nonzero_vectors())
+        corr = all(f2.induced(S, k, H, f2.f2_reflection(S, v if S.q(v) else v ^ k)) == t
+                   for v, t in zip(H.nonzero_vectors(), tgens))
         rep.check(corr, "transvections correspond to reflections at v+(1+q(v))k")
         rep.witnesses.append(f"|Sp(H)| = {sp_order}")
     if L.n == 5:
@@ -416,7 +437,7 @@ def verify_corollary(L):
     if weyl * gamma != lat.automorphism_order(L):
         raise errors.CrossCheckFailed(
             f"{L.root_type}: |W| times {gamma} diagram automorphisms != |O(L)|")
-    oL2 = oL2_group(L).order()
+    oL2 = _oL2_order(L)
     image = rho_image_order_weyl(L)
     minus1 = weyl_group(L).contains(lat.minus_one(L))
     if L.n in (7, 8):
@@ -426,8 +447,6 @@ def verify_corollary(L):
         rep.check(not minus1, "-1 is outside the Weyl group")
         rep.check(weyl == oL2, "|W| = |O(L2)|")
     rep.check(image == oL2, "the Weyl group surjects onto O(L2)")
-    rep.check(f2.isometry_order(f2.reduce(L)) == oL2,
-              "the reflections generate O(L2): its basis-image count agrees")
     rep.numbers.update(weyl_order=weyl, oL2_order=oL2, rho_image_order=image)
     rep.witnesses.append(f"-1 in W: {minus1}")
     return rep
@@ -451,7 +470,7 @@ def _verify_remark1():
     L = lat.build_del_pezzo(3)
     rep = VerificationReport("remark1", 3, True, _census_numbers(L), [])
     aut_order = aut_group(L).order()
-    oL2 = oL2_group(L).order()
+    oL2 = _oL2_order(L)
     image = rho_image_order_aut(L)
     rep.check(aut_order == 24, "|O(L)| = 24")
     rep.check(oL2 == 6 and image == 6, "reduction is onto O(L2) of order 6")
@@ -486,13 +505,10 @@ def _verify_remark1():
 def _verify_remark2(rank):
     """Plain A_rank: the root/quadric and group correspondences both fail.
 
-    The remark says nothing of reflections, so no reflection chain is built:
-    |O(L2)| is f2.isometry_order, checked against f2.orthogonal_order."""
+    The remark says nothing of reflections, so it builds no mod-2 chain."""
     L = lat.build_plain_root_lattice(rank)
-    S = f2.reduce(L)
     aut_order = aut_group(L).order()
-    oL2 = f2.isometry_order(S)
-    _agreed(L, "|O(L2)|", oL2, f2.orthogonal_order(S))
+    oL2 = _oL2_order(L)
     rep = VerificationReport("remark2", rank, True,
                              _census_numbers(L, autL_order=aut_order, oL2_order=oL2), [])
     rep.check(rep.numbers["roots"] == rank * (rank + 1), "A_n has n(n+1) roots")
@@ -507,11 +523,5 @@ def _verify_remark2(rank):
 def reports_for(n):
     """All statement reports for del Pezzo rank n, in statement order."""
     L = lat.build_del_pezzo(n)
-    a, b = verify_lemma(L)
-    out = [a, b, verify_prop1(L)]
-    if n == 3:
-        out.append(verify_remarks(3))
-    else:
-        out.append(verify_prop2(L))
-        out.append(verify_corollary(L))
-    return out
+    return [*verify_lemma(L), verify_prop1(L),
+            *([verify_remarks(3)] if n == 3 else [verify_prop2(L), verify_corollary(L)])]

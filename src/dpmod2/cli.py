@@ -141,7 +141,7 @@ def _table_rows():
         L = lat.build_del_pezzo(n)
         row = dict(zip(TABLE_COLUMNS, (
             n, L.root_type, *bridge._census(L), bridge.weyl_group(L).order(),
-            bridge.aut_group(L).order(), bridge.oL2_group(L).order(),
+            bridge.aut_group(L).order(), bridge._oL2_order(L),
             bridge.rho_image_order_aut(L))))
         ok = ok and row["roots"] == lat.ROOT_COUNTS[L.root_type]
         rows.append(row)

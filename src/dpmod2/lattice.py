@@ -78,6 +78,7 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
         }
 
 
+@lru_cache(maxsize=None)
 def _build(kind, n, signs, K, expected_disc, root_type):
     coeffs = tuple(s * k for s, k in zip(signs, K))
     basis = tuple(intlinalg.kernel_basis(coeffs))
@@ -101,9 +102,10 @@ def _build(kind, n, signs, K, expected_disc, root_type):
     return lat
 
 
-@lru_cache(maxsize=None)
 def build_del_pezzo(n):
-    """The rank-n del Pezzo lattice, with its canonical basis of K^perp."""
+    """The rank-n del Pezzo lattice, with its canonical basis of K^perp.
+    The rank is checked before the cache behind _build sees it, so an
+    unhashable one raises BadInput, not TypeError."""
     if type(n) is not int:
         raise errors.BadInput(f"n must be an int, got {n!r}")
     if not 3 <= n <= 8:
@@ -113,7 +115,6 @@ def build_del_pezzo(n):
     return _build("delpezzo", n, signs, K, 9 - n, DEL_PEZZO_TYPES[n])
 
 
-@lru_cache(maxsize=None)
 def build_plain_root_lattice(rank):
     """The A_rank lattice: sum-zero vectors of Euclidean Z^(rank+1)."""
     if type(rank) is not int:

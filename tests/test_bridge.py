@@ -196,7 +196,9 @@ def test_isometry_generators_are_reduced_once(monkeypatch):
     the O(L) generators: each is reduced once, and then each product of
     two of them, without a lattice check, as automorphism_chain has checked
     each generator.  Only a generator's image is checked in O(L2); a
-    product's is compared with the product of two checked images."""
+    product's is compared with the product of two checked images.  The
+    rho chain starts from the 7 simple reflections, which reduce_isometry
+    checks in L and in O(L2)."""
     L = build_del_pezzo(7)
     g = len(automorphism_group(L))      # builds and checks the chain
     reduced, lattice_checks, f2_checks = [], [], []
@@ -204,11 +206,11 @@ def test_isometry_generators_are_reduced_once(monkeypatch):
     _counting(monkeypatch, lat, "check_isometry", lattice_checks)
     _counting(monkeypatch, f2, "check_isometry", f2_checks)
     bridge._reduced_aut_generators.cache_clear()
-    bridge.rho_image_order_aut.cache_clear()
+    bridge._rho_orders.cache_clear()
     assert bridge.verify_lemma_isometries(L).passed
-    assert len(reduced) == g + g * g
-    assert lattice_checks == []
-    assert len(f2_checks) == g
+    assert len(reduced) == 7 + g + g * g
+    assert [p for _, p in lattice_checks] == list(weyl_generators(L))
+    assert len(f2_checks) == 7 + g
 
 
 def test_automorphism_chain_checks_minus_one(monkeypatch):
@@ -330,13 +332,13 @@ def test_report_check_records_failures_where_they_run():
 
 
 def test_prop2_fail_line_sits_where_its_check_runs(monkeypatch):
-    """The basis-image check runs before the n = 4 singular-vector scan, so
+    """The |rho(W)| check runs before the n = 4 singular-vector scan, so
     its FAIL line comes before that scan's note."""
-    monkeypatch.setattr(f2, "isometry_order", lambda S: 1)
+    monkeypatch.setattr(bridge, "rho_image_order_weyl", lambda L: 1)
     rep = bridge.verify_prop2(build_del_pezzo(4))
     assert not rep.passed
     assert rep.witnesses == [
-        "FAIL: the reflections generate O(L2): its basis-image count agrees",
+        "FAIL: the reflections generate O(L2): |rho(W)| agrees",
         "nonzero singular vectors: 5"]
 
 
@@ -374,10 +376,13 @@ def _computing(monkeypatch, module, name, computed):
 def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     """From cold caches, verify --n all checks each lattice isometry once:
     the 26 O(L) chain generators of its seven lattices, -1 among them, in
-    automorphism_chain, and the 30 Weyl generators of dP4..8 in
-    reduce_isometry.  In O(L2) it checks the 22 reduced del Pezzo O(L)
-    generators, the 30 reduced Weyl generators and prop2's 52 maps on dP5.
-    Per lattice it masks each root once and computes the census once.  It
+    automorphism_chain, and the 33 Weyl generators of dP3..8 in
+    reduce_isometry, before the rho chain compares each with its root's
+    mod-2 reflection.  In O(L2) it checks the 22 reduced del Pezzo O(L)
+    generators, the 33 reduced Weyl generators and prop2's 52 maps on dP5.
+    It builds no reflection chain: of the 556 map reads that the chains
+    and checks made with one, the 254 q = 1 reflections of dP3..8 go and
+    dP3's 3 reduced Weyl generators add 6, which leaves 308.  Per lattice it masks each root once and computes the census once.  It
     computes the radical once per space (8 spaces), the radical split once
     per space with a radical (dP3, dP5, dP7), and arf, by a symplectic
     basis, once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
@@ -389,18 +394,19 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     the searches' solutions and the reduced maps without the public
     sifts_on_known_base, and extend without PermGroup's permutation check
     by the ones check_isometry or the independence test has just passed,
-    so it runs only for the 30 Weyl generators and the 5 membership tests
-    of -1; the mod-2 chains read each map's images once, not again through
-    f2.permutation.  O(L2)'s reflections are built from q's table, so
-    f2_reflection runs only for prop2's 63 reflections on dP7, and no
-    caller reads the public radical.  It builds the pairing rows that the
+    so it runs only for the 30 Weyl generators of the W chains (dP4..8)
+    and the 5 membership tests of -1; the mod-2 chains read each map's
+    images once, not again through f2.permutation.  prop2's dP5 quotient
+    builds O(L2)'s reflections from q's table, so f2_reflection runs only
+    for prop2's 63 reflections on dP7, and no caller reads the public
+    radical.  It builds the pairing rows that the
     searches and checks read and those they are added from: 296 of the
     578 roots' rows."""
-    counts = {"lat.check_isometry": 56, "f2.check_isometry": 104,
-              "bridge.reduce_isometry": 30, "f2._mask": 812,
+    counts = {"lat.check_isometry": 59, "f2.check_isometry": 107,
+              "bridge.reduce_isometry": 33, "f2._mask": 812,
               "f2.symplectic_basis": 5, "f2.radical": 0, "f2.value_census": 14,
               "f2.f2_reflection": 63, "PermGroup.sifts_on_known_base": 0,
-              "PermGroup._check_perm": 35, "f2._basis_images": 556,
+              "PermGroup._check_perm": 35, "f2._basis_images": 308,
               "f2.permutation": 0}
     computations = {"f2._radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
     rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
@@ -455,12 +461,12 @@ def test_verify_corollary(n):
 
 @pytest.mark.parametrize("verify", [bridge.verify_prop2, bridge.verify_corollary])
 def test_wrong_isometry_count_fails_the_report(verify, monkeypatch):
-    """prop2 and the corollary compare O(L2) with its basis-image count."""
+    """prop2 and the corollary print the basis-image count of O(L2), and
+    stop unless its closed form agrees."""
     monkeypatch.setattr(f2, "isometry_order", lambda S: 1)
-    rep = verify(build_del_pezzo(4))
-    assert not rep.passed
-    assert ("FAIL: the reflections generate O(L2): its basis-image count agrees"
-            in rep.witnesses)
+    with pytest.raises(errors.CrossCheckFailed,
+                       match=r"A4: \|O\(L2\)\| 1 != its closed form 120"):
+        verify(build_del_pezzo(4))
 
 
 def test_verify_corollary_wrong_range():
@@ -542,13 +548,12 @@ def test_corollary_cross_checks_the_weyl_order(monkeypatch):
 
 @pytest.fixture
 def fresh_chains():
-    """Build the W and O(L2) chains anew inside a test that perturbs what
-    checks them, and drop what it built afterwards."""
+    """Build the W chain anew inside a test that perturbs what checks it,
+    and drop what it built afterwards.  |O(L2)| is not cached: only the
+    basis-image count behind it is, per space."""
     bridge.weyl_group.cache_clear()
-    bridge.oL2_group.cache_clear()
     yield
     bridge.weyl_group.cache_clear()
-    bridge.oL2_group.cache_clear()
 
 
 def test_remark2_cross_checks_the_arf_invariant(monkeypatch):
@@ -578,10 +583,10 @@ def _shift_an_exponent(monkeypatch):
     monkeypatch.setattr(lat, "exponents", lambda L: (2,) + exponents(L)[1:])
 
 
-def _drop_reflections(monkeypatch):
-    """Keep one reflection: the chain it generates has order 2."""
-    reflections = f2.orthogonal_generators
-    monkeypatch.setattr(f2, "orthogonal_generators", lambda S: reflections(S)[:1])
+def _miscount_oL2(monkeypatch):
+    """A closed form for |O(L2)| one more than the basis-image count."""
+    closed = f2.orthogonal_order
+    monkeypatch.setattr(f2, "orthogonal_order", lambda S: closed(S) + 1)
 
 
 def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
@@ -601,15 +606,17 @@ def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
     lambda: bridge.verify_remarks(3),
 ], ids=["prop2", "corollary", "remark1"])
 def test_reflection_chain_order_is_cross_checked(run, monkeypatch, fresh_chains):
-    """Each statement that prints the reflection chain's |O(L2)| raises when
-    the chain's order is not the closed form; table is below."""
-    _drop_reflections(monkeypatch)
-    with pytest.raises(errors.CrossCheckFailed, match=r"\|O\(L2\)\| 2 !="):
+    """Each statement that prints |O(L2)| raises when its basis-image count
+    is not the closed form; table is below.  No reflection chain is built:
+    the reduced simple reflections and |rho(W)| stand for it."""
+    _miscount_oL2(monkeypatch)
+    with pytest.raises(errors.CrossCheckFailed,
+                       match=r"\|O\(L2\)\| (\d+) != its closed form \d+"):
         run()
 
 
 @pytest.mark.parametrize("perturb, match", [
-    (_drop_reflections, r"\|O\(L2\)\| 2 !="),
+    (_miscount_oL2, r"\|O\(L2\)\| 6 != its closed form 7"),
     (_shift_an_exponent, r"\|W\|"),
 ], ids=["reflection-chain", "exponent"])
 def test_table_exits_1_on_a_failed_cross_check(perturb, match, monkeypatch,
@@ -636,3 +643,62 @@ def test_remark2_builds_no_reflection_chain(rank, monkeypatch):
     assert rep.passed
     assert rep.numbers["oL2_order"] == f2.orthogonal_order(
         f2.reduce(build_plain_root_lattice(rank)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reduced_simple_reflections_are_checked(n, monkeypatch):
+    """The rho chain starts from the reduced simple reflections, each of
+    which must be the mod-2 reflection in its root's class: that puts
+    rho(W) inside the group the q = 1 reflections generate.  With the
+    first one reduced as the second, rho is not read."""
+    L = build_del_pezzo(n)
+    first, second = weyl_generators(L)[:2]
+    reduce_isometry = bridge.reduce_isometry
+    monkeypatch.setattr(bridge, "reduce_isometry", lambda L, p: reduce_isometry(
+        L, second if p == first else p))
+    bridge._rho_orders.cache_clear()
+    try:
+        with pytest.raises(errors.CrossCheckFailed, match="reduced simple reflection"):
+            bridge.rho_image_order_weyl(L)
+    finally:
+        bridge._rho_orders.cache_clear()
+
+
+def _refuse_reflection_chain(monkeypatch):
+    def refuse(L):
+        raise AssertionError("a statement built the reflection chain")
+
+    monkeypatch.setattr(bridge, "oL2_group", refuse)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reports_build_no_reflection_chain(n, monkeypatch):
+    """Every del Pezzo statement passes with the reflection chain refused:
+    |O(L2)| is the basis-image count, checked against its closed form."""
+    _refuse_reflection_chain(monkeypatch)
+    assert all(r.passed for r in bridge.reports_for(n))
+
+
+def test_table_builds_no_reflection_chain(monkeypatch, capsys):
+    _refuse_reflection_chain(monkeypatch)
+    assert cli.run(["table", "--format", "json"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("L", [build_del_pezzo(n) for n in range(3, 9)]
+                         + [build_plain_root_lattice(r) for r in range(5, 11)],
+                         ids=lambda L: L.root_type)
+def test_no_reduced_aut_generator_extends_the_weyl_chain(L):
+    """rho(O(L)) = rho(W): each reduced O(L) generator sifts on the chain of
+    the reduced simple reflections, so the shared chain reads both orders
+    from one chain that the O(L) generators leave as it was."""
+    S = f2.reduce(L)
+    W = bridge._f2_chain(S, [bridge.reduce_isometry(L, u) for u in weyl_generators(L)])
+    assert all(W.sifts_on_known_base([S.coords(m) for m in images])
+               for images in bridge._reduced_aut_generators(L))
+    assert bridge.rho_image_order_weyl(L) == bridge.rho_image_order_aut(L) == W.order()
+
+
+def test_reports_for_refuses_unhashable_ranks():
+    with pytest.raises(errors.BadInput, match="must be an int"):
+        bridge.reports_for([])

@@ -156,17 +156,17 @@ def _cached():
 
 
 @pytest.mark.parametrize("command, stage", [("verify", "reports_for"),
-                                            ("table", "_build")],
+                                            ("table", "build_del_pezzo")],
                          ids=["verify", "table"])
 def test_each_lattice_starts_from_empty_caches(command, stage, monkeypatch, capsys):
     """verify --n all and table release each lattice's caches once its
     reports or row are built: each reports_for(n) after the first, and each
     row after the first, starts with nothing cached, so no other lattice's
     data.  A table row starts by building its lattice, which then misses
-    the emptied cache and calls lattice._build; so does dP5's prop2 when it
+    the emptied cache of lattice._build; so does dP5's prop2 when it
     builds dP4 again, which happens within a verify stage, not at its
     start.  Each stage ends with its own lattice cached."""
-    module = {"reports_for": bridge, "_build": lat}[stage]
+    module = {"reports_for": bridge, "build_del_pezzo": lat}[stage]
     fn = getattr(module, stage)
     at_start, at_end = [], []
 

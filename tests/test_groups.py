@@ -490,13 +490,21 @@ def test_sifts_on_known_base_checks_images(images):
         G.sifts_on_known_base(images)
 
 
-def _rho_inputs(n, isometries):
+# the package's rho chain: the reduced simple reflections, then the reduced
+# O(L) generators, through one chain
+_RHO = (lattice.weyl_generators, lattice.automorphism_group)
+
+
+def _rho_inputs(n, isometries=_RHO):
     L = build_del_pezzo(n)
-    return f2.reduce(L), [bridge.reduce_isometry(L, u) for u in isometries(L)]
+    return f2.reduce(L), [bridge.reduce_isometry(L, u)
+                          for generators in isometries for u in generators(L)]
 
 
 def _f2_chain_inputs(name):
-    """The space and the maps of each mod-2 chain the package builds."""
+    """The space and the maps of each mod-2 chain the package builds, and
+    for a lattice those of the reflection chain oL2_group, the tests'
+    oracle for |O(L2)|."""
     if name == "n7-SpH":
         _, H = f2.split_radical(f2.reduce(build_del_pezzo(7)))
         return [(H, [f2.transvection(H, v) for v in H.nonzero_vectors()])]
@@ -505,8 +513,7 @@ def _f2_chain_inputs(name):
         k, H = f2.split_radical(S)
         return [(H, [f2.induced(S, k, H, g) for g in f2.orthogonal_generators(S)])]
     if name.startswith("rho"):
-        return [_rho_inputs(int(name[3:]), isometries)
-                for isometries in (lattice.automorphism_group, lattice.weyl_generators)]
+        return [_rho_inputs(int(name[3:]))]
     L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
          else build_plain_root_lattice(int(name[1:])))
     S = f2.reduce(L)
@@ -521,7 +528,7 @@ def _quotient5_chain():
     return bridge._f2_chain(*_f2_chain_inputs("n5-quotient")[0])
 
 
-def _rho_chain(n, isometries):
+def _rho_chain(n, isometries=_RHO):
     return bridge._f2_chain(*_rho_inputs(n, isometries))
 
 
@@ -558,16 +565,18 @@ def _ol_chain(L):
      "7783a6ab5f890e921f4ef3c29ce5df0d1df34a0328d651197a456e0042ede746"),
     (_quotient5_chain, (2, 1, 4), (10, 6, 2), (60, 8, 4),
      "981b74071d3c0bca2ed48442dd2e84cb0643d099f0abe287d7186d48840cbb3e"),
-    (lambda: _rho_chain(8, lattice.automorphism_group),
-     (1, 2, 4, 8, 16, 32, 64), (120, 56, 27, 16, 10, 6, 2), (739, 24, 2),
-     "73bbf1aa39d1353708346ff45d088bde3a453da2c21adc779bea8e31add34810"),
-    (lambda: _rho_chain(8, lattice.weyl_generators),
+    # the rho chain, where |rho(O(L))| is read: the O(L) generators all
+    # sift on the chain of the simple reflections, where |rho(W)| is read
+    (lambda: _rho_chain(8),
      (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
      "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
-    (lambda: _rho_chain(6, lattice.automorphism_group),
-     (1, 2, 4, 8, 32), (36, 20, 9, 4, 2), (140, 9, 2),
-     "8ef466bbd07dcdf17e4241da86bec521cbfd2b720393b7fbbbe574452a9cc53a"),
-    (lambda: _rho_chain(6, lattice.weyl_generators),
+    (lambda: _rho_chain(8, _RHO[:1]),
+     (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
+     "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
+    (lambda: _rho_chain(6),
+     (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
+     "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
+    (lambda: _rho_chain(6, _RHO[:1]),
      (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
      "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
     (lambda: _ol_chain(build_plain_root_lattice(10)),
@@ -576,8 +585,8 @@ def _ol_chain(L):
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_shape_pinned(chain, base, orbits, counts, digest):
-    """The chains themselves, not only their orders, stay as they were, to
-    every level's digest; counts pins the Schreier generators tested, the
+    """The chains themselves, not only their orders, stay as they were:
+    every level is bit-identical to the pinned digest; counts pins the Schreier generators tested, the
     full sifts and the generators kept, so that a chain fed more elements
     than the pruned search finds fails here."""
     G = chain()
@@ -602,48 +611,17 @@ def _chain_digest(G):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("chain, digest", [
-    (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
-     "3f56a54c60b7f60290f78ec5c6ae4e0a866708749338ca826747b4411c7b5407"),
-    (lambda: bridge.weyl_group(build_del_pezzo(8)),
-     "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51"),
-    (lambda: bridge.aut_group(build_del_pezzo(8)),
-     "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc"),
-    (lambda: bridge.oL2_group(build_del_pezzo(8)),
-     "62ed5fe2b60004da3e6bf379522b0f5fe3c4fc08a7cbc6d3b2f5f8f0ba12ed8c"),
-    (_sp7_chain,
-     "7783a6ab5f890e921f4ef3c29ce5df0d1df34a0328d651197a456e0042ede746"),
-    (_quotient5_chain,
-     "981b74071d3c0bca2ed48442dd2e84cb0643d099f0abe287d7186d48840cbb3e"),
-    (lambda: _rho_chain(8, lattice.automorphism_group),
-     "73bbf1aa39d1353708346ff45d088bde3a453da2c21adc779bea8e31add34810"),
-    (lambda: _rho_chain(8, lattice.weyl_generators),
-     "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
-    (lambda: _rho_chain(6, lattice.automorphism_group),
-     "8ef466bbd07dcdf17e4241da86bec521cbfd2b720393b7fbbbe574452a9cc53a"),
-    (lambda: _rho_chain(6, lattice.weyl_generators),
-     "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
-    (lambda: bridge.aut_group(build_plain_root_lattice(10)),
-     "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da"),
-], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
-        "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
-def test_chain_pinned(chain, digest):
-    """Every level of the chains is bit-identical to the pinned one."""
-    assert _chain_digest(chain()) == digest
-
-
 def _basis_positions(S):
     return [S.coords(b) for b in S.basis]
 
 
 def _package_chains(name):
-    """Each chain the package builds for a case, with the known base its
-    caller means: the simple roots, or the basis vectors of the space."""
+    """Each chain the package builds for a case, and for a lattice the
+    reflection oracle oL2_group, with the known base its caller means: the
+    simple roots, or the basis vectors of the space."""
     if name.startswith("rho"):
         n = int(name[3:])
-        known = _basis_positions(f2.reduce(build_del_pezzo(n)))
-        return [(_rho_chain(n, isometries), known)
-                for isometries in (lattice.automorphism_group, lattice.weyl_generators)]
+        return [(_rho_chain(n), _basis_positions(f2.reduce(build_del_pezzo(n))))]
     if name == "n7-SpH":
         _, H = f2.split_radical(f2.reduce(build_del_pezzo(7)))
         return [(_sp7_chain(), _basis_positions(H))]

@@ -106,6 +106,22 @@ def test_plain_out_of_range(rank):
         build_plain_root_lattice(rank)
 
 
+@pytest.mark.parametrize("build", [build_del_pezzo, build_plain_root_lattice])
+@pytest.mark.parametrize("junk", [[], {1: 2}, {4}, bytearray(b"4")],
+                         ids=["list", "dict", "set", "bytearray"])
+def test_builders_refuse_unhashable_ranks(build, junk):
+    """The rank is checked before the cache sees it: an unhashable one is
+    BadInput, as for any rank that is not an int, not the cache's
+    TypeError.  The cache behind the guard, lattice._build, is still one
+    that bridge._caches finds and clears, and a lattice is built once."""
+    from dpmod2 import bridge
+
+    with pytest.raises(errors.BadInput, match="must be an int"):
+        build(junk)
+    assert lattice._build in bridge._caches()
+    assert build(5) is build(5)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_root_counts(n):
     L = build_del_pezzo(n)
