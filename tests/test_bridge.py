@@ -382,10 +382,11 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     generators, the 33 reduced Weyl generators and prop2's 52 maps on dP5.
     It builds no reflection chain: of the 556 map reads that the chains
     and checks made with one, the 254 q = 1 reflections of dP3..8 go and
-    dP3's 3 reduced Weyl generators add 6, which leaves 308.  Per lattice it masks each root once and computes the census once.  It
-    computes the radical once per space (8 spaces), the radical split once
-    per space with a radical (dP3, dP5, dP7), and arf, by a symplectic
-    basis, once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
+    dP3's 3 reduced Weyl generators add 6, which leaves 308.  Per lattice
+    it masks each root once and computes the census once.  It computes
+    the radical once per space (8 spaces), the radical split once per
+    space with a radical (dP3, dP5, dP7), and arf, by a symplectic basis,
+    once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
     quotient, the closed forms reading the same value.  The CLI releases
     each lattice's caches once its reports are built, so dP5's prop2
     reduces dP4 again: 5 of the 812 masks.

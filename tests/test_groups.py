@@ -586,9 +586,10 @@ def _ol_chain(L):
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_shape_pinned(chain, base, orbits, counts, digest):
     """The chains themselves, not only their orders, stay as they were:
-    every level is bit-identical to the pinned digest; counts pins the Schreier generators tested, the
-    full sifts and the generators kept, so that a chain fed more elements
-    than the pruned search finds fails here."""
+    every level is bit-identical to the pinned digest; counts pins the
+    Schreier generators tested, the full sifts and the generators kept, so
+    that a chain fed more elements than the pruned search finds fails
+    here."""
     G = chain()
     assert _chain_digest(G) == digest
     assert G.base() == base
