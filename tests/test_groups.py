@@ -541,6 +541,33 @@ def _ol_chain(L):
     return lattice.automorphism_chain.__wrapped__(L)
 
 
+# the digest (_chain_digest) of each pinned chain
+_CHAIN_DIGESTS = {
+    "A10-OL2":
+        "3f56a54c60b7f60290f78ec5c6ae4e0a866708749338ca826747b4411c7b5407",
+    "E8-W":
+        "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51",
+    "E8-OL":
+        "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc",
+    "E8-OL2":
+        "62ed5fe2b60004da3e6bf379522b0f5fe3c4fc08a7cbc6d3b2f5f8f0ba12ed8c",
+    "n7-SpH":
+        "7783a6ab5f890e921f4ef3c29ce5df0d1df34a0328d651197a456e0042ede746",
+    "n5-quotient":
+        "981b74071d3c0bca2ed48442dd2e84cb0643d099f0abe287d7186d48840cbb3e",
+    "E8-rhoOL":
+        "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e",
+    "E8-rhoW":
+        "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e",
+    "E6-rhoOL":
+        "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549",
+    "E6-rhoW":
+        "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549",
+    "A10-OL":
+        "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da",
+}
+
+
 # a mod-2 chain acts on coordinate bits: its base point 1 << i is basis vector i
 @pytest.mark.parametrize("chain, base, orbits, counts, digest", [
     # 10,835 Schreier generators formed on the 10 known-base points, 62
@@ -549,39 +576,39 @@ def _ol_chain(L):
     (_a10_ol2_chain,
      (256, 128, 64, 32, 16, 8, 4, 2, 1, 512),
      (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (10835, 62, 11),
-     "3f56a54c60b7f60290f78ec5c6ae4e0a866708749338ca826747b4411c7b5407"),
+     _CHAIN_DIGESTS["A10-OL2"]),
     (lambda: bridge.weyl_group(build_del_pezzo(8)),
      (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None,
-     "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51"),
+     _CHAIN_DIGESTS["E8-W"]),
     # the 8 pruned search solutions, fed first level first: -1 and 2 of
     # them grow the chain
     (lambda: _ol_chain(build_del_pezzo(8)),
      (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (1232, 17, 3),
-     "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc"),
+     _CHAIN_DIGESTS["E8-OL"]),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
      (32, 16, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
-     "62ed5fe2b60004da3e6bf379522b0f5fe3c4fc08a7cbc6d3b2f5f8f0ba12ed8c"),
+     _CHAIN_DIGESTS["E8-OL2"]),
     (_sp7_chain, (16, 8, 4, 2, 1, 32), (63, 32, 15, 8, 3, 2), (780, 26, 7),
-     "7783a6ab5f890e921f4ef3c29ce5df0d1df34a0328d651197a456e0042ede746"),
+     _CHAIN_DIGESTS["n7-SpH"]),
     (_quotient5_chain, (2, 1, 4), (10, 6, 2), (60, 8, 4),
-     "981b74071d3c0bca2ed48442dd2e84cb0643d099f0abe287d7186d48840cbb3e"),
+     _CHAIN_DIGESTS["n5-quotient"]),
     # the rho chain, where |rho(O(L))| is read: the O(L) generators all
     # sift on the chain of the simple reflections, where |rho(W)| is read
     (lambda: _rho_chain(8),
      (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
-     "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
+     _CHAIN_DIGESTS["E8-rhoOL"]),
     (lambda: _rho_chain(8, _RHO[:1]),
      (16, 32, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
-     "f07f719e9a2827ac2bfbaf5c5294f4f1ffa68f996f15a38536a67e055affbc9e"),
+     _CHAIN_DIGESTS["E8-rhoW"]),
     (lambda: _rho_chain(6),
      (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
-     "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
+     _CHAIN_DIGESTS["E6-rhoOL"]),
     (lambda: _rho_chain(6, _RHO[:1]),
      (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
-     "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549"),
+     _CHAIN_DIGESTS["E6-rhoW"]),
     (lambda: _ol_chain(build_plain_root_lattice(10)),
      (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (842, 24, 4),
-     "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da"),
+     _CHAIN_DIGESTS["A10-OL"]),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_shape_pinned(chain, base, orbits, counts, digest):
@@ -610,6 +637,28 @@ def _chain_digest(G):
         for g in lv.gens + [lv.orbit[p] for p in lv.orbit_order]:
             h.update(array("i", list(g[:G.degree])).tobytes())
     return h.hexdigest()
+
+
+# the chains the package hands out, cached ones included
+_PACKAGE_CHAINS = {
+    "A10-OL2": lambda: bridge.oL2_group(build_plain_root_lattice(10)),
+    "E8-W": lambda: bridge.weyl_group(build_del_pezzo(8)),
+    "E8-OL": lambda: bridge.aut_group(build_del_pezzo(8)),
+    "E8-OL2": lambda: bridge.oL2_group(build_del_pezzo(8)),
+    "n7-SpH": _sp7_chain,
+    "n5-quotient": _quotient5_chain,
+    "E8-rhoOL": lambda: _rho_chain(8),
+    "E8-rhoW": lambda: _rho_chain(8, _RHO[:1]),
+    "E6-rhoOL": lambda: _rho_chain(6),
+    "E6-rhoW": lambda: _rho_chain(6, _RHO[:1]),
+    "A10-OL": lambda: bridge.aut_group(build_plain_root_lattice(10)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PACKAGE_CHAINS))
+def test_chain_pinned(name):
+    """Every level of each chain is bit-identical to the pinned one."""
+    assert _chain_digest(_PACKAGE_CHAINS[name]()) == _CHAIN_DIGESTS[name]
 
 
 def _basis_positions(S):
