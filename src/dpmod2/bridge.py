@@ -338,7 +338,7 @@ def _kernel_elements(L):
     allowed = [sum(1 << i for i, m in enumerate(masks) if m == masks[s])
                for s in simple]
     sols = groups.completions(rows, allowed, gram, [-1] * len(simple))
-    return list(lat._solution_perms(L, list(sols)))
+    return [lat._root_map(L, sol) for sol in sols]
 
 
 def verify_prop1(L):
@@ -493,9 +493,9 @@ def _verify_remark1():
     comp_orders = [order for order, _ in isos]
     comp_f2_orders = [f2.isometry_order(f2.space_from_gram(gram)) for _, gram in isos]
     rep.check(comp_orders == [2, 12], "component isometry groups have orders 2, 12")
-    rep.check(2 * 12 == aut_order, "O(L) = O(A1) x O(A2)")
+    rep.check(prod(comp_orders) == aut_order, "O(L) = O(A1) x O(A2)")
     rep.check(comp_f2_orders == [1, 6], "mod-2 component groups have orders 1, 6")
-    rep.check(1 * 6 == oL2, "O(L2) = O(L2') x O(L2'')")
+    rep.check(prod(comp_f2_orders) == oL2, "O(L2) = O(L2') x O(L2'')")
     rep.numbers.update(autL_order=aut_order, oL2_order=oL2,
                        rho_image_order=image, kernel_order=len(kernel))
     rep.witnesses.append(f"component isometry orders: {comp_orders}")

@@ -350,7 +350,7 @@ def f2_reflection(S, v):
     """
     if S.q(v) != 1:
         raise errors.BadInput(f"q(v) must be 1, got {S.q(v)}")
-    return transvection(S, v)
+    return _transvection(S, v)      # q(v) = 1: v is a nonzero vector of S
 
 
 def orthogonal_generators(S):

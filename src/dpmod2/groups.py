@@ -195,24 +195,16 @@ class PermGroup:
         """Exact membership by sifting through the chain."""
         return self._sift(self._rep(self._check_perm(g)) + self._pad, 0) is None
 
-    def sifts_on_known_base(self, images):
+    def _sifts(self, images):
         """Whether the element with these images of the known base sifts to
         the identity: the full sift's steps on a few entries, exact for an
         element of any group the known base determines (a product of such
-        elements fixing it is 1).  Raises BadInput unless there is one point
-        per known-base point."""
-        images = _tuple(images, "need one point per known-base point")
-        if (len(images) != len(self._known)
-                or any(type(b) is not int or not 0 <= b < self.degree for b in images)):
-            raise errors.BadInput("need one point in range per known-base point")
-        return self._sifts(images)
-
-    def _sifts(self, images):
-        """sifts_on_known_base for images its caller has built valid, unchecked."""
+        elements fixing it is 1).  Unchecked: the caller passes one point in
+        range per known-base point."""
         return self._sifts_on_known_base(self._rep(images), 0)
 
     def _sifts_on_known_base(self, cur, start):
-        """sifts_on_known_base through the levels from start on, unchecked."""
+        """_sifts through the levels from start on."""
         for lv in self._levels[start:]:
             img = cur[lv.slot]
             if img != lv.beta:

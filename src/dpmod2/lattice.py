@@ -39,19 +39,15 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
     diagonal of the ambient form (entries +-1), K the ambient vector cut
     out, basis the n ambient vectors of the canonical kernel basis, gram
     their n x n Gram matrix, and root_type the name of the root system.
-    Equality is the tuples'; the hash is computed once per instance, as the
-    caches look a lattice up by it many times.
+    Equality is the tuples'; the hash is the rank, which equal lattices
+    share: a del Pezzo and a plain lattice of one rank collide, and ==
+    tells them apart on kind.
     """
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
+    __slots__ = ()
 
-    def __getstate__(self):
-        return None     # pickle no cached hash: a str's hash differs between processes
+    def __hash__(self):
+        return self.n
 
     @property
     def width(self):
@@ -253,23 +249,22 @@ def _root_steps(L):
     return tuple(steps)
 
 
-def _solution_perms(L, solutions):
-    """Root permutations of the linear maps sending simple root t to root
-    sol[t], one per solution, in order: each step of _root_steps adds two
-    image heights and looks the sum up, and NotIsometry is raised where it
-    is no root's.  Exact for a map that keeps the simple roots' pairings."""
-    (heights, index), steps = _heights(L), _root_steps(L)
-    for sol in solutions:
-        image = [0] * len(heights)
-        for s, t in zip(_simple_indices(L), sol):
-            image[s] = heights[t]
-            image[index[-heights[s]]] = -heights[t]
-        for r, a, b in steps:
-            image[r] = image[a] + image[b]
-        try:
-            yield tuple(map(index.__getitem__, image))
-        except KeyError:
-            raise errors.NotIsometry("a root maps outside the root set") from None
+def _root_map(L, sol):
+    """The root permutation of the linear map sending simple root t to root
+    sol[t]: each step of _root_steps adds two image heights and looks the
+    sum up, and NotIsometry is raised where it is no root's.  Exact for a
+    map that keeps the simple roots' pairings."""
+    heights, index = _heights(L)
+    image = [0] * len(heights)
+    for s, t in zip(_simple_indices(L), sol):
+        image[s] = heights[t]
+        image[index[-heights[s]]] = -heights[t]
+    for r, a, b in _root_steps(L):
+        image[r] = image[a] + image[b]
+    try:
+        return tuple(map(index.__getitem__, image))
+    except KeyError:
+        raise errors.NotIsometry("a root maps outside the root set") from None
 
 
 def minus_one(L):
@@ -285,8 +280,8 @@ def root_reflection(L, alpha):
     if not is_root(L, alpha):
         raise errors.BadInput(f"{alpha} is not a root")
     (heights, index), ha, roots = _heights(L), _height(alpha), enumerate_roots(L)
-    return next(_solution_perms(L, [[index[heights[t] - L.dot(roots[t], alpha) * ha]
-                                     for t in _simple_indices(L)]]))
+    return _root_map(L, [index[heights[t] - L.dot(roots[t], alpha) * ha]
+                         for t in _simple_indices(L)])
 
 
 def check_isometry(L, p):
@@ -308,7 +303,7 @@ def check_isometry(L, p):
             or set(p) != set(range(count))
             or any(not rows[p[s]][v] >> p[t] & 1
                    for s, row in zip(simple, gram) for t, v in zip(simple, row))
-            or p != next(_solution_perms(L, [[p[s] for s in simple]]))):
+            or p != _root_map(L, [p[s] for s in simple])):
         raise errors.NotIsometry(
             f"not the root permutation of an isometry of {L.root_type}")
     return p
@@ -411,7 +406,7 @@ def _root_search(L, mask):
     rows, simple, gram = _root_pairings(L)
     lengths, solutions = groups.orbit_search(
         rows, [mask if mask >> s & 1 else 1 << s for s in simple], gram, simple,
-        act=lambda sol: next(_solution_perms(L, [sol])))
+        act=lambda sol: _root_map(L, sol))
     pos = [i for i, s in enumerate(simple) if mask >> s & 1]
     return prod(lengths), solutions, [[gram[i][j] for j in pos] for i in pos]
 
@@ -464,8 +459,7 @@ def automorphism_chain(L):
     chain._extend(check_isometry(L, minus_one(L)))
     for sol in (sol for level in solutions for sol in level):
         if not chain._sifts(sol):
-            p, = _solution_perms(L, [sol])
-            chain._extend(check_isometry(L, p))
+            chain._extend(check_isometry(L, _root_map(L, sol)))
     if chain.order() != order:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "

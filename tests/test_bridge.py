@@ -392,21 +392,22 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     reduces dP4 again: 5 of the 812 masks.
 
     The values it has just built are not validated again: the chains sift
-    the searches' solutions and the reduced maps without the public
-    sifts_on_known_base, and extend without PermGroup's permutation check
+    the searches' 40 solutions and the 138 reduced maps on the known base
+    unchecked, and extend without PermGroup's permutation check
     by the ones check_isometry or the independence test has just passed,
     so it runs only for the 30 Weyl generators of the W chains (dP4..8)
     and the 5 membership tests of -1; the mod-2 chains read each map's
     images once, not again through f2.permutation.  prop2's dP5 quotient
     builds O(L2)'s reflections from q's table, so f2_reflection runs only
-    for prop2's 63 reflections on dP7, and no caller reads the public
-    radical.  It builds the pairing rows that the
+    for prop2's 63 reflections on dP7, and checks each vector once: the
+    public transvection runs for prop2's 63 dP7 transvections alone.  No
+    caller reads the public radical.  It builds the pairing rows that the
     searches and checks read and those they are added from: 296 of the
     578 roots' rows."""
     counts = {"lat.check_isometry": 59, "f2.check_isometry": 107,
               "bridge.reduce_isometry": 33, "f2._mask": 812,
               "f2.symplectic_basis": 5, "f2.radical": 0, "f2.value_census": 14,
-              "f2.f2_reflection": 63, "PermGroup.sifts_on_known_base": 0,
+              "f2.f2_reflection": 63, "f2.transvection": 63, "PermGroup._sifts": 178,
               "PermGroup._check_perm": 35, "f2._basis_images": 308,
               "f2.permutation": 0}
     computations = {"f2._radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
@@ -481,6 +482,30 @@ def test_verify_remark1():
     assert rep.numbers["autL_order"] == 24
     assert rep.numbers["oL2_order"] == rep.numbers["rho_image_order"] == 6
     assert rep.numbers["kernel_order"] == 4
+
+
+@pytest.mark.parametrize("side, line", [
+    ("lattice", "O(L) = O(A1) x O(A2)"),
+    ("mod 2", "O(L2) = O(L2') x O(L2'')"),
+])
+def test_remark1_products_read_the_component_orders(side, line, monkeypatch):
+    """remark1 compares |O(L)| and |O(L2)| with the products of the orders
+    it computes on the two components: doubling the rank-1 component's
+    order on one side fails that side's product line."""
+    if side == "lattice":
+        fn = lat.component_isometries
+
+        def doubled(L, component):
+            order, gram = fn(L, component)
+            return 2 * order if len(gram) == 1 else order, gram
+        monkeypatch.setattr(lat, "component_isometries", doubled)
+    else:
+        fn = f2.isometry_order
+        monkeypatch.setattr(f2, "isometry_order",
+                            lambda S: 2 * fn(S) if S.dim == 1 else fn(S))
+    rep = bridge.verify_remarks(3)
+    assert not rep.passed
+    assert f"FAIL: {line}" in rep.witnesses
 
 
 @pytest.mark.parametrize("rank", range(5, 11))
@@ -695,7 +720,7 @@ def test_no_reduced_aut_generator_extends_the_weyl_chain(L):
     from one chain that the O(L) generators leave as it was."""
     S = f2.reduce(L)
     W = bridge._f2_chain(S, [bridge.reduce_isometry(L, u) for u in weyl_generators(L)])
-    assert all(W.sifts_on_known_base([S.coords(m) for m in images])
+    assert all(W._sifts([S.coords(m) for m in images])
                for images in bridge._reduced_aut_generators(L))
     assert bridge.rho_image_order_weyl(L) == bridge.rho_image_order_aut(L) == W.order()
 

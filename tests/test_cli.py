@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -229,9 +230,22 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
+_VERIFY_ALL_JSON_SHA256 = "bc1831c7e81cc660f641691cd7f04bfefadd4ef49fecdb2dd927ec7421c39bb2"
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(seed):
+    """The chains and checks keep sets and hash lattices, so a fresh process
+    under any hash seed prints the pinned verify --n all bytes."""
+    proc = subprocess.run([sys.executable, "-m", "dpmod2", "verify", "--n", "all",
+                           "--format", "json"], capture_output=True,
+                          env={**os.environ, "PYTHONHASHSEED": seed})
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == _VERIFY_ALL_JSON_SHA256
+
+
 @pytest.mark.parametrize("argv, sha256", [
-    (["verify", "--n", "all", "--format", "json"],
-     "bc1831c7e81cc660f641691cd7f04bfefadd4ef49fecdb2dd927ec7421c39bb2"),
+    (["verify", "--n", "all", "--format", "json"], _VERIFY_ALL_JSON_SHA256),
     (["table", "--format", "csv"],
      "d128ba90a4f8cbda8180a302f1247f24656fb3301d4f0d9c5c0216bbc9ff4699"),
     (["remark2", "--rank", "10"],
@@ -274,6 +288,9 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
      "c881626914e4e4f589402f78115e07176efce5ee35006a81118dc26ac546fcaf"),
     (["verify", "--n", "8", "--format", "json"],
      "4f5c45fbbc32f32485a3d91db6b40675941718771b3ac65c70182ff0f6ab1400"),
+    # the command CI and the benchmark pin as well
+    (["verify", "--n", "4", "--format", "json"],
+     "4453c275e12f3a3463afb068492195c395d7a6181ce727c976df3b5551e99b26"),
 ])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""

@@ -164,7 +164,7 @@ def test_one_point_known_base(gens, degree, members, others):
     assert G.order() == len(members)
     assert all(G.contains(g) for g in members)
     assert not any(G.contains(g) for g in others)
-    assert all(G.sifts_on_known_base([g[0]]) for g in members)
+    assert all(G._sifts([g[0]]) for g in members)
     assert groups.gather((5, 6, 7), [2]) == (7,)
 
 
@@ -355,7 +355,7 @@ def test_known_base_sift_is_membership(case):
     gens, degree, known_base = case
     G = PermGroup(gens[:-1], degree, known_base=known_base)
     for g in gens:
-        assert G.sifts_on_known_base([g[b] for b in known_base]) == G.contains(g)
+        assert G._sifts([g[b] for b in known_base]) == G.contains(g)
 
 
 def _placed(g, offset, degree):
@@ -405,8 +405,8 @@ def test_byte_and_tuple_chains_agree(case):
             y = _placed(x, offset, degree)
             assert H.contains(y) == G.contains(x)
             if known_base is not None:
-                assert H.sifts_on_known_base([y[offset + b] for b in known_base]) == (
-                    G.sifts_on_known_base([x[b] for b in known_base]))
+                assert H._sifts([y[offset + b] for b in known_base]) == (
+                    G._sifts([x[b] for b in known_base]))
         assert (H.schreier_tested, H.full_sifts) == counts
     assert (G.schreier_tested, G.full_sifts) == counts
 
@@ -434,7 +434,7 @@ def test_chain_is_freed_without_the_collector(degree):
 ], ids=["trivial", "S4", "W(E6)"])
 def test_membership_tests_leave_the_counts(gens, degree):
     """schreier_tested and full_sifts count the build alone: contains and
-    sifts_on_known_base leave them as they were (the trivial group read
+    _sifts leave them as they were (the trivial group read
     full_sifts 1 when built and 3 after two contains calls, when contains
     counted its sift)."""
     G = PermGroup(gens, degree)
@@ -442,7 +442,7 @@ def test_membership_tests_leave_the_counts(gens, degree):
     assert counts[1] >= 1
     for g in [*gens, tuple(range(degree)), (1, 0, *range(2, degree))]:
         G.contains(g)
-        G.sifts_on_known_base(g)
+        G._sifts(g)
     assert (G.schreier_tested, G.full_sifts) == counts
 
 
@@ -474,20 +474,6 @@ def test_member_cache_skips_repeated_schreier_generators(monkeypatch):
     assert (G.schreier_tested, G.full_sifts) == (3064, 36)
     assert len(sifts) == len(set(sifts)) == 36
     assert sum(len(lv.members) for lv in G._levels) == 36
-
-
-@pytest.mark.parametrize("images", [[1, -1], [1, 3], [1], [1, 2, 0], [1, True],
-                                    [1.0, 2], None],
-                         ids=["negative", "too-large", "too-few", "too-many",
-                              "bool", "float", "None"])
-def test_sifts_on_known_base_checks_images(images):
-    """One int point per known-base point, or BadInput: a negative image is
-    not read as an index from the end, which made [1, -1] pass as the
-    member [1, 2]."""
-    G = PermGroup([(1, 2, 0)], 3, known_base=[0, 1])
-    assert G.sifts_on_known_base([1, 2]) and not G.sifts_on_known_base([2, 1])
-    with pytest.raises(errors.BadInput, match="per known-base point"):
-        G.sifts_on_known_base(images)
 
 
 # the package's rho chain: the reduced simple reflections, then the reduced

@@ -349,11 +349,11 @@ def test_root_permutation_not_closed():
     one swapping two simple roots."""
     L = build_del_pezzo(4)
     simple = lattice._simple_indices(L)
-    assert list(lattice._solution_perms(L, [simple])) == [tuple(range(20))]
+    assert lattice._root_map(L, simple) == tuple(range(20))
     s0, s1, *rest = simple
     for images in [(s0,) * L.n, (s1, s0, *rest)]:
         with pytest.raises(errors.NotIsometry):
-            list(lattice._solution_perms(L, [images]))
+            lattice._root_map(L, images)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
