@@ -9,8 +9,6 @@ vectors and that lattice isometries match the isometries of the mod-2
 space, and return serializable reports.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache, reduce
 from math import prod
 from operator import xor
@@ -42,7 +40,7 @@ def root_preimage(L, v):
     S = f2.reduce(L)
     if S.q(v) != 1:
         raise errors.BadInput("root preimages exist only for q(v) = 1")
-    support = groups.bit_indices(v)
+    support = groups._bit_indices(v)
     m, e0 = len(support), 0 in support
     root = [0] * L.width
     if m == 2 and (L.kind == "plain" or not e0):
@@ -138,7 +136,7 @@ def _caches():
 def _clear_caches():
     """Empty every cache of _caches(): a caller done with one lattice, such
     as the CLI between lattices, releases its roots, rows, spaces, searches
-    and chains before the next."""
+    and group orders before the next."""
     for fn in _caches():
         fn.cache_clear()
 
@@ -150,18 +148,26 @@ def _agreed(L, what, order, closed_form):
     return order
 
 
-@lru_cache(maxsize=None)
 def weyl_group(L):
-    """Stabilizer chain for the Weyl group acting on the roots; its order
-    must be prod(m_i + 1) over lat.exponents(L) (CrossCheckFailed)."""
+    """A new stabilizer chain for the Weyl group acting on the roots; its
+    order must be prod(m_i + 1) over lat.exponents(L) (CrossCheckFailed)."""
     G = groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)),
                          known_base=lat._simple_indices(L))
     _agreed(L, "|W|", G.order(), prod(m + 1 for m in lat.exponents(L)))
     return G
 
 
+@lru_cache(maxsize=None)
+def _weyl_numbers(L):
+    """|W|, which weyl_group checks, and whether -1 is in W, read from one
+    weyl_group(L), which is then let go: the cache keeps the numbers."""
+    G = weyl_group(L)
+    return G.order(), G.contains(lat.minus_one(L))
+
+
 def aut_group(L):
-    """Stabilizer chain for the full isometry group acting on the roots."""
+    """A new stabilizer chain for the full isometry group acting on the
+    roots; the statements read lat._automorphisms."""
     return lat.automorphism_chain(L)
 
 
@@ -188,10 +194,9 @@ def _f2_chain(S, maps, chain=None):
     return chain
 
 
-@lru_cache(maxsize=None)
 def oL2_group(L):
-    """Stabilizer chain for the reflection group of the mod-2 space; its
-    order must be f2.orthogonal_order (CrossCheckFailed).  No statement
+    """A new stabilizer chain for the reflection group of the mod-2 space;
+    its order must be f2.orthogonal_order (CrossCheckFailed).  No statement
     builds it: they read _oL2_order."""
     S = f2.reduce(L)
     G = _f2_chain(S, f2.orthogonal_generators(S))
@@ -300,8 +305,7 @@ def verify_lemma_isometries(L):
     listed as a witness for n <= 4.
     """
     rep = VerificationReport("lemma1b", L.n, True, _census_numbers(L), [])
-    gens = lat.automorphism_group(L)
-    aut_order = aut_group(L).order()
+    aut_order, gens = lat._automorphisms(L)
     image = rho_image_order_aut(L)
     expected_kernel = 4 if (L.kind == "delpezzo" and L.n == 3) else 2
     rep.check(aut_order == expected_kernel * image,
@@ -310,7 +314,7 @@ def verify_lemma_isometries(L):
     # its image equals one of O(L2), so neither is checked again
     S = f2.reduce(L)
     reduced = _reduced_aut_generators(L)
-    hom = all(_reduce_checked(L, groups.gather(u, v)) == f2.compose(S, ru, rv)
+    hom = all(_reduce_checked(L, groups.gather(u, v)) == f2._compose(S, ru, rv)
               for u, ru in zip(gens, reduced) for v, rv in zip(gens, reduced))
     rep.check(hom, "reduction is multiplicative on generator pairs")
     rep.numbers.update(autL_order=aut_order, rho_image_order=image,
@@ -375,7 +379,7 @@ def verify_prop2(L):
         raise errors.BadInput("prop2 applies to del Pezzo lattices of rank >= 4")
     rep = VerificationReport("prop2", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
-    aut_order = aut_group(L).order()
+    aut_order = lat._automorphisms(L)[0]
     oL2 = _oL2_order(L)
     image = rho_image_order_aut(L)
     rep.check(image * 2 == aut_order, "|rho(O(L))| = |O(L)| / 2")
@@ -431,7 +435,7 @@ def verify_corollary(L):
     if L.kind != "delpezzo" or not 4 <= L.n <= 8:
         raise errors.BadInput("the corollary applies to del Pezzo n in [4, 8]")
     rep = VerificationReport("corollary", L.n, True, _census_numbers(L), [])
-    weyl = weyl_group(L).order()
+    weyl, minus1 = _weyl_numbers(L)
     # |O(L)| = |W| |Gamma|, Gamma the isometries keeping the simple roots
     gamma = lat._root_search(L, sum(1 << s for s in lat._simple_indices(L)))[0]
     if weyl * gamma != lat.automorphism_order(L):
@@ -439,7 +443,6 @@ def verify_corollary(L):
             f"{L.root_type}: |W| times {gamma} diagram automorphisms != |O(L)|")
     oL2 = _oL2_order(L)
     image = rho_image_order_weyl(L)
-    minus1 = weyl_group(L).contains(lat.minus_one(L))
     if L.n in (7, 8):
         rep.check(minus1, "-1 is in the Weyl group")
         rep.check(weyl == 2 * oL2, "|W| = 2 |O(L2)|")
@@ -469,7 +472,7 @@ def _verify_remark1():
     """n=3: reduction is onto with kernel {+-1}x{+-1}, via the A1 x A2 split."""
     L = lat.build_del_pezzo(3)
     rep = VerificationReport("remark1", 3, True, _census_numbers(L), [])
-    aut_order = aut_group(L).order()
+    aut_order = lat._automorphisms(L)[0]
     oL2 = _oL2_order(L)
     image = rho_image_order_aut(L)
     rep.check(aut_order == 24, "|O(L)| = 24")
@@ -507,7 +510,7 @@ def _verify_remark2(rank):
 
     The remark says nothing of reflections, so it builds no mod-2 chain."""
     L = lat.build_plain_root_lattice(rank)
-    aut_order = aut_group(L).order()
+    aut_order = lat._automorphisms(L)[0]
     oL2 = _oL2_order(L)
     rep = VerificationReport("remark2", rank, True,
                              _census_numbers(L, autL_order=aut_order, oL2_order=oL2), [])

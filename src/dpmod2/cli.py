@@ -11,8 +11,6 @@ internal error, 2 on usage errors, such as an unwritable --output path.
 Output is deterministic: repeated runs are byte-identical.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -140,8 +138,8 @@ def _table_rows():
     for n in range(3, 9):
         L = lat.build_del_pezzo(n)
         row = dict(zip(TABLE_COLUMNS, (
-            n, L.root_type, *bridge._census(L), bridge.weyl_group(L).order(),
-            bridge.aut_group(L).order(), bridge._oL2_order(L),
+            n, L.root_type, *bridge._census(L), bridge._weyl_numbers(L)[0],
+            lat._automorphisms(L)[0], bridge._oL2_order(L),
             bridge.rho_image_order_aut(L))))
         ok = ok and row["roots"] == lat.ROOT_COUNTS[L.root_type]
         rows.append(row)

@@ -14,12 +14,10 @@ n-dimensional subspace of even-popcount masks.  The *intrinsic* model
 mask of either model to the intrinsic mask of the same vector.
 
 A linear self-map of a space is the tuple of its basis images.
-check_symplectic/check_isometry validate one and return it, apply and
-compose evaluate it, and permutation gives the map it induces on coordinate
+check_symplectic/check_isometry validate one and return it, _apply and
+_compose evaluate it, and permutation gives the map it induces on coordinate
 bits, 0 fixed: the form the stabilizer chains take.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
@@ -297,19 +295,19 @@ def _span(bits):
 def _xor(items, bits):
     """The XOR of items[i] over the set bits i of an int."""
     x = 0
-    for i in groups.bit_indices(bits):
+    for i in groups._bit_indices(bits):
         x ^= items[i]
     return x
 
 
-def apply(S, images, v):
+def _apply(S, images, v):
     """The image of a space vector under the map with these basis images."""
     return _xor(images, S.coords(v))
 
 
-def compose(S, a, b):
+def _compose(S, a, b):
     """The basis images of a after b."""
-    return tuple(apply(S, a, m) for m in b)
+    return tuple(_apply(S, a, m) for m in b)
 
 
 def permutation(S, images):
@@ -435,7 +433,7 @@ def induced(S, k, H, u):
     v + k has q = 1 to the transvection at v.
     """
     check = check_symplectic if S.q(k) else check_isometry
-    return check(H, (min(m, m ^ k) for m in (apply(S, u, h) for h in H.basis)))
+    return check(H, (min(m, m ^ k) for m in (_apply(S, u, h) for h in H.basis)))
 
 
 def orthogonal_order(S):

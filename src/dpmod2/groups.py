@@ -41,8 +41,6 @@ Both of its callers pass a LazyRows, which builds a point's row on first
 read: a search reads the rows of its candidates only (35 of E8's 240 roots).
 """
 
-from __future__ import annotations
-
 import math
 from functools import partial
 from operator import itemgetter
@@ -305,7 +303,7 @@ class LazyRows(dict):
         return row
 
 
-def bit_indices(mask):
+def _bit_indices(mask):
     """Indices of the set bits of an int, ascending."""
     if mask < 0:
         raise errors.BadInput(f"negative mask {mask}")

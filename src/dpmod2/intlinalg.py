@@ -5,14 +5,12 @@ Everything here runs on Python integers, so there is no overflow and no
 floating-point rounding anywhere in the lattice constructions.
 """
 
-from __future__ import annotations
-
 from math import prod
 
 from . import errors
 
 
-def hermite_normal_form(rows):
+def _hermite_normal_form(rows):
     """Row-style Hermite normal form of an integer matrix.
 
     Returns the nonzero rows as tuples: row echelon with positive pivots and
@@ -50,7 +48,7 @@ def hermite_normal_form(rows):
     return [tuple(row) for row in A[:r]]
 
 
-def kernel_basis(coeffs):
+def _kernel_basis(coeffs):
     """Canonical basis of the integer kernel of v -> sum(coeffs[i] * v[i]).
 
     The functional must be nonzero, with int coefficients.  Returns HNF rows
@@ -65,16 +63,16 @@ def kernel_basis(coeffs):
     # carry a basis of the kernel in their tail.
     aug = [[coeffs[i]] + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
-    tails = [row[1:] for row in hermite_normal_form(aug) if row[0] == 0]
-    return sorted(hermite_normal_form(tails))
+    tails = [row[1:] for row in _hermite_normal_form(aug) if row[0] == 0]
+    return sorted(_hermite_normal_form(tails))
 
 
-def abs_det(mat):
+def _abs_det(mat):
     """|det| of a square integer matrix: its HNF is U * mat, U unimodular,
     so |det| is the product of the n diagonal pivots, or 0 when the HNF has
     fewer than n rows (Cohen, GTM 138, 2.4.3)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise errors.BadInput("expected a square matrix")
-    hnf = hermite_normal_form(mat)
+    hnf = _hermite_normal_form(mat)
     return prod(row[i] for i, row in enumerate(hnf)) if len(hnf) == n else 0

@@ -17,8 +17,6 @@ the ambient lattice fixing K.  Its images of the simple roots fix it, and
 its root map adds their heights root by root for the search and the check.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, prod
@@ -77,7 +75,7 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
 @lru_cache(maxsize=None)
 def _build(kind, n, signs, K, expected_disc, root_type):
     coeffs = tuple(s * k for s, k in zip(signs, K))
-    basis = tuple(intlinalg.kernel_basis(coeffs))
+    basis = tuple(intlinalg._kernel_basis(coeffs))
     gram = tuple(
         tuple(sum(s * a * b for s, a, b in zip(signs, u, v)) for v in basis)
         for u in basis)
@@ -88,7 +86,7 @@ def _build(kind, n, signs, K, expected_disc, root_type):
         raise errors.CrossCheckFailed(f"{root_type}: a basis vector is not orthogonal to K")
     if any(gram[i][i] % 2 for i in range(n)):
         raise errors.CrossCheckFailed(f"{root_type}: the lattice is not even")
-    if intlinalg.abs_det(gram) != expected_disc:
+    if intlinalg._abs_det(gram) != expected_disc:
         raise errors.CrossCheckFailed(f"{root_type}: discriminant is not {expected_disc}")
     # Sylvester's law of inertia: if K.K != 0, the ambient space is R K plus
     # K^perp, orthogonally, so K^perp has the negative signs K.K leaves over;
@@ -428,7 +426,7 @@ def _basis_on_simple(L):
     """
     n, w = L.n, L.width
     eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    hnf = intlinalg.hermite_normal_form([s + e for s, e in zip(simple_roots(L), eye)])
+    hnf = intlinalg._hermite_normal_form([s + e for s, e in zip(simple_roots(L), eye)])
     coords = {row[:w]: row[w:] for row in hnf}
     if set(coords) != set(L.basis):
         raise errors.CrossCheckFailed(
@@ -441,9 +439,8 @@ def automorphism_order(L):
     return _aut_search(L)[0]
 
 
-@lru_cache(maxsize=None)
 def automorphism_chain(L):
-    """The stabilizer chain of O(L) on the roots.
+    """A new stabilizer chain of O(L) on the roots.
 
     The pruned search yields a few isometries, which generate O(L); the
     chain starts from -1, takes them first level first, and records, as its
@@ -467,10 +464,18 @@ def automorphism_chain(L):
     return chain
 
 
+@lru_cache(maxsize=None)
+def _automorphisms(L):
+    """|O(L)| and the generators, read from one automorphism_chain(L), which
+    is then let go: the cache keeps the numbers, not the chain."""
+    chain = automorphism_chain(L)
+    return chain.order(), tuple(chain.generators)
+
+
 def automorphism_group(L):
     """Root permutations generating the full isometry group O(L); the first
     one is -1."""
-    return tuple(automorphism_chain(L).generators)
+    return _automorphisms(L)[1]
 
 
 # -- decomposition helpers (used for the n=3 analysis) ---------------------------
@@ -484,9 +489,9 @@ def root_components(L):
         comp, grown = 0, 1 << a
         while grown != comp:
             comp = grown
-            for b in groups.bit_indices(comp):
+            for b in groups._bit_indices(comp):
                 grown |= every ^ rows[b][0]     # reflexive: <b, b> = 2
-        comps.add(tuple(roots[i] for i in groups.bit_indices(comp)))
+        comps.add(tuple(roots[i] for i in groups._bit_indices(comp)))
     return tuple(sorted(comps, key=lambda c: (len(c), c)))
 
 

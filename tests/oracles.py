@@ -11,7 +11,7 @@ import pytest
 
 from dpmod2 import errors, f2, groups, lattice
 from dpmod2.bridge import VerificationReport
-from dpmod2.groups import PermGroup, bit_indices, completions
+from dpmod2.groups import PermGroup, _bit_indices, completions
 
 
 def report_from_json_dict(d):
@@ -111,14 +111,14 @@ def radical_kernel_bruteforce(S, k):
 
 def completions_eager(rows, masks, target, images, keep=None):
     """groups.completions as first written: the candidates of the position
-    filled next listed in full by bit_indices, then tried in ascending
+    filled next listed in full by _bit_indices, then tried in ascending
     order."""
     open_pos = [t for t, p in enumerate(images) if p < 0]
     if not open_pos:
         yield tuple(images)
         return
     t = min(open_pos, key=lambda s: masks[s].bit_count())
-    for r in bit_indices(masks[t]):
+    for r in _bit_indices(masks[t]):
         row = rows[r]
         narrowed = [m & row.get(target[t][s], 0) for s, m in enumerate(masks)]
         images[t] = r
@@ -136,7 +136,7 @@ def orbit_search_unpruned(rows, allowed, target, base, act=None, keep=None):
     counts, solutions = [], []
     for level, b in enumerate(base):
         found = []
-        for r in bit_indices(masks[level]):
+        for r in _bit_indices(masks[level]):
             trial = list(masks)
             trial[level] = 1 << r
             sol = next(completions(rows, trial, target, list(images), keep), None)
@@ -172,7 +172,7 @@ def check_isometry_pairings(L, p):
     p = tuple(p)
     if (len(p) != count or set(map(type, p)) != {int}
             or set(p) != set(range(count))
-            or any(sum(1 << p[r] for r in bit_indices(bits)) != rows[p[s]][v]
+            or any(sum(1 << p[r] for r in _bit_indices(bits)) != rows[p[s]][v]
                    for s in lattice._simple_indices(L) for v, bits in rows[s].items())):
         raise errors.NotIsometry("not the root permutation of an isometry")
 

@@ -199,7 +199,7 @@ def test_c10_property_suites(capsys):
                         for u in automorphism_group(L) + weyl_generators(L)]
             for g in emitted:
                 for v in S.vectors():
-                    assert S.q(f2.apply(S, g, v)) == S.q(v)
+                    assert S.q(f2._apply(S, g, v)) == S.q(v)
         # reducing the reflection in alpha gives the reflection in its image
         for n in NS:
             L = build_del_pezzo(n)

@@ -32,7 +32,7 @@ def test_batched_permutations_match_pointwise(L):
     On the roots the references are the reflection formula on ambient tuples
     and negation; the other kept automorphisms have no formula and are
     checked against the full table of root pairings.  On the mod-2 points
-    the reference is f2.apply, one vector at a time.
+    the reference is f2._apply, one vector at a time.
     """
     R = enumerate_roots(L)
     for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
@@ -58,7 +58,7 @@ def test_batched_permutations_match_pointwise(L):
     for space, m in maps:
         points = sorted(space.vectors(), key=space.coords)
         assert list(f2.permutation(space, m)) == _pointwise(
-            points, lambda v: f2.apply(space, m, v))
+            points, lambda v: f2._apply(space, m, v))
 
 
 def test_reduce_root_examples():
@@ -123,7 +123,7 @@ def test_root_preimage_checks_the_class_of_its_root(monkeypatch):
     get the root E1 - E2."""
     L = build_del_pezzo(4)
     assert bridge.root_preimage(L, 0b11000) == (0, 0, 0, 1, -1)
-    monkeypatch.setattr(groups, "bit_indices", lambda mask: [1, 2])
+    monkeypatch.setattr(groups, "_bit_indices", lambda mask: [1, 2])
     with pytest.raises(errors.CrossCheckFailed, match="not a root over 0x18"):
         bridge.root_preimage(L, 0b11000)
 
@@ -180,8 +180,8 @@ def test_reduce_isometry_is_homomorphism(n):
     gens = automorphism_group(L)
     for u in gens:
         for v in gens:
-            # u after v applies v first, like f2.compose
-            assert bridge.reduce_isometry(L, tuple(u[i] for i in v)) == f2.compose(
+            # u after v applies v first, like f2._compose
+            assert bridge.reduce_isometry(L, tuple(u[i] for i in v)) == f2._compose(
                 S, bridge.reduce_isometry(L, u), bridge.reduce_isometry(L, v))
 
 
@@ -215,15 +215,16 @@ def test_isometry_generators_are_reduced_once(monkeypatch):
 
 def test_automorphism_chain_checks_minus_one(monkeypatch):
     """The chain starts from -1, which is checked like every generator the
-    search adds: a transposition in its place is refused."""
+    search adds: a transposition in its place is refused, and the record
+    of |O(L)| and the generators is not made."""
     L = build_del_pezzo(4)
     monkeypatch.setattr(lat, "minus_one", lambda L: _transposition(L))
-    lat.automorphism_chain.cache_clear()
+    lat._automorphisms.cache_clear()
     try:
         with pytest.raises(errors.NotIsometry):
-            lat.automorphism_chain(L)
+            lat.automorphism_group(L)
     finally:
-        lat.automorphism_chain.cache_clear()
+        lat._automorphisms.cache_clear()
 
 
 def test_reduce_isometry_rejects_foreign_input():
@@ -281,7 +282,7 @@ def test_emitted_rho_images_preserve_q(n):
     for u in automorphism_group(L) + weyl_generators(L):
         g = bridge.reduce_isometry(L, u)
         for v in S.vectors():
-            assert S.q(f2.apply(S, g, v)) == S.q(v)
+            assert S.q(f2._apply(S, g, v)) == S.q(v)
 
 
 # -- statement reports ---------------------------------------------------------
@@ -560,13 +561,15 @@ def test_all_reports_pass(n):
     assert all(r.passed for r in bridge.reports_for(n))
 
 
-def test_corollary_cross_checks_the_weyl_order(monkeypatch):
+def test_corollary_cross_checks_the_weyl_order(monkeypatch, fresh_chains):
     """|W| |Gamma| = |O(L)| is a raise, not a sub-check: a W chain of twice
-    the order, here W x {+-1} on dP4, stops the corollary."""
+    the order, here W x {+-1} on dP4, read into the record of |W|, stops
+    the corollary."""
     L = build_del_pezzo(4)
     doubled = groups.PermGroup(weyl_generators(L) + (minus_one(L),),
                                len(enumerate_roots(L)))
-    assert doubled.order() == 2 * bridge.weyl_group(L).order()
+    assert doubled.order() == 2 * bridge._weyl_numbers(L)[0]
+    bridge._weyl_numbers.cache_clear()
     monkeypatch.setattr(bridge, "weyl_group", lambda L: doubled)
     with pytest.raises(errors.CrossCheckFailed, match="diagram automorphisms"):
         bridge.verify_corollary(L)
@@ -574,12 +577,12 @@ def test_corollary_cross_checks_the_weyl_order(monkeypatch):
 
 @pytest.fixture
 def fresh_chains():
-    """Build the W chain anew inside a test that perturbs what checks it,
-    and drop what it built afterwards.  |O(L2)| is not cached: only the
-    basis-image count behind it is, per space."""
-    bridge.weyl_group.cache_clear()
+    """Read |W| from a new W chain inside a test that perturbs what checks
+    it, and drop the record it made afterwards.  |O(L2)| is not cached:
+    only the basis-image count behind it is, per space."""
+    bridge._weyl_numbers.cache_clear()
     yield
-    bridge.weyl_group.cache_clear()
+    bridge._weyl_numbers.cache_clear()
 
 
 def test_remark2_cross_checks_the_arf_invariant(monkeypatch):
@@ -619,8 +622,8 @@ def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
     """E8's exponents give |W| = 696729600; with 1 shifted to 2 the Weyl
     chain's order disagrees and the corollary stops."""
     L = build_del_pezzo(8)
-    assert bridge.weyl_group(L).order() == 696729600
-    bridge.weyl_group.cache_clear()
+    assert bridge._weyl_numbers(L)[0] == 696729600
+    bridge._weyl_numbers.cache_clear()
     _shift_an_exponent(monkeypatch)
     with pytest.raises(errors.CrossCheckFailed, match=r"E8: \|W\|"):
         bridge.verify_corollary(L)

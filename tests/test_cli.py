@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
-from dpmod2 import bridge, cli, errors
+from dpmod2 import bridge, cli, errors, groups
 from dpmod2 import lattice as lat
 from oracles import report_from_json_dict
 
@@ -306,3 +307,41 @@ def test_optimized_interpreter_gives_identical_output():
     optimized = subprocess.run([sys.executable, "-O"] + argv, capture_output=True)
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
+
+
+def _chains_left(monkeypatch, call):
+    """How many of the PermGroups that call builds are alive once it has
+    returned, each recorded by a weakref as it is constructed.  The cyclic
+    collector is off throughout, so a chain counts as released only once
+    its last reference is dropped."""
+    refs, init = [], groups.PermGroup.__init__
+
+    def recorded(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", recorded)
+    bridge._clear_caches()
+    gc.disable()
+    try:
+        call()
+        return sum(ref() is not None for ref in refs) if refs else None
+    finally:
+        gc.enable()
+        bridge._clear_caches()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "all"], ["remark2", "--rank", "10"],
+                                  ["table"]], ids=["verify-all", "remark2-10", "table"])
+def test_no_chain_outlives_a_run(argv, monkeypatch, capsys):
+    """A run keeps the orders and generators it reads from a stabilizer
+    chain, never the chain: none is alive once cli.run returns."""
+    assert _chains_left(monkeypatch, lambda: cli.run(argv) == 0 or pytest.fail()) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_no_chain_outlives_the_reports(n, monkeypatch):
+    """Nor does one outlive a library call of reports_for, whose caches
+    are kept."""
+    assert _chains_left(monkeypatch, lambda: bridge.reports_for(n)) == 0

@@ -230,8 +230,8 @@ def test_arf_basis_independence(n):
     for _ in range(10):
         g = S.basis
         for _ in range(rng.randint(1, 6)):
-            g = f2.compose(S, g, rng.choice(gens))
-        moved = [(f2.apply(S, g, x), f2.apply(S, g, y)) for x, y in sb]
+            g = f2._compose(S, g, rng.choice(gens))
+        moved = [(f2._apply(S, g, x), f2._apply(S, g, y)) for x, y in sb]
         # isometry images form another symplectic basis
         for i, (x, y) in enumerate(moved):
             assert S.pair(x, y) == 1
@@ -258,9 +258,9 @@ def test_reflections(n):
     ones = [v for v in S.vectors() if S.q(v) == 1]
     for v in rng.sample(ones, 3):
         r = f2.f2_reflection(S, v)
-        assert f2.compose(S, r, r) == S.basis
+        assert f2._compose(S, r, r) == S.basis
         for x in S.vectors():
-            y = f2.apply(S, r, x)
+            y = f2._apply(S, r, x)
             assert S.q(y) == S.q(x)
             if S.pair(x, v) == 0:
                 assert y == x
@@ -330,7 +330,7 @@ def test_emitted_isometries_preserve_q_exhaustively(n):
     S = _space(n)
     for g in f2.orthogonal_generators(S):
         for v in S.vectors():
-            assert S.q(f2.apply(S, g, v)) == S.q(v)
+            assert S.q(f2._apply(S, g, v)) == S.q(v)
 
 
 def test_exception_check_n4():
@@ -371,7 +371,7 @@ def test_sp_model_n7():
     gens = f2.orthogonal_generators(S)[:6]
     for u in gens:
         for v in gens:
-            assert f2.induced(S, k, H, f2.compose(S, u, v)) == f2.compose(
+            assert f2.induced(S, k, H, f2._compose(S, u, v)) == f2._compose(
                 H, f2.induced(S, k, H, u), f2.induced(S, k, H, v))
     # transvection at v corresponds to the reflection at v + (1+q(v))k: the
     # reflection at v itself when q(v) = 1, at v + k when q(v) = 0
@@ -435,12 +435,12 @@ def test_quotient_model_n5():
     for u in kernel:
         assert f2.induced(S, k, N, u) == N.basis
         for v in S.vectors():
-            assert f2.apply(S, u, v) in (v, v ^ k)
+            assert f2._apply(S, u, v) in (v, v ^ k)
     # induced is a homomorphism on reflection generator pairs
     gens = f2.orthogonal_generators(S)[:6]
     for u in gens:
         for v in gens:
-            assert f2.induced(S, k, N, f2.compose(S, u, v)) == f2.compose(
+            assert f2.induced(S, k, N, f2._compose(S, u, v)) == f2._compose(
                 N, f2.induced(S, k, N, u), f2.induced(S, k, N, v))
 
 
@@ -651,7 +651,7 @@ def test_completions_match_the_eager_reference_on_random_forms(gram, data):
     images = [-1] * S.dim
     t = data.draw(st.integers(-1, S.dim - 1))
     if t >= 0 and allowed[t]:
-        images[t] = data.draw(st.sampled_from(groups.bit_indices(allowed[t])))
+        images[t] = data.draw(st.sampled_from(groups._bit_indices(allowed[t])))
     for keep in (None, lambda im: f2._independent(c for c in im if c >= 0)):
         new = groups.completions(rows, allowed, S.gram2, list(images), keep)
         ref = completions_eager(rows, allowed, S.gram2, list(images), keep)
@@ -712,7 +712,7 @@ def test_intrinsic_and_ambient_models_agree():
 
     def ambient(bits):
         m = 0
-        for i in groups.bit_indices(bits):
+        for i in groups._bit_indices(bits):
             m ^= amb.basis[i]
         return m
 

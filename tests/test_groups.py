@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmod2 import bridge, errors, f2, groups, lattice
-from dpmod2.groups import PermGroup, bit_indices
+from dpmod2.groups import PermGroup, _bit_indices
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
 from oracles import (closure, completions_eager, f2_chain_of_permutations,
                      orbit_search_unpruned, searches)
@@ -170,9 +170,9 @@ def test_one_point_known_base(gens, degree, members, others):
 
 def test_bit_indices_rejects_negative_masks():
     """A negative int has infinitely many set bits; it used to loop forever."""
-    assert bit_indices(0b10110) == [1, 2, 4]
+    assert _bit_indices(0b10110) == [1, 2, 4]
     with pytest.raises(errors.BadInput, match="negative"):
-        bit_indices(-1)
+        _bit_indices(-1)
 
 
 def test_extend_reports_growth():
@@ -518,13 +518,6 @@ def _rho_chain(n, isometries=_RHO):
     return bridge._f2_chain(*_rho_inputs(n, isometries))
 
 
-# built afresh, so their counts are not shared with other tests
-def _a10_ol2_chain():
-    return bridge.oL2_group.__wrapped__(build_plain_root_lattice(10))
-
-
-def _ol_chain(L):
-    return lattice.automorphism_chain.__wrapped__(L)
 
 
 # the digest (_chain_digest) of each pinned chain
@@ -559,7 +552,7 @@ _CHAIN_DIGESTS = {
     # 10,835 Schreier generators formed on the 10 known-base points, 62
     # permutations (the 11 generators that grow the chain and 51 Schreier
     # generators) in full; the other 517 reflections sift on the known base
-    (_a10_ol2_chain,
+    (lambda: bridge.oL2_group(build_plain_root_lattice(10)),
      (256, 128, 64, 32, 16, 8, 4, 2, 1, 512),
      (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (10835, 62, 11),
      _CHAIN_DIGESTS["A10-OL2"]),
@@ -568,7 +561,7 @@ _CHAIN_DIGESTS = {
      _CHAIN_DIGESTS["E8-W"]),
     # the 8 pruned search solutions, fed first level first: -1 and 2 of
     # them grow the chain
-    (lambda: _ol_chain(build_del_pezzo(8)),
+    (lambda: lattice.automorphism_chain(build_del_pezzo(8)),
      (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (1232, 17, 3),
      _CHAIN_DIGESTS["E8-OL"]),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
@@ -592,7 +585,7 @@ _CHAIN_DIGESTS = {
     (lambda: _rho_chain(6, _RHO[:1]),
      (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
      _CHAIN_DIGESTS["E6-rhoW"]),
-    (lambda: _ol_chain(build_plain_root_lattice(10)),
+    (lambda: lattice.automorphism_chain(build_plain_root_lattice(10)),
      (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (842, 24, 4),
      _CHAIN_DIGESTS["A10-OL"]),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
@@ -625,7 +618,7 @@ def _chain_digest(G):
     return h.hexdigest()
 
 
-# the chains the package hands out, cached ones included
+# the chains the package hands out, each built anew on every call
 _PACKAGE_CHAINS = {
     "A10-OL2": lambda: bridge.oL2_group(build_plain_root_lattice(10)),
     "E8-W": lambda: bridge.weyl_group(build_del_pezzo(8)),

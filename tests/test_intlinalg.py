@@ -1,5 +1,6 @@
 """Exact integer linear algebra: oracles are brute force and fractions."""
 
+import pathlib
 import random
 
 import pytest
@@ -29,17 +30,17 @@ def test_hnf_canonical_under_row_operations():
     random.seed(3)
     for _ in range(25):
         rows = [[random.randint(-4, 4) for _ in range(4)] for _ in range(3)]
-        h1 = intlinalg.hermite_normal_form(rows)
+        h1 = intlinalg._hermite_normal_form(rows)
         # unimodular mix: shuffle, negate, add a multiple of another row
         mixed = [list(r) for r in rows]
         random.shuffle(mixed)
         mixed[0] = [-x for x in mixed[0]]
         mixed[1] = [a + 2 * b for a, b in zip(mixed[1], mixed[2])]
-        assert intlinalg.hermite_normal_form(mixed) == h1
+        assert intlinalg._hermite_normal_form(mixed) == h1
 
 
 def test_hnf_reduced_shape():
-    h = intlinalg.hermite_normal_form([[2, 4, 4], [0, 6, 12], [0, 0, 8]])
+    h = intlinalg._hermite_normal_form([[2, 4, 4], [0, 6, 12], [0, 0, 8]])
     # pivots positive, entries above pivots reduced
     assert h == [(2, 4, 4), (0, 6, 4), (0, 0, 8)]
 
@@ -50,7 +51,7 @@ def test_kernel_basis_spans_kernel():
         c = [random.randint(-3, 3) for _ in range(4)]
         if not any(c):
             continue
-        basis = intlinalg.kernel_basis(c)
+        basis = intlinalg._kernel_basis(c)
         assert len(basis) == 3
         assert all(sum(a * b for a, b in zip(c, row)) == 0 for row in basis)
         # every small kernel vector is an integer combination of the basis
@@ -60,14 +61,14 @@ def test_kernel_basis_spans_kernel():
 
 def test_kernel_basis_is_sorted_and_deterministic():
     c = (-3, -1, -1, -1)
-    b1 = intlinalg.kernel_basis(c)
+    b1 = intlinalg._kernel_basis(c)
     assert b1 == sorted(b1)
-    assert b1 == intlinalg.kernel_basis(c)
+    assert b1 == intlinalg._kernel_basis(c)
 
 
 def test_kernel_of_zero_functional_rejected():
     with pytest.raises(ValueError):
-        intlinalg.kernel_basis((0, 0, 0))
+        intlinalg._kernel_basis((0, 0, 0))
 
 
 def test_det_matches_fraction_elimination():
@@ -78,12 +79,12 @@ def test_det_matches_fraction_elimination():
                 [[3, 1, 4, 1], [5, 9, 2, 6], [3, 1, 4, 1], [0, 2, 7, 1]]]
     for M in singular:
         assert det_fraction(M) == 0
-        assert intlinalg.abs_det(M) == 0
+        assert intlinalg._abs_det(M) == 0
     for n in (1, 2, 3, 4, 5):
         for _ in range(10):
             M = [[random.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            assert intlinalg.abs_det(M) == abs(det_fraction(M))
-    assert intlinalg.abs_det([]) == 1
+            assert intlinalg._abs_det(M) == abs(det_fraction(M))
+    assert intlinalg._abs_det([]) == 1
 
 
 def test_positive_definite():
@@ -129,7 +130,7 @@ def test_hnf_is_canonical_under_unimodular_row_operations(case):
             mixed[i] = [-x for x in mixed[i]]
         elif i != j:
             mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
-    assert intlinalg.hermite_normal_form(mixed) == intlinalg.hermite_normal_form(rows)
+    assert intlinalg._hermite_normal_form(mixed) == intlinalg._hermite_normal_form(rows)
 
 
 @st.composite
@@ -151,10 +152,10 @@ def test_det_is_multiplicative(pair):
     A0 = [A[0]] + A[:-1]
     for X, Y in ((A, B), (A0, B)):
         for M in (X, Y, mul(X, Y)):
-            assert intlinalg.abs_det(M) == abs(det_fraction(M))
-        assert intlinalg.abs_det(mul(X, Y)) == intlinalg.abs_det(X) * intlinalg.abs_det(Y)
+            assert intlinalg._abs_det(M) == abs(det_fraction(M))
+        assert intlinalg._abs_det(mul(X, Y)) == intlinalg._abs_det(X) * intlinalg._abs_det(Y)
     if len(A) > 1:
-        assert intlinalg.abs_det(A0) == intlinalg.abs_det(mul(A0, B)) == 0
+        assert intlinalg._abs_det(A0) == intlinalg._abs_det(mul(A0, B)) == 0
 
 
 @pytest.mark.parametrize("bad_call", [
@@ -182,13 +183,13 @@ def test_det_is_multiplicative(pair):
     lambda: groups.PermGroup([], "3"),
     lambda: groups.PermGroup([], 2.9),
     lambda: groups.PermGroup([], True),
-    lambda: intlinalg.kernel_basis((0, 0, 0)),
-    lambda: intlinalg.hermite_normal_form([[1], [3, 4]]),
-    lambda: intlinalg.hermite_normal_form([[1, 2], [3]]),
-    lambda: intlinalg.kernel_basis((1.5, -1)),
-    lambda: intlinalg.kernel_basis(("1", "2")),
-    lambda: intlinalg.hermite_normal_form([[True, 0]]),
-    lambda: intlinalg.abs_det([[1, 2]]),
+    lambda: intlinalg._kernel_basis((0, 0, 0)),
+    lambda: intlinalg._hermite_normal_form([[1], [3, 4]]),
+    lambda: intlinalg._hermite_normal_form([[1, 2], [3]]),
+    lambda: intlinalg._kernel_basis((1.5, -1)),
+    lambda: intlinalg._kernel_basis(("1", "2")),
+    lambda: intlinalg._hermite_normal_form([[True, 0]]),
+    lambda: intlinalg._abs_det([[1, 2]]),
     lambda: lattice.build_del_pezzo(5.0),
     lambda: lattice.build_del_pezzo("5"),
     lambda: lattice.build_del_pezzo(True),
@@ -242,3 +243,20 @@ def test_bad_input_is_a_typed_error(bad_call):
         bad_call()
     assert isinstance(info.value, errors.Error)
     assert isinstance(info.value, ValueError)
+
+
+_README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("module, name", [
+    (f2, "apply"), (f2, "compose"), (groups, "bit_indices"),
+    (intlinalg, "hermite_normal_form"), (intlinalg, "kernel_basis"),
+    (intlinalg, "abs_det"),
+], ids=lambda x: x if isinstance(x, str) else x.__name__.split(".")[-1])
+def test_unchecked_helpers_are_private(module, name):
+    """These helpers do not type-check their arguments (None or a float
+    gives a bare TypeError), so they are private: no public name, and the
+    README documents none of them."""
+    assert not hasattr(module, name)
+    assert callable(getattr(module, "_" + name))
+    assert f"`{name}" not in _README and f".{name}" not in _README

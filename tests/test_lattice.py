@@ -319,12 +319,12 @@ def test_chain_order_mismatch_raises(monkeypatch):
     L = build_del_pezzo(4)
     order, solutions = lattice._aut_search(L)
     monkeypatch.setattr(lattice, "_aut_search", lambda L: (order + 1, solutions))
-    automorphism_chain.cache_clear()
+    lattice._automorphisms.cache_clear()
     try:
         with pytest.raises(errors.CrossCheckFailed):
-            automorphism_chain(L)
+            automorphism_group(L)
     finally:
-        automorphism_chain.cache_clear()
+        lattice._automorphisms.cache_clear()
 
 
 @pytest.mark.parametrize("L, count, digest", [
@@ -462,7 +462,7 @@ def test_is_root_type_checks():
     assert not is_root(L, (0, 1, -1))          # wrong width
     assert not is_root(L, (0, 1, -1, 0.0))     # non-integer entry
     assert is_root(L, (0, 1, -1, 0))
-    # bools are not ints here, as in intlinalg.hermite_normal_form
+    # bools are not ints here, as in intlinalg._hermite_normal_form
     assert not is_root(L, (False, True, -1, False))
     assert not is_root(L, None) and not is_root(L, 5)
     assert is_root(L, iter((0, 1, -1, 0)))
