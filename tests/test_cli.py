@@ -309,11 +309,11 @@ def test_optimized_interpreter_gives_identical_output():
     assert plain.stdout == optimized.stdout
 
 
-def _chains_left(monkeypatch, call):
-    """How many of the PermGroups that call builds are alive once it has
-    returned, each recorded by a weakref as it is constructed.  The cyclic
-    collector is off throughout, so a chain counts as released only once
-    its last reference is dropped."""
+def _chains_kept(monkeypatch, call):
+    """call's result, how many PermGroups it builds, and how many of them
+    are alive once it has returned, each recorded by a weakref as it is
+    constructed.  The cyclic collector is off throughout, so a chain counts
+    as released only once its last reference is dropped."""
     refs, init = [], groups.PermGroup.__init__
 
     def recorded(self, *args, **kwargs):
@@ -324,8 +324,8 @@ def _chains_left(monkeypatch, call):
     bridge._clear_caches()
     gc.disable()
     try:
-        call()
-        return sum(ref() is not None for ref in refs) if refs else None
+        result = call()
+        return result, len(refs), sum(ref() is not None for ref in refs)
     finally:
         gc.enable()
         bridge._clear_caches()
@@ -336,12 +336,14 @@ def _chains_left(monkeypatch, call):
 def test_no_chain_outlives_a_run(argv, monkeypatch, capsys):
     """A run keeps the orders and generators it reads from a stabilizer
     chain, never the chain: none is alive once cli.run returns."""
-    assert _chains_left(monkeypatch, lambda: cli.run(argv) == 0 or pytest.fail()) == 0
+    code, built, alive = _chains_kept(monkeypatch, lambda: cli.run(argv))
     capsys.readouterr()
+    assert code == 0 and built and alive == 0
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_no_chain_outlives_the_reports(n, monkeypatch):
     """Nor does one outlive a library call of reports_for, whose caches
     are kept."""
-    assert _chains_left(monkeypatch, lambda: bridge.reports_for(n)) == 0
+    reports, built, alive = _chains_kept(monkeypatch, lambda: bridge.reports_for(n))
+    assert all(r.passed for r in reports) and built and alive == 0

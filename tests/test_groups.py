@@ -518,8 +518,6 @@ def _rho_chain(n, isometries=_RHO):
     return bridge._f2_chain(*_rho_inputs(n, isometries))
 
 
-
-
 # the digest (_chain_digest) of each pinned chain
 _CHAIN_DIGESTS = {
     "A10-OL2":
