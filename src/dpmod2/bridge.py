@@ -9,7 +9,7 @@ vectors and that lattice isometries match the isometries of the mod-2
 space, and return serializable reports.
 """
 
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 from operator import xor
 
@@ -86,7 +86,7 @@ def _reduce_checked(L, p):
                  for row in lat._basis_on_simple(L))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _root_masks(L):
     """The mod-2 class of each root of enumerate_roots(L), which has checked
     each one to be a root."""
@@ -124,22 +124,7 @@ class VerificationReport:
             self.witnesses.append(f"FAIL: {description}")
 
 
-# -- cached heavy computations -----------------------------------------------------
-
-def _caches():
-    """Every lru_cache of lattice, f2 and bridge, found by introspection, so
-    that a new one is not missed."""
-    return [fn for namespace in (vars(lat), vars(f2), globals())
-            for fn in namespace.values() if hasattr(fn, "cache_clear")]
-
-
-def _clear_caches():
-    """Empty every cache of _caches(): a caller done with one lattice, such
-    as the CLI between lattices, releases its roots, rows, spaces, searches
-    and group orders before the next."""
-    for fn in _caches():
-        fn.cache_clear()
-
+# -- heavy computations, kept on the lattice ----------------------------------------
 
 def _agreed(L, what, order, closed_form):
     if order != closed_form:
@@ -157,10 +142,10 @@ def weyl_group(L):
     return G
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _weyl_numbers(L):
     """|W|, which weyl_group checks, and whether -1 is in W, read from one
-    weyl_group(L), which is then let go: the cache keeps the numbers."""
+    weyl_group(L), which is then let go: L keeps the numbers."""
     G = weyl_group(L)
     return G.order(), G.contains(lat.minus_one(L))
 
@@ -211,7 +196,7 @@ def _oL2_order(L):
     return _agreed(L, "|O(L2)|", f2.isometry_order(S), f2.orthogonal_order(S))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _reduced_aut_generators(L):
     """reduce_isometry of each element of lat.automorphism_group(L), computed
     once; automorphism_chain has checked each element."""
@@ -220,7 +205,7 @@ def _reduced_aut_generators(L):
                  for u in lat.automorphism_group(L))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _rho_orders(L):
     """|rho(W)| and |rho(O(L))| from one chain: the reduced simple
     reflections, then the reduced O(L) generators, which extend it only
@@ -246,7 +231,7 @@ def rho_image_order_weyl(L):
     return _rho_orders(L)[0]
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _census(L):
     """The root count, the census (q = 1, then q = 0), the radical's
     dimension, and arf, None if the pairing is degenerate."""
@@ -460,7 +445,7 @@ def verify_remarks(n):
     if type(n) is not int:
         raise errors.BadInput(f"n must be an int, got {n!r}")
     if n == 3:
-        return _verify_remark1()
+        return _verify_remark1(lat.build_del_pezzo(3))
     if n in range(5, 11):
         return _verify_remark2(n)
     raise errors.BadInput(
@@ -468,9 +453,9 @@ def verify_remarks(n):
         "with del Pezzo cases)")
 
 
-def _verify_remark1():
-    """n=3: reduction is onto with kernel {+-1}x{+-1}, via the A1 x A2 split."""
-    L = lat.build_del_pezzo(3)
+def _verify_remark1(L):
+    """n=3: reduction is onto with kernel {+-1}x{+-1}, via the A1 x A2 split
+    of the del Pezzo lattice L of rank 3."""
     rep = VerificationReport("remark1", 3, True, _census_numbers(L), [])
     aut_order = lat._automorphisms(L)[0]
     oL2 = _oL2_order(L)
@@ -527,4 +512,4 @@ def reports_for(n):
     """All statement reports for del Pezzo rank n, in statement order."""
     L = lat.build_del_pezzo(n)
     return [*verify_lemma(L), verify_prop1(L),
-            *([verify_remarks(3)] if n == 3 else [verify_prop2(L), verify_corollary(L)])]
+            *([_verify_remark1(L)] if n == 3 else [verify_prop2(L), verify_corollary(L)])]

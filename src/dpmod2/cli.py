@@ -105,7 +105,6 @@ def _run_verify(args):
     reports = []
     for n in ns:
         reports.extend(bridge.reports_for(n))
-        bridge._clear_caches()      # no later statement reads this lattice
     if args.n == "all":
         reports.append(bridge.verify_remarks(8))
     _emit(_reports_text(reports, args.format), args.output)
@@ -143,7 +142,6 @@ def _table_rows():
             bridge.rho_image_order_aut(L))))
         ok = ok and row["roots"] == lat.ROOT_COUNTS[L.root_type]
         rows.append(row)
-        bridge._clear_caches()
     return rows, ok
 
 

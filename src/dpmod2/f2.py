@@ -19,7 +19,6 @@ _compose evaluate it, and permutation gives the map it induces on coordinate
 bits, 0 fixed: the form the stabilizer chains take.
 """
 
-from functools import lru_cache
 from math import prod
 
 from . import errors, groups
@@ -31,10 +30,11 @@ def _parity(x):
 
 class F2QuadraticSpace:
     """A subspace of F2^width given by its basis masks, q on the basis and
-    the pairing on the basis (gram2, entries taken mod 2)."""
+    the pairing on the basis (gram2, entries taken mod 2).  The values
+    derived from it are kept in its __dict__ on first use (groups._memo)."""
 
     __slots__ = ("width", "basis", "qdiag", "ambient_k", "gram2",
-                 "_coords", "_q", "_polar")
+                 "_coords", "_q", "_polar", "__dict__")
 
     def __init__(self, width, basis, qdiag, gram2, ambient_k=None):
         try:
@@ -123,7 +123,7 @@ class F2QuadraticSpace:
         }
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def reduce(L):
     """The mod-2 quadratic space of an even lattice, in the ambient model.
 
@@ -177,9 +177,9 @@ def radical(S):
     return list(_radical(S))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _radical(S):
-    """radical(S) as a tuple, computed once per space."""
+    """radical(S) as a tuple, kept on S."""
     return tuple(sorted(v for v, p in S._polar.items() if not p))
 
 
@@ -215,7 +215,7 @@ def symplectic_basis(S):
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def arf(S):
     """The Arf invariant: sum of q(x)q(y) over a symplectic basis.
 
@@ -358,7 +358,7 @@ def orthogonal_generators(S):
     return tuple(_transvection(S, v) for v in S.vectors() if q[v])
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def isometry_order(S):
     """|O(S, q)| by groups.orbit_search over the basis images, independent
     of the reflections and the chains.  A point is a vector's coordinate
@@ -399,11 +399,11 @@ def isometry_order(S):
 
 # -- the radical split ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@groups._memo
 def split_radical(S):
     """The radical vector k and the hyperplane H of vectors with k's top bit
     clear, so that S = H + F2*k; WrongShape unless the radical is {0, k}.
-    Computed once per space, so orthogonal_order and prop2 share one H.
+    Kept on S, so orthogonal_order and prop2 share one H.
 
     Since k has no higher bit, x -> min(x, x ^ k) is the projection of S
     onto H along k.

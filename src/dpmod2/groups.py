@@ -42,7 +42,7 @@ read: a search reads the rows of its candidates only (35 of E8's 240 roots).
 """
 
 import math
-from functools import partial
+from functools import partial, wraps
 from operator import itemgetter
 
 from . import errors
@@ -301,6 +301,24 @@ class LazyRows(dict):
     def __missing__(self, p):
         row = self[p] = self.build(self, p)
         return row
+
+
+def _memo(fn):
+    """fn(x), built on first read and kept in x.__dict__ under fn's
+    module-qualified name: a value derived from a lattice or a space lives
+    exactly as long as it does.  A value must not refer back to x, or x
+    becomes a reference cycle.  x.__dict__, not vars(x), so that an x
+    without one (None, say) raises AttributeError."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(x):
+        values = x.__dict__
+        if key not in values:
+            values[key] = fn(x)
+        return values[key]
+
+    return memo
 
 
 def _bit_indices(mask):

@@ -18,7 +18,6 @@ its root map adds their heights root by root for the search and the check.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from math import isqrt, prod
 from operator import mul
 
@@ -37,15 +36,13 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
     diagonal of the ambient form (entries +-1), K the ambient vector cut
     out, basis the n ambient vectors of the canonical kernel basis, gram
     their n x n Gram matrix, and root_type the name of the root system.
-    Equality is the tuples'; the hash is the rank, which equal lattices
-    share: a del Pezzo and a plain lattice of one rank collide, and ==
-    tells them apart on kind.
+    Equality and hash are the tuples'.  The values derived from it are kept
+    in its __dict__ on first use (groups._memo); a copy or a pickle takes
+    the fields alone.
     """
 
-    __slots__ = ()
-
-    def __hash__(self):
-        return self.n
+    def __reduce__(self):
+        return Lattice, tuple(self)
 
     @property
     def width(self):
@@ -72,7 +69,6 @@ class Lattice(namedtuple("Lattice", "kind n signs K basis gram root_type")):
         }
 
 
-@lru_cache(maxsize=None)
 def _build(kind, n, signs, K, expected_disc, root_type):
     coeffs = tuple(s * k for s, k in zip(signs, K))
     basis = tuple(intlinalg._kernel_basis(coeffs))
@@ -97,9 +93,7 @@ def _build(kind, n, signs, K, expected_disc, root_type):
 
 
 def build_del_pezzo(n):
-    """The rank-n del Pezzo lattice, with its canonical basis of K^perp.
-    The rank is checked before the cache behind _build sees it, so an
-    unhashable one raises BadInput, not TypeError."""
+    """A new rank-n del Pezzo lattice, with its canonical basis of K^perp."""
     if type(n) is not int:
         raise errors.BadInput(f"n must be an int, got {n!r}")
     if not 3 <= n <= 8:
@@ -110,7 +104,7 @@ def build_del_pezzo(n):
 
 
 def build_plain_root_lattice(rank):
-    """The A_rank lattice: sum-zero vectors of Euclidean Z^(rank+1)."""
+    """A new A_rank lattice: sum-zero vectors of Euclidean Z^(rank+1)."""
     if type(rank) is not int:
         raise errors.BadInput(f"rank must be an int, got {rank!r}")
     if not 2 <= rank <= 10:
@@ -146,7 +140,7 @@ def _extend_bounded(out, vec, r, s, q):
         vec.pop()
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def enumerate_roots(L):
     """All ambient vectors with <v,v> = 2 and <v,K> = 0, sorted.
 
@@ -191,7 +185,7 @@ def _height(v):
     return sum(map(mul, v, _WEIGHTS))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _heights(L):
     """The height of each root, in the order of enumerate_roots(L), and the
     index of the root of each height."""
@@ -199,7 +193,7 @@ def _heights(L):
     return heights, dict(zip(heights, range(len(heights))))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _simple_indices(L):
     """Indices in enumerate_roots(L) of the indecomposable positive roots for
     a fixed generic height functional.
@@ -226,7 +220,7 @@ def simple_roots(L):
 
 # -- isometries, as root permutations --------------------------------------------
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _root_steps(L):
     """Steps (r, a, b) with root r = a + b, as root indices: b is a simple
     root or its negative, and a is one too or an earlier r.  Breadth first
@@ -307,7 +301,7 @@ def check_isometry(L, p):
     return p
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def weyl_generators(L):
     """Reflections in the simple roots; they generate the full Weyl group."""
     return tuple(root_reflection(L, s) for s in simple_roots(L))
@@ -327,14 +321,13 @@ def exponents(L):
 
 # -- full isometry group --------------------------------------------------------
 
-def _pairing_ones(L, a):
+def _pairing_ones(heights, index, a):
     """The bitset of the roots b with <a, b> = 1, for which h(a) - h(b) is
-    a root's height (see _root_pairings)."""
-    heights, index = _heights(L)
+    a root's height (see _root_pairings); heights, index = _heights(L)."""
     return sum(1 << index[h] for h in index.keys() & map(heights[a].__sub__, heights))
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _root_pairings(L):
     """The search data of the roots: rows[a][v], the bitset of the roots
     pairing to v with root a, the simple roots' indices in
@@ -350,12 +343,13 @@ def _root_pairings(L):
     pairing is linear, so along _root_steps the row of r = a + b at v is the
     union over u + u' = v of rows[a][u] & rows[b][u'], 25 products; every
     row built is checked to be empty outside -2..2 and to hold r alone at 2
-    (CrossCheckFailed).
+    (CrossCheckFailed).  The rows are kept on L, so their builders refer to
+    what they read of L, not to L itself, which would make L a cycle.
     """
-    heights, index = _heights(L)
+    (heights, index), root_type = _heights(L), L.root_type
     every = (1 << len(heights)) - 1
     steps = {r: (a, b) for r, a, b in _root_steps(L)}
-    ones = groups.LazyRows(lambda _, a: _pairing_ones(L, a))
+    ones = groups.LazyRows(lambda _, a: _pairing_ones(heights, index, a))
 
     def row(rows, r):       # keyed 2, 1, 0, -1, -2, the order .values() unpacks
         if r not in steps:          # a +-simple root
@@ -369,7 +363,7 @@ def _root_pairings(L):
         if (x2 & y2 | x2 & y1 | x1 & y2 | xm1 & ym2 | xm2 & ym1 | xm2 & ym2
                 or x2 & y0 | x1 & y1 | x0 & y2 != 1 << r):
             raise errors.CrossCheckFailed(
-                f"{L.root_type}: the pairings added along the root steps are not a root's")
+                f"{root_type}: the pairings added along the root steps are not a root's")
         return {2: 1 << r,
                 1: x2 & ym1 | x1 & y0 | x0 & y1 | xm1 & y2,
                 0: x2 & ym2 | x1 & ym1 | x0 & y0 | xm1 & y1 | xm2 & y2,
@@ -409,13 +403,13 @@ def _root_search(L, mask):
     return prod(lengths), solutions, [[gram[i][j] for j in pos] for i in pos]
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _aut_search(L):
     """_root_search over every root: (|O(L)|, solutions)."""
     return _root_search(L, (1 << len(enumerate_roots(L))) - 1)[:2]
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _basis_on_simple(L):
     """Integer coordinates of the canonical basis on the simple roots.
 
@@ -464,10 +458,10 @@ def automorphism_chain(L):
     return chain
 
 
-@lru_cache(maxsize=None)
+@groups._memo
 def _automorphisms(L):
     """|O(L)| and the generators, read from one automorphism_chain(L), which
-    is then let go: the cache keeps the numbers, not the chain."""
+    is then let go: L keeps the numbers, not the chain."""
     chain = automorphism_chain(L)
     return chain.order(), tuple(chain.generators)
 

@@ -1,9 +1,7 @@
 """Reduction maps and statement verifiers."""
 
-import ast
 import hashlib
 import json
-import pathlib
 import re
 
 import pytest
@@ -205,8 +203,6 @@ def test_isometry_generators_are_reduced_once(monkeypatch):
     _counting(monkeypatch, bridge, "_reduce_checked", reduced)
     _counting(monkeypatch, lat, "check_isometry", lattice_checks)
     _counting(monkeypatch, f2, "check_isometry", f2_checks)
-    bridge._reduced_aut_generators.cache_clear()
-    bridge._rho_orders.cache_clear()
     assert bridge.verify_lemma_isometries(L).passed
     assert len(reduced) == 7 + g + g * g
     assert [p for _, p in lattice_checks] == list(weyl_generators(L))
@@ -219,12 +215,8 @@ def test_automorphism_chain_checks_minus_one(monkeypatch):
     of |O(L)| and the generators is not made."""
     L = build_del_pezzo(4)
     monkeypatch.setattr(lat, "minus_one", lambda L: _transposition(L))
-    lat._automorphisms.cache_clear()
-    try:
-        with pytest.raises(errors.NotIsometry):
-            lat.automorphism_group(L)
-    finally:
-        lat._automorphisms.cache_clear()
+    with pytest.raises(errors.NotIsometry):
+        lat.automorphism_group(L)
 
 
 def test_reduce_isometry_rejects_foreign_input():
@@ -350,7 +342,7 @@ def test_enumerated_roots_are_not_checked_again(n, preimages, monkeypatch):
     root_preimage, once per constructed preimage (E8: the 120 q = 1
     vectors; E7: 63, all of them but k)."""
     L = build_del_pezzo(n)
-    bridge.verify_lemma_roots(L), bridge.verify_prop1(L)    # fill the caches
+    bridge.verify_lemma_roots(L), bridge.verify_prop1(L)    # kept on L
     calls = []
     is_root = lat.is_root
     monkeypatch.setattr(lat, "is_root", lambda L, v: calls.append(v) or is_root(L, v))
@@ -359,9 +351,8 @@ def test_enumerated_roots_are_not_checked_again(n, preimages, monkeypatch):
 
 
 def _computing(monkeypatch, module, name, computed):
-    """Patch the cached module.name to append (args, value) to computed for
-    each value it computes, one it has not returned before.  The patch keeps
-    cache_clear, so bridge._clear_caches still empties the cache behind it."""
+    """Patch the memoized module.name to append (args, value) to computed
+    for each value it computes, one it has not returned before."""
     fn = getattr(module, name)
 
     def counted(*args):
@@ -370,12 +361,11 @@ def _computing(monkeypatch, module, name, computed):
             computed.append((args, value))
         return value
 
-    counted.cache_clear = fn.cache_clear
     monkeypatch.setattr(module, name, counted)
 
 
 def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
-    """From cold caches, verify --n all checks each lattice isometry once:
+    """verify --n all checks each lattice isometry once:
     the 26 O(L) chain generators of its seven lattices, -1 among them, in
     automorphism_chain, and the 33 Weyl generators of dP3..8 in
     reduce_isometry, before the rho chain compares each with its root's
@@ -388,9 +378,9 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     the radical once per space (8 spaces), the radical split once per
     space with a radical (dP3, dP5, dP7), and arf, by a symplectic basis,
     once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
-    quotient, the closed forms reading the same value.  The CLI releases
-    each lattice's caches once its reports are built, so dP5's prop2
-    reduces dP4 again: 5 of the 812 masks.
+    quotient, the closed forms reading the same value.  Each lattice keeps
+    its own values, so dP5's prop2, which builds a new dP4, reduces dP4
+    again: 5 of the 812 masks.
 
     The values it has just built are not validated again: the chains sift
     the searches' 40 solutions and the 138 reduced maps on the known base
@@ -423,30 +413,12 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     for key, c in computed.items():
         module, name = key.split(".")
         _computing(monkeypatch, modules[module], name, c)
-    bridge._clear_caches()
-    try:
-        assert cli.run(["verify", "--n", "all", "--format", "json"]) == 0
-    finally:
-        bridge._clear_caches()
+    assert cli.run(["verify", "--n", "all", "--format", "json"]) == 0
     capsys.readouterr()
     assert {key: len(c) for key, c in calls.items()} == counts
     assert {key: len(c) for key, c in computed.items()} == computations
     built = {L.root_type: len(rows) for (L,), (rows, _, _) in computed["lat._root_pairings"]}
     assert built == rows_built
-
-
-def test_caches_lists_every_lru_cache():
-    """bridge._caches finds, by introspection, every function the source of
-    lattice, f2 and bridge decorates with lru_cache, so clearing them
-    releases everything the program caches."""
-    decorated = set()
-    for module in (lat, f2, bridge):
-        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
-        decorated |= {f"{module.__name__}.{node.name}" for node in ast.walk(tree)
-                      if isinstance(node, ast.FunctionDef)
-                      and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)}
-    found = {f"{fn.__module__}.{fn.__name__}" for fn in bridge._caches()}
-    assert found == decorated
 
 
 def test_verify_prop2_wrong_range():
@@ -561,28 +533,17 @@ def test_all_reports_pass(n):
     assert all(r.passed for r in bridge.reports_for(n))
 
 
-def test_corollary_cross_checks_the_weyl_order(monkeypatch, fresh_chains):
+def test_corollary_cross_checks_the_weyl_order(monkeypatch):
     """|W| |Gamma| = |O(L)| is a raise, not a sub-check: a W chain of twice
-    the order, here W x {+-1} on dP4, read into the record of |W|, stops
-    the corollary."""
+    the order, here W x {+-1} on dP4, read into the record of |W| of a new
+    dP4, stops the corollary."""
     L = build_del_pezzo(4)
     doubled = groups.PermGroup(weyl_generators(L) + (minus_one(L),),
                                len(enumerate_roots(L)))
     assert doubled.order() == 2 * bridge._weyl_numbers(L)[0]
-    bridge._weyl_numbers.cache_clear()
     monkeypatch.setattr(bridge, "weyl_group", lambda L: doubled)
     with pytest.raises(errors.CrossCheckFailed, match="diagram automorphisms"):
-        bridge.verify_corollary(L)
-
-
-@pytest.fixture
-def fresh_chains():
-    """Read |W| from a new W chain inside a test that perturbs what checks
-    it, and drop the record it made afterwards.  |O(L2)| is not cached:
-    only the basis-image count behind it is, per space."""
-    bridge._weyl_numbers.cache_clear()
-    yield
-    bridge._weyl_numbers.cache_clear()
+        bridge.verify_corollary(build_del_pezzo(4))
 
 
 def test_remark2_cross_checks_the_arf_invariant(monkeypatch):
@@ -618,15 +579,13 @@ def _miscount_oL2(monkeypatch):
     monkeypatch.setattr(f2, "orthogonal_order", lambda S: closed(S) + 1)
 
 
-def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
+def test_corollary_cross_checks_the_exponents(monkeypatch):
     """E8's exponents give |W| = 696729600; with 1 shifted to 2 the Weyl
-    chain's order disagrees and the corollary stops."""
-    L = build_del_pezzo(8)
-    assert bridge._weyl_numbers(L)[0] == 696729600
-    bridge._weyl_numbers.cache_clear()
+    chain's order disagrees and the corollary stops on a new E8."""
+    assert bridge._weyl_numbers(build_del_pezzo(8))[0] == 696729600
     _shift_an_exponent(monkeypatch)
     with pytest.raises(errors.CrossCheckFailed, match=r"E8: \|W\|"):
-        bridge.verify_corollary(L)
+        bridge.verify_corollary(build_del_pezzo(8))
 
 
 @pytest.mark.parametrize("run", [
@@ -634,7 +593,7 @@ def test_corollary_cross_checks_the_exponents(monkeypatch, fresh_chains):
     lambda: bridge.verify_corollary(build_del_pezzo(6)),
     lambda: bridge.verify_remarks(3),
 ], ids=["prop2", "corollary", "remark1"])
-def test_reflection_chain_order_is_cross_checked(run, monkeypatch, fresh_chains):
+def test_reflection_chain_order_is_cross_checked(run, monkeypatch):
     """Each statement that prints |O(L2)| raises when its basis-image count
     is not the closed form; table is below.  No reflection chain is built:
     the reduced simple reflections and |rho(W)| stand for it."""
@@ -648,8 +607,7 @@ def test_reflection_chain_order_is_cross_checked(run, monkeypatch, fresh_chains)
     (_miscount_oL2, r"\|O\(L2\)\| 6 != its closed form 7"),
     (_shift_an_exponent, r"\|W\|"),
 ], ids=["reflection-chain", "exponent"])
-def test_table_exits_1_on_a_failed_cross_check(perturb, match, monkeypatch,
-                                               fresh_chains, capsys):
+def test_table_exits_1_on_a_failed_cross_check(perturb, match, monkeypatch, capsys):
     perturb(monkeypatch)
     assert cli.run(["table", "--format", "csv"]) == 1
     captured = capsys.readouterr()
@@ -685,12 +643,8 @@ def test_reduced_simple_reflections_are_checked(n, monkeypatch):
     reduce_isometry = bridge.reduce_isometry
     monkeypatch.setattr(bridge, "reduce_isometry", lambda L, p: reduce_isometry(
         L, second if p == first else p))
-    bridge._rho_orders.cache_clear()
-    try:
-        with pytest.raises(errors.CrossCheckFailed, match="reduced simple reflection"):
-            bridge.rho_image_order_weyl(L)
-    finally:
-        bridge._rho_orders.cache_clear()
+    with pytest.raises(errors.CrossCheckFailed, match="reduced simple reflection"):
+        bridge.rho_image_order_weyl(L)
 
 
 def _refuse_reflection_chain(monkeypatch):

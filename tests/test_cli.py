@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from dpmod2 import bridge, cli, errors, groups
+from dpmod2 import bridge, cli, errors, f2, groups
 from dpmod2 import lattice as lat
 from oracles import report_from_json_dict
 
@@ -152,50 +152,47 @@ def test_repeated_runs_byte_identical(capsys):
     assert t1 == t2
 
 
-def _cached():
-    """How many values the program's caches hold."""
-    return sum(fn.cache_info().currsize for fn in bridge._caches())
+def _lattices_and_spaces():
+    """Every Lattice and F2QuadraticSpace the collector tracks."""
+    return [o for o in gc.get_objects()
+            if isinstance(o, (lat.Lattice, f2.F2QuadraticSpace))]
 
 
-@pytest.mark.parametrize("command, stage", [("verify", "reports_for"),
-                                            ("table", "build_del_pezzo")],
-                         ids=["verify", "table"])
-def test_each_lattice_starts_from_empty_caches(command, stage, monkeypatch, capsys):
-    """verify --n all and table release each lattice's caches once its
-    reports or row are built: each reports_for(n) after the first, and each
-    row after the first, starts with nothing cached, so no other lattice's
-    data.  A table row starts by building its lattice, which then misses
-    the emptied cache of lattice._build; so does dP5's prop2 when it
-    builds dP4 again, which happens within a verify stage, not at its
-    start.  Each stage ends with its own lattice cached."""
-    module = {"reports_for": bridge, "build_del_pezzo": lat}[stage]
-    fn = getattr(module, stage)
-    at_start, at_end = [], []
+_CALLS = {"verify-all": (cli.run, ["verify", "--n", "all"]),
+          "table": (cli.run, ["table"]),
+          "remark2-10": (cli.run, ["remark2", "--rank", "10"]),
+          **{f"reports_for-{n}": (bridge.reports_for, n) for n in range(3, 9)},
+          **{f"verify_remarks-{n}": (bridge.verify_remarks, n) for n in (3, 5, 10)}}
 
-    def counted(*args):
-        at_start.append(_cached())
-        out = fn(*args)
-        at_end.append(_cached())
-        return out
 
-    monkeypatch.setattr(module, stage, counted)
-    argv = ["verify", "--n", "all"] if command == "verify" else ["table"]
-    assert cli.run(argv) == 0
+@pytest.mark.parametrize("call", _CALLS)
+def test_no_lattice_outlives_a_call(call, capsys):
+    """A lattice or a space keeps the values derived from it, and nothing
+    keeps it once its caller lets it go: with the cyclic collector off, no
+    lattice or space that a CLI run or a library call of reports_for or
+    verify_remarks builds is alive once it has returned, while its result
+    is: none is a reference cycle, and nothing it returns holds one."""
+    fn, arg = _CALLS[call]
+    gc.collect()
+    gc.disable()
+    try:
+        before = _lattices_and_spaces()
+        kept = {id(o) for o in before}
+        result = fn(arg)            # held, so a lattice it kept would count
+        assert [o for o in _lattices_and_spaces() if id(o) not in kept] == []
+        assert fn is not cli.run or result == 0
+    finally:
+        gc.enable()
     capsys.readouterr()
-    assert len(at_start) == 6
-    assert at_start[1:] == [0] * 5
-    if command == "verify":
-        assert all(at_end)
 
 
 def test_verify_all_holds_one_lattice_at_a_time(capsys):
     """The traced peak of verify --n all stays within 1.3 times that of
     verify --n 8 alone, the largest lattice (about 1.2; 2.2 with every
-    lattice's caches kept to the end).  Each run starts from empty caches
-    and collected garbage, after a warm-up run that pays the one-time
-    allocations of argparse and json."""
+    lattice's values kept to the end).  Each run starts from collected
+    garbage, after a warm-up run that pays the one-time allocations of
+    argparse and json."""
     def peak(argv):
-        bridge._clear_caches()
         gc.collect()
         tracemalloc.start()
         try:
@@ -321,14 +318,12 @@ def _chains_kept(monkeypatch, call):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(groups.PermGroup, "__init__", recorded)
-    bridge._clear_caches()
     gc.disable()
     try:
         result = call()
         return result, len(refs), sum(ref() is not None for ref in refs)
     finally:
         gc.enable()
-        bridge._clear_caches()
 
 
 @pytest.mark.parametrize("argv", [["verify", "--n", "all"], ["remark2", "--rank", "10"],
@@ -343,7 +338,6 @@ def test_no_chain_outlives_a_run(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_no_chain_outlives_the_reports(n, monkeypatch):
-    """Nor does one outlive a library call of reports_for, whose caches
-    are kept."""
+    """Nor does one outlive a library call of reports_for."""
     reports, built, alive = _chains_kept(monkeypatch, lambda: bridge.reports_for(n))
     assert all(r.passed for r in reports) and built and alive == 0

@@ -170,22 +170,15 @@ def test_symplectic_basis_and_arf(n):
 
 def test_arf_disagreeing_with_the_census_is_a_failed_check(monkeypatch, capsys):
     """arf checks its symplectic-basis sum against the census identity, so
-    every report that prints it fails when the two disagree.  arf is
-    computed once per space, and the reports and table compute each
-    lattice's census once, in bridge._census, so both caches are cleared
-    around the perturbed run."""
+    every report that prints it fails when the two disagree.  arf is kept
+    on its space, and bridge._census on its lattice, so the perturbed run
+    reads both from new lattices."""
     census = f2.value_census
     monkeypatch.setattr(f2, "value_census", lambda S: (census(S)[0] - 1,
                                                        census(S)[1] + 1))
-    f2.arf.cache_clear()
-    bridge._census.cache_clear()
-    try:
-        with pytest.raises(errors.CrossCheckFailed, match="census"):
-            f2.arf(_space(4))
-        assert cli.run(["table"]) == 1
-    finally:
-        f2.arf.cache_clear()
-        bridge._census.cache_clear()
+    with pytest.raises(errors.CrossCheckFailed, match="census"):
+        f2.arf(_space(4))
+    assert cli.run(["table"]) == 1
     assert "check failed with CrossCheckFailed" in capsys.readouterr().err
 
 

@@ -3,13 +3,15 @@
 import gc
 import hashlib
 import itertools
+import pickle
 import random
+from copy import deepcopy
 from functools import lru_cache
 from math import prod
 
 import pytest
 
-from dpmod2 import errors, f2, groups, lattice
+from dpmod2 import bridge, errors, f2, groups, lattice
 from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             automorphism_order, build_del_pezzo,
                             build_plain_root_lattice, component_isometries,
@@ -110,16 +112,38 @@ def test_plain_out_of_range(rank):
 @pytest.mark.parametrize("junk", [[], {1: 2}, {4}, bytearray(b"4")],
                          ids=["list", "dict", "set", "bytearray"])
 def test_builders_refuse_unhashable_ranks(build, junk):
-    """The rank is checked before the cache sees it: an unhashable one is
-    BadInput, as for any rank that is not an int, not the cache's
-    TypeError.  The cache behind the guard, lattice._build, is still one
-    that bridge._caches finds and clears, and a lattice is built once."""
-    from dpmod2 import bridge
-
+    """An unhashable rank is BadInput, as for any rank that is not an int,
+    not a TypeError.  Each call builds a new lattice, equal to the last."""
     with pytest.raises(errors.BadInput, match="must be an int"):
         build(junk)
-    assert lattice._build in bridge._caches()
-    assert build(5) is build(5)
+    assert build(5) == build(5) and build(5) is not build(5)
+
+
+@pytest.mark.parametrize("build, n", [(build_del_pezzo, 3), (build_del_pezzo, 8),
+                                      (build_plain_root_lattice, 10)])
+def test_a_used_lattice_copies_its_fields_alone(build, n):
+    """A lattice keeps its derived values, search rows and closures among
+    them, in its __dict__; a pickle or a deep copy takes the fields alone,
+    an equal lattice with nothing kept."""
+    L = build(n)
+    if L.kind == "delpezzo":
+        bridge.verify_lemma(L), bridge.verify_prop1(L)
+    else:
+        automorphism_group(L), f2.isometry_order(f2.reduce(L))
+    assert "dpmod2.lattice._root_pairings" in vars(L)
+    for copy in (pickle.loads(pickle.dumps(L)), deepcopy(L)):
+        assert copy == L and copy is not L and vars(copy) == {}
+        assert type(copy) is lattice.Lattice
+
+
+@pytest.mark.parametrize("fn", [enumerate_roots, weyl_generators, automorphism_group,
+                                f2.reduce, f2.arf, f2.isometry_order, f2.split_radical],
+                         ids=lambda fn: fn.__name__)
+def test_memoized_functions_refuse_a_non_lattice(fn):
+    """A memoized function reads its argument's __dict__, so one without it,
+    such as None, raises AttributeError, not vars()'s TypeError."""
+    with pytest.raises(AttributeError):
+        fn(None)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -207,10 +231,10 @@ def test_root_steps_match_the_scans(L):
                          ids=lambda L: L.root_type)
 def test_pairing_rows_are_freed_without_the_collector(L):
     """A LazyRows hands itself to its builder, so rows built from other rows
-    hold no reference cycle: dropped, they are freed at once, and clearing
-    the caches releases a lattice's rows without waiting for the cyclic
+    hold no reference cycle: dropped, they are freed at once, and a lattice
+    that lets go of its rows releases them without waiting for the cyclic
     garbage collector."""
-    lattice._root_pairings(L)       # cache what the rows are built from
+    lattice._root_pairings(L)       # keep on L what the rows are built from
     gc.collect()
     gc.disable()
     try:
@@ -248,10 +272,11 @@ def test_root_pairings_refuse_a_corrupted_simple_row(L, corrupt, monkeypatch):
     neg_b = minus_one(L)[b]
     ones = lattice._pairing_ones
 
-    def corrupted(L, c):
+    def corrupted(heights, index, c):
+        row = ones(heights, index, c)
         if corrupt == "drop":
-            return ones(L, c) & ~(1 << r) if c == b else ones(L, c)
-        return ones(L, c) ^ (1 << a) if c in (b, neg_b) else ones(L, c)
+            return row & ~(1 << r) if c == b else row
+        return row ^ (1 << a) if c in (b, neg_b) else row
 
     monkeypatch.setattr(lattice, "_pairing_ones", corrupted)
     rows = lattice._root_pairings.__wrapped__(L)[0]
@@ -319,12 +344,8 @@ def test_chain_order_mismatch_raises(monkeypatch):
     L = build_del_pezzo(4)
     order, solutions = lattice._aut_search(L)
     monkeypatch.setattr(lattice, "_aut_search", lambda L: (order + 1, solutions))
-    lattice._automorphisms.cache_clear()
-    try:
-        with pytest.raises(errors.CrossCheckFailed):
-            automorphism_group(L)
-    finally:
-        lattice._automorphisms.cache_clear()
+    with pytest.raises(errors.CrossCheckFailed):
+        automorphism_group(L)
 
 
 @pytest.mark.parametrize("L, count, digest", [
