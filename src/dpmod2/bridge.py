@@ -156,35 +156,12 @@ def aut_group(L):
     return lat.automorphism_chain(L)
 
 
-def _f2_chain(S, maps, chain=None):
-    """Stabilizer chain of the given maps acting on the coordinate bits of
-    S's vectors, 0 fixed (f2.permutation), made by extending chain, one that
-    _f2_chain has built on S, if given.
-
-    The maps are linear, so the basis vectors 1 << i are a known base.
-    Between maps every level is complete, so a map whose basis images sift
-    on it agrees on the basis with a member and is that member.  Only the
-    other maps are made permutations and extend the chain.  A map with an
-    image of 0 never sifts, as no orbit holds the point 0, and
-    f2._permutation refuses it like any map with dependent images.  Each
-    map's images are read once, into their coordinate bits: one point per
-    basis vector, sifted unchecked, and once found independent a
-    permutation of the points, added unchecked."""
-    if chain is None:
-        chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
-    for m in maps:
-        bits = [S._coords[v] for v in f2._basis_images(S, m)]
-        if not chain._sifts(bits):
-            chain._extend(f2._permutation(bits))
-    return chain
-
-
 def oL2_group(L):
     """A new stabilizer chain for the reflection group of the mod-2 space;
     its order must be f2.orthogonal_order (CrossCheckFailed).  No statement
     builds it: they read _oL2_order."""
     S = f2.reduce(L)
-    G = _f2_chain(S, f2.orthogonal_generators(S))
+    G = f2._chain(S, f2.orthogonal_generators(S))
     _agreed(L, "|O(L2)|", G.order(), f2.orthogonal_order(S))
     return G
 
@@ -218,8 +195,8 @@ def _rho_orders(L):
     if weyl != [f2._transvection(S, _root_masks(L)[s]) for s in lat._simple_indices(L)]:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: a reduced simple reflection is not its root's mod-2 reflection")
-    chain = _f2_chain(S, weyl)
-    return chain.order(), _f2_chain(S, _reduced_aut_generators(L), chain).order()
+    chain = f2._chain(S, weyl)
+    return chain.order(), f2._chain(S, _reduced_aut_generators(L), chain).order()
 
 
 def rho_image_order_aut(L):
@@ -237,7 +214,7 @@ def _census(L):
     dimension, and arf, None if the pairing is degenerate."""
     S = f2.reduce(L)
     q0, q1 = f2.value_census(S)
-    radical_dim = len(f2._radical(S)) - 1
+    radical_dim = len(f2.radical(S)) - 1
     return (len(lat.enumerate_roots(L)), q1, q0, radical_dim,
             None if radical_dim else f2.arf(S))
 
@@ -332,13 +309,15 @@ def _kernel_elements(L):
 
 def verify_prop1(L):
     """prop1: roots/{+-1} biject with q^-1(1) (minus k for n=7)."""
+    if L.kind != "delpezzo":
+        raise errors.BadInput("prop1 applies to del Pezzo lattices")
     rep = VerificationReport("prop1", L.n, True, _census_numbers(L), [])
     S = f2.reduce(L)
     image = set(_root_masks(L))
     q1 = {v for v, q in S._q.items() if q}
-    k = S.ambient_k
     rep.numbers["root_image_size"] = len(image)
-    if L.kind == "delpezzo" and L.n == 7:
+    if L.n == 7:
+        k = f2._mask(L.K)
         rep.check(S.q(k) == 1, "q(k) = 1")
         rep.check(k not in image, "k is not a root image")
         targets = q1 - {k}
@@ -377,7 +356,7 @@ def verify_prop2(L):
         # no totally singular plane, by an exhaustive scan of singular pairs
         sing = [v for v in S.nonzero_vectors() if S.q(v) == 0]
         pairs = [(u, v) for i, u in enumerate(sing) for v in sing[i + 1:]]
-        expected = {S.ambient_k ^ 1} | {1 | 1 << i for i in range(1, S.width)}
+        expected = {f2._mask(L.K) ^ 1} | {1 | 1 << i for i in range(1, S.width)}
         rep.check(set(sing) == expected,
                   "nonzero singular vectors are k+e0 and the e0+e_i")
         rep.check(all(S.pair(u, v) for u, v in pairs), "singular vectors pair to 1")
@@ -386,25 +365,25 @@ def verify_prop2(L):
     if L.n == 7:
         k, H = f2.split_radical(S)
         rep.check(S.q(k) == 1, "q(k) = 1")
-        tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
-        sp_order = _f2_chain(H, tgens).order()
+        tgens = [f2._transvection(H, v) for v in H.nonzero_vectors()]
+        sp_order = f2._chain(H, tgens).order()
         rep.check(sp_order == oL2, "|Sp(H)| = |O(L2)|")
-        corr = all(f2.induced(S, k, H, f2.f2_reflection(S, v if S.q(v) else v ^ k)) == t
+        corr = all(f2._induced(S, k, H, f2.f2_reflection(S, v if S.q(v) else v ^ k)) == t
                    for v, t in zip(H.nonzero_vectors(), tgens))
         rep.check(corr, "transvections correspond to reflections at v+(1+q(v))k")
         rep.witnesses.append(f"|Sp(H)| = {sp_order}")
     if L.n == 5:
         k, H = f2.split_radical(S)
         rep.check(S.q(k) == 0, "q(k) = 0")
-        qgens = [f2.induced(S, k, H, g) for g in f2.orthogonal_generators(S)]
-        image_q = _f2_chain(H, qgens).order()
+        qgens = [f2._induced(S, k, H, g) for g in f2.orthogonal_generators(S)]
+        image_q = f2._chain(H, qgens).order()
         # the maps x -> x + l(x)k with l(k) = 0, l given by its basis bits
         kc = S.coords(k)
         kernel = [f2.check_isometry(S, [b ^ (k if lam >> i & 1 else 0)
                                         for i, b in enumerate(S.basis)])
                   for lam in range(1 << S.dim) if not (lam & kc).bit_count() & 1]
         rep.check(len(kernel) == 16, "kernel of the quotient map has order 16")
-        rep.check(all(f2.induced(S, k, H, u) == H.basis for u in kernel),
+        rep.check(all(f2._induced(S, k, H, u) == H.basis for u in kernel),
                   "kernel maps project to the identity")
         rep.check(oL2 == 16 * image_q, "|O(L2)| = 16 * |O(quotient)|")
         L4 = lat.build_del_pezzo(4)

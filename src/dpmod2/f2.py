@@ -15,8 +15,8 @@ mask of either model to the intrinsic mask of the same vector.
 
 A linear self-map of a space is the tuple of its basis images.
 check_symplectic/check_isometry validate one and return it, _apply and
-_compose evaluate it, and permutation gives the map it induces on coordinate
-bits, 0 fixed: the form the stabilizer chains take.
+_compose evaluate it, and _chain builds the stabilizer chain of such maps
+acting on coordinate bits, 0 fixed.
 """
 
 from math import prod
@@ -33,10 +33,10 @@ class F2QuadraticSpace:
     the pairing on the basis (gram2, entries taken mod 2).  The values
     derived from it are kept in its __dict__ on first use (groups._memo)."""
 
-    __slots__ = ("width", "basis", "qdiag", "ambient_k", "gram2",
-                 "_coords", "_q", "_polar", "__dict__")
+    __slots__ = ("width", "basis", "qdiag", "gram2", "_coords", "_q", "_polar",
+                 "__dict__")
 
-    def __init__(self, width, basis, qdiag, gram2, ambient_k=None):
+    def __init__(self, width, basis, qdiag, gram2):
         try:
             basis, qdiag, gram2 = tuple(basis), tuple(qdiag), tuple(map(tuple, gram2))
         except TypeError:
@@ -50,8 +50,7 @@ class F2QuadraticSpace:
         self.basis = basis
         self.qdiag = tuple(q & 1 for q in qdiag)
         self.gram2 = tuple(tuple(x & 1 for x in row) for row in gram2)
-        self.ambient_k = ambient_k
-        if self.width < 0 or any(not 0 < b < 1 << self.width for b in self.basis):
+        if width < 0 or any(b <= 0 or b.bit_length() > width for b in basis):
             raise errors.BadInput("basis masks must lie in [1, 2**width)")
         g, n = self.gram2, len(self.basis)
         if (len(g) != n or any(len(row) != n or row[i] for i, row in enumerate(g))
@@ -138,7 +137,7 @@ def reduce(L):
     k = (1 << width) - 1  # K has all coordinates odd in both families
     if _mask(L.K) != k:
         raise errors.CrossCheckFailed("K mod 2 is not the all-ones mask")
-    S = F2QuadraticSpace(width, basis, qdiag, L.gram, ambient_k=k)
+    S = F2QuadraticSpace(width, basis, qdiag, L.gram)
     if any(_parity(a & b) != g for a, row in zip(basis, S.gram2)
            for b, g in zip(basis, row)):
         raise errors.CrossCheckFailed(
@@ -171,15 +170,10 @@ def space_from_gram(gram):
     return F2QuadraticSpace(n, basis, tuple(gram[i][i] // 2 for i in range(n)), gram)
 
 
+@groups._memo
 def radical(S):
     """All vectors pairing to zero with the whole space (includes 0), sorted,
-    in a fresh list."""
-    return list(_radical(S))
-
-
-@groups._memo
-def _radical(S):
-    """radical(S) as a tuple, kept on S."""
+    as a tuple kept on S."""
     return tuple(sorted(v for v, p in S._polar.items() if not p))
 
 
@@ -195,7 +189,7 @@ def symplectic_basis(S):
     Returns the tuple of hyperbolic pairs (x_i, y_i): (x_i|y_j) = [i==j], all
     other pairings 0.
     """
-    if _radical(S) != (0,):
+    if radical(S) != (0,):
         raise errors.WrongShape("the pairing has a nontrivial radical")
     work = list(S.basis)
     pairs = []
@@ -310,32 +304,32 @@ def _compose(S, a, b):
     return tuple(_apply(S, a, m) for m in b)
 
 
-def permutation(S, images):
-    """The map on coordinate bits, a tuple of 2^dim ints with 0 fixed: entry
-    c is the coordinate bits of the image of the vector with coordinate bits
-    c.  NotIsometry unless there is one int image in S per basis vector and
-    the images are linearly independent."""
-    return _permutation([S._coords[m] for m in _basis_images(S, images)])
+def _chain(S, maps, chain=None):
+    """Stabilizer chain of the given maps acting on the coordinate bits of
+    S's vectors, 0 fixed, made by extending chain, one that _chain has built
+    on S, if given.  The maps are linear, so the basis vectors 1 << i are a
+    known base, and a map's permutation is the span of its images' bits.
 
-
-def _permutation(bits):
-    """permutation from the images' coordinate bits, which its caller has
-    read from S; NotIsometry unless they are linearly independent."""
-    if not _independent(bits):
-        raise errors.NotIsometry("images are linearly dependent")
-    return tuple(_span(bits))
-
-
-def transvection(S, v):
-    """The basis images of the symplectic transvection x -> x + (x|v)v (no
-    q constraint)."""
-    if not S.contains(v) or v == 0:
-        raise errors.BadInput("transvection vector must be a nonzero space vector")
-    return _transvection(S, v)
+    Between maps every level is complete, so a map whose basis images sift
+    on it agrees on the basis with a member and is that member.  Only the
+    other maps are made permutations, once found independent, and extend
+    the chain unchecked.  A map with an image of 0 never sifts, as no orbit
+    holds the point 0, and is refused like any with dependent images.  Each
+    map's images are read once (_basis_images), into their coordinate bits."""
+    if chain is None:
+        chain = groups.PermGroup([], 2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
+    for m in maps:
+        bits = [S._coords[v] for v in _basis_images(S, m)]
+        if not chain._sifts(bits):
+            if not _independent(bits):
+                raise errors.NotIsometry("images are linearly dependent")
+            chain._extend(tuple(_span(bits)))
+    return chain
 
 
 def _transvection(S, v):
-    """transvection(S, v) for a nonzero vector v of S, unchecked."""
+    """The basis images of the symplectic transvection x -> x + (x|v)v (no
+    q constraint), for a nonzero vector v of S, unchecked."""
     pv = S._polar[v]
     return tuple(b ^ (v if pv >> i & 1 else 0) for i, b in enumerate(S.basis))
 
@@ -387,7 +381,7 @@ def isometry_order(S):
         ones = _xor(columns, _xor(polar, c))
         return {1: ones, 0: every ^ ones}
 
-    def act(sol):           # the image of every c, as permutation builds it
+    def act(sol):           # the image of every c, as _chain builds it
         return groups.gather(ids, _span(sol))
 
     counts, _ = groups.orbit_search(
@@ -408,7 +402,7 @@ def split_radical(S):
     Since k has no higher bit, x -> min(x, x ^ k) is the projection of S
     onto H along k.
     """
-    rad = _radical(S)
+    rad = radical(S)
     if len(rad) != 2:
         raise errors.WrongShape(f"radical has {len(rad)} elements, need 2")
     k = rad[1]
@@ -430,8 +424,14 @@ def induced(S, k, H, u):
     x -> x + l(x)k with l(k) = 0.  If q(k) = 1, q does not descend: the
     result is checked as a symplectic map of H, and u -> induced(u) is an
     isomorphism onto Sp(H) that takes the reflection at whichever of v and
-    v + k has q = 1 to the transvection at v.
+    v + k has q = 1 to the transvection at v.  NotIsometry unless u is one
+    int image in S per basis vector.
     """
+    return _induced(S, k, H, _basis_images(S, u))
+
+
+def _induced(S, k, H, u):
+    """induced for a u that its caller has built or checked in S, unchecked."""
     check = check_symplectic if S.q(k) else check_isometry
     return check(H, (min(m, m ^ k) for m in (_apply(S, u, h) for h in H.basis)))
 
@@ -443,7 +443,7 @@ def orthogonal_order(S):
     O(H, q) has index 2^(m-1) (2^m + (-1)^arf) in it, and a radical {0, k}
     gives |Sp(H)| if q(k) = 1, 2^(dim-1) |O(H, q)| if q(k) = 0.  A larger
     radical raises WrongShape."""
-    k, H = (0, S) if len(_radical(S)) == 1 else split_radical(S)
+    k, H = (0, S) if len(radical(S)) == 1 else split_radical(S)
     m = H.dim // 2
     sp = 2 ** (m * m) * prod(4 ** i - 1 for i in range(1, m + 1))
     if k and S.q(k):

@@ -1,8 +1,8 @@
 """Exact finite-group computation for permutation groups.
 
 Groups are given by generators acting on {0..degree-1}: a lattice
-isometry's permutation of the root indices, or f2.permutation of a mod-2
-map, which acts on the vectors' coordinate bits and fixes 0.  A
+isometry's permutation of the root indices, or a mod-2 map's permutation
+in f2._chain, which acts on the vectors' coordinate bits and fixes 0.  A
 deterministic Schreier-Sims stabilizer chain provides exact order
 (arbitrary-precision, never floating point) and membership tests.  Base
 points are taken from a known base (below) in its given order, so the

@@ -1,7 +1,7 @@
 """Brute-force oracles, independent of the package's searches and chains;
 the determinant by rational elimination; the mod-2 chain built the plain
-way, from every map's permutation; the isometry search without pruning and
-the eager completions it was first written with; the isometry check on every pairing of the simple roots; the root pairing
+way, from every map's permutation, one vector at a time; the isometry
+search without pruning and the eager completions it was first written with; the isometry check on every pairing of the simple roots; the root pairing
 rows by one height scan per root and the reflections by one pairing per
 root; and a reader for the reports' JSON form."""
 
@@ -68,10 +68,12 @@ def det_fraction(M):
 
 def f2_chain_of_permutations(S, maps):
     """The stabilizer chain of linear maps of S on the coordinate bits of its
-    vectors, built by turning every map into its permutation and extending
-    by each one: every map is checked and sifted in full."""
-    return PermGroup([f2.permutation(S, m) for m in maps], 2 ** S.dim,
-                     known_base=[1 << i for i in range(S.dim)])
+    vectors, built by turning every map into its permutation, the image of
+    one vector at a time (f2._apply), and extending by each one: every map
+    is checked and sifted in full."""
+    vectors = sorted(S.vectors(), key=S.coords)     # coordinate bits c at c
+    return PermGroup([[S.coords(f2._apply(S, m, v)) for v in vectors] for m in maps],
+                     2 ** S.dim, known_base=[1 << i for i in range(S.dim)])
 
 
 def isometry_count_bruteforce(S):

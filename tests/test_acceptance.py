@@ -11,12 +11,13 @@ import random
 
 import pytest
 
-from dpmod2 import bridge, cli, errors, f2, groups
+from dpmod2 import bridge, cli, errors, f2
 from dpmod2.lattice import (automorphism_group, automorphism_order,
                             build_del_pezzo, build_plain_root_lattice,
                             enumerate_roots, minus_one, root_reflection,
                             weyl_generators)
-from oracles import det_fraction, radical_kernel_bruteforce
+from oracles import (det_fraction, f2_chain_of_permutations,
+                     radical_kernel_bruteforce)
 
 NS = range(3, 9)
 
@@ -55,8 +56,8 @@ def test_c03_quadric_censuses():
                 assert nroots // 2 == 63 == q1 - 1
                 image = {bridge.reduce_root(L, r) for r in enumerate_roots(L)}
                 missing = {v for v in S.vectors() if S.q(v) == 1} - image
-                assert missing == {S.ambient_k}
-                assert S.q(S.ambient_k) == 1
+                assert missing == {f2._mask(L.K)}
+                assert S.q(f2._mask(L.K)) == 1
             else:
                 assert q1 == nroots // 2
 
@@ -64,13 +65,14 @@ def test_c03_quadric_censuses():
 def test_c04_radicals():
     with criterion("4 radicals"):
         for n in NS:
-            S = f2.reduce(build_del_pezzo(n))
+            L = build_del_pezzo(n)
+            S = f2.reduce(L)
             rad = f2.radical(S)
             if n % 2 == 0:
-                assert rad == [0]
+                assert rad == (0,)
             else:
-                assert rad == [0, S.ambient_k]
-                assert S.q(S.ambient_k) == {3: 1, 5: 0, 7: 1}[n]
+                assert rad == (0, f2._mask(L.K))
+                assert S.q(f2._mask(L.K)) == {3: 1, 5: 0, 7: 1}[n]
 
 
 def test_c05_arf_cross_check():
@@ -121,9 +123,9 @@ def test_c07_constructive_bijection():
             roots = set(enumerate_roots(L))
             targets = [v for v in S.vectors() if S.q(v) == 1]
             if n == 7:
-                targets.remove(S.ambient_k)
+                targets.remove(f2._mask(L.K))
                 with pytest.raises(errors.NoPreimage):
-                    bridge.root_preimage(L, S.ambient_k)
+                    bridge.root_preimage(L, f2._mask(L.K))
             for v in targets:
                 r = bridge.root_preimage(L, v)
                 assert r in roots and bridge.reduce_root(L, r) == v
@@ -138,20 +140,19 @@ def test_c08_prop2_structure():
         rep = bridge.verify_prop2(L4)
         assert rep.passed and rep.witnesses == ["nonzero singular vectors: 5"]
         S4 = f2.reduce(L4)
-        k = S4.ambient_k
+        k = f2._mask(L4.K)
         assert {v for v in S4.vectors() if v and S4.q(v) == 0} == (
             {k ^ 1} | {1 | 1 << i for i in range(1, 5)})
         # n = 7: O(L2) = Sp(H) by order and generator correspondence
         L7 = build_del_pezzo(7)
         S7 = f2.reduce(L7)
         k, H = f2.split_radical(S7)
-        tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
-        sp_order = groups.PermGroup([f2.permutation(H, t) for t in tgens],
-                                    2 ** H.dim).order()
+        tgens = [f2._transvection(H, v) for v in H.nonzero_vectors()]
+        sp_order = f2_chain_of_permutations(H, tgens).order()
         assert sp_order == bridge.oL2_group(L7).order() == 1451520
         for v in H.nonzero_vectors():
             r = f2.f2_reflection(S7, v if S7.q(v) else v ^ k)
-            assert f2.induced(S7, k, H, r) == f2.transvection(H, v)
+            assert f2.induced(S7, k, H, r) == f2._transvection(H, v)
         # n = 5: kernel of the quotient map has order 16 and the quotient
         # census equals the n = 4 census
         S5 = f2.reduce(build_del_pezzo(5))

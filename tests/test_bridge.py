@@ -30,7 +30,8 @@ def test_batched_permutations_match_pointwise(L):
     On the roots the references are the reflection formula on ambient tuples
     and negation; the other kept automorphisms have no formula and are
     checked against the full table of root pairings.  On the mod-2 points
-    the reference is f2._apply, one vector at a time.
+    the permutation is the generator that f2._chain adds for a map that is
+    not the identity, and the reference is f2._apply, one vector at a time.
     """
     R = enumerate_roots(L)
     for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
@@ -49,14 +50,15 @@ def test_batched_permutations_match_pointwise(L):
     if len(f2.radical(S)) == 2:
         k, H = f2.split_radical(S)
         if S.q(k) == 1:                          # Sp(H) transvections
-            maps += [(H, f2.transvection(H, v)) for v in H.nonzero_vectors()]
+            maps += [(H, f2._transvection(H, v)) for v in H.nonzero_vectors()]
         else:                                    # quotient projections
             maps += [(H, f2.induced(S, k, H, g)) for g in f2.orthogonal_generators(S)]
     # the mod-2 points are the vectors in the order of their coordinate bits
     for space, m in maps:
         points = sorted(space.vectors(), key=space.coords)
-        assert list(f2.permutation(space, m)) == _pointwise(
-            points, lambda v: f2._apply(space, m, v))
+        added = f2._chain(space, [m]).generators
+        assert added == ([] if m == space.basis else [tuple(_pointwise(
+            points, lambda v: f2._apply(space, m, v)))])
 
 
 def test_reduce_root_examples():
@@ -107,7 +109,7 @@ def test_root_preimage_roundtrip(n):
     S = f2.reduce(L)
     targets = [v for v in S.vectors() if S.q(v) == 1]
     if n == 7:
-        targets.remove(S.ambient_k)
+        targets.remove(f2._mask(L.K))
     roots = set(enumerate_roots(L))
     for v in targets:
         r = bridge.root_preimage(L, v)
@@ -380,7 +382,8 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
     quotient, the closed forms reading the same value.  Each lattice keeps
     its own values, so dP5's prop2, which builds a new dP4, reduces dP4
-    again: 5 of the 812 masks.
+    again: 5 of the 814 masks.  prop1 on dP7 and prop2 on dP4 read k as
+    K mod 2: 2 more.
 
     The values it has just built are not validated again: the chains sift
     the searches' 40 solutions and the 138 reduced maps on the known base
@@ -388,20 +391,20 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     by the ones check_isometry or the independence test has just passed,
     so it runs only for the 30 Weyl generators of the W chains (dP4..8)
     and the 5 membership tests of -1; the mod-2 chains read each map's
-    images once, not again through f2.permutation.  prop2's dP5 quotient
-    builds O(L2)'s reflections from q's table, so f2_reflection runs only
-    for prop2's 63 reflections on dP7, and checks each vector once: the
-    public transvection runs for prop2's 63 dP7 transvections alone.  No
-    caller reads the public radical.  It builds the pairing rows that the
-    searches and checks read and those they are added from: 296 of the
-    578 roots' rows."""
+    images once, and prop2 projects maps it has built or checked without
+    reading them again (f2._induced).  prop2's dP5 quotient builds O(L2)'s
+    reflections from q's table, so f2_reflection runs only for prop2's 63
+    reflections on dP7, and checks each vector once.  Unchecked
+    transvections build those 63, their 63 dP7 transvections, dP5's 20
+    reflections and the 33 simple reflections that the rho chain compares
+    with.  It builds the pairing rows that the searches and checks read and
+    those they are added from: 296 of the 578 roots' rows."""
     counts = {"lat.check_isometry": 59, "f2.check_isometry": 107,
-              "bridge.reduce_isometry": 33, "f2._mask": 812,
-              "f2.symplectic_basis": 5, "f2.radical": 0, "f2.value_census": 14,
-              "f2.f2_reflection": 63, "f2.transvection": 63, "PermGroup._sifts": 178,
-              "PermGroup._check_perm": 35, "f2._basis_images": 308,
-              "f2.permutation": 0}
-    computations = {"f2._radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
+              "bridge.reduce_isometry": 33, "f2._mask": 814,
+              "f2.symplectic_basis": 5, "f2.value_census": 14,
+              "f2.f2_reflection": 63, "f2._transvection": 179, "PermGroup._sifts": 178,
+              "PermGroup._check_perm": 35, "f2._basis_images": 308}
+    computations = {"f2.radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
     rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
                   "A8": 45}
     modules = {"lat": lat, "f2": f2, "bridge": bridge, "PermGroup": groups.PermGroup}
@@ -623,7 +626,7 @@ def test_remark2_builds_no_reflection_chain(rank, monkeypatch):
     def refuse(*args):
         raise AssertionError("remark2 built a mod-2 chain")
 
-    for module, name in [(bridge, "oL2_group"), (bridge, "_f2_chain"),
+    for module, name in [(bridge, "oL2_group"), (f2, "_chain"),
                          (f2, "orthogonal_generators")]:
         monkeypatch.setattr(module, name, refuse)
     rep = bridge.verify_remarks(rank)
@@ -676,7 +679,7 @@ def test_no_reduced_aut_generator_extends_the_weyl_chain(L):
     the reduced simple reflections, so the shared chain reads both orders
     from one chain that the O(L) generators leave as it was."""
     S = f2.reduce(L)
-    W = bridge._f2_chain(S, [bridge.reduce_isometry(L, u) for u in weyl_generators(L)])
+    W = f2._chain(S, [bridge.reduce_isometry(L, u) for u in weyl_generators(L)])
     assert all(W._sifts([S.coords(m) for m in images])
                for images in bridge._reduced_aut_generators(L))
     assert bridge.rho_image_order_weyl(L) == bridge.rho_image_order_aut(L) == W.order()

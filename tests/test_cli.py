@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -228,68 +229,28 @@ def test_python_m_dpmod2_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
-_VERIFY_ALL_JSON_SHA256 = "bc1831c7e81cc660f641691cd7f04bfefadd4ef49fecdb2dd927ec7421c39bb2"
+# the pinned commands, in order: argv, the sha256 of stdout, and whether
+# the bytes are also checked under other hash seeds; CI runs the installed
+# script on every entry
+_PINNED = json.loads((pathlib.Path(__file__).parent / "pinned_outputs.json").read_text())
 
 
 @pytest.mark.parametrize("seed", ["0", "12345"])
 def test_output_bytes_do_not_depend_on_the_hash_seed(seed):
     """The chains and checks keep sets and hash lattices, so a fresh process
-    under any hash seed prints the pinned verify --n all bytes."""
-    proc = subprocess.run([sys.executable, "-m", "dpmod2", "verify", "--n", "all",
-                           "--format", "json"], capture_output=True,
-                          env={**os.environ, "PYTHONHASHSEED": seed})
-    assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout).hexdigest() == _VERIFY_ALL_JSON_SHA256
+    under any hash seed prints the pinned bytes of each command the table
+    marks hash_seeds: verify --n all, table and remark2 --rank 10 in json."""
+    seeded = [pin for pin in _PINNED if pin.get("hash_seeds")]
+    assert len(seeded) == 3
+    for pin in seeded:
+        proc = subprocess.run([sys.executable, "-m", "dpmod2", *pin["argv"]],
+                              capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == pin["sha256"]
 
 
-@pytest.mark.parametrize("argv, sha256", [
-    (["verify", "--n", "all", "--format", "json"], _VERIFY_ALL_JSON_SHA256),
-    (["table", "--format", "csv"],
-     "d128ba90a4f8cbda8180a302f1247f24656fb3301d4f0d9c5c0216bbc9ff4699"),
-    (["remark2", "--rank", "10"],
-     "4164b4d8a2c08001524bb160b1be7b9aea9f360d6f3168b1bbcf92c347c4ce97"),
-    (["remark2", "--rank", "5", "--format", "json"],
-     "517d27ab8977f2113e798faba63d76364deb3f3c6af69759073c35c21cb6b094"),
-    (["remark2", "--rank", "6", "--format", "json"],
-     "b0dec844852a42cd8b5c052dd729c7a2666687497ff61bdc4a8923767b5dd497"),
-    (["remark2", "--rank", "7", "--format", "json"],
-     "5baf72556e2a42ab3bd05f59ec7c3a0f3b22d3e0945d49ac5b137fabf1925782"),
-    (["remark2", "--rank", "8", "--format", "json"],
-     "9e4c0ee53bff8710f1303814fcfc370bff4f24d49036c0b3fae3ba44246d6d61"),
-    (["remark2", "--rank", "9", "--format", "json"],
-     "29e0f60ad54cd8199eed53c43303ff44a70f4837e1bb9cc684c0212d2bb764a0"),
-    (["remark2", "--rank", "10", "--format", "json"],
-     "88bba06710694ffd7f3e273614d6e5ca3184d6360d3049bd0c1f7de3b0907429"),
-    # the plain format prints numbers in insertion order, with keys outside
-    # NUMBER_KEYS (root_image_size) that the JSON and CSV formats leave out
-    (["verify", "--n", "all"],
-     "bbdf0073579295fa02aed74ddc8b09d8b2643a13600bb1a0f3a20fe8b2cea130"),
-    (["verify", "--n", "all", "--format", "csv"],
-     "807be4fa9f1d1c03b961a097783e0d786be1e99be4c9fdc047ab50a18d22177d"),
-    # table reads the census, the radical and arf of each lattice
-    (["table"],
-     "a581088377ef67c2e34917c2c80f69476c88259e4c3e0654642ef94f5d58744e"),
-    (["table", "--format", "json"],
-     "fc9491ccc4266855d7b404c7c477156275d5c32ba83eed422960a37088ac325e"),
-    # roots prints the lattice and its mod-2 space (F2QuadraticSpace.to_json_dict)
-    (["roots", "--n", "8", "--format", "json"],
-     "93d7903a69dc64d9847e0dcdcc1d30b3c59f4482e2100128a709a070b44bdef4"),
-    # each lattice alone: a fresh process reads only its own pairing rows,
-    # and n = 5 also reads dP4's census
-    (["verify", "--n", "3", "--format", "json"],
-     "701be5d0a7f5197e32f1104035cc23c1645d8862923ab2ba59398b60d5ddd087"),
-    (["verify", "--n", "5", "--format", "json"],
-     "7bf8484eea62fd8c7e12a421727383b1536f5b7638eb8f2d986667893c20f2cc"),
-    (["verify", "--n", "6", "--format", "json"],
-     "fec85027a82bf9cc577da6cbcc87a33b57b566d4d634ed64adfdea3cec19c24d"),
-    (["verify", "--n", "7", "--format", "json"],
-     "c881626914e4e4f589402f78115e07176efce5ee35006a81118dc26ac546fcaf"),
-    (["verify", "--n", "8", "--format", "json"],
-     "4f5c45fbbc32f32485a3d91db6b40675941718771b3ac65c70182ff0f6ab1400"),
-    # the command CI and the benchmark pin as well
-    (["verify", "--n", "4", "--format", "json"],
-     "4453c275e12f3a3463afb068492195c395d7a6181ce727c976df3b5551e99b26"),
-])
+@pytest.mark.parametrize("argv, sha256", [(pin["argv"], pin["sha256"]) for pin in _PINNED])
 def test_output_bytes_pinned(argv, sha256, tmp_path):
     """A change to any reported number or byte of these reports fails here."""
     out = tmp_path / "report"

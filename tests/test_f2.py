@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from dpmod2 import bridge, cli, errors, f2, groups, lattice
 from dpmod2.lattice import build_del_pezzo, build_plain_root_lattice
-from oracles import (completions_eager, isometry_count_bruteforce,
-                     orbit_search_unpruned, radical_kernel_bruteforce, searches)
+from oracles import (completions_eager, f2_chain_of_permutations,
+                     isometry_count_bruteforce, orbit_search_unpruned,
+                     radical_kernel_bruteforce, searches)
 
 # (q0, q1) for n = 3..8; the q1 column is 4, 10, 20, 36, 64, 120
 CENSUS = {3: (4, 4), 4: (6, 10), 5: (12, 20), 6: (28, 36), 7: (64, 64),
@@ -20,13 +21,13 @@ OL2_ORDERS = {3: 6, 4: 120, 5: 1920, 6: 51840, 7: 1451520, 8: 348364800}
 ARF = {4: 1, 6: 1, 8: 0}
 
 
-def _f2_group(maps, space):
-    return groups.PermGroup([f2.permutation(space, m) for m in maps],
-                            2 ** space.dim)
-
-
 def _space(n):
     return f2.reduce(build_del_pezzo(n))
+
+
+def _k(n):
+    """K mod 2, the all-ones mask, of the del Pezzo lattice of rank n."""
+    return f2._mask(build_del_pezzo(n).K)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -44,10 +45,10 @@ def test_radicals(n):
     S = _space(n)
     rad = f2.radical(S)
     if n % 2 == 0:
-        assert rad == [0]
+        assert rad == (0,)
     else:
-        assert rad == [0, S.ambient_k]
-        assert S.q(S.ambient_k) == {3: 1, 5: 0, 7: 1}[n]
+        assert rad == (0, _k(n))
+        assert S.q(_k(n)) == {3: 1, 5: 0, 7: 1}[n]
 
 
 def test_q_on_coordinate_pairs():
@@ -83,8 +84,7 @@ def test_lookup_rejects_non_int_masks(mask):
 @pytest.mark.parametrize("call", [
     lambda S: S.contains([3]),
     lambda S: S.contains(3.0),
-    lambda S: f2.transvection(S, [3]),
-], ids=["contains-list", "contains-float", "transvection-list"])
+], ids=["contains-list", "contains-float"])
 def test_contains_and_from_coords_reject_bad_input(call):
     """Non-int masks are BadInput, not a bare TypeError or a float answer."""
     S = _space(4)
@@ -236,7 +236,7 @@ def test_arf_basis_independence(n):
 def test_involution_swaps_census(n):
     """v -> v + k exchanges q = 1 and q = 0 when q(k) = 1."""
     S = _space(n)
-    k = S.ambient_k
+    k = _k(n)
     assert S.q(k) == 1
     for v in S.vectors():
         assert S.q(v ^ k) == S.q(v) ^ 1
@@ -265,14 +265,14 @@ def test_reflections(n):
 @pytest.mark.parametrize("n", (3, 7))
 def test_reflection_in_k_is_identity(n):
     S = _space(n)
-    assert f2.f2_reflection(S, S.ambient_k) == S.basis
+    assert f2.f2_reflection(S, _k(n)) == S.basis
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_orthogonal_generator_orders(n):
     S = _space(n)
     gens = f2.orthogonal_generators(S)
-    G = _f2_group(gens, S)
+    G = f2_chain_of_permutations(S, gens)
     assert G.degree == 2 ** n
     assert G.order() == OL2_ORDERS[n]
 
@@ -313,7 +313,7 @@ def test_reflection_group_is_full_isometry_group(n):
     """Brute-force isometry count (independent oracle) for dim <= 5."""
     S = _space(n)
     gens = f2.orthogonal_generators(S)
-    G = _f2_group(gens, S)
+    G = f2_chain_of_permutations(S, gens)
     assert (G.order() == f2.isometry_order(S) == isometry_count_bruteforce(S)
             == OL2_ORDERS[n])
 
@@ -334,7 +334,7 @@ def test_exception_check_n4():
     assert rep.passed
     assert rep.witnesses == ["nonzero singular vectors: 5"]
     S = f2.reduce(L)
-    k = S.ambient_k
+    k = f2._mask(L.K)
     sing = {v for v in S.vectors() if v and S.q(v) == 0}
     assert sing == {k ^ 1} | {1 | (1 << i) for i in range(1, 5)}
 
@@ -344,15 +344,15 @@ def test_sp_model_n7():
     induced."""
     S = _space(7)
     k, H = f2.split_radical(S)
-    assert k == S.ambient_k and S.q(k) == 1
+    assert k == _k(7) and S.q(k) == 1
     assert H.dim == 6
     # L2 = H + F2 k: k outside H, together they span
     assert not H.contains(k)
-    assert f2.radical(H) == [0]
+    assert f2.radical(H) == (0,)
     # the projection along k keeps the member with k's top bit clear
     assert all(H.contains(min(x, x ^ k)) for x in S.vectors())
-    tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
-    SpG = _f2_group(tgens, H)
+    tgens = [f2._transvection(H, v) for v in H.nonzero_vectors()]
+    SpG = f2_chain_of_permutations(H, tgens)
     assert SpG.order() == 1451520  # |Sp6(F2)|, matches the classical formula
     # the classical order formula: 2^(m^2) * prod (4^i - 1)
     m = 3
@@ -371,14 +371,14 @@ def test_sp_model_n7():
     assert {S.q(v) for v in H.nonzero_vectors()} == {0, 1}
     for v in H.nonzero_vectors():
         r = f2.f2_reflection(S, v if S.q(v) else v ^ k)
-        assert f2.induced(S, k, H, r) == f2.transvection(H, v)
+        assert f2.induced(S, k, H, r) == f2._transvection(H, v)
 
 
 def test_sp_model_n3():
     S = _space(3)
     k, H = f2.split_radical(S)
-    tgens = [f2.transvection(H, v) for v in H.nonzero_vectors()]
-    SpG = _f2_group(tgens, H)
+    tgens = [f2._transvection(H, v) for v in H.nonzero_vectors()]
+    SpG = f2_chain_of_permutations(H, tgens)
     assert SpG.order() == 6  # Sp2(F2) = S3
 
 
@@ -407,7 +407,22 @@ def test_sp_model_wrong_shape(n):
         assert f2.check_isometry(H, m) == m
     v = next(v for v in H.nonzero_vectors() if S.q(v) == 0)
     with pytest.raises(errors.NotIsometry, match="q is not preserved"):
-        f2.induced(S, k, H, f2.transvection(S, v))
+        f2.induced(S, k, H, f2._transvection(S, v))
+
+
+@pytest.mark.parametrize("n", (5, 7))
+@pytest.mark.parametrize("u, match", [
+    (None, "None is not a sequence of images"),
+    ("short", "one image per basis vector"),
+], ids=["None", "short"])
+def test_induced_refuses_a_malformed_map(n, u, match):
+    """induced reads u as one image in S per basis vector before it projects
+    anything: a map that is not one is NotIsometry, named as such."""
+    S = _space(n)
+    k, H = f2.split_radical(S)
+    u = S.basis[:-1] if u == "short" else u
+    with pytest.raises(errors.NotIsometry, match=match):
+        f2.induced(S, k, H, u)
 
 
 def test_quotient_model_n5():
@@ -415,12 +430,12 @@ def test_quotient_model_n5():
     quotient and induced is the projection."""
     S = _space(5)
     k, N = f2.split_radical(S)
-    assert k == S.ambient_k and S.q(k) == 0
+    assert k == _k(5) and S.q(k) == 0
     assert N.dim == 4
     # the section is spanned by e_i + e_j for i < j < 5 (top bit clear)
     assert all(v >> 5 == 0 for v in N.vectors())
     assert f2.value_census(N) == f2.value_census(_space(4)) == (6, 10)
-    assert f2.radical(N) == [0]
+    assert f2.radical(N) == (0,)
     # 2 * quotient census = the full census
     assert f2.value_census(S)[1] == 2 * f2.value_census(N)[1] == 20
     kernel = radical_kernel_bruteforce(S, k)
@@ -512,7 +527,7 @@ def test_space_from_gram_forms(gram):
             assert S.pair(x, y) == S.pair(y, x) == form(x, y) % 2
             assert S.q(x ^ y) == S.q(x) ^ S.q(y) ^ S.pair(x, y)
     rad = [x for x in vecs if all(form(x, y) % 2 == 0 for y in vecs)]
-    assert f2.radical(S) == rad
+    assert f2.radical(S) == tuple(rad)
     if rad == [0]:
         m = n // 2
         a = f2.arf(S)
@@ -732,6 +747,13 @@ def test_space_json_dict():
     assert len(d["bilinear"]) == 4 and len(d["qdiag"]) == 4
 
 
+def test_space_of_a_huge_width():
+    """The masks are tested by their bit length, so a width far beyond any
+    mask costs nothing: this is a line in F2^(2^70)."""
+    S = f2.F2QuadraticSpace(2 ** 70, [1], [0], [[0]])
+    assert S.dim == 1 and S.vectors() == [0, 1]
+
+
 def test_isometry_validation_rejects_bad_maps():
     S = _space(4)
     b = S.basis
@@ -773,41 +795,42 @@ def test_isometry_validation_rejects_bad_maps():
 
 
 def test_permutation_rejects_bad_images():
-    """permutation checks the count, membership and independence of the
-    images; the identity fixes every coordinate bits, 0 among them."""
+    """The mod-2 chain checks the count, membership and independence of a
+    map's images before it makes the map's permutation; the identity sifts,
+    so it adds no generator."""
     S = _space(4)
     b = S.basis
-    assert f2.permutation(S, b) == tuple(range(2 ** S.dim))
+    assert f2._chain(S, [b]).generators == []
     for images in (b + b[:1], b[:-1]):
         with pytest.raises(errors.NotIsometry, match="one image per basis vector"):
-            f2.permutation(S, images)
+            f2._chain(S, [images])
     for m in (1, 1 << S.width, b[0] | 1 << S.width):
         with pytest.raises(errors.NotIsometry, match="image outside the space"):
-            f2.permutation(S, (m,) + b[1:])
+            f2._chain(S, [(m,) + b[1:]])
     P = f2.space_from_gram([[0, 1], [1, 0]])
     for space, images in [(S, (m,) + b[1:])
                           for m in (b[0] + 0.7, float(b[0]), str(b[0]))] + [
                           (P, (True, 2)), (P, (1, 2.0))]:
         with pytest.raises(errors.NotIsometry, match="not an int"):
-            f2.permutation(space, images)
+            f2._chain(space, [images])
     with pytest.raises(errors.NotIsometry, match="not a sequence"):
-        f2.permutation(S, None)
+        f2._chain(S, [None])
     # b[0] + b[0] = 0 would be the image of a nonzero vector
     with pytest.raises(errors.NotIsometry, match="images are linearly dependent"):
-        f2.permutation(S, (b[0], b[0]) + b[2:])
+        f2._chain(S, [(b[0], b[0]) + b[2:]])
 
 
 def test_isometry_is_symplectic_map_with_q_check():
     """A transvection at a q = 0 vector keeps the pairing but not q."""
     S = _space(4)
     v = next(v for v in S.nonzero_vectors() if S.q(v) == 0)
-    t = f2.transvection(S, v)
+    t = f2._transvection(S, v)
     assert f2.check_symplectic(S, t) == t
     with pytest.raises(errors.NotIsometry, match="q is not preserved"):
         f2.check_isometry(S, t)
     w = next(v for v in S.nonzero_vectors() if S.q(v) == 1)
     r = f2.f2_reflection(S, w)
-    assert r == f2.transvection(S, w)
+    assert r == f2._transvection(S, w)
     assert f2.check_isometry(S, r) == r
     # independent images that break the pairing: (b1 | b3 + b0) = 0, not 1
     b = S.basis

