@@ -126,34 +126,13 @@ class VerificationReport:
 
 # -- heavy computations, kept on the lattice ----------------------------------------
 
-def _agreed(L, what, order, closed_form):
-    if order != closed_form:
-        raise errors.CrossCheckFailed(
-            f"{L.root_type}: {what} {order} != its closed form {closed_form}")
-    return order
-
-
-def weyl_group(L):
-    """A new stabilizer chain for the Weyl group acting on the roots; its
-    order must be prod(m_i + 1) over lat.exponents(L) (CrossCheckFailed)."""
-    G = groups.PermGroup(lat.weyl_generators(L), len(lat.enumerate_roots(L)),
-                         known_base=lat._simple_indices(L))
-    _agreed(L, "|W|", G.order(), prod(m + 1 for m in lat.exponents(L)))
-    return G
-
-
-@groups._memo
-def _weyl_numbers(L):
-    """|W|, which weyl_group checks, and whether -1 is in W, read from one
-    weyl_group(L), which is then let go: L keeps the numbers."""
-    G = weyl_group(L)
-    return G.order(), G.contains(lat.minus_one(L))
+weyl_group = lat.weyl_group     # kept only for the benchmark's trace plan
 
 
 def aut_group(L):
     """A new stabilizer chain for the full isometry group acting on the
     roots; the statements read lat._automorphisms."""
-    return lat.automorphism_chain(L)
+    return lat.automorphism_chain(L)[0]
 
 
 def oL2_group(L):
@@ -162,7 +141,7 @@ def oL2_group(L):
     builds it: they read _oL2_order."""
     S = f2.reduce(L)
     G = f2._chain(S, f2.orthogonal_generators(S))
-    _agreed(L, "|O(L2)|", G.order(), f2.orthogonal_order(S))
+    lat._agreed(L, "|O(L2)|", G.order(), f2.orthogonal_order(S))
     return G
 
 
@@ -170,7 +149,7 @@ def _oL2_order(L):
     """|O(L2)| by f2.isometry_order, which builds no chain; CrossCheckFailed
     unless f2.orthogonal_order agrees."""
     S = f2.reduce(L)
-    return _agreed(L, "|O(L2)|", f2.isometry_order(S), f2.orthogonal_order(S))
+    return lat._agreed(L, "|O(L2)|", f2.isometry_order(S), f2.orthogonal_order(S))
 
 
 @groups._memo
@@ -185,18 +164,18 @@ def _reduced_aut_generators(L):
 @groups._memo
 def _rho_orders(L):
     """|rho(W)| and |rho(O(L))| from one chain: the reduced simple
-    reflections, then the reduced O(L) generators, which extend it only
-    where rho(O(L)) is larger.  Each reduced simple reflection must be the
-    mod-2 reflection in its root's class (CrossCheckFailed), so rho(W) lies
-    in the group the q = 1 reflections generate, and |rho(W)| = |O(L2)|
-    shows that they generate O(L2)."""
-    S = f2.reduce(L)
-    weyl = [reduce_isometry(L, u) for u in lat.weyl_generators(L)]
-    if weyl != [f2._transvection(S, _root_masks(L)[s]) for s in lat._simple_indices(L)]:
+    reflections, the first L.n reduced O(L) generators, then the others,
+    which extend it only where rho(O(L)) is larger.  Each reduced simple
+    reflection must be the mod-2 reflection in its root's class
+    (CrossCheckFailed), so rho(W) lies in the group the q = 1 reflections
+    generate, and |rho(W)| = |O(L2)| shows that they generate O(L2)."""
+    S, reduced = f2.reduce(L), _reduced_aut_generators(L)
+    if list(reduced[:L.n]) != [f2._transvection(S, _root_masks(L)[s])
+                               for s in lat._simple_indices(L)]:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: a reduced simple reflection is not its root's mod-2 reflection")
-    chain = f2._chain(S, weyl)
-    return chain.order(), f2._chain(S, _reduced_aut_generators(L), chain).order()
+    chain = f2._chain(S, reduced[:L.n])
+    return chain.order(), f2._chain(S, reduced[L.n:], chain).order()
 
 
 def rho_image_order_aut(L):
@@ -267,7 +246,7 @@ def verify_lemma_isometries(L):
     listed as a witness for n <= 4.
     """
     rep = VerificationReport("lemma1b", L.n, True, _census_numbers(L), [])
-    aut_order, gens = lat._automorphisms(L)
+    aut_order, gens = lat._automorphisms(L)[:2]
     image = rho_image_order_aut(L)
     expected_kernel = 4 if (L.kind == "delpezzo" and L.n == 3) else 2
     rep.check(aut_order == expected_kernel * image,
@@ -399,12 +378,7 @@ def verify_corollary(L):
     if L.kind != "delpezzo" or not 4 <= L.n <= 8:
         raise errors.BadInput("the corollary applies to del Pezzo n in [4, 8]")
     rep = VerificationReport("corollary", L.n, True, _census_numbers(L), [])
-    weyl, minus1 = _weyl_numbers(L)
-    # |O(L)| = |W| |Gamma|, Gamma the isometries keeping the simple roots
-    gamma = lat._root_search(L, sum(1 << s for s in lat._simple_indices(L)))[0]
-    if weyl * gamma != lat.automorphism_order(L):
-        raise errors.CrossCheckFailed(
-            f"{L.root_type}: |W| times {gamma} diagram automorphisms != |O(L)|")
+    _, _, weyl, minus1 = lat._automorphisms(L)
     oL2 = _oL2_order(L)
     image = rho_image_order_weyl(L)
     if L.n in (7, 8):

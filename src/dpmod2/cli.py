@@ -136,10 +136,10 @@ def _table_rows():
     ok = True
     for n in range(3, 9):
         L = lat.build_del_pezzo(n)
+        aut_order, _, weyl, _ = lat._automorphisms(L)
         row = dict(zip(TABLE_COLUMNS, (
-            n, L.root_type, *bridge._census(L), bridge._weyl_numbers(L)[0],
-            lat._automorphisms(L)[0], bridge._oL2_order(L),
-            bridge.rho_image_order_aut(L))))
+            n, L.root_type, *bridge._census(L), weyl, aut_order,
+            bridge._oL2_order(L), bridge.rho_image_order_aut(L))))
         ok = ok and row["roots"] == lat.ROOT_COUNTS[L.root_type]
         rows.append(row)
     return rows, ok

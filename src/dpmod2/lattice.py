@@ -433,21 +433,51 @@ def automorphism_order(L):
     return _aut_search(L)[0]
 
 
-def automorphism_chain(L):
-    """A new stabilizer chain of O(L) on the roots.
+def _diagram_automorphisms(L):
+    """|Gamma|: the permutations of the simple roots that keep their Gram
+    matrix, listed by extending the partial ones one simple root at a time."""
+    gram, maps = _root_pairings(L)[2], [()]
+    for k in range(len(gram)):
+        maps = [m + (j,) for m in maps for j in range(len(gram))
+                if j not in m and all(gram[i][k] == gram[t][j] for i, t in enumerate(m))]
+    return len(maps)
 
-    The pruned search yields a few isometries, which generate O(L); the
-    chain starts from -1, takes them first level first, and records, as its
-    generators, only those that grow it, each checked to be an isometry.
-    A solution is the images of the simple roots, the chain's known base,
-    so it is sifted on them first, unchecked, as the search built it; only
-    one the chain does not contain is turned into a root permutation, and
-    extends the chain unchecked once check_isometry has passed it.  The
-    chain's order is checked against the backtracking count.
+
+def _agreed(L, what, order, closed_form):
+    if order != closed_form:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: {what} {order} != its closed form {closed_form}")
+    return order
+
+
+def weyl_group(L):
+    """A new stabilizer chain of W on the roots: the simple reflections, each
+    checked to be an isometry.  Its order must be prod(m_i + 1) over
+    exponents(L) (CrossCheckFailed)."""
+    chain = groups.PermGroup([], len(enumerate_roots(L)), known_base=_simple_indices(L))
+    for g in weyl_generators(L):
+        chain._extend(check_isometry(L, g))
+    _agreed(L, "|W|", chain.order(), prod(m + 1 for m in exponents(L)))
+    return chain
+
+
+def automorphism_chain(L):
+    """(chain, |W|, -1 in W): a new stabilizer chain of O(L) on the roots.
+
+    It grows from weyl_group(L), where |W| is read, by -1, which extends it
+    exactly when -1 is not in W, then by the pruned search's solutions,
+    first level first, which generate O(L).  A solution is the simple
+    roots' images, the known base, so it is sifted on them first, unchecked,
+    as the search built it; only one the chain does not contain is turned
+    into a root permutation, checked to be an isometry, and recorded as a
+    generator.  |O(L)| must be the backtracking count and |W| |Gamma|, as
+    O(L) = W x| Gamma where the roots span L, and -1 is in W iff every
+    exponent is odd (Humphreys 1990, ch. 3).
     """
     order, solutions = _aut_search(L)
-    chain = groups.PermGroup([], len(enumerate_roots(L)), known_base=_simple_indices(L))
-    chain._extend(check_isometry(L, minus_one(L)))
+    chain = weyl_group(L)
+    weyl = chain.order()
+    minus1 = not chain._extend(check_isometry(L, minus_one(L)))
     for sol in (sol for level in solutions for sol in level):
         if not chain._sifts(sol):
             chain._extend(check_isometry(L, _root_map(L, sol)))
@@ -455,20 +485,27 @@ def automorphism_chain(L):
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "
             f"from the backtracking count {order}")
-    return chain
+    gamma = _diagram_automorphisms(L)
+    if weyl * gamma != order:
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: |W| times {gamma} diagram automorphisms != |O(L)|")
+    if minus1 != all(m % 2 for m in exponents(L)):
+        raise errors.CrossCheckFailed(
+            f"{L.root_type}: -1 in W is {minus1}, against the parity of the exponents")
+    return chain, weyl, minus1
 
 
 @groups._memo
 def _automorphisms(L):
-    """|O(L)| and the generators, read from one automorphism_chain(L), which
-    is then let go: L keeps the numbers, not the chain."""
-    chain = automorphism_chain(L)
-    return chain.order(), tuple(chain.generators)
+    """|O(L)|, the generators, |W| and whether -1 is in W, read from one
+    automorphism_chain(L), which is then let go: L keeps the numbers."""
+    chain, weyl, minus1 = automorphism_chain(L)
+    return chain.order(), tuple(chain.generators), weyl, minus1
 
 
 def automorphism_group(L):
-    """Root permutations generating the full isometry group O(L); the first
-    one is -1."""
+    """Root permutations generating O(L): the simple reflections, then -1
+    unless it is in W, then the search's solutions that grow the chain."""
     return _automorphisms(L)[1]
 
 

@@ -15,7 +15,7 @@ from dpmod2 import bridge, cli, errors, f2
 from dpmod2.lattice import (automorphism_group, automorphism_order,
                             build_del_pezzo, build_plain_root_lattice,
                             enumerate_roots, minus_one, root_reflection,
-                            weyl_generators)
+                            weyl_generators, weyl_group)
 from oracles import (det_fraction, f2_chain_of_permutations,
                      radical_kernel_bruteforce)
 
@@ -104,7 +104,7 @@ def test_c06_group_orders():
         aut_expect = [24, 240, 3840, 103680, 2903040, 696729600]
         for n, w_e, o_e, a_e in zip(NS, weyl_expect, oL2_expect, aut_expect):
             L = build_del_pezzo(n)
-            w = bridge.weyl_group(L).order()
+            w = weyl_group(L).order()
             o = bridge.oL2_group(L).order()
             a = bridge.aut_group(L).order()
             assert (w, o, a) == (w_e, o_e, a_e)
@@ -112,7 +112,7 @@ def test_c06_group_orders():
             assert o == a // (4 if n == 3 else 2)
             assert (w == o) if n in (4, 5, 6) else True
             assert (w == 2 * o) if n in (7, 8) else True
-            assert bridge.weyl_group(L).contains(minus_one(L)) == (n in (7, 8))
+            assert weyl_group(L).contains(minus_one(L)) == (n in (7, 8))
 
 
 def test_c07_constructive_bijection():

@@ -28,19 +28,24 @@ def test_batched_permutations_match_pointwise(L):
     """Every generator kind's batched permutation equals the per-point one.
 
     On the roots the references are the reflection formula on ambient tuples
-    and negation; the other kept automorphisms have no formula and are
-    checked against the full table of root pairings.  On the mod-2 points
-    the permutation is the generator that f2._chain adds for a map that is
-    not the identity, and the reference is f2._apply, one vector at a time.
+    and negation; the O(L) generators start with the simple reflections,
+    then -1 unless it is in W, and the other kept automorphisms have no
+    formula and are checked against the full table of root pairings.  On
+    the mod-2 points the permutation is the generator that f2._chain adds
+    for a map that is not the identity, and the reference is f2._apply, one
+    vector at a time.
     """
     R = enumerate_roots(L)
     for g, alpha in zip(weyl_generators(L), simple_roots(L), strict=True):
         assert list(g) == _pointwise(R, lambda r: tuple(
             x - L.dot(r, alpha) * a for x, a in zip(r, alpha)))
-    minus, *kept = automorphism_group(L)
-    assert list(minus) == _pointwise(R, lambda r: tuple(-x for x in r))
+    gens = automorphism_group(L)
+    assert gens[:L.n] == weyl_generators(L)
+    minus_in_weyl = lat._automorphisms(L)[3]
+    if not minus_in_weyl:
+        assert list(gens[L.n]) == _pointwise(R, lambda r: tuple(-x for x in r))
     table = [[L.dot(a, b) for b in R] for a in R]
-    for g in kept:
+    for g in gens[L.n + (not minus_in_weyl):]:
         assert sorted(g) == list(range(len(R)))
         assert all([table[g[i]][j] for j in g] == row for i, row in enumerate(table))
     isometries = weyl_generators(L) + automorphism_group(L)
@@ -197,22 +202,24 @@ def test_isometry_generators_are_reduced_once(monkeypatch):
     two of them, without a lattice check, as automorphism_chain has checked
     each generator.  Only a generator's image is checked in O(L2); a
     product's is compared with the product of two checked images.  The
-    rho chain starts from the 7 simple reflections, which reduce_isometry
-    checks in L and in O(L2)."""
+    rho chain starts from the 7 simple reflections, the first 7 reduced
+    O(L) generators, so nothing is reduced or checked a second time: on E7,
+    where -1 is in W, they are all 7."""
     L = build_del_pezzo(7)
     g = len(automorphism_group(L))      # builds and checks the chain
+    assert g == 7
     reduced, lattice_checks, f2_checks = [], [], []
     _counting(monkeypatch, bridge, "_reduce_checked", reduced)
     _counting(monkeypatch, lat, "check_isometry", lattice_checks)
     _counting(monkeypatch, f2, "check_isometry", f2_checks)
     assert bridge.verify_lemma_isometries(L).passed
-    assert len(reduced) == 7 + g + g * g
-    assert [p for _, p in lattice_checks] == list(weyl_generators(L))
-    assert len(f2_checks) == 7 + g
+    assert len(reduced) == g + g * g
+    assert lattice_checks == []
+    assert len(f2_checks) == g
 
 
 def test_automorphism_chain_checks_minus_one(monkeypatch):
-    """The chain starts from -1, which is checked like every generator the
+    """-1, which extends the W chain, is checked like every generator the
     search adds: a transposition in its place is refused, and the record
     of |O(L)| and the generators is not made."""
     L = build_del_pezzo(4)
@@ -367,15 +374,16 @@ def _computing(monkeypatch, module, name, computed):
 
 
 def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
-    """verify --n all checks each lattice isometry once:
-    the 26 O(L) chain generators of its seven lattices, -1 among them, in
-    automorphism_chain, and the 33 Weyl generators of dP3..8 in
-    reduce_isometry, before the rho chain compares each with its root's
-    mod-2 reflection.  In O(L2) it checks the 22 reduced del Pezzo O(L)
-    generators, the 33 reduced Weyl generators and prop2's 52 maps on dP5.
-    It builds no reflection chain: of the 556 map reads that the chains
-    and checks made with one, the 254 q = 1 reflections of dP3..8 go and
-    dP3's 3 reduced Weyl generators add 6, which leaves 308.  Per lattice
+    """verify --n all checks each lattice isometry once, in the one chain
+    on the roots that each of its seven lattices builds: the 41 simple
+    reflections of dP3..8 and A8, and -1 on each lattice, 48 in all, as no
+    search solution grows a chain.  reduce_isometry does not run.  In O(L2)
+    it checks the 37 reduced del Pezzo O(L) generators, the 33 simple
+    reflections among them, which the rho chain also compares with their
+    roots' mod-2 reflections, and prop2's 52 maps on dP5.  It builds no
+    reflection chain, and reads each map's images once, 272 reads: the 89
+    checks, prop2's 63 projections on dP7, and the 120 maps of the mod-2
+    chains, the 37 reduced O(L) generators and prop2's 83.  Per lattice
     it masks each root once and computes the census once.  It computes
     the radical once per space (8 spaces), the radical split once per
     space with a radical (dP3, dP5, dP7), and arf, by a symplectic basis,
@@ -386,24 +394,24 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     K mod 2: 2 more.
 
     The values it has just built are not validated again: the chains sift
-    the searches' 40 solutions and the 138 reduced maps on the known base
-    unchecked, and extend without PermGroup's permutation check
-    by the ones check_isometry or the independence test has just passed,
-    so it runs only for the 30 Weyl generators of the W chains (dP4..8)
-    and the 5 membership tests of -1; the mod-2 chains read each map's
-    images once, and prop2 projects maps it has built or checked without
-    reading them again (f2._induced).  prop2's dP5 quotient builds O(L2)'s
+    the searches' 40 solutions and the 120 mod-2 maps on the known base
+    unchecked, and extend without PermGroup's permutation check by the ones
+    check_isometry or the independence test has just passed, so it never
+    runs: -1 in W is read from the chain's growth, not by a membership
+    test; the mod-2 chains read each map's images once, and prop2 projects
+    maps it has built or checked without reading them again
+    (f2._induced).  prop2's dP5 quotient builds O(L2)'s
     reflections from q's table, so f2_reflection runs only for prop2's 63
     reflections on dP7, and checks each vector once.  Unchecked
     transvections build those 63, their 63 dP7 transvections, dP5's 20
     reflections and the 33 simple reflections that the rho chain compares
     with.  It builds the pairing rows that the searches and checks read and
     those they are added from: 296 of the 578 roots' rows."""
-    counts = {"lat.check_isometry": 59, "f2.check_isometry": 107,
-              "bridge.reduce_isometry": 33, "f2._mask": 814,
+    counts = {"lat.check_isometry": 48, "f2.check_isometry": 89,
+              "bridge.reduce_isometry": 0, "f2._mask": 814,
               "f2.symplectic_basis": 5, "f2.value_census": 14,
-              "f2.f2_reflection": 63, "f2._transvection": 179, "PermGroup._sifts": 178,
-              "PermGroup._check_perm": 35, "f2._basis_images": 308}
+              "f2.f2_reflection": 63, "f2._transvection": 179, "PermGroup._sifts": 160,
+              "PermGroup._check_perm": 0, "f2._basis_images": 272}
     computations = {"f2.radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
     rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
                   "A8": 45}
@@ -539,14 +547,25 @@ def test_all_reports_pass(n):
 def test_corollary_cross_checks_the_weyl_order(monkeypatch):
     """|W| |Gamma| = |O(L)| is a raise, not a sub-check: a W chain of twice
     the order, here W x {+-1} on dP4, read into the record of |W| of a new
-    dP4, stops the corollary."""
+    dP4, stops the corollary.  The chain builder checks it, before the
+    parity of the exponents, which the doubled W fails too."""
     L = build_del_pezzo(4)
     doubled = groups.PermGroup(weyl_generators(L) + (minus_one(L),),
-                               len(enumerate_roots(L)))
-    assert doubled.order() == 2 * bridge._weyl_numbers(L)[0]
-    monkeypatch.setattr(bridge, "weyl_group", lambda L: doubled)
+                               len(enumerate_roots(L)), known_base=lat._simple_indices(L))
+    assert doubled.order() == 2 * lat._automorphisms(L)[2]
+    monkeypatch.setattr(lat, "weyl_group", lambda L: doubled)
     with pytest.raises(errors.CrossCheckFailed, match="diagram automorphisms"):
         bridge.verify_corollary(build_del_pezzo(4))
+
+
+def test_remark2_cross_checks_the_diagram_automorphisms(monkeypatch):
+    """|O(L)| = |W| |Gamma| holds on the plain lattices too: A5's O(L)
+    chain, read by remark2, raises with |Gamma| counted 1 in place of 2."""
+    assert lat._diagram_automorphisms(build_plain_root_lattice(5)) == 2
+    monkeypatch.setattr(lat, "_diagram_automorphisms", lambda L: 1)
+    with pytest.raises(errors.CrossCheckFailed,
+                       match=r"A5: \|W\| times 1 diagram automorphisms"):
+        bridge.verify_remarks(5)
 
 
 def test_remark2_cross_checks_the_arf_invariant(monkeypatch):
@@ -585,7 +604,7 @@ def _miscount_oL2(monkeypatch):
 def test_corollary_cross_checks_the_exponents(monkeypatch):
     """E8's exponents give |W| = 696729600; with 1 shifted to 2 the Weyl
     chain's order disagrees and the corollary stops on a new E8."""
-    assert bridge._weyl_numbers(build_del_pezzo(8))[0] == 696729600
+    assert lat._automorphisms(build_del_pezzo(8))[2] == 696729600
     _shift_an_exponent(monkeypatch)
     with pytest.raises(errors.CrossCheckFailed, match=r"E8: \|W\|"):
         bridge.verify_corollary(build_del_pezzo(8))
@@ -637,14 +656,15 @@ def test_remark2_builds_no_reflection_chain(rank, monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_reduced_simple_reflections_are_checked(n, monkeypatch):
-    """The rho chain starts from the reduced simple reflections, each of
-    which must be the mod-2 reflection in its root's class: that puts
-    rho(W) inside the group the q = 1 reflections generate.  With the
-    first one reduced as the second, rho is not read."""
+    """The rho chain starts from the reduced simple reflections, the first
+    L.n reduced O(L) generators, each of which must be the mod-2 reflection
+    in its root's class: that puts rho(W) inside the group the q = 1
+    reflections generate.  With the first one reduced as the second, rho is
+    not read."""
     L = build_del_pezzo(n)
     first, second = weyl_generators(L)[:2]
-    reduce_isometry = bridge.reduce_isometry
-    monkeypatch.setattr(bridge, "reduce_isometry", lambda L, p: reduce_isometry(
+    reduce_checked = bridge._reduce_checked
+    monkeypatch.setattr(bridge, "_reduce_checked", lambda L, p: reduce_checked(
         L, second if p == first else p))
     with pytest.raises(errors.CrossCheckFailed, match="reduced simple reflection"):
         bridge.rho_image_order_weyl(L)

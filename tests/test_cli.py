@@ -302,3 +302,23 @@ def test_no_chain_outlives_the_reports(n, monkeypatch):
     """Nor does one outlive a library call of reports_for."""
     reports, built, alive = _chains_kept(monkeypatch, lambda: bridge.reports_for(n))
     assert all(r.passed for r in reports) and built and alive == 0
+
+
+@pytest.mark.parametrize("argv, lattices", [(["verify", "--n", "all"], 7), (["table"], 6),
+                                            (["remark2", "--rank", "10"], 1)],
+                         ids=["verify-all", "table", "remark2-10"])
+def test_one_chain_on_the_roots_per_lattice(argv, lattices, monkeypatch, capsys):
+    """Each lattice a run builds grows one stabilizer chain on its roots, W
+    first and then O(L): dP3..8 and A8 for verify --n all, dP3..8 for
+    table, A10 for remark2 --rank 10, each in lattice.weyl_group.  Every
+    other chain is a mod-2 chain, which f2 builds."""
+    builders, init = [], groups.PermGroup.__init__
+
+    def recorded(self, *args, **kwargs):
+        builders.append(sys._getframe(1).f_globals["__name__"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.PermGroup, "__init__", recorded)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert [m for m in builders if m != "dpmod2.f2"] == ["dpmod2.lattice"] * lattices

@@ -450,7 +450,7 @@ def test_generators_are_tuples_of_ints():
     """Whatever a chain stores, its generators are tuples of ints, on 240
     roots (bytes inside the chain) as on 1023 mod-2 vectors (tuples):
     lattice.check_isometry accepts nothing else."""
-    for G in (lattice.automorphism_chain(build_del_pezzo(8)),
+    for G in (lattice.automorphism_chain(build_del_pezzo(8))[0],
               bridge.oL2_group(build_del_pezzo(8)),
               bridge.oL2_group(build_plain_root_lattice(10))):
         assert G.generators
@@ -524,8 +524,10 @@ _CHAIN_DIGESTS = {
         "3f56a54c60b7f60290f78ec5c6ae4e0a866708749338ca826747b4411c7b5407",
     "E8-W":
         "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51",
+    # O(L) grows from the W chain: -1 in W(E8) and every search solution
+    # sift on it, so E8's O(L) chain is its W chain
     "E8-OL":
-        "16fa9b29f2cbd291d1b00d581e376f9e374a518f0ba48700c1144ef91c7903bc",
+        "cb6aea79d15761e63ad35ea239aaf5411ee353c15940422134a728a835fbec51",
     "E8-OL2":
         "62ed5fe2b60004da3e6bf379522b0f5fe3c4fc08a7cbc6d3b2f5f8f0ba12ed8c",
     "n7-SpH":
@@ -540,8 +542,9 @@ _CHAIN_DIGESTS = {
         "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549",
     "E6-rhoW":
         "270f45a23803e63592d520f43b562702073c222b7f37afdbe70488d960eb0549",
+    # A10's W chain, grown by -1 alone, which is not in W(A10)
     "A10-OL":
-        "c59e4144311d706ddf709d95baac0c74284dfd134fbbe3e7af437a050bb715da",
+        "d4e8412fe94147e5d8c815fda2c282c2ed0e305ab0da33925005159d55bd9573",
 }
 
 
@@ -554,14 +557,14 @@ _CHAIN_DIGESTS = {
      (256, 128, 64, 32, 16, 8, 4, 2, 1, 512),
      (528, 272, 135, 64, 28, 12, 5, 4, 3, 2), (10835, 62, 11),
      _CHAIN_DIGESTS["A10-OL2"]),
-    (lambda: bridge.weyl_group(build_del_pezzo(8)),
+    (lambda: lattice.weyl_group(build_del_pezzo(8)),
      (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2), None,
      _CHAIN_DIGESTS["E8-W"]),
-    # the 8 pruned search solutions, fed first level first: -1 and 2 of
-    # them grow the chain
-    (lambda: lattice.automorphism_chain(build_del_pezzo(8)),
-     (91, 98, 116, 104, 118, 109, 119), (240, 126, 60, 16, 4, 3, 2), (1232, 17, 3),
-     _CHAIN_DIGESTS["E8-OL"]),
+    # the W chain, which -1 and the 8 pruned search solutions leave as it
+    # was: one more full sift, of -1, and no generator
+    (lambda: lattice.automorphism_chain(build_del_pezzo(8))[0],
+     (91, 98, 109, 104, 113, 116, 118, 119), (240, 126, 32, 6, 5, 4, 3, 2),
+     (3064, 37, 8), _CHAIN_DIGESTS["E8-OL"]),
     (lambda: bridge.oL2_group(build_del_pezzo(8)),
      (32, 16, 8, 4, 2, 1, 64), (120, 56, 27, 16, 10, 6, 2), (1710, 35, 8),
      _CHAIN_DIGESTS["E8-OL2"]),
@@ -583,9 +586,11 @@ _CHAIN_DIGESTS = {
     (lambda: _rho_chain(6, _RHO[:1]),
      (4, 8, 2, 1, 32), (36, 20, 9, 4, 2), (386, 20, 6),
      _CHAIN_DIGESTS["E6-rhoW"]),
-    (lambda: lattice.automorphism_chain(build_plain_root_lattice(10)),
-     (9, 18, 26, 51, 39, 44, 53), (110, 18, 8, 42, 20, 3, 2), (842, 24, 4),
-     _CHAIN_DIGESTS["A10-OL"]),
+    # the 10 simple reflections, then -1, which doubles the second orbit;
+    # the 10 pruned search solutions sift
+    (lambda: lattice.automorphism_chain(build_plain_root_lattice(10))[0],
+     (9, 18, 26, 33, 39, 44, 48, 51, 53), (110, 18, 8, 7, 6, 5, 4, 3, 2),
+     (1540, 48, 11), _CHAIN_DIGESTS["A10-OL"]),
 ], ids=["A10-OL2", "E8-W", "E8-OL", "E8-OL2", "n7-SpH", "n5-quotient",
         "E8-rhoOL", "E8-rhoW", "E6-rhoOL", "E6-rhoW", "A10-OL"])
 def test_chain_shape_pinned(chain, base, orbits, counts, digest):
@@ -619,7 +624,7 @@ def _chain_digest(G):
 # the chains the package hands out, each built anew on every call
 _PACKAGE_CHAINS = {
     "A10-OL2": lambda: bridge.oL2_group(build_plain_root_lattice(10)),
-    "E8-W": lambda: bridge.weyl_group(build_del_pezzo(8)),
+    "E8-W": lambda: lattice.weyl_group(build_del_pezzo(8)),
     "E8-OL": lambda: bridge.aut_group(build_del_pezzo(8)),
     "E8-OL2": lambda: bridge.oL2_group(build_del_pezzo(8)),
     "n7-SpH": _sp7_chain,
@@ -658,7 +663,7 @@ def _package_chains(name):
     L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")
          else build_plain_root_lattice(int(name[1:])))
     simple = list(lattice._simple_indices(L))
-    return [(bridge.weyl_group(L), simple), (bridge.aut_group(L), simple),
+    return [(lattice.weyl_group(L), simple), (bridge.aut_group(L), simple),
             (bridge.oL2_group(L), _basis_positions(f2.reduce(L)))]
 
 

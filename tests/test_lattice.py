@@ -328,15 +328,35 @@ def test_minus_one_in_weyl_iff_7_or_8(n):
 def test_automorphism_group_orders(n):
     L = build_del_pezzo(n)
     gens = automorphism_group(L)
-    assert list(gens[0]) == _negation_reference(L)
+    # the simple reflections first, then -1 unless it is in W (n = 7, 8)
+    assert gens[:n] == weyl_generators(L)
+    assert (list(gens[n]) == _negation_reference(L)) if n < 7 else len(gens) == n
     G = _root_group(gens, enumerate_roots(L))
     # chain order equals the independent backtracking count
     assert G.order() == automorphism_order(L) == AUT_ORDERS[n]
     # the pruning chain is generated by exactly the kept permutations, in order
-    chain = automorphism_chain(L)
+    chain, weyl, minus1 = automorphism_chain(L)
     assert chain.order() == AUT_ORDERS[n]
     assert chain.generators == list(gens)
+    assert (weyl, minus1) == (WEYL_ORDERS[n], n in (7, 8))
     assert all(_preserves_all_pairings(L, u) for u in gens)
+
+
+def test_a_search_that_undercounts_below_w_raises(monkeypatch):
+    """The O(L) chain holds W whatever the search finds: a search that
+    counts 2 and finds no solution, as if O(L) were {+-1}, raises on a new
+    A4, as W and -1 give a chain of order 240."""
+    monkeypatch.setattr(lattice, "_aut_search", lambda L: (2, ()))
+    with pytest.raises(errors.CrossCheckFailed, match="backtracking count 2"):
+        automorphism_group(build_plain_root_lattice(4))
+
+
+def test_minus_one_in_weyl_is_cross_checked(monkeypatch):
+    """-1 is in W exactly when every exponent is odd: with the identity in
+    place of -1, A4's chain reads -1 in W, against its exponents 1..4."""
+    monkeypatch.setattr(lattice, "minus_one", lambda L: tuple(range(20)))
+    with pytest.raises(errors.CrossCheckFailed, match="A4: -1 in W is True"):
+        automorphism_group(build_plain_root_lattice(4))
 
 
 def test_chain_order_mismatch_raises(monkeypatch):
@@ -533,11 +553,12 @@ def test_check_isometry_refuses_mutants(L):
 @pytest.mark.parametrize("n, order", [(4, 2), (5, 2), (6, 2), (7, 1), (8, 1)])
 def test_diagram_automorphisms(n, order):
     """The root search over the simple roots alone counts the isometries
-    that keep them, the Dynkin diagram's symmetries; with W it gives
-    |O(L)| = |W| |Gamma|."""
+    that keep them, the Dynkin diagram's symmetries, as does the chain
+    builder's own count of the permutations of the simple roots that keep
+    their Gram matrix; with W it gives |O(L)| = |W| |Gamma|."""
     L = build_del_pezzo(n)
     mask = sum(1 << s for s in lattice._simple_indices(L))
-    assert lattice._root_search(L, mask)[0] == order
+    assert lattice._root_search(L, mask)[0] == lattice._diagram_automorphisms(L) == order
     assert WEYL_ORDERS[n] * order == AUT_ORDERS[n]
 
 
