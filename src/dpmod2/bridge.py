@@ -145,6 +145,7 @@ def oL2_group(L):
     return G
 
 
+@groups._memo
 def _oL2_order(L):
     """|O(L2)| by f2.isometry_order, which builds no chain; CrossCheckFailed
     unless f2.orthogonal_order agrees."""

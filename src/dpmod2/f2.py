@@ -94,9 +94,6 @@ class F2QuadraticSpace:
         """The bilinear form of two space vectors."""
         return _parity(self._lookup(self._polar, u) & self._lookup(self._coords, v))
 
-    def contains(self, v):
-        return self._int(v, "mask") in self._q
-
     def q(self, v):
         """q(v); raises BadInput for masks outside the space."""
         return self._lookup(self._q, v)
@@ -415,23 +412,14 @@ def split_radical(S):
                                gram2)
 
 
-def induced(S, k, H, u):
-    """The basis images on H of x -> min(u(x), u(x) ^ k), for an isometry u
-    of S and (k, H) = split_radical(S); a homomorphism in u.
-
-    If q(k) = 0, q descends to S/k, which H represents: the result is checked
-    as an isometry of (H, q), and the kernel is the 2^(dim-1) maps
-    x -> x + l(x)k with l(k) = 0.  If q(k) = 1, q does not descend: the
-    result is checked as a symplectic map of H, and u -> induced(u) is an
-    isomorphism onto Sp(H) that takes the reflection at whichever of v and
-    v + k has q = 1 to the transvection at v.  NotIsometry unless u is one
-    int image in S per basis vector.
-    """
-    return _induced(S, k, H, _basis_images(S, u))
-
-
 def _induced(S, k, H, u):
-    """induced for a u that its caller has built or checked in S, unchecked."""
+    """The basis images on H of x -> min(u(x), u(x) ^ k), for an isometry u
+    of S that its caller has built or checked, and (k, H) = split_radical(S):
+    a homomorphism in u.  If q(k) = 0, q descends to S/k, which H
+    represents, and the result is checked as an isometry of (H, q).  If
+    q(k) = 1, u -> _induced(u) is an isomorphism onto Sp(H) that takes the
+    reflection at whichever of v and v + k has q = 1 to the transvection at
+    v, and the result is checked as a symplectic map of H."""
     check = check_symplectic if S.q(k) else check_isometry
     return check(H, (min(m, m ^ k) for m in (_apply(S, u, h) for h in H.basis)))
 

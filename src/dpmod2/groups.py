@@ -42,6 +42,7 @@ read: a search reads the rows of its candidates only (35 of E8's 240 roots).
 """
 
 import math
+import sys
 from functools import partial, wraps
 from operator import itemgetter
 
@@ -110,8 +111,8 @@ class PermGroup:
     """
 
     def __init__(self, generators, degree, known_base=None):
-        if type(degree) is not int or degree < 1:
-            raise errors.BadInput("degree must be a positive int")
+        if type(degree) is not int or not 1 <= degree <= sys.maxsize:
+            raise errors.BadInput("degree must be an int in [1, sys.maxsize]")
         self.degree = degree
         self._identity = tuple(range(self.degree))
         known = _tuple(self._identity if known_base is None else known_base,

@@ -152,14 +152,14 @@ def test_c08_prop2_structure():
         assert sp_order == bridge.oL2_group(L7).order() == 1451520
         for v in H.nonzero_vectors():
             r = f2.f2_reflection(S7, v if S7.q(v) else v ^ k)
-            assert f2.induced(S7, k, H, r) == f2._transvection(H, v)
+            assert f2._induced(S7, k, H, r) == f2._transvection(H, v)
         # n = 5: kernel of the quotient map has order 16 and the quotient
         # census equals the n = 4 census
         S5 = f2.reduce(build_del_pezzo(5))
         k, N = f2.split_radical(S5)
         kernel = radical_kernel_bruteforce(S5, k)
         assert len(kernel) == 16
-        assert all(f2.induced(S5, k, N, u) == N.basis for u in kernel)
+        assert all(f2._induced(S5, k, N, u) == N.basis for u in kernel)
         assert f2.value_census(N) == f2.value_census(S4) == (6, 10)
 
 

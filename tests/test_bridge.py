@@ -57,7 +57,7 @@ def test_batched_permutations_match_pointwise(L):
         if S.q(k) == 1:                          # Sp(H) transvections
             maps += [(H, f2._transvection(H, v)) for v in H.nonzero_vectors()]
         else:                                    # quotient projections
-            maps += [(H, f2.induced(S, k, H, g)) for g in f2.orthogonal_generators(S)]
+            maps += [(H, f2._induced(S, k, H, g)) for g in f2.orthogonal_generators(S)]
     # the mod-2 points are the vectors in the order of their coordinate bits
     for space, m in maps:
         points = sorted(space.vectors(), key=space.coords)
@@ -384,7 +384,9 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     reflection chain, and reads each map's images once, 272 reads: the 89
     checks, prop2's 63 projections on dP7, and the 120 maps of the mod-2
     chains, the 37 reduced O(L) generators and prop2's 83.  Per lattice
-    it masks each root once and computes the census once.  It computes
+    it masks each root once and computes the census once, and |O(L2)|
+    once: prop2 and the corollary both read it on dP4..dP8, so the closed
+    form that checks it runs 7 times, not 12.  It computes
     the radical once per space (8 spaces), the radical split once per
     space with a radical (dP3, dP5, dP7), and arf, by a symplectic basis,
     once per nondegenerate space: dP4, dP6, dP8, A8 and dP5's
@@ -411,7 +413,8 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
               "bridge.reduce_isometry": 0, "f2._mask": 814,
               "f2.symplectic_basis": 5, "f2.value_census": 14,
               "f2.f2_reflection": 63, "f2._transvection": 179, "PermGroup._sifts": 160,
-              "PermGroup._check_perm": 0, "f2._basis_images": 272}
+              "PermGroup._check_perm": 0, "f2._basis_images": 272,
+              "f2.orthogonal_order": 7}
     computations = {"f2.radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
     rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
                   "A8": 45}

@@ -497,7 +497,7 @@ def _f2_chain_inputs(name):
     if name == "n5-quotient":
         S = f2.reduce(build_del_pezzo(5))
         k, H = f2.split_radical(S)
-        return [(H, [f2.induced(S, k, H, g) for g in f2.orthogonal_generators(S)])]
+        return [(H, [f2._induced(S, k, H, g) for g in f2.orthogonal_generators(S)])]
     if name.startswith("rho"):
         return [_rho_inputs(int(name[3:]))]
     L = (build_del_pezzo(int(name[2:])) if name.startswith("dP")

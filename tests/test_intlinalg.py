@@ -183,6 +183,9 @@ def test_det_is_multiplicative(pair):
     lambda: groups.PermGroup([], "3"),
     lambda: groups.PermGroup([], 2.9),
     lambda: groups.PermGroup([], True),
+    lambda: groups.PermGroup([], -1),
+    lambda: groups.PermGroup([], None),
+    lambda: groups.PermGroup([], 2**70),    # not tuple(range(2**70))'s OverflowError
     lambda: intlinalg._kernel_basis((0, 0, 0)),
     lambda: intlinalg._hermite_normal_form([[1], [3, 4]]),
     lambda: intlinalg._hermite_normal_form([[1, 2], [3]]),
@@ -223,7 +226,8 @@ def test_det_is_multiplicative(pair):
         "f2-float-gram", "f2-str-gram", "f2-gram-not-rows",
         "f2-gram2-row-not-sequence", "f2-asymmetric-gram",
         "groups-degree", "groups-not-a-permutation", "groups-str-degree",
-        "groups-float-degree", "groups-bool-degree",
+        "groups-float-degree", "groups-bool-degree", "groups-negative-degree",
+        "groups-None-degree", "groups-huge-degree",
         "intlinalg-zero-functional", "intlinalg-long-row",
         "intlinalg-short-row", "intlinalg-float-coeff", "intlinalg-str-coeff",
         "intlinalg-bool-entry", "intlinalg-det-not-square",
