@@ -165,11 +165,12 @@ def _reduced_aut_generators(L):
 @groups._memo
 def _rho_orders(L):
     """|rho(W)| and |rho(O(L))| from one chain: the reduced simple
-    reflections, the first L.n reduced O(L) generators, then the others,
-    which extend it only where rho(O(L)) is larger.  Each reduced simple
-    reflection must be the mod-2 reflection in its root's class
-    (CrossCheckFailed), so rho(W) lies in the group the q = 1 reflections
-    generate, and |rho(W)| = |O(L2)| shows that they generate O(L2)."""
+    reflections, the first L.n reduced O(L) generators, then the others:
+    only -1, unless it is in W, and it reduces to the identity map.  Each
+    reduced simple reflection must be the mod-2 reflection in its root's
+    class (CrossCheckFailed), so rho(W) lies in the group the q = 1
+    reflections generate, and |rho(W)| = |O(L2)| shows that they generate
+    O(L2)."""
     S, reduced = f2.reduce(L), _reduced_aut_generators(L)
     if list(reduced[:L.n]) != [f2._transvection(S, _root_masks(L)[s])
                                for s in lat._simple_indices(L)]:

@@ -381,7 +381,7 @@ def isometry_order(S):
     def act(sol):           # the image of every c, as _chain builds it
         return groups.gather(ids, _span(sol))
 
-    counts, _ = groups.orbit_search(
+    counts = groups.orbit_search(
         groups.LazyRows(row), [q1 if qb else zeros for qb in S.qdiag],
         S.gram2, [1 << i for i in range(S.dim)], act,
         keep=lambda images: _independent(c for c in images if c >= 0))

@@ -36,13 +36,12 @@ generator a level skips.
 orbit_search is the one isometry search: it backtracks over the images of a
 base among points given by their pairing rows (any mapping), as bitsets, and
 counts the group as the product of the basic orbit lengths, each grown with
-the automorphisms found; they prune it: a handful, which generate the group.
+the automorphisms found; they prune it, and only the lengths are returned.
 Both of its callers pass a LazyRows, which builds a point's row on first
 read: a search reads the rows of its candidates only (35 of E8's 240 roots).
 """
 
 import math
-import sys
 from functools import partial, wraps
 from operator import itemgetter
 
@@ -100,7 +99,8 @@ class _Level:
 
 
 class PermGroup:
-    """Permutation group with a deterministic stabilizer chain.
+    """Permutation group with a deterministic stabilizer chain on at most
+    1024 points, as many as A10's mod-2 space, the largest chain built.
 
     known_base lists points on which every element of the group is
     determined (an element fixing each of them is 1); by default every
@@ -111,8 +111,8 @@ class PermGroup:
     """
 
     def __init__(self, generators, degree, known_base=None):
-        if type(degree) is not int or not 1 <= degree <= sys.maxsize:
-            raise errors.BadInput("degree must be an int in [1, sys.maxsize]")
+        if type(degree) is not int or not 1 <= degree <= 1024:
+            raise errors.BadInput("degree must be an int in [1, 1024]")
         self.degree = degree
         self._identity = tuple(range(self.degree))
         known = _tuple(self._identity if known_base is None else known_base,
@@ -375,8 +375,8 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
     row.  The levels are searched from the last to the first, so the
     elements found fix base[0..l-1]: only a candidate outside the orbit of
     base[l] under them is searched, lowest first, and the orbit is closed
-    again under all of them whenever one is found.  Returns (orbit_lengths,
-    solutions), the solutions found per level, first level first.
+    again under all of them whenever one is found.  Returns the orbit
+    lengths, first level first.
     """
     levels, masks = [], list(allowed)     # the masks with base[0..l-1] fixed
     for level, b in enumerate(base):
@@ -384,9 +384,9 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
             raise errors.BadInput(f"base point {b} is not a candidate at {level}")
         levels.append(masks)
         masks = [m & rows[b].get(target[level][s], 0) for s, m in enumerate(masks)]
-    found, lengths, solutions = [], [], []
+    found, lengths = [], []
     for level in reversed(range(len(base))):
-        masks, sols, b = levels[level], [], base[level]
+        masks, b = levels[level], base[level]
         orbit, seen, todo = [b], {b}, masks[level] & ~(1 << b)
         k = 0                       # orbit is closed under found[:k]
         images = [*base[:level]] + [-1] * (len(base) - level)
@@ -407,8 +407,6 @@ def orbit_search(rows, allowed, target, base, act, keep=None):
             trial = masks[:level] + [low] + masks[level + 1:]
             sol = next(completions(rows, trial, target, list(images), keep), None)
             if sol is not None:
-                sols.append(sol)
                 found.append(act(sol))
         lengths.append(len(orbit))
-        solutions.append(tuple(sols))
-    return tuple(reversed(lengths)), tuple(reversed(solutions))
+    return tuple(reversed(lengths))

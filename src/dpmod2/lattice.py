@@ -378,9 +378,8 @@ def _root_pairings(L):
 def _root_search(L, mask):
     """groups.orbit_search over root images of the simple roots in a bitset
     mask of roots, each a root of the mask, the other simple roots fixed; a
-    solution acts by its root map.  Returns (order, solutions, gram): the
-    product of the orbit lengths, the solutions by level, each the simple
-    roots' images, and the Gram matrix of the simple roots in the mask.
+    solution acts by its root map.  Returns (order, gram): the product of
+    the orbit lengths and the Gram matrix of the simple roots in the mask.
 
     Over every root: any assignment of roots to the simple roots preserving
     all pairwise Gram values extends linearly to an isometry of L, and every
@@ -396,17 +395,18 @@ def _root_search(L, mask):
     Gram-preserving assignment of roots of c to them is one isometry of M.
     """
     rows, simple, gram = _root_pairings(L)
-    lengths, solutions = groups.orbit_search(
+    lengths = groups.orbit_search(
         rows, [mask if mask >> s & 1 else 1 << s for s in simple], gram, simple,
         act=lambda sol: _root_map(L, sol))
     pos = [i for i, s in enumerate(simple) if mask >> s & 1]
-    return prod(lengths), solutions, [[gram[i][j] for j in pos] for i in pos]
+    return prod(lengths), [[gram[i][j] for j in pos] for i in pos]
 
 
 @groups._memo
-def _aut_search(L):
-    """_root_search over every root: (|O(L)|, solutions)."""
-    return _root_search(L, (1 << len(enumerate_roots(L))) - 1)[:2]
+def automorphism_order(L):
+    """|O(L)| by exhaustive backtracking, _root_search over every root,
+    independent of the chain engine."""
+    return _root_search(L, (1 << len(enumerate_roots(L))) - 1)[0]
 
 
 @groups._memo
@@ -426,11 +426,6 @@ def _basis_on_simple(L):
         raise errors.CrossCheckFailed(
             f"{L.root_type}: the simple roots do not span the lattice")
     return tuple(coords[b] for b in L.basis)
-
-
-def automorphism_order(L):
-    """|O(L)| by exhaustive backtracking, independent of the chain engine."""
-    return _aut_search(L)[0]
 
 
 def _diagram_automorphisms(L):
@@ -464,23 +459,18 @@ def weyl_group(L):
 def automorphism_chain(L):
     """(chain, |W|, -1 in W): a new stabilizer chain of O(L) on the roots.
 
-    It grows from weyl_group(L), where |W| is read, by -1, which extends it
-    exactly when -1 is not in W, then by the pruned search's solutions,
-    first level first, which generate O(L).  A solution is the simple
-    roots' images, the known base, so it is sifted on them first, unchecked,
-    as the search built it; only one the chain does not contain is turned
-    into a root permutation, checked to be an isometry, and recorded as a
-    generator.  |O(L)| must be the backtracking count and |W| |Gamma|, as
-    O(L) = W x| Gamma where the roots span L, and -1 is in W iff every
-    exponent is odd (Humphreys 1990, ch. 3).
+    It is weyl_group(L), where |W| is read, extended by -1, which grows it
+    exactly when -1 is not in W.  Its order must be the backtracking count,
+    the one value it reads of the search, so W and -1 generate O(L); they
+    do on every lattice built here, as |Gamma| <= 2 and -w0 is the
+    nontrivial diagram automorphism where -1 is not in W.  |O(L)| must also
+    be |W| |Gamma|, as O(L) = W x| Gamma where the roots span L, and -1 is
+    in W iff every exponent is odd (Humphreys 1990, ch. 3).
     """
-    order, solutions = _aut_search(L)
     chain = weyl_group(L)
     weyl = chain.order()
     minus1 = not chain._extend(check_isometry(L, minus_one(L)))
-    for sol in (sol for level in solutions for sol in level):
-        if not chain._sifts(sol):
-            chain._extend(check_isometry(L, _root_map(L, sol)))
+    order = automorphism_order(L)
     if chain.order() != order:
         raise errors.CrossCheckFailed(
             f"{L.root_type}: stabilizer chain order {chain.order()} differs "
@@ -505,7 +495,7 @@ def _automorphisms(L):
 
 def automorphism_group(L):
     """Root permutations generating O(L): the simple reflections, then -1
-    unless it is in W, then the search's solutions that grow the chain."""
+    unless it is in W."""
     return _automorphisms(L)[1]
 
 
@@ -533,5 +523,4 @@ def component_isometries(L, component):
     if component not in root_components(L):
         raise errors.BadInput("not a root component")
     index = _heights(L)[1]
-    order, _, gram = _root_search(L, sum(1 << index[_height(r)] for r in component))
-    return order, gram
+    return _root_search(L, sum(1 << index[_height(r)] for r in component))

@@ -151,14 +151,26 @@ def orbit_search_unpruned(rows, allowed, target, base, act=None, keep=None):
     return tuple(counts), tuple(solutions)
 
 
-def searches(run, search=groups.orbit_search):
+def searches(run, search=None):
     """The (level_counts, solutions) of each groups.orbit_search that run()
-    makes, with search run in its place."""
-    found = []
+    makes: its orbit lengths and the solutions it passes to act, each filed
+    under the first base point it moves, which is its level; or, given a
+    search, the pair that search returns, run in its place."""
+    found, orbit_search = [], groups.orbit_search
 
-    def spy(*args, **kwargs):
-        found.append(search(*args, **kwargs))
-        return found[-1]
+    def spy(rows, allowed, target, base, act, keep=None):
+        if search is not None:
+            found.append(search(rows, allowed, target, base, act, keep))
+            return found[-1][0]
+        sols = [[] for _ in base]
+
+        def filed(sol):
+            sols[next(t for t, (p, b) in enumerate(zip(sol, base)) if p != b)].append(sol)
+            return act(sol)
+
+        lengths = orbit_search(rows, allowed, target, base, filed, keep)
+        found.append((lengths, tuple(map(tuple, sols))))
+        return lengths
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(groups, "orbit_search", spy)

@@ -361,12 +361,15 @@ def test_enumerated_roots_are_not_checked_again(n, preimages, monkeypatch):
 
 def _computing(monkeypatch, module, name, computed):
     """Patch the memoized module.name to append (args, value) to computed
-    for each value it computes, one it has not returned before."""
+    for each value it computes: a call whose argument does not yet keep the
+    value under fn's memo key."""
     fn = getattr(module, name)
+    key = f"{fn.__module__}.{fn.__qualname__}"
 
     def counted(*args):
+        new = key not in args[0].__dict__
         value = fn(*args)
-        if all(value is not v for _, v in computed):
+        if new:
             computed.append((args, value))
         return value
 
@@ -376,8 +379,8 @@ def _computing(monkeypatch, module, name, computed):
 def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     """verify --n all checks each lattice isometry once, in the one chain
     on the roots that each of its seven lattices builds: the 41 simple
-    reflections of dP3..8 and A8, and -1 on each lattice, 48 in all, as no
-    search solution grows a chain.  reduce_isometry does not run.  In O(L2)
+    reflections of dP3..8 and A8, and -1 on each lattice, 48 in all, as the
+    chain holds W and -1 alone.  reduce_isometry does not run.  In O(L2)
     it checks the 37 reduced del Pezzo O(L) generators, the 33 simple
     reflections among them, which the rho chain also compares with their
     roots' mod-2 reflections, and prop2's 52 maps on dP5.  It builds no
@@ -396,15 +399,15 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     K mod 2: 2 more.
 
     The values it has just built are not validated again: the chains sift
-    the searches' 40 solutions and the 120 mod-2 maps on the known base
-    unchecked, and extend without PermGroup's permutation check by the ones
-    check_isometry or the independence test has just passed, so it never
-    runs: -1 in W is read from the chain's growth, not by a membership
-    test; the mod-2 chains read each map's images once, and prop2 projects
-    maps it has built or checked without reading them again
-    (f2._induced).  prop2's dP5 quotient builds O(L2)'s
-    reflections from q's table, so f2_reflection runs only for prop2's 63
-    reflections on dP7, and checks each vector once.  Unchecked
+    the 120 mod-2 maps on the known base unchecked, and extend without
+    PermGroup's permutation check by the ones check_isometry or the
+    independence test has just passed, so it never runs: -1 in W is read
+    from the chain's growth, not by a membership test; the mod-2 chains
+    read each map's images once, and prop2 projects maps it has built or
+    checked without reading them again (f2._induced).  prop2's dP5
+    quotient builds O(L2)'s reflections from q's table, so f2_reflection
+    runs only for prop2's 63 reflections on dP7, and checks each vector
+    once.  Unchecked
     transvections build those 63, their 63 dP7 transvections, dP5's 20
     reflections and the 33 simple reflections that the rho chain compares
     with.  It builds the pairing rows that the searches and checks read and
@@ -412,10 +415,11 @@ def test_verify_all_checks_and_computes_each_value_once(monkeypatch, capsys):
     counts = {"lat.check_isometry": 48, "f2.check_isometry": 89,
               "bridge.reduce_isometry": 0, "f2._mask": 814,
               "f2.symplectic_basis": 5, "f2.value_census": 14,
-              "f2.f2_reflection": 63, "f2._transvection": 179, "PermGroup._sifts": 160,
+              "f2.f2_reflection": 63, "f2._transvection": 179, "PermGroup._sifts": 120,
               "PermGroup._check_perm": 0, "f2._basis_images": 272,
               "f2.orthogonal_order": 7}
-    computations = {"f2.radical": 8, "f2.split_radical": 3, "lat._root_pairings": 7}
+    computations = {"f2.radical": 8, "f2.split_radical": 3, "f2.arf": 5,
+                    "lat._root_pairings": 7}
     rows_built = {"A1xA2": 8, "A4": 15, "D5": 24, "E6": 43, "E7": 61, "E8": 100,
                   "A8": 45}
     modules = {"lat": lat, "f2": f2, "bridge": bridge, "PermGroup": groups.PermGroup}

@@ -186,6 +186,7 @@ def test_det_is_multiplicative(pair):
     lambda: groups.PermGroup([], -1),
     lambda: groups.PermGroup([], None),
     lambda: groups.PermGroup([], 2**70),    # not tuple(range(2**70))'s OverflowError
+    lambda: groups.PermGroup([], 1025),     # above A10's 1,024 points, the largest chain
     lambda: intlinalg._kernel_basis((0, 0, 0)),
     lambda: intlinalg._hermite_normal_form([[1], [3, 4]]),
     lambda: intlinalg._hermite_normal_form([[1, 2], [3]]),
@@ -227,7 +228,7 @@ def test_det_is_multiplicative(pair):
         "f2-gram2-row-not-sequence", "f2-asymmetric-gram",
         "groups-degree", "groups-not-a-permutation", "groups-str-degree",
         "groups-float-degree", "groups-bool-degree", "groups-negative-degree",
-        "groups-None-degree", "groups-huge-degree",
+        "groups-None-degree", "groups-huge-degree", "groups-degree-1025",
         "intlinalg-zero-functional", "intlinalg-long-row",
         "intlinalg-short-row", "intlinalg-float-coeff", "intlinalg-str-coeff",
         "intlinalg-bool-entry", "intlinalg-det-not-square",

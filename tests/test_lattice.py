@@ -7,7 +7,7 @@ import pickle
 import random
 from copy import deepcopy
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -19,7 +19,7 @@ from dpmod2.lattice import (automorphism_chain, automorphism_group,
                             minus_one, root_components, root_reflection,
                             simple_roots, weyl_generators)
 from oracles import (check_isometry_pairings, closure, det_fraction,
-                     root_pairings_by_heights, root_reflection_by_dots)
+                     root_pairings_by_heights, root_reflection_by_dots, searches)
 
 WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040, 8: 696729600}
 AUT_ORDERS = {3: 24, 4: 240, 5: 3840, 6: 103680, 7: 2903040, 8: 696729600}
@@ -324,46 +324,60 @@ def test_minus_one_in_weyl_iff_7_or_8(n):
     assert G.contains(neg) == (n in (7, 8))
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", [*range(3, 9), *(f"A{r}" for r in range(2, 11))])
 def test_automorphism_group_orders(n):
-    L = build_del_pezzo(n)
+    """O(L) is generated by the simple reflections, then -1 unless it is in
+    W (dP7 and dP8 only): on dP3..dP8 and A2..A10, the chain's generators
+    are exactly these, and its order is the backtracking count."""
+    if isinstance(n, int):
+        L, weyl_order, order = build_del_pezzo(n), WEYL_ORDERS[n], AUT_ORDERS[n]
+    else:
+        L = build_plain_root_lattice(int(n[1:]))
+        weyl_order = factorial(L.n + 1)
+        order = 2 * weyl_order
+    in_weyl = n in (7, 8)
     gens = automorphism_group(L)
-    # the simple reflections first, then -1 unless it is in W (n = 7, 8)
-    assert gens[:n] == weyl_generators(L)
-    assert (list(gens[n]) == _negation_reference(L)) if n < 7 else len(gens) == n
+    assert gens == weyl_generators(L) + (() if in_weyl else (minus_one(L),))
+    assert list(minus_one(L)) == _negation_reference(L)
     G = _root_group(gens, enumerate_roots(L))
     # chain order equals the independent backtracking count
-    assert G.order() == automorphism_order(L) == AUT_ORDERS[n]
-    # the pruning chain is generated by exactly the kept permutations, in order
+    assert G.order() == automorphism_order(L) == order
+    # the chain is generated by exactly these permutations, in order
     chain, weyl, minus1 = automorphism_chain(L)
-    assert chain.order() == AUT_ORDERS[n]
+    assert chain.order() == order
     assert chain.generators == list(gens)
-    assert (weyl, minus1) == (WEYL_ORDERS[n], n in (7, 8))
+    assert (weyl, minus1) == (weyl_order, in_weyl)
     assert all(_preserves_all_pairings(L, u) for u in gens)
 
 
 def test_a_search_that_undercounts_below_w_raises(monkeypatch):
-    """The O(L) chain holds W whatever the search finds: a search that
-    counts 2 and finds no solution, as if O(L) were {+-1}, raises on a new
-    A4, as W and -1 give a chain of order 240."""
-    monkeypatch.setattr(lattice, "_aut_search", lambda L: (2, ()))
+    """The O(L) chain holds W whatever the search counts: a search that
+    counts 2, as if O(L) were {+-1}, raises on a new A4, as W and -1 give a
+    chain of order 240."""
+    monkeypatch.setattr(lattice, "automorphism_order", lambda L: 2)
     with pytest.raises(errors.CrossCheckFailed, match="backtracking count 2"):
         automorphism_group(build_plain_root_lattice(4))
 
 
-def test_minus_one_in_weyl_is_cross_checked(monkeypatch):
-    """-1 is in W exactly when every exponent is odd: with the identity in
-    place of -1, A4's chain reads -1 in W, against its exponents 1..4."""
-    monkeypatch.setattr(lattice, "minus_one", lambda L: tuple(range(20)))
-    with pytest.raises(errors.CrossCheckFailed, match="A4: -1 in W is True"):
+@pytest.mark.parametrize("name, value, match", [
+    ("minus_one", lambda L: tuple(range(20)), "backtracking count 240"),
+    ("exponents", lambda L: (1, 59), "A4: -1 in W is False"),
+], ids=["identity-for-minus-one", "odd-exponents"])
+def test_minus_one_in_weyl_is_cross_checked(monkeypatch, name, value, match):
+    """-1 is in W exactly when every exponent is odd.  With the identity in
+    place of -1, A4's chain is W alone, of order 120, which the backtracking
+    count refuses first; with exponents 1 and 59, whose prod(m + 1) is still
+    |W| = 120, the chain's -1 outside W contradicts their parity."""
+    monkeypatch.setattr(lattice, name, value)
+    with pytest.raises(errors.CrossCheckFailed, match=match):
         automorphism_group(build_plain_root_lattice(4))
 
 
 def test_chain_order_mismatch_raises(monkeypatch):
     """The chain-vs-backtracking cross-check is a raise, not an assert."""
     L = build_del_pezzo(4)
-    order, solutions = lattice._aut_search(L)
-    monkeypatch.setattr(lattice, "_aut_search", lambda L: (order + 1, solutions))
+    order = automorphism_order(L)
+    monkeypatch.setattr(lattice, "automorphism_order", lambda L: order + 1)
     with pytest.raises(errors.CrossCheckFailed):
         automorphism_group(L)
 
@@ -375,11 +389,11 @@ def test_chain_order_mismatch_raises(monkeypatch):
      "f57733ef22205a61e9b1b5d2577c870c06883f16f6326ca83e22ffbda7eafd9b"),
 ], ids=["E8", "A10"])
 def test_aut_search_solutions_pinned(L, count, digest):
-    """The backtracking's solutions, by level and in order, feed the O(L)
-    chain: pinned.  count is the elements the pruned search finds (418 on
-    E8 and 164 on A10 without pruning), so a search that stops pruning
-    fails here."""
-    solutions = lattice._aut_search(L)[1]
+    """The backtracking's solutions, by level and in order, pinned: they
+    prune the search, and the O(L) chain does not read them.  count is the
+    elements the pruned search finds (418 on E8 and 164 on A10 without
+    pruning), so a search that stops pruning fails here."""
+    (_, solutions), = searches(lambda: automorphism_order.__wrapped__(L))
     assert sum(map(len, solutions)) == count
     assert hashlib.sha256(repr(solutions).encode()).hexdigest() == digest
 

@@ -36,7 +36,6 @@ UNREACHED = {
     "groups.PermGroup._check_perm": "only through extend and contains",
     "bridge.aut_group": "bench",
     "bridge.oL2_group": "bench",
-    "lattice.automorphism_order": "bench",
     "groups._then": "only through bridge.oL2_group, on more than 256 points (bench)",
     "groups._tuple_inverse": "only through bridge.oL2_group, on more than 256 points (bench)",
     "lattice.Lattice.__reduce__": "the pickle contract (tests/test_lattice.py)",
